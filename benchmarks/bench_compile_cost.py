@@ -1,24 +1,28 @@
 """E11 (extension) — the cost of compile-time queues.
 
 LaminarIR trades run-time bookkeeping for compile time and code size:
-the whole steady state is unrolled, so both grow with the schedule.
-This driver sweeps benchmark problem sizes (scale 1x/2x/4x) and reports
-lowering wall time, *optimize* wall time (timed separately by the pass
-manager), LaminarIR steady-section size, generated C size for both
-backends, and the modeled speedup — showing that the win persists while
-the compile-side costs grow roughly linearly with the steady state.
+the whole steady state is executed symbolically, so both grow with the
+schedule.  This driver sweeps benchmark problem sizes (scale 1x/2x/4x)
+and reports, per stage, lowering (symbolic execution) wall time and
+*optimize* wall time (timed by the pass manager), the LaminarIR
+steady-section size, generated C size for both backends, and the modeled
+speedup — showing that the win persists while the compile-side costs
+grow roughly linearly with the steady state.
 
-The optimize column is compared against two committed baselines under
+Both stages are compared against committed baselines under
 ``results/``:
 
-* ``compile_cost_seed.json`` — the pre-pass-manager pipeline, for the
-  "vs seed" speedup column (the analysis-driven rewrite's headline);
-* ``compile_cost_baseline.json`` — the current pipeline, for CI's
-  regression gate: ``--check NAME [NAME...]`` re-measures just those
-  benchmarks and fails if any optimize time exceeds 2x its baseline.
+* ``compile_cost_seed.json`` — the pre-pass-manager optimizer, for the
+  "vs seed" column (the analysis-driven rewrite's headline);
+* ``compile_cost_baseline.json`` — the current pipeline, per stage, for
+  CI's regression gates: ``--check NAME [NAME...]`` re-measures just
+  those benchmarks and fails if either stage's time exceeds 2x its
+  baseline.
 
-Every full run also writes ``results/compile_cost.json`` with the raw
-measurements.
+A full run writes ``results/compile_cost.txt``, the raw measurements in
+``results/compile_cost.json`` and the headline numbers in the
+``results/BENCH_compile_cost.json`` trajectory (also appended to the run
+ledger).
 """
 
 import argparse
@@ -30,17 +34,27 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.common import RESULTS_DIR, emit
+from repro.backend.laminar_c import generate_laminar_c
 from repro.evaluation import evaluate_stream, format_table
+from repro.lir import lower
+from repro.lir.ops import fresh_temp_ids
 from repro.machine import I7_2600K
+from repro.opt import optimize
 from repro.suite import load_benchmark
 
 SWEEP_NAMES = ("fft", "bitonic_sort", "matrixmult", "autocor", "filterbank")
 SCALES = (1, 2, 4)
+# The gated stages: baseline key -> label.
+STAGES = {"lower_s": "lowering", "optimize_s": "optimize"}
 
-# CI regression gate: fail --check when optimize time exceeds this
-# multiple of the committed baseline (generous — CI machines are noisy,
-# a real regression from losing the sparse worklists is 5-10x).
+# CI regression gate: fail --check when a stage's time exceeds this
+# multiple of the committed baseline (generous — CI machines are noisy;
+# losing the firing templates costs lowering ~2.5x, losing the sparse
+# worklists costs the optimizer 5-10x).
 CHECK_TOLERANCE = 2.0
+# Stages shorter than this are not gated: at a few milliseconds the
+# timer's and the host's noise exceed any regression worth reporting.
+CHECK_FLOOR_S = 0.05
 
 # Codegen-size gate: re-rolling must shrink the emitted laminar C for
 # filterbank x4 (the largest unrolled steady state in the sweep) by at
@@ -52,7 +66,7 @@ _SEED_BASELINE = RESULTS_DIR / "compile_cost_seed.json"
 _CURRENT_BASELINE = RESULTS_DIR / "compile_cost_baseline.json"
 
 
-def _load_baseline(path) -> dict[str, float]:
+def _load_baseline(path) -> dict:
     data = json.loads(path.read_text())
     return {key: value for key, value in data.items()
             if not key.startswith("_")}
@@ -68,22 +82,21 @@ def _static_len(ops) -> int:
 def measure(name: str, scale: int, full: bool = True) -> dict:
     """Compile one benchmark at one scale and time each stage.
 
-    ``full=False`` (the CI check path) stops after lowering: code
-    generation and interpretation are not part of the optimize-time gate.
+    ``full=False`` (the CI check path) stops after optimizing: code
+    generation and interpretation are not part of the stage gates.
     """
     start = time.perf_counter()
     stream = load_benchmark(name, scale=scale)
     frontend_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    lowered = stream.lower()
-    lowering_seconds = time.perf_counter() - start
-    opt_stats = lowered.opt_stats
-
-    program = lowered.program
+    with fresh_temp_ids():
+        start = time.perf_counter()
+        program = lower(stream.schedule, stream.source)
+        lower_seconds = time.perf_counter() - start
+        opt_stats = optimize(program)
     result = {
         "frontend_s": frontend_seconds,
-        "lowering_s": lowering_seconds,
+        "lower_s": lower_seconds,
         "optimize_s": opt_stats.optimize_seconds,
         "fixpoint_rounds": opt_stats.fixpoint_rounds,
         "converged": opt_stats.converged,
@@ -98,7 +111,7 @@ def measure(name: str, scale: int, full: bool = True) -> dict:
     if not full:
         return result
     fifo_c = stream.fifo_c()
-    laminar_c = stream.laminar_c()
+    laminar_c = generate_laminar_c(program)
     record = evaluate_stream(name, stream, iterations=2)
     assert record.outputs_match, (name, scale)
     result.update({
@@ -133,6 +146,7 @@ def build_report() -> tuple[str, dict]:
                 f"{name} x{scale}",
                 str(result["steady_ops"]),
                 str(result["steady_ops_static"]),
+                f"{result['lower_s'] * 1000:.0f} ms",
                 f"{result['optimize_s'] * 1000:.0f} ms",
                 vs_seed,
                 f"{result['fifo_c_kb']:.1f} KB",
@@ -141,12 +155,30 @@ def build_report() -> tuple[str, dict]:
             ])
     table = format_table(
         ["benchmark/scale", "steady ops (exec)", "steady ops (emitted)",
-         "optimize time", "vs seed", "FIFO C size", "LaminarIR C size",
-         "modeled speedup (i7)"],
+         "lowering time", "optimize time", "optimize vs seed",
+         "FIFO C size", "LaminarIR C size", "modeled speedup (i7)"],
         rows,
         title="Extension: compile-time and code-size cost of the "
-              "steady state (re-rolled loop regions)")
+              "steady state (firing templates, re-rolled loop regions)")
     return table, data
+
+
+def _headline(data: dict, size_ratio: float) -> dict:
+    bench, scale = _CODEGEN_SIZE_BENCH
+    headline = data[(bench, scale)]
+    return {
+        "filterbank4_lower_s": headline["lower_s"],
+        "filterbank4_optimize_s": headline["optimize_s"],
+        "filterbank4_steady_ops": headline["steady_ops"],
+        "filterbank4_steady_ops_static": headline["steady_ops_static"],
+        "filterbank4_laminar_c_kb": headline["laminar_c_kb"],
+        "filterbank4_regions": headline["regions"],
+        "filterbank4_codegen_size_ratio": round(size_ratio, 2),
+        "sweep_x4_lower_s": sum(data[(name, 4)]["lower_s"]
+                                for name in SWEEP_NAMES),
+        "sweep_x4_optimize_s": sum(data[(name, 4)]["optimize_s"]
+                                   for name in SWEEP_NAMES),
+    }
 
 
 def _write_json(data: dict) -> None:
@@ -157,13 +189,23 @@ def _write_json(data: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def report() -> tuple[str, dict, float]:
+    """Run the sweep; write the table, raw data and trajectory."""
+    table, data = build_report()
+    size_ratio = codegen_size_ratio(*_CODEGEN_SIZE_BENCH)
+    emit("compile_cost", table, data=_headline(data, size_ratio))
+    _write_json(data)
+    return table, data, size_ratio
+
+
 def check(names: list[str]) -> int:
-    """CI smoke: re-measure ``names`` and gate on the committed baseline.
+    """CI smoke: re-measure ``names`` and gate each stage on the baseline.
 
     Measures every swept scale of each benchmark (lower+optimize only)
-    and fails when any optimize time exceeds ``CHECK_TOLERANCE`` times
-    the committed value — i.e. when the analysis-driven pass manager
-    stops paying for itself.
+    and fails when a stage's time exceeds ``CHECK_TOLERANCE`` times its
+    committed value: the lowering gate catches a lost firing-template
+    fast path, the optimize gate a pass manager that stops paying for
+    itself.
     """
     baseline = _load_baseline(_CURRENT_BASELINE)
     failures = []
@@ -171,21 +213,23 @@ def check(names: list[str]) -> int:
         for scale in SCALES:
             key = f"{name}@{scale}"
             expected = baseline.get(key)
-            if expected is None:
+            if not isinstance(expected, dict) \
+                    or not set(STAGES) <= set(expected):
                 print(f"compile-cost check: no baseline for {key}; "
                       f"regenerate {_CURRENT_BASELINE.name}",
                       file=sys.stderr)
                 return 2
             result = measure(name, scale, full=False)
-            actual = result["optimize_s"]
-            status = "ok"
-            if actual > expected * CHECK_TOLERANCE:
-                status = "FAIL"
-                failures.append(key)
-            print(f"{key}: optimize {actual * 1000:.0f} ms "
-                  f"(baseline {expected * 1000:.0f} ms, "
-                  f"tolerance {CHECK_TOLERANCE:.0f}x) {status}")
             assert result["converged"], key
+            for stage, label in STAGES.items():
+                actual, limit = result[stage], expected[stage]
+                status = "ok"
+                if actual > max(limit * CHECK_TOLERANCE, CHECK_FLOOR_S):
+                    status = "FAIL"
+                    failures.append(f"{key} {label}")
+                print(f"{key}: {label} {actual * 1000:.0f} ms "
+                      f"(baseline {limit * 1000:.0f} ms, "
+                      f"tolerance {CHECK_TOLERANCE:.0f}x) {status}")
     bench, scale = _CODEGEN_SIZE_BENCH
     if bench in names:
         ratio = codegen_size_ratio(bench, scale)
@@ -203,13 +247,16 @@ def check(names: list[str]) -> int:
 
 def update_baseline() -> int:
     """Re-measure the whole sweep and rewrite the committed baseline."""
-    data = _load_baseline(_CURRENT_BASELINE)
     comment = json.loads(_CURRENT_BASELINE.read_text()).get("_comment")
+    data = {}
     for name in SWEEP_NAMES:
         for scale in SCALES:
             result = measure(name, scale, full=False)
-            data[f"{name}@{scale}"] = round(result["optimize_s"], 4)
-            print(f"{name}@{scale}: {result['optimize_s']:.4f}s")
+            data[f"{name}@{scale}"] = {stage: round(result[stage], 4)
+                                       for stage in STAGES}
+            print(f"{name}@{scale}: " + ", ".join(
+                f"{label} {result[stage]:.4f}s"
+                for stage, label in STAGES.items()))
     payload = {"_comment": comment, **data} if comment else data
     _CURRENT_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {_CURRENT_BASELINE}")
@@ -218,19 +265,7 @@ def update_baseline() -> int:
 
 def test_compile_cost(benchmark):
     benchmark(lambda: load_benchmark("fft", scale=2).lower())
-    table, data = build_report()
-    bench, size_scale = _CODEGEN_SIZE_BENCH
-    size_ratio = codegen_size_ratio(bench, size_scale)
-    headline = data[(bench, size_scale)]
-    emit("compile_cost", table, data={
-        "filterbank4_optimize_s": headline["optimize_s"],
-        "filterbank4_steady_ops": headline["steady_ops"],
-        "filterbank4_steady_ops_static": headline["steady_ops_static"],
-        "filterbank4_laminar_c_kb": headline["laminar_c_kb"],
-        "filterbank4_regions": headline["regions"],
-        "filterbank4_codegen_size_ratio": round(size_ratio, 2),
-    })
-    _write_json(data)
+    _table, data, size_ratio = report()
     seed = _load_baseline(_SEED_BASELINE)
     for name in SWEEP_NAMES:
         # executed work grows with the problem...
@@ -251,7 +286,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", nargs="+", metavar="NAME",
         help="CI smoke mode: measure just these benchmarks and fail on "
-             f"a >{CHECK_TOLERANCE:.0f}x optimize-time regression")
+             f"a >{CHECK_TOLERANCE:.0f}x lowering- or optimize-time "
+             "regression")
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="re-measure the sweep and rewrite "
@@ -261,9 +297,7 @@ def main(argv=None) -> int:
         return check(args.check)
     if args.update_baseline:
         return update_baseline()
-    table, data = build_report()
-    _write_json(data)
-    print(table)
+    report()
     return 0
 
 

@@ -32,6 +32,7 @@ from repro.graph import FlatGraph, StreamNode, elaborate, flatten, \
     graph_stats
 from repro.interp import FifoInterpreter, LaminarInterpreter, RunResult
 from repro.lir import LoweringOptions, Program, lower, verify
+from repro.lir.ops import fresh_temp_ids
 from repro.machine.metrics import CommunicationReport, communication_report
 from repro.obs import bus
 from repro.obs import metrics as obs_metrics
@@ -140,7 +141,9 @@ class CompiledStream:
         cached = self._lowered_cache.get(key)
         if cached is not None:
             return cached
-        with faults_limits.compile_budget(), \
+        # Temps are numbered per lowering, so the emitted code does not
+        # depend on what this process (or thread) compiled before.
+        with faults_limits.compile_budget(), fresh_temp_ids(), \
                 trace.span("lower", stream=self.name):
             with trace.span("lower.lir"):
                 program = lower(self.schedule, self.source, lowering)

@@ -327,15 +327,14 @@ class ArtifactCache:
            protect: str | None = None) -> dict:
         """Evict least-recently-used entries until ≤ ``max_bytes``.
 
-        Also clears abandoned publish staging dirs.  ``protect`` names
-        one key never evicted (the entry just published).  Returns
+        ``protect`` names one key never evicted (the entry just
+        published).  Staging dirs under ``tmp/`` are left alone: they
+        may be other threads' or processes' publishes in flight, and
+        :meth:`scrub` at daemon start owns the abandoned ones.  Returns
         ``{"evicted": n, "bytes": remaining, "entries": remaining}``.
         """
         if max_bytes is None:
             max_bytes = self.max_bytes
-        if self.tmp_dir.is_dir():
-            for stale in self.tmp_dir.iterdir():
-                shutil.rmtree(stale, ignore_errors=True)
         entries = self._entries()
         total = sum(size for *_rest, size in entries)
         evicted = 0

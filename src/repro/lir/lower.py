@@ -15,20 +15,29 @@ values (see :mod:`repro.lir.program`).
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from repro.faults import limits as faults_limits
 from repro.faults.limits import ResourceExhausted
+from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError, SourceLocation
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
+from repro.lir import template as firing_template
 from repro.lir.ops import (Const, MoveOp, PrintOp, StateSlot, Temp, Value,
                            const_bool, const_float, const_int)
 from repro.lir.program import Program
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks)
+from repro.lir.template import FiringTemplate
 from repro.frontend.types import ArrayType, Type
+from repro.obs import trace
 from repro.scheduling.schedule import Firing, Schedule
 
 
@@ -73,10 +82,11 @@ class _FilterHooks(TokenHooks):
     compile-time queues."""
 
     def __init__(self, lowerer: "Lowerer", vertex: FilterVertex,
-                 peek_rate: int):
+                 peek_rate: int, emitter: Emitter):
         self.lowerer = lowerer
         self.vertex = vertex
         self.peek_rate = peek_rate
+        self.emitter = emitter
         self.in_queue = (lowerer.queue_of(vertex.inputs[0])
                          if vertex.inputs else None)
         self.out_queue = (lowerer.queue_of(vertex.outputs[0])
@@ -85,7 +95,7 @@ class _FilterHooks(TokenHooks):
                        if vertex.outputs else None)
         self.pops = 0
 
-    def peek(self, offset: int, loc: SourceLocation) -> Value:
+    def _check_peek(self, offset: int, loc: SourceLocation) -> None:
         if self.in_queue is None:
             raise LoweringError(f"{self.vertex.name}: peek without input",
                                 loc, self.lowerer.source)
@@ -97,6 +107,22 @@ class _FilterHooks(TokenHooks):
                 f"{self.vertex.name}: peek({offset}) after {self.pops} "
                 f"pop(s) exceeds declared peek rate {self.peek_rate}", loc,
                 self.lowerer.source)
+
+    def _check_pop(self, loc: SourceLocation) -> None:
+        if self.in_queue is None:
+            raise LoweringError(f"{self.vertex.name}: pop without input",
+                                loc, self.lowerer.source)
+
+    def _coerce_push(self, value: Value, loc: SourceLocation) -> Value:
+        if self.out_queue is None:
+            raise LoweringError(f"{self.vertex.name}: push without output",
+                                loc, self.lowerer.source)
+        assert self.out_ty is not None
+        return self.emitter.coerce(value, self.out_ty)
+
+    def peek(self, offset: int, loc: SourceLocation) -> Value:
+        self._check_peek(offset, loc)
+        assert self.in_queue is not None
         if offset >= len(self.in_queue):
             raise LoweringError(
                 f"{self.vertex.name}: peek({offset}) underflows the "
@@ -105,9 +131,7 @@ class _FilterHooks(TokenHooks):
         return self.in_queue[offset]
 
     def pop(self, loc: SourceLocation) -> Value:
-        if self.in_queue is None:
-            raise LoweringError(f"{self.vertex.name}: pop without input",
-                                loc, self.lowerer.source)
+        self._check_pop(loc)
         if not self.in_queue:
             raise LoweringError(
                 f"{self.vertex.name}: pop underflows the compile-time "
@@ -116,13 +140,41 @@ class _FilterHooks(TokenHooks):
         return self.in_queue.popleft()
 
     def push(self, value: Value, loc: SourceLocation) -> None:
-        if self.out_queue is None:
-            raise LoweringError(f"{self.vertex.name}: push without output",
-                                loc, self.lowerer.source)
-        assert self.out_ty is not None
+        value = self._coerce_push(value, loc)
+        assert self.out_queue is not None
         self.lowerer.note_tokens(self.vertex.name, 1)
-        self.out_queue.append(self.lowerer.emitter.coerce(value,
-                                                          self.out_ty))
+        self.out_queue.append(value)
+
+
+class _RecordingHooks(_FilterHooks):
+    """Token operations while recording a firing template: input
+    position ``p`` reads as the placeholder ``tokens[p]``, and no queue
+    is touched.  The rate checks are those of a real firing; underflow
+    is checked against the real queue when the template is replayed."""
+
+    def __init__(self, lowerer: "Lowerer", vertex: FilterVertex,
+                 peek_rate: int, emitter: Emitter):
+        super().__init__(lowerer, vertex, peek_rate, emitter)
+        self.tokens: list[Temp] = []
+        self.pushed: list[Value] = []
+
+    def _token(self, position: int) -> Temp:
+        ty = self.vertex.inputs[0].ty  # type: ignore[union-attr]
+        while len(self.tokens) <= position:
+            self.tokens.append(Temp(ty))
+        return self.tokens[position]
+
+    def peek(self, offset: int, loc: SourceLocation) -> Value:
+        self._check_peek(offset, loc)
+        return self._token(self.pops + offset)
+
+    def pop(self, loc: SourceLocation) -> Value:
+        self._check_pop(loc)
+        self.pops += 1
+        return self._token(self.pops - 1)
+
+    def push(self, value: Value, loc: SourceLocation) -> None:
+        self.pushed.append(self._coerce_push(value, loc))
 
 
 class Lowerer:
@@ -145,6 +197,19 @@ class Lowerer:
         # firing counts only accumulate there (the attribution tables and
         # interpreters report steady-state numbers).
         self._counting = False
+        # Firing templates by (vertex, prework, scalar fields cached at
+        # entry).  A body whose recording failed is not recorded again,
+        # in any instance of its filter: the failure (data-dependent
+        # control, a LoweringError) almost always comes from the body
+        # itself, and per-firing execution is always correct.
+        self._templates: dict[tuple[FilterVertex, bool, tuple[str, ...]],
+                              FiringTemplate] = {}
+        # (id of the filter's declaration, prework); AST nodes are
+        # compared by value, so they are keyed by identity.
+        self._untemplated: set[tuple[int, bool]] = set()
+        self.templates_built = 0
+        self.firings_replayed = 0
+        self.firings_fallback = 0
 
     def queue_of(self, channel: Channel | None) -> deque[Value]:
         assert channel is not None
@@ -193,6 +258,10 @@ class Lowerer:
 
         self.program.prints_per_iteration = sum(
             1 for op in self.program.steady if isinstance(op, PrintOp))
+        trace.current_span().annotate(
+            templates_built=self.templates_built,
+            firings_replayed=self.firings_replayed,
+            firings_fallback=self.firings_fallback)
         return self.program
 
     # -- filters ------------------------------------------------------------------
@@ -260,11 +329,57 @@ class Lowerer:
         assert rates is not None
         body = node.decl.prework if prework else node.decl.work
         assert body is not None and body.body is not None
-        hooks = _FilterHooks(self, vertex, rates.peek)
         executor = self.executors[vertex]
-        executor.run_body(body.body, hooks)
+        if self._replay(vertex, prework, rates.peek, body.body, executor):
+            self.firings_replayed += 1
+        else:
+            self.firings_fallback += 1
+            executor.run_body(body.body, _FilterHooks(
+                self, vertex, rates.peek, self.emitter))
         executor.check_rates(rates.pop, rates.push,
                              "prework" if prework else "work")
+
+    def _replay(self, vertex: FilterVertex, prework: bool, peek_rate: int,
+                block: ast.Block, executor: BodyExecutor) -> bool:
+        """Fire by replaying the body's template, recording it first if
+        needed.  False when the body has no template, or when the input
+        queue is too short (per-firing execution then reports it)."""
+        body_key = (id(vertex.filter.decl), prework)
+        if body_key in self._untemplated:
+            return False
+        cached = tuple(name for name, cell in executor.fields.items()
+                       if not cell.dims and cell.cached is not None)
+        key = (vertex, prework, cached)
+        template = self._templates.get(key)
+        if template is None:
+            template = firing_template.record(
+                executor, block, lambda emitter: _RecordingHooks(
+                    self, vertex, peek_rate, emitter))
+            if template is None:
+                self._untemplated.add(body_key)
+                return False
+            self._templates[key] = template
+            self.templates_built += 1
+        tokens: list[Value] = []
+        if template.tokens:
+            in_queue = self.queue_of(vertex.inputs[0])
+            if len(in_queue) < template.tokens:
+                return False
+            tokens = list(islice(in_queue, template.tokens))
+            for _ in range(template.pops):
+                in_queue.popleft()
+        fields = executor.fields
+        pushed, exits = template.replay(
+            self.emitter, tokens + [fields[name].cached  # type: ignore
+                                    for name in template.fields],
+            self.source)
+        for (name, _), value in zip(template.exits, exits):
+            fields[name].cached = value
+        if pushed:
+            self.note_tokens(vertex.name, len(pushed))
+            self.queue_of(vertex.outputs[0]).extend(pushed)
+        executor.pops, executor.pushes = template.pops, len(pushed)
+        return True
 
     def _route(self, token: Value) -> Value:
         """Move a token across a splitter/joiner.
@@ -335,7 +450,39 @@ class Lowerer:
         self.program.carry_nexts = nexts
 
 
+_collector_lock = threading.Lock()
+_collector_pauses = 0
+_collector_was_enabled = False
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the enclosed lowering.
+
+    Lowering allocates up to millions of ops and temps that all outlive
+    it, and next to no cyclic garbage.  CPython's collector re-scans its
+    oldest generation each time that grows by a quarter, so on a large
+    schedule the scans cost about a third of the lowering while freeing
+    nothing.  Concurrent lowerings share one pause; the collector runs
+    again, if it was on, when the last of them ends.
+    """
+    global _collector_pauses, _collector_was_enabled
+    with _collector_lock:
+        if _collector_pauses == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _collector_pauses += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_pauses -= 1
+            if _collector_pauses == 0 and _collector_was_enabled:
+                gc.enable()
+
+
 def lower(schedule: Schedule, source: str = "",
           options: LoweringOptions | None = None) -> Program:
     """Lower a scheduled flat graph to a LaminarIR program."""
-    return Lowerer(schedule, source, options).lower()
+    with _collector_paused():
+        return Lowerer(schedule, source, options).lower()

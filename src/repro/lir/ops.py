@@ -14,13 +14,48 @@ Python and native runs produce identical output streams.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import threading
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 
-_temp_ids = itertools.count()
+# Temp ids come from the innermost fresh_temp_ids() scope of the current
+# context, else from one process-wide counter.
+_scoped_ids: ContextVar[Iterator[int] | None] = ContextVar(
+    "temp_ids", default=None)
+_global_ids = itertools.count()
+_global_lock = threading.Lock()
+
+
+def _next_temp_id() -> int:
+    ids = _scoped_ids.get()
+    return next(ids if ids is not None else _global_ids)
+
+
+@contextlib.contextmanager
+def fresh_temp_ids() -> Iterator[None]:
+    """Number the temps minted in this context from 0.
+
+    One lowering (plus its optimization) runs in one scope, so the code
+    emitted for a program never depends on what the process compiled
+    before, and concurrent lowerings in threads number independently.
+    On exit the process-wide counter skips past the scope's ids, so
+    temps minted later outside any scope never collide with them.
+    """
+    ids = itertools.count()
+    token = _scoped_ids.set(ids)
+    try:
+        yield
+    finally:
+        _scoped_ids.reset(token)
+        high = next(ids)
+        global _global_ids
+        with _global_lock:
+            _global_ids = itertools.count(max(high, next(_global_ids)))
 
 
 @dataclass(frozen=True)
@@ -42,13 +77,13 @@ class Const(Value):
 class Temp(Value):
     """A named SSA value (a token or an intermediate result).
 
-    ``id`` is globally unique, so dataclass equality coincides with
-    identity — two distinct temps never compare equal even when they share
-    a type and hint.
+    ``id`` is unique within a program (see :func:`fresh_temp_ids`), so
+    dataclass equality coincides with identity — two distinct temps never
+    compare equal even when they share a type and hint.
     """
 
     hint: str = "t"
-    id: int = field(default_factory=lambda: next(_temp_ids))
+    id: int = field(default_factory=_next_temp_id)
 
     def __str__(self) -> str:
         return f"%{self.hint}{self.id}"

@@ -216,6 +216,20 @@ class Emitter:
         self.emit(CastOp(result=result, operand=value))
         return result
 
+    def cast(self, value: Value, target: ScalarType) -> Value:
+        """An explicit source cast: unlike :meth:`coerce`, a constant
+        cast to ``boolean`` is emitted, not folded."""
+        if value.ty == target:
+            return value
+        if isinstance(value, Const):
+            if target == INT:
+                return const_int(int(value.value))  # type: ignore[arg-type]
+            if target == FLOAT:
+                return const_float(float(value.value))  # type: ignore
+        result = Temp(target)
+        self.emit(CastOp(result=result, operand=value))
+        return result
+
     def select(self, cond: Value, then: Value, otherwise: Value) -> Value:
         if then.ty != otherwise.ty:
             if FLOAT in (then.ty, otherwise.ty):
@@ -250,13 +264,17 @@ class Emitter:
                          pure=intrinsic.pure))
         return result
 
-    def load(self, slot: StateSlot, index: Value | None) -> Value:
+    # ``loc`` (an indexed access's source position) is unused here; a
+    # template recorder keeps it for the bounds check on replay.
+
+    def load(self, slot: StateSlot, index: Value | None,
+             loc: SourceLocation | None = None) -> Value:
         result = Temp(slot.ty)
         self.emit(LoadOp(result=result, slot=slot, index=index))
         return result
 
-    def store(self, slot: StateSlot, index: Value | None,
-              value: Value) -> None:
+    def store(self, slot: StateSlot, index: Value | None, value: Value,
+              loc: SourceLocation | None = None) -> None:
         self.emit(StoreOp(result=None, slot=slot, index=index,
                           value=self.coerce(value, slot.ty)))
 
@@ -368,6 +386,10 @@ class BodyExecutor:
         self.path_conditions: list[Value] = []
         # Inlined-helper invocation frames, innermost last.
         self.helper_frames: list[_HelperFrame] = []
+        # Set once a control decision depended on a non-constant value
+        # (if-conversion, a dynamic ?:, && or ||, a predicated return):
+        # such a body cannot be recorded as a firing template.
+        self.data_dependent = False
 
     # -- entry points -------------------------------------------------------------
 
@@ -384,6 +406,7 @@ class BodyExecutor:
         self.hooks = hooks
         self.pops = 0
         self.pushes = 0
+        self.steps = 0
         env = self.base_env().child()
         self._exec_block(block, env)
         self.flush_fields()
@@ -445,9 +468,11 @@ class BodyExecutor:
             raise ResourceExhausted(
                 "unroll_limit", self.unroll_limit, self.steps,
                 where=f"filter {self.node.name!r} work body",
-                detail="non-terminating loop, or a schedule with very "
-                       "large rate multiples — large-but-finite bodies "
-                       "are re-rolled into counted loops downstream "
+                detail="the limit counts the statements one execution "
+                       "of the body unrolls: a non-terminating loop, or "
+                       "a very long static one; the total size stays "
+                       "bounded by op_limit and max_unrolled_ops, and "
+                       "long steady states are re-rolled downstream "
                        "(--reroll, on by default), so raising "
                        "LoweringOptions.unroll_limit is usually safe",
                 loc=loc, source=self.source)
@@ -515,6 +540,7 @@ class BodyExecutor:
             raise _Return(value)  # the classic unconditional return
         # Predicated return: select the value where this return fires and
         # no earlier return already did.
+        self.data_dependent = True
         not_done = self.emitter.unop("!", frame.done)
         guard = self.emitter.binop("&", condition, not_done, stmt.loc,
                                    self.source)
@@ -619,8 +645,8 @@ class BodyExecutor:
                         self.source)
                 offset = linear.value
                 assert isinstance(offset, int)
-                self._check_array_bounds(offset, len(cell.elems),
-                                         target.loc)
+                _check_bounds(offset, len(cell.elems), target.loc,
+                              self.source)
                 cell.elems[offset] = self.emitter.coerce(value,
                                                          cell.element_ty)
                 return
@@ -628,8 +654,9 @@ class BodyExecutor:
                 self._check_effect_allowed(target.loc, "field store")
                 linear = self._linear_index(cell.dims, index_values,
                                             target.loc)
-                self._check_const_bounds(linear, cell.slot, target.loc)
-                self.emitter.store(cell.slot, linear, value)
+                check_const_bounds(linear, cell.slot, target.loc,
+                                   self.source)
+                self.emitter.store(cell.slot, linear, value, target.loc)
                 return
             raise LoweringError("indexed value is not an array", target.loc,
                                 self.source)
@@ -681,6 +708,7 @@ class BodyExecutor:
     def _if_convert(self, stmt: ast.IfStmt, cond: Value, env: Env) -> None:
         """Execute both branches speculatively and merge with selects."""
         assert stmt.then is not None
+        self.data_dependent = True
         before = env.snapshot()
         saved = [(cell, self._cell_state(cell)) for _, _, cell in before]
 
@@ -871,7 +899,8 @@ class BodyExecutor:
         if isinstance(expr, ast.Cast):
             assert expr.target is not None and expr.operand is not None
             assert isinstance(expr.target, ScalarType)
-            return self._cast(self._eval(expr.operand, env), expr.target)
+            return self.emitter.cast(self._eval(expr.operand, env),
+                                     expr.target)
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, env)
         if isinstance(expr, ast.Index):
@@ -882,18 +911,6 @@ class BodyExecutor:
             return self._eval_pop(expr)
         raise LoweringError(f"cannot lower {type(expr).__name__}", expr.loc,
                             self.source)
-
-    def _cast(self, value: Value, target: ScalarType) -> Value:
-        if value.ty == target:
-            return value
-        if isinstance(value, Const):
-            if target == INT:
-                return const_int(int(value.value))  # type: ignore[arg-type]
-            if target == FLOAT:
-                return const_float(float(value.value))  # type: ignore
-        result = Temp(target)
-        self.emitter.emit(CastOp(result=result, operand=value))
-        return result
 
     def _eval_ident(self, expr: ast.Ident, env: Env) -> Value:
         cell = env.lookup(expr.name)
@@ -922,6 +939,7 @@ class BodyExecutor:
             # Dynamic: evaluate both (the RHS must be pure anyway) and
             # combine; C backends emit && / || whose RHS is re-evaluated,
             # which is safe for pure expressions.
+            self.data_dependent = True
             right = self._eval(expr.right, env)
             return self.emitter.binop("&" if expr.op == "&&" else "|",
                                       self._bool_to_int(left),
@@ -943,6 +961,7 @@ class BodyExecutor:
         if isinstance(cond, Const):
             return self._eval(expr.then if cond.value else expr.otherwise,
                               env)
+        self.data_dependent = True
         then = self._eval(expr.then, env)
         otherwise = self._eval(expr.otherwise, env)
         return self.emitter.select(cond, then, otherwise)
@@ -1021,12 +1040,12 @@ class BodyExecutor:
                     "use a filter field", expr.loc, self.source)
             offset = linear.value
             assert isinstance(offset, int)
-            self._check_array_bounds(offset, len(cell.elems), expr.loc)
+            _check_bounds(offset, len(cell.elems), expr.loc, self.source)
             return cell.elems[offset]
         if isinstance(cell, FieldCell) and cell.dims:
             linear = self._linear_index(cell.dims, index_values, expr.loc)
-            self._check_const_bounds(linear, cell.slot, expr.loc)
-            return self.emitter.load(cell.slot, linear)
+            check_const_bounds(linear, cell.slot, expr.loc, self.source)
+            return self.emitter.load(cell.slot, linear, expr.loc)
         raise LoweringError(f"{base.name!r} is not an array", expr.loc,
                             self.source)
 
@@ -1044,19 +1063,6 @@ class BodyExecutor:
                 "+", linear, self.emitter.coerce(index, INT), loc,
                 self.source)
         return linear
-
-    def _check_array_bounds(self, offset: int, size: int,
-                            loc: SourceLocation) -> None:
-        if not 0 <= offset < size:
-            raise LoweringError(
-                f"array index {offset} out of bounds [0, {size})", loc,
-                self.source)
-
-    def _check_const_bounds(self, linear: Value, slot: StateSlot,
-                            loc: SourceLocation) -> None:
-        if isinstance(linear, Const) and slot.size is not None:
-            assert isinstance(linear.value, int)
-            self._check_array_bounds(linear.value, slot.size, loc)
 
     def _eval_peek(self, expr: ast.PeekExpr, env: Env) -> Value:
         if self.hooks is None:
@@ -1092,6 +1098,21 @@ class BodyExecutor:
             raise RateError(
                 f"{self.node.name}: {what} pushed {self.pushes} token(s) "
                 f"but declares push {expected_push}")
+
+
+def _check_bounds(offset: int, size: int, loc: SourceLocation,
+                  source: str) -> None:
+    if not 0 <= offset < size:
+        raise LoweringError(
+            f"array index {offset} out of bounds [0, {size})", loc, source)
+
+
+def check_const_bounds(linear: Value, slot: StateSlot,
+                       loc: SourceLocation, source: str) -> None:
+    """Reject a constant index outside an array slot."""
+    if isinstance(linear, Const) and slot.size is not None:
+        assert isinstance(linear.value, int)
+        _check_bounds(linear.value, slot.size, loc, source)
 
 
 def _scalar_of(value: object) -> ScalarType:

@@ -1,0 +1,286 @@
+"""Firing templates: execute a filter body once, replay it per firing.
+
+The lowering fires each filter many times.  Two firings of the same body
+that start from the same field-cache state emit the same ops up to
+renaming: they read tokens from other queue positions and start from
+other field values, but as long as no control decision depends on those
+inputs, the statements executed, the loops unrolled and the ops emitted
+are the same.
+
+:func:`record` runs the body once through the ordinary
+:class:`~repro.lir.symexec.BodyExecutor`, with an opaque placeholder
+temp for every token position it reads and for every scalar field whose
+value is cached at entry, and keeps what it emitted.
+:meth:`FiringTemplate.replay` re-issues those ops through the real
+:class:`~repro.lir.symexec.Emitter` with the placeholders renamed to the
+firing's queue tokens and field values.  An op whose operands are now
+all constants goes back through the emitter method that first emitted
+it, so it folds exactly as per-firing execution would fold it; any
+other op cannot fold and is rebuilt as recorded.  Temps are minted in
+the same order as per-firing execution mints them: the output is
+identical, not merely equivalent.
+
+A body is not templated (the caller falls back to per-firing execution)
+when its recording took a data-dependent control path or raised a
+:class:`~repro.frontend.errors.LoweringError` — a loop bound or peek
+offset computed from a token, for instance.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from repro.frontend import ast_nodes as ast
+from repro.frontend.errors import LoweringError, SourceLocation
+from repro.frontend.types import ScalarType
+from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, PrintOp,
+                           StateSlot, StoreOp, Temp, UnOp, Value,
+                           fresh_temp_ids)
+from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks,
+                               check_const_bounds)
+
+# Step kinds: one per op class, casts split by the emitter method that
+# made them.
+_BINOP, _UNOP, _COERCE, _CAST, _CALL, _LOAD, _STORE, _PRINT = range(8)
+
+
+class _Recorder(Emitter):
+    """An emitter that also notes, per op, its source line and what
+    replay needs to re-issue it: the location of a binary op or of an
+    indexed access, and whether a cast came from ``cast`` or ``coerce``
+    (they fold constants differently)."""
+
+    def __init__(self, op_limit: int):
+        super().__init__(op_limit)
+        self.notes: list[tuple[int, object]] = []
+        self._loc: SourceLocation | None = None
+        self._casting = False
+
+    def emit(self, op) -> None:
+        super().emit(op)
+        note = self._casting if isinstance(op, CastOp) else self._loc
+        self.notes.append((self._line, note))
+
+    def binop(self, op: str, lhs: Value, rhs: Value,
+              loc: SourceLocation, source: str = "") -> Value:
+        self._loc = loc
+        return super().binop(op, lhs, rhs, loc, source)
+
+    def cast(self, value: Value, target: ScalarType) -> Value:
+        self._casting = True
+        try:
+            return super().cast(value, target)
+        finally:
+            self._casting = False
+
+    def load(self, slot: StateSlot, index: Value | None,
+             loc: SourceLocation | None = None) -> Value:
+        self._loc = loc
+        return super().load(slot, index, loc)
+
+    def store(self, slot: StateSlot, index: Value | None, value: Value,
+              loc: SourceLocation | None = None) -> None:
+        self._loc = loc
+        super().store(slot, index, value, loc)
+
+
+@dataclass
+class FiringTemplate:
+    """One filter body's ops over placeholder inputs.
+
+    Values live in numbered slots: the ``tokens`` input positions read,
+    then the cached field values (``fields``, by name), then the
+    template's constants, then one slot per op result in emission order.
+    """
+
+    steps: list[tuple]
+    tokens: int
+    pops: int
+    fields: tuple[str, ...]
+    consts: list[Value]
+    pushes: list[int]
+    exits: list[tuple[str, int | None]]
+    end_line: int | None
+
+    def replay(self, emitter: Emitter, inputs: list[Value],
+               source: str) -> tuple[list[Value], list[Value | None]]:
+        """Emit one firing; ``inputs`` holds the first ``tokens`` queue
+        tokens and then the ``fields`` values.  Returns the pushed
+        values and the scalar fields' cached values at exit."""
+        # An op with a temp operand cannot fold, and its operand types
+        # are those recorded, so it is built directly with the recorded
+        # result type; an all-constant op goes through its emitter method.
+        values = inputs + self.consts
+        append = values.append
+        emit = emitter.emit
+        set_line = emitter.set_line
+        for step in self.steps:
+            kind = step[0]
+            set_line(step[1])
+            if kind == _BINOP:
+                lhs, rhs = values[step[3]], values[step[4]]
+                if lhs.__class__ is Const and rhs.__class__ is Const:
+                    append(emitter.binop(step[5], lhs, rhs, step[6],
+                                         source))
+                    continue
+                result = Temp(step[2])
+                emit(BinOp(result=result, op=step[5], lhs=lhs, rhs=rhs))
+            elif kind == _LOAD:
+                index = None if step[3] is None else values[step[3]]
+                if step[4] is not None and index.__class__ is Const:
+                    check_const_bounds(index, step[2], step[4], source)
+                result = Temp(step[2].ty)
+                emit(LoadOp(result=result, slot=step[2], index=index))
+            elif kind == _STORE:
+                index = None if step[3] is None else values[step[3]]
+                if step[4] is not None and index.__class__ is Const:
+                    check_const_bounds(index, step[2], step[4], source)
+                emit(StoreOp(result=None, slot=step[2], index=index,
+                             value=values[step[5]]))
+                continue
+            elif kind == _PRINT:
+                emit(PrintOp(result=None, value=values[step[3]],
+                             newline=step[2]))
+                continue
+            elif kind == _CALL:
+                args = [values[i] for i in step[3]]
+                if all(arg.__class__ is Const for arg in args):
+                    append(emitter.call(step[4], args))
+                    continue
+                result = Temp(step[2])
+                emit(CallOp(result=result, name=step[4], args=args,
+                            pure=step[5]))
+            else:
+                operand = values[step[3]]
+                if operand.__class__ is Const:
+                    append(emitter.unop(step[4], operand) if kind == _UNOP
+                           else emitter.coerce(operand, step[2])
+                           if kind == _COERCE
+                           else emitter.cast(operand, step[2]))
+                    continue
+                result = Temp(step[2])
+                emit(UnOp(result=result, op=step[4], operand=operand)
+                     if kind == _UNOP
+                     else CastOp(result=result, operand=operand))
+            append(result)
+        if self.end_line is not None:
+            set_line(self.end_line)
+        return ([values[slot] for slot in self.pushes],
+                [None if slot is None else values[slot]
+                 for _, slot in self.exits])
+
+
+def _bounds_loc(index: Value | None, loc: object) -> object:
+    """Where to report an index that folds to a constant on replay; None
+    when none can (a constant index was already checked recording)."""
+    return loc if isinstance(index, Temp) else None
+
+
+def record(executor: BodyExecutor, block: ast.Block,
+           make_hooks: Callable[[Emitter], TokenHooks]
+           ) -> FiringTemplate | None:
+    """Record ``block`` as ``executor``'s filter would run it next.
+
+    ``make_hooks`` builds the recording's token hooks around the
+    recording emitter.  Afterwards their ``tokens[p]`` must be the
+    placeholder read for input position ``p`` (covering every position
+    up to the highest one read), ``pops`` the tokens consumed and
+    ``pushed`` the values produced, in order.
+
+    The recording runs on copies of the executor's field cells, with an
+    emitter of its own and temp ids from a private space, so it leaves
+    the program, the filter's state and the temp numbering untouched.
+    Returns ``None`` when the body cannot be templated.
+    ``ResourceExhausted`` propagates.
+    """
+    recorder = _Recorder(executor.emitter.op_limit)
+    with fresh_temp_ids():
+        fields: dict[str, FieldCell] = {}
+        cached: list[tuple[str, Temp]] = []
+        for name, cell in executor.fields.items():
+            assert not cell.dirty
+            copy = FieldCell(slot=cell.slot, dims=cell.dims)
+            if not cell.dims and cell.cached is not None:
+                copy.cached = Temp(cell.slot.ty)
+                cached.append((name, copy.cached))
+            fields[name] = copy
+        body = BodyExecutor(recorder, executor.node, fields, executor.source,
+                            unroll_limit=executor.unroll_limit)
+        hooks = make_hooks(recorder)
+        try:
+            body.run_body(block, hooks)
+        except LoweringError:
+            return None
+    if body.data_dependent:
+        return None
+
+    slots: dict[int, int] = {}  # template temp id -> value slot
+    for position, token in enumerate(hooks.tokens):
+        slots[token.id] = position
+    for _, placeholder in cached:
+        slots[placeholder.id] = len(slots)
+    # Constants are keyed by identity: 0.0 == -0.0, yet both must stay.
+    consts: list[Value] = []
+    const_slots: dict[int, int] = {}
+
+    def intern(value: Value | None) -> None:
+        if isinstance(value, Const) and id(value) not in const_slots:
+            const_slots[id(value)] = len(slots) + len(consts)
+            consts.append(value)
+
+    exit_values = [(name, cell.cached) for name, cell in fields.items()
+                   if not cell.dims]
+    for op in recorder.block:
+        for value in op.operands():
+            intern(value)
+    for value in hooks.pushed:
+        intern(value)
+    for _, value in exit_values:
+        intern(value)
+    next_slot = len(slots) + len(consts)
+
+    def slot(value: Value | None) -> int | None:
+        if value is None:
+            return None
+        if isinstance(value, Const):
+            return const_slots[id(value)]
+        assert isinstance(value, Temp)
+        return slots[value.id]
+
+    # A step is (kind, line, result type | slot | newline, operand
+    # slot(s), then what the emitter method needs besides).
+    steps: list[tuple] = []
+    for op, (line, note) in zip(recorder.block, recorder.notes):
+        ty = op.result.ty if op.result is not None else None
+        if isinstance(op, BinOp):
+            step = (_BINOP, line, ty, slot(op.lhs), slot(op.rhs), op.op,
+                    note)
+        elif isinstance(op, UnOp):
+            step = (_UNOP, line, ty, slot(op.operand), op.op)
+        elif isinstance(op, CastOp):
+            step = (_CAST if note else _COERCE, line, ty, slot(op.operand))
+        elif isinstance(op, CallOp):
+            step = (_CALL, line, ty, tuple(slot(arg) for arg in op.args),
+                    op.name, op.pure)
+        elif isinstance(op, LoadOp):
+            step = (_LOAD, line, op.slot, slot(op.index),
+                    _bounds_loc(op.index, note))
+        elif isinstance(op, StoreOp):
+            step = (_STORE, line, op.slot, slot(op.index),
+                    _bounds_loc(op.index, note), slot(op.value))
+        elif isinstance(op, PrintOp):
+            step = (_PRINT, line, op.newline, slot(op.value))
+        else:  # only data-dependent control emits other kinds
+            return None
+        steps.append(step)
+        if op.result is not None:
+            slots[op.result.id] = next_slot
+            next_slot += 1
+
+    return FiringTemplate(
+        steps=steps, tokens=len(hooks.tokens), pops=hooks.pops,
+        fields=tuple(name for name, _ in cached), consts=consts,
+        pushes=[slot(value) for value in hooks.pushed],  # type: ignore
+        exits=[(name, slot(value)) for name, value in exit_values],
+        end_line=recorder._line if block.stmts else None)

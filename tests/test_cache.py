@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import threading
 
 import pytest
 
@@ -198,6 +199,47 @@ class TestStore:
         assert stats["bytes"] <= 1500
         # The just-published entry is protected from its own gc.
         assert cache.lookup(artifact_key(_components(2))) is not None
+
+    def test_publish_gc_spares_concurrent_stage(self, tmp_path,
+                                                monkeypatch):
+        # Thread "b" stops with its stage dir written but not renamed;
+        # thread "a" publishes (and so gcs, under a tiny cap) meanwhile.
+        from repro.cache import store
+        cache = ArtifactCache(tmp_path, max_bytes=1)
+        barrier = threading.Barrier(2, timeout=30)
+        fsync = store._fsync_path
+        paused = []
+
+        def fsync_then_wait(path):
+            fsync(path)
+            if threading.current_thread().name == "b" and not paused:
+                paused.append(path)
+                barrier.wait()  # b's stage exists
+                barrier.wait()  # a's publish and gc are done
+
+        monkeypatch.setattr(store, "_fsync_path", fsync_then_wait)
+        errors = []
+
+        def publish(n):
+            try:
+                cache.publish(artifact_key(_components(n)), _components(n),
+                              {"blob": "x" * 100})
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        def first():
+            barrier.wait()
+            publish(0)
+            barrier.wait()
+
+        threads = [threading.Thread(target=first, name="a"),
+                   threading.Thread(target=publish, args=(1,), name="b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert paused and not errors
+        assert cache.lookup(artifact_key(_components(1))) is not None
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ArtifactCache(tmp_path)

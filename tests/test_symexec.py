@@ -115,6 +115,21 @@ class TestLoops:
         from repro.frontend.errors import CompileError
         assert isinstance(error, CompileError)
 
+    def test_unroll_limit_counts_one_body(self):
+        # F's body unrolls ~600 statements and fires 10x per iteration:
+        # the limit bounds one execution of the body, not their sum.
+        from repro.faults.limits import ResourceExhausted
+        body = (
+            "float->float filter F() { work push 1 pop 1 { float s = 0; "
+            "for (int i = 0; i < 200; i++) s += i; push(pop() + s); } }"
+            "float->void filter Snk10() { work pop 10 { "
+            "for (int i = 0; i < 10; i++) println(pop()); } }"
+            "void->void pipeline P { add Src(); add F(); add Snk10(); }")
+        steady = steady_of(body, LoweringOptions(unroll_limit=1000))
+        assert sum(isinstance(op, PrintOp) for op in steady) == 10
+        with pytest.raises(ResourceExhausted):
+            steady_of(body, LoweringOptions(unroll_limit=300))
+
 
 class TestIfConversion:
     def test_select_emitted(self):
