@@ -4,10 +4,12 @@ LaminarIR trades run-time bookkeeping for compile time and code size:
 the whole steady state is executed symbolically, so both grow with the
 schedule.  This driver sweeps benchmark problem sizes (scale 1x/2x/4x)
 and reports, per stage, lowering (symbolic execution) wall time and
-*optimize* wall time (timed by the pass manager), the LaminarIR
-steady-section size, generated C size for both backends, and the modeled
-speedup — showing that the win persists while the compile-side costs
-grow roughly linearly with the steady state.
+*optimize* wall time (timed by the pass manager), the ops lowered, the
+LaminarIR steady-section size, generated C size for both backends, and
+the modeled speedup — showing that the win persists while the
+compile-side costs grow roughly linearly with the steady state.  It
+lowers the way ``CompiledStream.lower`` does: demand-driven, since the
+default pipeline prunes dead code.
 
 Both stages are compared against committed baselines under
 ``results/``:
@@ -17,7 +19,8 @@ Both stages are compared against committed baselines under
 * ``compile_cost_baseline.json`` — the current pipeline, per stage, for
   CI's regression gates: ``--check NAME [NAME...]`` re-measures just
   those benchmarks and fails if either stage's time exceeds 2x its
-  baseline.
+  baseline, or if filterbank x4 lowers other than exactly its baseline
+  op count (deterministic, so any host can gate it).
 
 A full run writes ``results/compile_cost.txt``, the raw measurements in
 ``results/compile_cost.json`` and the headline numbers in the
@@ -39,7 +42,7 @@ from repro.evaluation import evaluate_stream, format_table
 from repro.lir import lower
 from repro.lir.ops import fresh_temp_ids
 from repro.machine import I7_2600K
-from repro.opt import optimize
+from repro.opt import OptOptions, optimize
 from repro.suite import load_benchmark
 
 SWEEP_NAMES = ("fft", "bitonic_sort", "matrixmult", "autocor", "filterbank")
@@ -58,7 +61,9 @@ CHECK_FLOOR_S = 0.05
 
 # Codegen-size gate: re-rolling must shrink the emitted laminar C for
 # filterbank x4 (the largest unrolled steady state in the sweep) by at
-# least this factor versus the fully-unrolled build.
+# least this factor versus the fully-unrolled build.  The same program's
+# lowered-op count is gated exactly: demand-driven lowering leaves out
+# its ~80% dead firings.
 CODEGEN_SIZE_RATIO = 3.0
 _CODEGEN_SIZE_BENCH = ("filterbank", 4)
 
@@ -89,14 +94,18 @@ def measure(name: str, scale: int, full: bool = True) -> dict:
     stream = load_benchmark(name, scale=scale)
     frontend_seconds = time.perf_counter() - start
 
+    opt = OptOptions()
     with fresh_temp_ids():
         start = time.perf_counter()
-        program = lower(stream.schedule, stream.source)
+        program = lower(stream.schedule, stream.source,
+                        demand=opt.prunes_dead_code())
         lower_seconds = time.perf_counter() - start
-        opt_stats = optimize(program)
+        ops_lowered = sum(len(ops) for _, ops in program.sections())
+        opt_stats = optimize(program, opt)
     result = {
         "frontend_s": frontend_seconds,
         "lower_s": lower_seconds,
+        "ops_lowered": ops_lowered,
         "optimize_s": opt_stats.optimize_seconds,
         "fixpoint_rounds": opt_stats.fixpoint_rounds,
         "converged": opt_stats.converged,
@@ -144,6 +153,7 @@ def build_report() -> tuple[str, dict]:
                 if seed_s and result["optimize_s"] > 0 else "n/a"
             rows.append([
                 f"{name} x{scale}",
+                str(result["ops_lowered"]),
                 str(result["steady_ops"]),
                 str(result["steady_ops_static"]),
                 f"{result['lower_s'] * 1000:.0f} ms",
@@ -154,12 +164,14 @@ def build_report() -> tuple[str, dict]:
                 f"{result['speedup']:.2f}x",
             ])
     table = format_table(
-        ["benchmark/scale", "steady ops (exec)", "steady ops (emitted)",
+        ["benchmark/scale", "ops lowered", "steady ops (exec)",
+         "steady ops (emitted)",
          "lowering time", "optimize time", "optimize vs seed",
          "FIFO C size", "LaminarIR C size", "modeled speedup (i7)"],
         rows,
         title="Extension: compile-time and code-size cost of the "
-              "steady state (firing templates, re-rolled loop regions)")
+              "steady state (firing templates, demand-driven replay, "
+              "re-rolled loop regions)")
     return table, data
 
 
@@ -168,6 +180,7 @@ def _headline(data: dict, size_ratio: float) -> dict:
     headline = data[(bench, scale)]
     return {
         "filterbank4_lower_s": headline["lower_s"],
+        "filterbank4_ops_lowered": headline["ops_lowered"],
         "filterbank4_optimize_s": headline["optimize_s"],
         "filterbank4_steady_ops": headline["steady_ops"],
         "filterbank4_steady_ops_static": headline["steady_ops_static"],
@@ -205,22 +218,25 @@ def check(names: list[str]) -> int:
     and fails when a stage's time exceeds ``CHECK_TOLERANCE`` times its
     committed value: the lowering gate catches a lost firing-template
     fast path, the optimize gate a pass manager that stops paying for
-    itself.
+    itself.  filterbank x4's lowered-op count must equal its baseline:
+    that catches lost demand-driven replay on any machine.
     """
     baseline = _load_baseline(_CURRENT_BASELINE)
     failures = []
+    ops_lowered = {}
     for name in names:
         for scale in SCALES:
             key = f"{name}@{scale}"
             expected = baseline.get(key)
             if not isinstance(expected, dict) \
-                    or not set(STAGES) <= set(expected):
+                    or not {*STAGES, "ops_lowered"} <= set(expected):
                 print(f"compile-cost check: no baseline for {key}; "
                       f"regenerate {_CURRENT_BASELINE.name}",
                       file=sys.stderr)
                 return 2
             result = measure(name, scale, full=False)
             assert result["converged"], key
+            ops_lowered[key] = result["ops_lowered"]
             for stage, label in STAGES.items():
                 actual, limit = result[stage], expected[stage]
                 status = "ok"
@@ -232,6 +248,13 @@ def check(names: list[str]) -> int:
                       f"tolerance {CHECK_TOLERANCE:.0f}x) {status}")
     bench, scale = _CODEGEN_SIZE_BENCH
     if bench in names:
+        key = f"{bench}@{scale}"
+        actual, expected = ops_lowered[key], baseline[key]["ops_lowered"]
+        status = "ok" if actual == expected else "FAIL"
+        print(f"{key}: {actual} ops lowered (baseline {expected}, "
+              f"gated exactly) {status}")
+        if status == "FAIL":
+            failures.append(f"{key} ops lowered")
         ratio = codegen_size_ratio(bench, scale)
         status = "ok" if ratio >= CODEGEN_SIZE_RATIO else "FAIL"
         print(f"{bench}@{scale}: laminar C unrolled/re-rolled "
@@ -252,8 +275,9 @@ def update_baseline() -> int:
     for name in SWEEP_NAMES:
         for scale in SCALES:
             result = measure(name, scale, full=False)
-            data[f"{name}@{scale}"] = {stage: round(result[stage], 4)
-                                       for stage in STAGES}
+            data[f"{name}@{scale}"] = {
+                **{stage: round(result[stage], 4) for stage in STAGES},
+                "ops_lowered": result["ops_lowered"]}
             print(f"{name}@{scale}: " + ", ".join(
                 f"{label} {result[stage]:.4f}s"
                 for stage, label in STAGES.items()))
@@ -287,7 +311,7 @@ def main(argv=None) -> int:
         "--check", nargs="+", metavar="NAME",
         help="CI smoke mode: measure just these benchmarks and fail on "
              f"a >{CHECK_TOLERANCE:.0f}x lowering- or optimize-time "
-             "regression")
+             "regression or a changed filterbank x4 lowered-op count")
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="re-measure the sweep and rewrite "

@@ -24,7 +24,6 @@ PR's acceptance bar: hot throughput >= 10x cold throughput.
 Needs a C toolchain; skipped under pytest when none is available.
 """
 
-import math
 import os
 import sys
 import tempfile
@@ -38,6 +37,7 @@ import pytest
 from benchmarks.common import emit
 from repro.backend.runner import find_compiler
 from repro.evaluation import format_table
+from repro.obs.metrics import percentile
 
 BENCHMARK = "filterbank"
 ITERATIONS = 32
@@ -46,13 +46,6 @@ HOT_REQUESTS = 25
 # (hence the cache key) without changing program semantics: three
 # genuinely cold compiles of the same benchmark.
 COLD_VARIANTS = (2, 3, 4)
-
-
-def _percentile(samples: list, q: float) -> float:
-    """Nearest-rank percentile of a non-empty sample list, in ms."""
-    ordered = sorted(samples)
-    rank = math.ceil(q / 100.0 * len(ordered)) - 1
-    return ordered[max(0, min(len(ordered) - 1, rank))] * 1e3
 
 
 def _timed_run(client, **fields) -> tuple[float, dict]:
@@ -114,12 +107,12 @@ def measure() -> dict:
         "hot_requests": len(hot_latencies),
         "cold_seconds": cold_mean,
         "hot_seconds_per_request": hot_mean,
-        "cold_p50_ms": _percentile(cold_latencies, 50),
-        "cold_p90_ms": _percentile(cold_latencies, 90),
-        "cold_p99_ms": _percentile(cold_latencies, 99),
-        "hot_p50_ms": _percentile(hot_latencies, 50),
-        "hot_p90_ms": _percentile(hot_latencies, 90),
-        "hot_p99_ms": _percentile(hot_latencies, 99),
+        "cold_p50_ms": percentile(cold_latencies, 50) * 1e3,
+        "cold_p90_ms": percentile(cold_latencies, 90) * 1e3,
+        "cold_p99_ms": percentile(cold_latencies, 99) * 1e3,
+        "hot_p50_ms": percentile(hot_latencies, 50) * 1e3,
+        "hot_p90_ms": percentile(hot_latencies, 90) * 1e3,
+        "hot_p99_ms": percentile(hot_latencies, 99) * 1e3,
         "cold_requests_per_second": cold_rps,
         "hot_requests_per_second": hot_rps,
         "speedup": hot_rps / cold_rps,

@@ -135,9 +135,10 @@ class CompiledStream:
         fixpoint (see ``docs/OPTIMIZER.md``); the returned
         :class:`LoweredResult` carries the per-pass ``OptStats``.
         """
+        opt = opt if opt is not None else OptOptions()
         key = (_options_key(lowering if lowering is not None
                             else LoweringOptions()),
-               _options_key(opt if opt is not None else OptOptions()))
+               _options_key(opt))
         cached = self._lowered_cache.get(key)
         if cached is not None:
             return cached
@@ -146,7 +147,10 @@ class CompiledStream:
         with faults_limits.compile_budget(), fresh_temp_ids(), \
                 trace.span("lower", stream=self.name):
             with trace.span("lower.lir"):
-                program = lower(self.schedule, self.source, lowering)
+                # Firings no emitted code reads are left out only when
+                # the optimizer's dead-code pre-prune would delete them.
+                program = lower(self.schedule, self.source, lowering,
+                                demand=opt.prunes_dead_code())
             stats = optimize(program, opt)
             with trace.span("verify"):
                 verify(program)  # cheap invariant check after each pipeline

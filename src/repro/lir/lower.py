@@ -11,6 +11,13 @@ token costs an explicit ``move``).
 
 Tokens still buffered when one steady iteration ends become loop-carried
 values (see :mod:`repro.lir.program`).
+
+Lowered *demand-driven* (``lower(..., demand=True)``), a firing whose
+template is pure is not replayed when it fires: its outputs enter the
+queues as pending values, and it is replayed — into the position it
+fired at — only once code that is emitted reads one of them.  The
+queues tell at compile time which tokens nobody reads, so the firings
+that only compute those emit nothing (docs/LOWERING.md §2c).
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
 from repro.lir import template as firing_template
-from repro.lir.ops import (Const, MoveOp, PrintOp, StateSlot, Temp, Value,
-                           const_bool, const_float, const_int)
+from repro.lir.ops import (Const, MoveOp, Op, PrintOp, StateSlot, Temp,
+                           Value, const_bool, const_float, const_int,
+                           reserve_temp_ids, reserved_temp_ids)
 from repro.lir.program import Program
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks)
 from repro.lir.template import FiringTemplate
@@ -71,6 +79,44 @@ def _const_token(value: object, ty: ScalarType) -> Const:
     if ty == BOOLEAN:
         return const_bool(bool(value))
     raise LoweringError(f"unsupported channel type {ty}")
+
+
+class _Deferred:
+    """A pure firing that was recorded instead of replayed.
+
+    It keeps what a replay needs (its template and inputs, the actor and
+    phase its ops are stamped with), the position in its section it
+    fired at, and the block of temp ids its replay will mint.  Forced,
+    it holds the replay's ops and outputs; dropped at the end of its
+    section unforced, it holds neither.
+    """
+
+    __slots__ = ("template", "inputs", "actor", "phase", "position",
+                 "base", "temps", "outputs", "ops")
+
+    def __init__(self, template: FiringTemplate, inputs: list,
+                 actor: str, phase: str, position: int, temps: int):
+        self.template: FiringTemplate | None = template
+        self.inputs: list | None = inputs
+        self.actor = actor
+        self.phase = phase
+        self.position = position
+        self.base = reserve_temp_ids(temps)
+        self.temps = temps
+        self.outputs: list[Value | None] | None = None
+        self.ops: list[Op] | None = None
+
+
+class _Pending:
+    """Output ``index`` (a push, or a field's value at exit) of a
+    deferred firing; ``const`` when its replay will compute a constant."""
+
+    __slots__ = ("firing", "index", "const")
+
+    def __init__(self, firing: _Deferred, index: int, const: bool):
+        self.firing = firing
+        self.index = index
+        self.const = const
 
 
 def _sanitize(name: str) -> str:
@@ -128,7 +174,9 @@ class _FilterHooks(TokenHooks):
                 f"{self.vertex.name}: peek({offset}) underflows the "
                 "compile-time queue (scheduler bug)", loc,
                 self.lowerer.source)
-        return self.in_queue[offset]
+        value = self.in_queue[offset] = self.lowerer.resolve(
+            self.in_queue[offset])
+        return value
 
     def pop(self, loc: SourceLocation) -> Value:
         self._check_pop(loc)
@@ -137,7 +185,7 @@ class _FilterHooks(TokenHooks):
                 f"{self.vertex.name}: pop underflows the compile-time "
                 "queue (scheduler bug)", loc, self.lowerer.source)
         self.pops += 1
-        return self.in_queue.popleft()
+        return self.lowerer.resolve(self.in_queue.popleft())
 
     def push(self, value: Value, loc: SourceLocation) -> None:
         value = self._coerce_push(value, loc)
@@ -179,7 +227,8 @@ class _RecordingHooks(_FilterHooks):
 
 class Lowerer:
     def __init__(self, schedule: Schedule, source: str = "",
-                 options: LoweringOptions | None = None):
+                 options: LoweringOptions | None = None, *,
+                 demand: bool = False):
         self.schedule = schedule
         self.graph: FlatGraph = schedule.graph
         self.source = source
@@ -210,10 +259,26 @@ class Lowerer:
         self.templates_built = 0
         self.firings_replayed = 0
         self.firings_fallback = 0
+        # Demand-driven replay: pure firings are deferred, and the
+        # section's deferred firings spliced in at its end.
+        self.demand = demand
+        self._phase = "setup"
+        self._deferred: list[_Deferred] = []
+        self.firings_deferred = 0
+        self.firings_dropped = 0
 
     def queue_of(self, channel: Channel | None) -> deque[Value]:
         assert channel is not None
         return self.queues[channel.name]
+
+    def resolve(self, value: Value | _Pending | None) -> Value | None:
+        """The value itself, or a pending one's, forcing its firing."""
+        if value.__class__ is not _Pending:
+            return value  # type: ignore[return-value]
+        firing = value.firing  # type: ignore[union-attr]
+        if firing.outputs is None:
+            self._force(firing)
+        return firing.outputs[value.index]  # type: ignore
 
     def note_tokens(self, vertex_name: str, amount: int) -> None:
         if self._counting and amount:
@@ -236,18 +301,16 @@ class Lowerer:
 
         for executor in self.executors.values():
             executor.invalidate_field_caches()
-        self.emitter.set_phase("init")
-        self.emitter.set_block(self.program.init)
+        self._begin_section("init", self.program.init)
         for firing in self.schedule.init:
             self._fire(firing)
             self._check_budget(firing.vertex, "init")
-
         self._capture_carries()
+        self._end_section()
 
         for executor in self.executors.values():
             executor.invalidate_field_caches()
-        self.emitter.set_phase("steady")
-        self.emitter.set_block(self.program.steady)
+        self._begin_section("steady", self.program.steady)
         self._counting = True
         for _ in range(self.options.steady_multiplier):
             for firing in self.schedule.steady:
@@ -255,14 +318,117 @@ class Lowerer:
                 self._check_budget(firing.vertex, "steady")
         self._counting = False
         self._capture_nexts()
+        self._end_section()
 
         self.program.prints_per_iteration = sum(
             1 for op in self.program.steady if isinstance(op, PrintOp))
         trace.current_span().annotate(
             templates_built=self.templates_built,
             firings_replayed=self.firings_replayed,
-            firings_fallback=self.firings_fallback)
+            firings_fallback=self.firings_fallback,
+            firings_deferred=self.firings_deferred,
+            firings_dropped=self.firings_dropped)
         return self.program
+
+    # -- demand-driven replay ----------------------------------------------
+
+    def _begin_section(self, phase: str, block: list[Op]) -> None:
+        self._phase = phase
+        self.emitter.set_phase(phase)
+        self.emitter.set_block(block)
+
+    def _end_section(self) -> None:
+        """Splice the forced firings' ops in where they fired; the
+        others are dropped.  Nothing reads a value of this section's
+        firings later: the carries took the queues' tokens, and the
+        field caches are invalidated at the boundary."""
+        block = self.emitter.block
+        spliced: list[Op] = []
+        start = 0
+        for firing in self._deferred:
+            if firing.ops is None:
+                self.firings_dropped += 1
+            elif firing.ops:
+                spliced.extend(block[start:firing.position])
+                spliced.extend(firing.ops)
+                start = firing.position
+            firing.template = firing.inputs = firing.ops = None
+        if spliced:
+            spliced.extend(block[start:])
+            block[:] = spliced
+        self._deferred = []
+
+    def _defer(self, vertex: FilterVertex, template: FiringTemplate,
+               inputs: list) -> list:
+        """Record a pure firing; returns its outputs (the pushes, then
+        the exits) as they will be: inputs and constants passed through
+        stay themselves, the rest are pending.  A template without ops
+        only passes values through, which is its whole replay."""
+        const_outputs: tuple[bool, ...] = ()
+        firing = None
+        if template.steps:
+            const_inputs = tuple(
+                value.__class__ is Const
+                or (value.__class__ is _Pending and value.const)
+                for value in inputs)
+            temps, const_outputs = template.fold_profile(const_inputs)
+            firing = _Deferred(template, inputs, vertex.filter.name,
+                               self._phase, len(self.emitter.block), temps)
+            self._deferred.append(firing)
+            self.firings_deferred += 1
+        else:
+            self.firings_replayed += 1
+        # Leave the emitter where a replay would have left it.
+        line = template.exit_line
+        if line is not None:
+            self.emitter.set_line(line)
+        known = len(inputs)
+        consts = template.consts
+        outputs: list = []
+        for index, slot in enumerate(
+                template.pushes + [slot for _, slot in template.exits]):
+            if slot is None:
+                outputs.append(None)
+            elif slot < known:
+                outputs.append(inputs[slot])
+            elif slot < known + len(consts):
+                outputs.append(consts[slot - known])
+            else:
+                assert firing is not None
+                outputs.append(_Pending(firing, index,
+                                        const_outputs[index]))
+        return outputs
+
+    def _force(self, firing: _Deferred) -> None:
+        """Replay ``firing``, and first the deferred firings whose
+        pending outputs it reads.  An explicit stack: a long chain of
+        pure stages must not hit Python's recursion limit."""
+        stack = [firing]
+        while stack:
+            top = stack[-1]
+            if top.outputs is not None:
+                stack.pop()
+                continue
+            assert top.inputs is not None, "forced a dropped firing"
+            waiting = [value.firing for value in top.inputs
+                       if value.__class__ is _Pending
+                       and value.firing.outputs is None]
+            if waiting:
+                stack.extend(waiting)
+                continue
+            stack.pop()
+            inputs = [self.resolve(value) for value in top.inputs]
+            ops: list[Op] = []
+            assert top.template is not None
+            with self.emitter.redirected(ops, top.actor, "filter",
+                                         top.phase), \
+                    reserved_temp_ids(top.base, top.temps):
+                pushed, exits = top.template.replay(
+                    self.emitter, inputs, self.source)
+            self.firings_replayed += 1
+            top.outputs = pushed + exits
+            top.ops = ops
+            top.template = top.inputs = None
 
     # -- filters ------------------------------------------------------------------
 
@@ -330,10 +496,11 @@ class Lowerer:
         body = node.decl.prework if prework else node.decl.work
         assert body is not None and body.body is not None
         executor = self.executors[vertex]
-        if self._replay(vertex, prework, rates.peek, body.body, executor):
-            self.firings_replayed += 1
-        else:
+        if not self._replay(vertex, prework, rates.peek, body.body,
+                            executor):
             self.firings_fallback += 1
+            for cell in executor.fields.values():
+                cell.cached = self.resolve(cell.cached)
             executor.run_body(body.body, _FilterHooks(
                 self, vertex, rates.peek, self.emitter))
         executor.check_rates(rates.pop, rates.push,
@@ -369,10 +536,16 @@ class Lowerer:
             for _ in range(template.pops):
                 in_queue.popleft()
         fields = executor.fields
-        pushed, exits = template.replay(
-            self.emitter, tokens + [fields[name].cached  # type: ignore
-                                    for name in template.fields],
-            self.source)
+        inputs = tokens + [fields[name].cached for name in template.fields]
+        if self.demand and template.deferrable:
+            outputs = self._defer(vertex, template, inputs)
+            pushed = outputs[:len(template.pushes)]
+            exits = outputs[len(template.pushes):]
+        else:
+            pushed, exits = template.replay(
+                self.emitter, [self.resolve(value) for value in inputs],
+                self.source)
+            self.firings_replayed += 1
         for (name, _), value in zip(template.exits, exits):
             fields[name].cached = value
         if pushed:
@@ -391,6 +564,7 @@ class Lowerer:
         """
         if self.options.eliminate_splitjoin:
             return token
+        token = self.resolve(token)
         result = Temp(token.ty, hint="route")
         self.emitter.emit(MoveOp(result=result, src=token, routing=True))
         return result
@@ -435,7 +609,8 @@ class Lowerer:
             for position in range(expected):
                 param = Temp(channel.ty, hint=f"carry{channel.uid}_")
                 self.program.carry_params.append(param)
-                self.program.carry_inits.append(queue[position])
+                self.program.carry_inits.append(
+                    self.resolve(queue[position]))
                 queue[position] = param
 
     def _capture_nexts(self) -> None:
@@ -446,7 +621,7 @@ class Lowerer:
             assert len(queue) == expected, (
                 f"queue {channel.name}: {len(queue)} tokens after steady "
                 f"iteration, schedule predicted {expected}")
-            nexts.extend(queue)
+            nexts.extend(self.resolve(value) for value in queue)
         self.program.carry_nexts = nexts
 
 
@@ -482,7 +657,13 @@ def _collector_paused() -> Iterator[None]:
 
 
 def lower(schedule: Schedule, source: str = "",
-          options: LoweringOptions | None = None) -> Program:
-    """Lower a scheduled flat graph to a LaminarIR program."""
+          options: LoweringOptions | None = None, *,
+          demand: bool = False) -> Program:
+    """Lower a scheduled flat graph to a LaminarIR program.
+
+    ``demand=True`` leaves out the pure firings whose outputs no emitted
+    code reads: the program is the eager one minus ops that dead-code
+    elimination deletes, so use it only when that pass runs after.
+    """
     with _collector_paused():
-        return Lowerer(schedule, source, options).lower()
+        return Lowerer(schedule, source, options, demand=demand).lower()

@@ -33,7 +33,47 @@ _global_lock = threading.Lock()
 
 def _next_temp_id() -> int:
     ids = _scoped_ids.get()
-    return next(ids if ids is not None else _global_ids)
+    if ids is not None:
+        return next(ids)
+    with _global_lock:
+        return next(_global_ids)
+
+
+def reserve_temp_ids(count: int) -> int:
+    """Set aside ``count`` consecutive temp ids and return the first.
+
+    Temps minted later in this context number past the block; a
+    :func:`reserved_temp_ids` scope mints inside it.  An empty block
+    takes no ids.
+    """
+    if count <= 0:
+        return 0
+    ids = _scoped_ids.get()
+    if ids is not None:
+        base = next(ids)
+        if count > 1:  # consume the block's other count - 1 ids
+            next(itertools.islice(ids, count - 2, None))
+        return base
+    global _global_ids
+    with _global_lock:
+        base = next(_global_ids)
+        _global_ids = itertools.count(base + count)
+    return base
+
+
+@contextlib.contextmanager
+def reserved_temp_ids(base: int, count: int) -> Iterator[None]:
+    """Mint the temps of this context from a block that
+    :func:`reserve_temp_ids` set aside, in order from ``base``; asserts
+    on exit that they fit in its ``count`` ids."""
+    ids = itertools.count(base)
+    token = _scoped_ids.set(ids)
+    try:
+        yield
+    finally:
+        _scoped_ids.reset(token)
+    used = next(ids) - base
+    assert used <= count, f"minted {used} temps in a block of {count}"
 
 
 @contextlib.contextmanager

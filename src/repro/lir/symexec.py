@@ -18,7 +18,9 @@ exactly the SDF restriction LaminarIR relies on.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.frontend import ast_nodes as ast
 from repro.faults.limits import ResourceExhausted
@@ -118,6 +120,23 @@ class Emitter:
 
     def set_block(self, block: list[Op]) -> None:
         self.block = block
+
+    @contextlib.contextmanager
+    def redirected(self, block: list[Op], actor: str, kind: str,
+                   phase: str) -> Iterator[None]:
+        """Emit into ``block`` as ``actor`` firing in ``phase``; the
+        previous block, actor, phase and line come back on exit."""
+        saved = (self.block, self._actor, self._actor_kind, self._phase,
+                 self._line)
+        self.block = block
+        self._actor, self._actor_kind, self._phase = actor, kind, phase
+        self._refresh_prov()
+        try:
+            yield
+        finally:
+            (self.block, self._actor, self._actor_kind, self._phase,
+             self._line) = saved
+            self._refresh_prov()
 
     # -- provenance state ---------------------------------------------------------
 

@@ -24,16 +24,25 @@ A body is not templated (the caller falls back to per-firing execution)
 when its recording took a data-dependent control path or raised a
 :class:`~repro.frontend.errors.LoweringError` — a loop bound or peek
 offset computed from a token, for instance.
+
+A template is *deferrable* when replaying it has no effect and cannot
+raise: no store, print or call, no division, remainder or shift, and
+no bounds-checked index.  Its replay is then a pure function of its
+inputs, so the lowering may postpone it until something reads what it
+computes, or skip it (docs/LOWERING.md §2c).  Whether such a replay
+folds a step depends only on which of its inputs are constants, not on
+their values, so :meth:`FiringTemplate.fold_profile` can tell without
+replaying how many temps the replay will mint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError, SourceLocation
-from repro.frontend.types import ScalarType
+from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, PrintOp,
                            StateSlot, StoreOp, Temp, UnOp, Value,
                            fresh_temp_ids)
@@ -43,6 +52,10 @@ from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks,
 # Step kinds: one per op class, casts split by the emitter method that
 # made them.
 _BINOP, _UNOP, _COERCE, _CAST, _CALL, _LOAD, _STORE, _PRINT = range(8)
+
+# Binary operators whose constant fold can raise: a zero divisor, a
+# negative shift count.
+_RAISING_BINOPS = frozenset(("/", "%", "<<", ">>"))
 
 
 class _Recorder(Emitter):
@@ -102,6 +115,47 @@ class FiringTemplate:
     pushes: list[int]
     exits: list[tuple[str, int | None]]
     end_line: int | None
+    deferrable: bool = False
+    # fold_profile's answers, by constant-input mask.
+    _profiles: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def exit_line(self) -> int | None:
+        """The source line a replay leaves the emitter at, if any."""
+        if self.end_line is not None:
+            return self.end_line
+        return self.steps[-1][1] if self.steps else None
+
+    def fold_profile(self, const_inputs: tuple[bool, ...]
+                     ) -> tuple[int, tuple[bool, ...]]:
+        """For a deferrable template whose inputs flagged in
+        ``const_inputs`` are constants: the number of temps a replay
+        mints, and which outputs (the pushes, then the exits) it
+        computes as constants.  Exact, since a step folds exactly when
+        its operands are constants (a cast to ``boolean`` never does)."""
+        profile = self._profiles.get(const_inputs)
+        if profile is not None:
+            return profile
+        const = list(const_inputs) + [True] * len(self.consts)
+        minted = 0
+        for step in self.steps:
+            kind = step[0]
+            if kind == _BINOP:
+                folds = const[step[3]] and const[step[4]]
+            elif kind == _LOAD:
+                folds = False
+            elif kind == _CAST:
+                folds = const[step[3]] and step[2] != BOOLEAN
+            else:
+                assert kind in (_UNOP, _COERCE), kind
+                folds = const[step[3]]
+            minted += not folds
+            const.append(folds)
+        profile = (minted, tuple(const[slot] for slot in self.pushes)
+                   + tuple(slot is not None and const[slot]
+                           for _, slot in self.exits))
+        self._profiles[const_inputs] = profile
+        return profile
 
     def replay(self, emitter: Emitter, inputs: list[Value],
                source: str) -> tuple[list[Value], list[Value | None]]:
@@ -175,6 +229,18 @@ def _bounds_loc(index: Value | None, loc: object) -> object:
     """Where to report an index that folds to a constant on replay; None
     when none can (a constant index was already checked recording)."""
     return loc if isinstance(index, Temp) else None
+
+
+def _deferrable(op, note: object) -> bool:
+    """Whether replaying ``op`` (recorded with ``note``) is free of
+    effects and of folds that can raise."""
+    if isinstance(op, BinOp):
+        return op.op not in _RAISING_BINOPS
+    if isinstance(op, LoadOp):
+        return _bounds_loc(op.index, note) is None
+    if isinstance(op, CastOp):  # int() of an infinite or NaN constant
+        return not (op.result.ty == INT and op.operand.ty == FLOAT)
+    return isinstance(op, UnOp)
 
 
 def record(executor: BodyExecutor, block: ast.Block,
@@ -251,7 +317,9 @@ def record(executor: BodyExecutor, block: ast.Block,
     # A step is (kind, line, result type | slot | newline, operand
     # slot(s), then what the emitter method needs besides).
     steps: list[tuple] = []
+    deferrable = True
     for op, (line, note) in zip(recorder.block, recorder.notes):
+        deferrable = deferrable and _deferrable(op, note)
         ty = op.result.ty if op.result is not None else None
         if isinstance(op, BinOp):
             step = (_BINOP, line, ty, slot(op.lhs), slot(op.rhs), op.op,
@@ -283,4 +351,5 @@ def record(executor: BodyExecutor, block: ast.Block,
         fields=tuple(name for name, _ in cached), consts=consts,
         pushes=[slot(value) for value in hooks.pushed],  # type: ignore
         exits=[(name, slot(value)) for name, value in exit_values],
-        end_line=recorder._line if block.stmts else None)
+        end_line=recorder._line if block.stmts else None,
+        deferrable=deferrable)

@@ -10,7 +10,11 @@ Checks the structural invariants every pass must preserve:
   types;
 * loads/stores reference registered state slots, with indices only on
   array slots;
-* operand types are consistent for typed ops.
+* operand types are consistent for typed ops;
+* a loop region marked ``parallel`` (which the C backend vectorizes
+  with ``#pragma omp simd``) has independent trips: no carries, no
+  print or impure call, every store indexed ``base + stride * trip``
+  with ``stride != 0``, and no slot both loaded and stored in its body.
 
 The test suite runs the verifier after lowering and after every
 optimizer configuration; it is also handy when developing new passes.
@@ -19,8 +23,9 @@ optimizer configuration; it is also handy when developing new passes.
 from __future__ import annotations
 
 from repro.frontend.types import FLOAT, INT
-from repro.lir.ops import (BinOp, CastOp, Const, LoadOp, LoopRegion, Op,
-                           SelectOp, StateSlot, StoreOp, Temp, Value)
+from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp,
+                           LoopRegion, Op, PrintOp, SelectOp, StateSlot,
+                           StoreOp, Temp, Value, wrap_i32)
 from repro.lir.program import Program
 
 
@@ -133,6 +138,8 @@ class _Verifier:
                       f"{param} <- {nxt}")
         for temp in scoped:
             self.defined.discard(temp.id)
+        if region.parallel:
+            _check_parallel(region, where)
 
     def _check_op(self, op: Op, where: str) -> None:
         if isinstance(op, (LoadOp, StoreOp)):
@@ -162,6 +169,60 @@ class _Verifier:
         elif isinstance(op, CastOp):
             if op.result is None:
                 _fail(f"{where}: cast without result")
+
+
+def _affine(value: Value, forms: dict[int, tuple[int, int]]
+            ) -> tuple[int, int] | None:
+    """``(stride, base)`` when ``value`` is ``base + stride * trip``."""
+    if isinstance(value, Const):
+        return (0, value.value) if value.ty == INT else None  # type: ignore
+    return forms.get(value.id)  # type: ignore[union-attr]
+
+
+def _affine_binop(op: BinOp, forms: dict[int, tuple[int, int]]
+                  ) -> tuple[int, int] | None:
+    lhs, rhs = _affine(op.lhs, forms), _affine(op.rhs, forms)
+    if lhs is None or rhs is None:
+        return None
+    if op.op == "+":
+        return wrap_i32(lhs[0] + rhs[0]), wrap_i32(lhs[1] + rhs[1])
+    if op.op == "-":
+        return wrap_i32(lhs[0] - rhs[0]), wrap_i32(lhs[1] - rhs[1])
+    if op.op == "*" and 0 in (lhs[0], rhs[0]):
+        factor, form = (lhs[1], rhs) if lhs[0] == 0 else (rhs[1], lhs)
+        return wrap_i32(form[0] * factor), wrap_i32(form[1] * factor)
+    return None
+
+
+def _check_parallel(region: LoopRegion, where: str) -> None:
+    """Re-derive the trip independence that ``parallel`` promises."""
+    if region.carry_params:
+        _fail(f"{where}: parallel loop region has loop-carried values")
+    forms = {region.index.id: (1, 0)}
+    loaded: set[str] = set()
+    stored: set[str] = set()
+    for op in region.body:
+        if isinstance(op, PrintOp) \
+                or (isinstance(op, CallOp) and op.has_side_effect):
+            _fail(f"{where}: parallel loop region has an ordered effect "
+                  f"({op})")
+        if isinstance(op, BinOp):
+            form = _affine_binop(op, forms)
+            if form is not None:
+                forms[op.result.id] = form  # type: ignore[union-attr]
+        elif isinstance(op, LoadOp):
+            loaded.add(op.slot.name)
+        elif isinstance(op, StoreOp):
+            form = None if op.index is None else _affine(op.index, forms)
+            if form is None or form[0] == 0:
+                _fail(f"{where}: parallel loop region stores to "
+                      f"{op.slot.name!r} at an index that is not "
+                      "base + stride * trip with stride != 0")
+            stored.add(op.slot.name)
+    both = loaded & stored
+    if both:
+        _fail(f"{where}: parallel loop region both loads and stores "
+              f"{sorted(both)}")
 
 
 def verify(program: Program) -> Program:

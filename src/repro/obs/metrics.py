@@ -89,6 +89,17 @@ class Gauge:
         self.value += delta
 
 
+def percentile(samples, q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]) of ``samples``; 0.0
+    when there are none.  p99 of 10 samples is their max, not an
+    interpolation."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = math.ceil(q / 100.0 * len(ordered)) - 1
+    return ordered[max(0, min(len(ordered) - 1, rank))]
+
+
 class Histogram:
     """Running count/sum/min/max/percentile summary of observed values.
 
@@ -140,11 +151,7 @@ class Histogram:
         reservoir artifact.  After decimation it degrades to the same
         nearest-rank rule over the deterministic sample reservoir.
         """
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = math.ceil(q / 100.0 * len(ordered)) - 1
-        return ordered[max(0, min(len(ordered) - 1, rank))]
+        return percentile(self._samples, q)
 
     def summary(self) -> dict[str, float]:
         out = {"count": self.count, "total": self.total,

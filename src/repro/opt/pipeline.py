@@ -155,6 +155,20 @@ class OptOptions:
                    carry_specialization=False, cse=False, dce=False,
                    schedule_pressure=False)
 
+    def round_cap(self) -> int:
+        """The fixpoint round cap in effect."""
+        return _FIXPOINT_ROUNDS if self.max_rounds is None \
+            else self.max_rounds
+
+    def prunes_dead_code(self) -> bool:
+        """Whether the pipeline begins with the dense dead-code pre-prune.
+
+        Demand-driven lowering omits exactly code that pass deletes, so
+        ``CompiledStream.lower`` asks this before lowering that way.
+        """
+        return "dead_code_elimination" in self.resolved_pipeline() \
+            and self.round_cap() > 0
+
     def resolved_pipeline(self) -> tuple[str, ...]:
         if self.pipeline is not None:
             resolved = []
@@ -404,17 +418,12 @@ class PassManager:
 
     # -- driver --------------------------------------------------------------
 
-    def _max_rounds(self) -> int:
-        if self.options.max_rounds is not None:
-            return self.options.max_rounds
-        return _FIXPOINT_ROUNDS
-
     def _run_fixpoint(self, steps: list[str]) -> None:
         """Iterate a group of worklist passes until a round is quiet."""
         converged = False
         if "dead_code_elimination" in steps \
                 and steps[0] != "dead_code_elimination" \
-                and self._max_rounds() > 0:
+                and self.options.round_cap() > 0:
             # Prune transitively dead ops before the first full folding
             # and CSE sweeps.  Unreferenced dataflow (decimators that pop
             # tokens nobody reads) can dwarf the live program; keying and
@@ -423,7 +432,7 @@ class PassManager:
             state = self._ensure_state()
             if state.dce_all:
                 self._STEPS["dead_code_elimination"](self, None)
-        for round_index in range(self._max_rounds()):
+        for round_index in range(self.options.round_cap()):
             faults_limits.check_deadline("optimizer fixpoint round")
             self.stats.fixpoint_rounds += 1
             changed = 0
@@ -439,7 +448,7 @@ class PassManager:
         started = time.perf_counter()
         faults_limits.check_deadline("optimizer pipeline")
         pipeline = self.options.resolved_pipeline()
-        if "dead_code_elimination" in pipeline and self._max_rounds() > 0:
+        if self.options.prunes_dead_code():
             # Index-free pre-prune: drop transitively dead ops before any
             # pass walks (promote), indexes or keys (fold/CSE) them.
             self._run_pass(
@@ -492,7 +501,7 @@ def optimize(program: Program,
             obs_metrics.counter("opt.nonconvergent").inc()
             warnings.warn(
                 f"optimizer did not reach a fixpoint on {program.name!r} "
-                f"within {manager._max_rounds()} rounds; results are valid "
+                f"within {options.round_cap()} rounds; results are valid "
                 "but possibly under-optimized", RuntimeWarning,
                 stacklevel=2)
         span.annotate(rounds=stats.fixpoint_rounds,

@@ -352,6 +352,13 @@ class TestHistogramPercentiles:
     def test_empty_histogram(self):
         assert metrics.Histogram("h").percentile(50) == 0.0
 
+    def test_module_helper_is_the_same_rule(self):
+        samples = [7, 1, 9, 3, 10, 4, 8, 2, 6, 5]
+        for q in (0, 50, 90, 99, 100):
+            assert metrics.percentile(samples, q) == \
+                self.filled(samples).percentile(q)
+        assert metrics.percentile([], 50) == 0.0
+
     def test_summary_includes_percentiles(self):
         summary = self.filled(range(1, 11)).summary()
         assert summary["p50"] == 5

@@ -5,10 +5,11 @@ import pytest
 from repro import compile_source
 from repro.frontend.types import FLOAT, INT
 from repro.graph import to_dot
-from repro.lir import (BinOp, LoadOp, PrintOp, Program, StateSlot, StoreOp,
-                       Temp, VerificationError, const_float, const_int,
-                       verify)
-from repro.suite import load_benchmark
+from repro.lir import (BinOp, CallOp, LoadOp, PrintOp, Program, StateSlot,
+                       StoreOp, Temp, VerificationError, const_float,
+                       const_int, verify)
+from repro.lir.ops import LoopRegion
+from repro.suite import benchmark_names, load_benchmark
 
 
 class TestVerifier:
@@ -88,6 +89,102 @@ class TestVerifier:
         for opt in (OptOptions.none(), OptOptions(),
                     OptOptions(promote_state=False)):
             verify(demo_stream.lower(opt=opt).program)
+
+
+def _region_program(body_for, parallel=True, carried=False):
+    """One steady loop region over 4 trips, gathering from ``src`` and
+    scattering to ``dst``; ``body_for(trip, src, dst)`` builds its body."""
+    src = StateSlot("src", FLOAT, size=8)
+    dst = StateSlot("dst", FLOAT, size=8)
+    program = Program(name="region")
+    program.state_slots = [src, dst]
+    trip = Temp(INT, hint="trip")
+    region = LoopRegion(result=None, trips=4, index=trip,
+                        body=body_for(trip, src, dst), parallel=parallel)
+    if carried:
+        param = Temp(FLOAT)
+        region.carry_params = [param]
+        region.carry_inits = [const_float(0.0)]
+        region.carry_nexts = [param]
+    program.steady = [region]
+    return program
+
+
+def _scatter(trip, src, dst, index=None):
+    """Load src[trip + 1], store it to dst[index or trip]."""
+    offset, value = Temp(INT), Temp(FLOAT)
+    return [BinOp(result=offset, op="+", lhs=const_int(1), rhs=trip),
+            LoadOp(result=value, slot=src, index=offset),
+            StoreOp(result=None, slot=dst,
+                    index=trip if index is None else index, value=value)]
+
+
+class TestParallelRegions:
+    def test_independent_trips_pass(self):
+        verify(_region_program(_scatter))
+
+    def test_affine_store_index_passes(self):
+        def body(trip, src, dst):
+            scaled, shifted = Temp(INT), Temp(INT)
+            return [BinOp(result=scaled, op="*", lhs=const_int(2),
+                          rhs=trip),
+                    BinOp(result=shifted, op="-", lhs=scaled,
+                          rhs=const_int(-1))] + \
+                _scatter(trip, src, dst, shifted)
+        verify(_region_program(body))
+
+    def test_carries(self):
+        with pytest.raises(VerificationError, match="loop-carried"):
+            verify(_region_program(_scatter, carried=True))
+        verify(_region_program(_scatter, parallel=False, carried=True))
+
+    def test_print(self):
+        def body(trip, src, dst):
+            ops = _scatter(trip, src, dst)
+            return ops + [PrintOp(result=None, value=ops[1].result)]
+        with pytest.raises(VerificationError, match="ordered effect"):
+            verify(_region_program(body))
+        verify(_region_program(body, parallel=False))
+
+    def test_impure_call(self):
+        def body(trip, src, dst):
+            return _scatter(trip, src, dst) + [
+                CallOp(result=Temp(FLOAT), name="randf", args=[],
+                       pure=False)]
+        with pytest.raises(VerificationError, match="ordered effect"):
+            verify(_region_program(body))
+
+    @pytest.mark.parametrize("index", ["scalar", "constant", "stride 0",
+                                       "not affine"])
+    def test_store_not_injective_in_the_trip(self, index):
+        def body(trip, src, dst):
+            if index == "scalar":
+                scalar = StateSlot("acc", FLOAT)
+                ops = _scatter(trip, src, dst)
+                return ops + [StoreOp(result=None, slot=scalar,
+                                      value=ops[1].result)]
+            if index == "constant":
+                return _scatter(trip, src, dst, const_int(3))
+            derived = Temp(INT)
+            op = ("-", trip) if index == "stride 0" else ("*", trip)
+            return [BinOp(result=derived, op=op[0], lhs=trip,
+                          rhs=op[1])] + _scatter(trip, src, dst, derived)
+        program = _region_program(body)
+        program.state_slots.append(StateSlot("acc", FLOAT))
+        with pytest.raises(VerificationError, match="stride"):
+            verify(program)
+
+    def test_slot_loaded_and_stored(self):
+        def body(trip, src, dst):
+            return _scatter(trip, src, src)
+        with pytest.raises(VerificationError, match="loads and stores"):
+            verify(_region_program(body))
+        verify(_region_program(body, parallel=False))
+
+    @pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+    def test_suite_regions_verify(self, name):
+        program = load_benchmark(name, scale=2).lower().program
+        verify(program)
 
 
 class TestDot:
