@@ -47,7 +47,10 @@ Commands
     compilation dedup, per-request admission control (``--limits``,
     ``--max-iterations``), per-request trace contexts with W3C
     ``traceparent`` propagation, and a structured JSONL access log
-    (``--access-log``/``--no-access-log``).
+    (``--access-log``/``--no-access-log``).  Every execution runs in a
+    pool of ``--workers N`` (N ≥ 1) isolated worker processes.
+    ``--self-check`` round-trips one ``/run``, then scrapes ``/metrics``
+    and prints the OpenMetrics exposition.
 ``tail [LOG] [--follow] [--route SUBSTR] [--min-ms MS]``
     Render the daemon's access log (or an ``--event-log`` JSONL file)
     as aligned per-request lines — request id, route, status, latency,
@@ -60,10 +63,6 @@ Commands
     responses, ≥ 99% eventual success, the daemon never restarting,
     and zero leaked worker processes or temp dirs.  Exit 1 when any
     invariant fails.
-``metrics-serve [TARGET]``
-    Serve the metrics registry as Prometheus/OpenMetrics text on a
-    stdlib HTTP endpoint (``/metrics``, ``/healthz``); ``--self-check``
-    scrapes itself once and validates the exposition.
 ``list``
     List the benchmark suite.
 
@@ -119,7 +118,7 @@ from repro.obs import export as obs_export
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.sinks import JsonlEventSink, MetricsServer, to_openmetrics
+from repro.obs.sinks import JsonlEventSink, OPENMETRICS_CONTENT_TYPE
 from repro.opt import OptOptions, parse_pipeline
 from repro.suite import BENCHMARKS, benchmark_names, load_benchmark
 
@@ -182,6 +181,14 @@ def _limits_spec(spec: str) -> ResourceLimits:
         return ResourceLimits.parse(spec)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _workers_count(text: str) -> int:
+    """argparse type for --workers: a pool needs at least one worker."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _inject_spec(spec: str) -> FaultPlan:
@@ -702,50 +709,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if result.regression else 0
 
 
-def cmd_metrics_serve(args: argparse.Namespace) -> int:
-    from urllib.request import urlopen
-
-    obs_trace.enable()
-    if args.target:
-        stream = _load_target(args.target)
-        if stream is None:
-            print(f"error: {args.target!r} is neither a .str file nor a "
-                  "suite benchmark; see `python -m repro list`",
-                  file=sys.stderr)
-            return 1
-        lowering, opt = _options(args)
-        check_equivalence(stream, iterations=args.iterations,
-                          lowering=lowering, opt=opt)
-    # At least one family must exist even with no target warm-up.
-    obs_metrics.registry().gauge("obs.up").set(1)
-    if args.print_only:
-        sys.stdout.write(to_openmetrics())
-        return 0
-    server = MetricsServer(args.host, args.port).start()
-    print(f"serving OpenMetrics at {server.url} (and /healthz)",
-          file=sys.stderr)
-    try:
-        if args.self_check:
-            with urlopen(server.url) as response:
-                body = response.read().decode("utf-8")
-                content_type = response.headers.get("Content-Type", "")
-            sys.stdout.write(body)
-            if "repro_" not in body \
-                    or not body.rstrip().endswith("# EOF"):
-                print("error: exposition lacks a repro_ family or the "
-                      "# EOF terminator", file=sys.stderr)
-                return 1
-            print(f"# self-check ok: {len(body)} bytes, content-type "
-                  f"{content_type}", file=sys.stderr)
-            return 0
-        while True:  # pragma: no cover - interactive serve loop
-            time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        return 0
-    finally:
-        server.stop()
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import ArtifactCache
 
@@ -824,9 +787,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
             body = response.json
+            scrape = client.request("GET", "/metrics")
+            exposition = scrape.text
+            sys.stdout.write(exposition)
+            if scrape.content_type != OPENMETRICS_CONTENT_TYPE \
+                    or "repro_" not in exposition \
+                    or not exposition.rstrip().endswith("# EOF"):
+                print("error: /metrics lacks the OpenMetrics content "
+                      "type, a repro_ family or the # EOF terminator",
+                      file=sys.stderr)
+                return 1
             print(f"# self-check ok: {body['stream']} checksum "
-                  f"{body['checksum']} via {body['route']}",
-                  file=sys.stderr)
+                  f"{body['checksum']} via {body['route']}; /metrics "
+                  f"{len(exposition)} bytes", file=sys.stderr)
             return 0
         # Serve until SIGTERM/SIGINT, then drain gracefully: stop
         # accepting, let in-flight requests finish inside the deadline,
@@ -1175,25 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the comparison as JSON")
     compare.set_defaults(func=cmd_compare)
 
-    serve = sub.add_parser(
-        "metrics-serve",
-        help="serve the metrics registry as OpenMetrics text over HTTP")
-    serve.add_argument("target", nargs="?",
-                       help="optional .str file or benchmark to run "
-                            "first, populating the registry")
-    serve.add_argument("-n", "--iterations", type=int, default=4)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9464,
-                       help="port to bind (default 9464; 0 = ephemeral)")
-    serve.add_argument("--self-check", action="store_true",
-                       help="serve, scrape /metrics once over HTTP, "
-                            "print the exposition, validate it, exit")
-    serve.add_argument("--print-only", action="store_true",
-                       help="print the OpenMetrics exposition to stdout "
-                            "without binding a socket")
-    _add_opt_arguments(serve)
-    serve.set_defaults(func=cmd_metrics_serve)
-
     cache = sub.add_parser(
         "cache",
         help="manage the persistent native-artifact cache")
@@ -1245,12 +1199,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the access log")
     daemon.add_argument("--self-check", action="store_true",
                         help="serve, round-trip one /run request "
-                             "through the daemon, print its checksum, "
-                             "exit")
-    daemon.add_argument("--workers", type=int, default=2, metavar="N",
+                             "through the daemon, scrape /metrics, "
+                             "print the exposition, exit")
+    daemon.add_argument("--workers", type=_workers_count, default=2,
+                        metavar="N",
                         help="process-isolated execution workers "
-                             "(default 2; 0 runs executions in the "
-                             "daemon process, pre-PR-10 behaviour)")
+                             "(default 2, at least 1)")
     daemon.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="on SIGTERM/SIGINT, wait up to SECONDS "
@@ -1284,8 +1238,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: run all --requests)")
     chaos.add_argument("--iterations", type=int, default=8, metavar="N",
                        help="iterations per /run request (default 8)")
-    chaos.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="daemon worker-pool size (default 2)")
+    chaos.add_argument("--workers", type=_workers_count, default=2,
+                       metavar="N",
+                       help="daemon worker-pool size (default 2, at "
+                            "least 1)")
     chaos.add_argument("--route", choices=("auto", "native", "interp"),
                        default="auto",
                        help="execution route requested (default auto)")

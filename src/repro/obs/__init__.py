@@ -11,8 +11,8 @@ The pieces work together:
   :class:`~repro.obs.bus.Event` records plus the
   :class:`~repro.obs.bus.TelemetrySink` fan-out seam;
 * :mod:`repro.obs.sinks` — concrete sinks: JSONL event log, Chrome
-  trace, OpenMetrics text exposition and its ``http.server`` endpoint
-  (``python -m repro metrics-serve``);
+  trace, OpenMetrics text exposition (served by the serve daemon's
+  ``GET /metrics``);
 * :mod:`repro.obs.export` — text-tree, JSON and Chrome trace-event
   renderings of a collected span forest;
 * :mod:`repro.obs.ledger` — the persistent content-addressed run ledger
@@ -40,15 +40,14 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.reqctx import (RequestContext, make_traceparent,
                               parse_traceparent)
 from repro.obs.sinks import (ChromeTraceSink, JsonlAccessLog, JsonlEventSink,
-                             MetricsServer, OpenMetricsSink, span_tree,
-                             to_openmetrics)
+                             OpenMetricsSink, span_tree, to_openmetrics)
 from repro.obs.trace import (Span, Tracer, current_span, disable, enable,
                              get_trace, get_tracer, is_enabled, span,
                              traced, tracing)
 
 __all__ = [
     "ChromeTraceSink", "Counter", "Event", "Gauge", "Histogram",
-    "JsonlAccessLog", "JsonlEventSink", "MetricsRegistry", "MetricsServer",
+    "JsonlAccessLog", "JsonlEventSink", "MetricsRegistry",
     "OpenMetricsSink", "RequestContext", "Span", "TelemetryBus",
     "TelemetrySink", "Tracer", "bus", "counter", "current_span", "disable",
     "emit_event", "enable", "export", "format_tree", "gauge", "get_bus",

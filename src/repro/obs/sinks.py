@@ -17,10 +17,8 @@ interface; attach them with ``bus.get_bus().add_sink(...)`` (the CLI's
 * :class:`OpenMetricsSink` / :func:`to_openmetrics` — the metrics
   registry rendered as Prometheus/OpenMetrics text exposition
   (``repro_``-prefixed families; counters as ``_total``, histograms as
-  summaries with ``quantile`` labels, terminated by ``# EOF``).
-* :class:`MetricsServer` — a stdlib ``http.server`` thread serving the
-  exposition at ``/metrics`` (``python -m repro metrics-serve``); the
-  scrape endpoint the compile-service daemon on the roadmap will reuse.
+  summaries with ``quantile`` labels, terminated by ``# EOF``); the
+  serve daemon's ``GET /metrics`` serves it.
 * :class:`JsonlAccessLog` — the serve daemon's structured request log:
   one JSON object per request, flushed per line so ``repro tail
   --follow`` and CI greps see entries the moment they land.
@@ -31,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
@@ -257,77 +254,3 @@ class OpenMetricsSink(TelemetrySink):
 
     def close(self) -> None:
         self.flush()
-
-
-# -- the scrape endpoint ------------------------------------------------------
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    def do_GET(self):  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path in ("/", "/metrics"):
-            body = to_openmetrics().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif path == "/healthz":
-            body = b"ok\n"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404)
-
-    def log_message(self, format, *args):  # noqa: A002 - http.server API
-        pass  # scrapes are routine; don't spam stderr
-
-
-class MetricsServer:
-    """A ``/metrics`` OpenMetrics endpoint on a background thread.
-
-    ``port=0`` binds an ephemeral port; read the actual one from
-    ``server.port`` (or ``server.url``).  ``serve_forever`` handles
-    requests until :meth:`stop`; ``handle_request`` serves exactly one
-    (for scripted single-scrape smoke tests).
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _MetricsHandler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-metrics-serve",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def handle_request(self) -> None:
-        self._server.handle_request()
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._server.server_close()
-
-
-def serve_metrics(host: str = "127.0.0.1", port: int = 0) -> MetricsServer:
-    """Start a background :class:`MetricsServer`; caller must ``stop()``."""
-    return MetricsServer(host, port).start()

@@ -186,7 +186,9 @@ def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
     root = Path(tempfile.mkdtemp(prefix="repro_chaos_"))
     # A short pool job deadline keeps injected worker-hangs from
     # stalling the campaign: a hang costs seconds, not the production
-    # 330 s patience.
+    # ``pool.DEFAULT_JOB_TIMEOUT``.  It undercuts the runner's own run
+    # timeout, which is safe only because the campaign's programs run
+    # for milliseconds.
     server = ServeServer(socket_path=root / "chaos.sock",
                          cache=ArtifactCache(root / "cache"),
                          ledger=False, workers=workers,
@@ -277,8 +279,7 @@ def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
     except OSError:
         report.daemon_alive_after = False
 
-    pool = server._worker_pool() if workers > 0 else None
-    worker_pids = list(pool.all_pids) if pool is not None else []
+    worker_pids = list(server.pool.all_pids)
     server.stop()
     deadline = time.monotonic() + 2.0
     while any(_pid_alive(pid) for pid in worker_pids) \

@@ -12,7 +12,8 @@ persistent artifact cache (:mod:`repro.cache`):
   the laminar interpreter, ``"auto"`` — the default — degrades from
   native to interpreter when the toolchain is missing); returns the
   checksum, output count and timing.  Appends a ``serve`` record to the
-  run ledger.
+  run ledger.  Every execution runs in a :mod:`repro.serve.pool`
+  worker process, never in the daemon.
 * ``GET /metrics`` — the PR 6 OpenMetrics exposition (cache hit/miss/
   evict counters included, plus the labeled
   ``repro_serve_request_seconds{route,status,backend}`` histogram and
@@ -49,6 +50,7 @@ exit-code taxonomy maps onto the error model::
     HTTP 422  {"kind": "compile-error",      "exit_code": 1}
     HTTP 429  {"kind": "resource-exhausted", "exit_code": 3}
     HTTP 503  {"kind": "native-<stage>",     "exit_code": 4}
+    HTTP 503  {"kind": "draining",           "exit_code": 4}
     HTTP 500  {"kind": "internal",           "exit_code": 1}
 
 See ``docs/SERVING.md`` for the full API reference.
@@ -57,7 +59,6 @@ See ``docs/SERVING.md`` for the full API reference.
 from __future__ import annotations
 
 import collections
-import hashlib
 import json
 import os
 import socketserver
@@ -66,13 +67,11 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.api import CompiledStream, compile_source
+from repro.api import CompiledStream
 from repro.backend import runner
-from repro.backend.common import checksum_outputs
 from repro.cache import (ArtifactCache, BACKENDS, build_native, native_key)
 from repro.faults import (ResourceExhausted, ResourceLimits, use_limits)
 from repro.frontend.errors import CompileError
-from repro.lir import LoweringOptions
 from repro.obs import bus as obs_bus
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
@@ -80,12 +79,11 @@ from repro.obs import reqctx
 from repro.obs import trace as obs_trace
 from repro.obs.sinks import (JsonlAccessLog, OPENMETRICS_CONTENT_TYPE,
                              span_tree, to_openmetrics)
-from repro.opt import OptOptions
 from repro.serve import pool as pool_mod
 from repro.serve.admission import (AdmissionQueue, CircuitBreaker,
                                    CircuitOpenError, ShedRequest)
 from repro.serve.pool import WorkerPool
-from repro.suite import BENCHMARKS, load_benchmark
+from repro.suite import BENCHMARKS
 
 DEFAULT_PORT = 9465
 DEFAULT_MAX_ITERATIONS = 1_000_000
@@ -99,10 +97,6 @@ ACCESS_LOG_ENV = "REPRO_ACCESS_LOG"
 # How many completed requests the in-memory flight recorder keeps
 # (records + span trees, served by GET /debug/requests).
 FLIGHT_RECORDER_SIZE = 128
-
-# How many frontend-compiled streams to keep in memory, keyed by source
-# hash: the hot path then touches neither the parser nor the scheduler.
-STREAM_MEMO_SIZE = 128
 
 _KNOWN_ROUTES = ("/healthz", "/metrics", "/cache/stats", "/compile",
                  "/run", "/debug/requests", "/debug/trace")
@@ -157,6 +151,8 @@ class ServeServer:
                  job_timeout: float = pool_mod.DEFAULT_JOB_TIMEOUT,
                  admission: AdmissionQueue | None = None,
                  breaker: CircuitBreaker | None = None):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache if cache is not None else ArtifactCache()
         # A crash mid-publish leaves stage dirs behind; quarantine them
         # before serving so lookups never see partial entries.
@@ -167,10 +163,9 @@ class ServeServer:
         self.limits = limits
         self.max_iterations = max_iterations
         self.ledger = ledger
-        self.workers = max(0, workers)
-        self.job_timeout = job_timeout
-        self._pool: WorkerPool | None = None
-        self._pool_lock = threading.Lock()
+        # Every execution runs in a pool worker; workers spawn lazily on
+        # the first job.
+        self.pool = WorkerPool(workers, job_timeout=job_timeout)
         self.admission = admission if admission is not None \
             else AdmissionQueue()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -184,9 +179,7 @@ class ServeServer:
         self._recorder_lock = threading.Lock()
         self._inflight_routes: dict[str, int] = {}
         self._inflight_routes_lock = threading.Lock()
-        self._streams: "collections.OrderedDict[str, CompiledStream]" = \
-            collections.OrderedDict()
-        self._streams_lock = threading.Lock()
+        self._streams = pool_mod.StreamMemo()
         self._inflight: dict[str, threading.Event] = {}
         self._flight_lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -248,10 +241,7 @@ class ServeServer:
                 Path(self.socket_path).unlink()
             except OSError:
                 pass
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        self.pool.close()
         if not self._trace_was_enabled:
             obs_trace.disable()
         if self.access_log is not None:
@@ -290,16 +280,6 @@ class ServeServer:
     @property
     def draining(self) -> bool:
         return self._draining
-
-    def _worker_pool(self) -> WorkerPool | None:
-        """The lazily-started execution pool (None with ``workers=0``)."""
-        if self.workers <= 0:
-            return None
-        with self._pool_lock:
-            if self._pool is None and not self._stopped:
-                self._pool = WorkerPool(self.workers,
-                                        job_timeout=self.job_timeout)
-            return self._pool
 
     # -- request plumbing -----------------------------------------------------
 
@@ -391,6 +371,9 @@ class ServeServer:
         except pool_mod.PoolExhausted as error:
             return self._error(
                 ApiError(503, "worker-crashed", 4, str(error)))
+        except pool_mod.WorkerError as error:
+            # The pool is closed: the daemon is stopping.
+            return self._error(ApiError(503, "draining", 4, str(error)))
         except Exception as error:  # noqa: BLE001 - the API boundary
             obs_metrics.counter("serve.errors").inc()
             return self._error(
@@ -459,8 +442,6 @@ class ServeServer:
     def _healthz(self) -> dict:
         entries, cache_bytes = self.cache.size()
         ledger_path = obs_ledger.ledger_dir()
-        with self._pool_lock:
-            pool = self._pool
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_seconds": time.time() - self.started_at,
@@ -471,9 +452,7 @@ class ServeServer:
             "cache": {"entries": entries, "bytes": cache_bytes},
             "ledger": {"enabled": self.ledger, "dir": str(ledger_path),
                        "reachable": _ledger_reachable(ledger_path)},
-            "pool": pool.stats() if pool is not None
-            else {"size": self.workers, "alive": 0, "spawned": 0,
-                  "crashes": 0, "hangs": 0, "retries": 0},
+            "pool": self.pool.stats(),
             "admission": self.admission.stats(),
             "breaker": self.breaker.stats(),
         }
@@ -525,7 +504,7 @@ class ServeServer:
         started = time.monotonic()
         with self.admission.admit(parsed["deadline"]), \
                 self._admission(parsed):
-            stream, stream_cached = self._stream(parsed)
+            stream, stream_cached = self._streams.get(parsed)
             entry, hit, key = self._ensure_entry(stream, parsed)
         reqctx.note(backend=parsed["backend"], cache_hit=hit,
                     stream=stream.name)
@@ -558,7 +537,7 @@ class ServeServer:
         degraded = False
         with self.admission.admit(parsed["deadline"]), \
                 self._admission(parsed):
-            stream, stream_cached = self._stream(parsed)
+            stream, stream_cached = self._streams.get(parsed)
             hit = None
             key = None
             if route in ("auto", "native"):
@@ -572,11 +551,14 @@ class ServeServer:
                     degrade.record_fallback("serve /run", str(error))
                     degraded = True
                 else:
-                    result = self._execute_native(entry, iterations,
-                                                  parsed)
+                    result = self._execute("native", iterations, parsed,
+                                           binary=str(entry.binary))
             if route == "interp" or degraded:
-                result = self._execute_interp(stream, request, parsed,
-                                              iterations, started)
+                # The worker re-derives the stream from the raw spec
+                # fields, memoized per worker.
+                result = self._execute("interp", iterations, parsed,
+                                       **{name: request.get(name) for name
+                                          in pool_mod.SPEC_FIELDS})
         result.update(stream=stream.name, iterations=iterations,
                       cache_hit=hit, key=key, degraded=degraded,
                       stream_cached=stream_cached,
@@ -605,26 +587,10 @@ class ServeServer:
         if backend not in BACKENDS:
             raise _usage(f"unknown backend {backend!r}; expected one of "
                          f"{', '.join(BACKENDS)}")
-        opt = OptOptions.none() if request.get("no_opt") else OptOptions()
-        pipeline = request.get("pipeline")
-        if pipeline is not None:
-            try:
-                opt.pipeline = pipeline
-            except (TypeError, ValueError) as error:
-                raise _usage(str(error)) from None
-        reroll = request.get("reroll")
-        if reroll is not None:
-            if not isinstance(reroll, bool):
-                raise _usage("'reroll' must be a boolean")
-            opt.reroll = reroll
-        min_repeat = request.get("reroll_min_repeat")
-        if min_repeat is not None:
-            if not isinstance(min_repeat, int) \
-                    or isinstance(min_repeat, bool) or min_repeat < 2:
-                raise _usage("'reroll_min_repeat' must be an integer >= 2")
-            opt.reroll_min_repeat = min_repeat
-        lowering = LoweringOptions(
-            eliminate_splitjoin=not request.get("no_elim", False))
+        try:
+            lowering, opt = pool_mod.spec_options(request)
+        except ValueError as error:
+            raise _usage(str(error)) from None
         limits = None
         if request.get("limits"):
             try:
@@ -655,62 +621,25 @@ class ServeServer:
 
     # -- pool-backed execution ------------------------------------------------
 
-    def _execute_native(self, entry, iterations: int,
-                        parsed: dict) -> dict:
-        """Run a cached binary — in a pool worker when the pool is on."""
-        pool = self._worker_pool()
-        if pool is None:
-            run = runner.run_binary(entry.binary, iterations)
-            return {"checksum": f"{run.checksum:016x}",
-                    "outputs": run.output_count,
-                    "seconds": run.seconds, "route": "native"}
-        reply = self._pool_call(pool, {
-            "kind": "native", "binary": str(entry.binary),
-            "iterations": iterations,
-            "limits": self._effective_limits(parsed).spec()})
+    def _execute(self, route: str, iterations: int, parsed: dict,
+                 **fields) -> dict:
+        """Run one ``native`` (``binary=``) or ``interp`` (the raw spec
+        fields) job in a pool worker."""
+        reply = self._pool_call({
+            "kind": route, "iterations": iterations,
+            "limits": self._effective_limits(parsed).spec(), **fields})
         return {"checksum": reply["checksum"],
                 "outputs": reply["outputs"],
-                "seconds": reply["seconds"], "route": "native"}
+                "seconds": reply["seconds"], "route": route}
 
-    def _execute_interp(self, stream: CompiledStream, request: dict,
-                        parsed: dict, iterations: int,
-                        started: float) -> dict:
-        """Run the interpreter — in a pool worker when the pool is on.
-
-        ``stream`` is already frontend-compiled in the daemon (request
-        validation must not depend on a worker round-trip); the worker
-        re-derives it from the raw spec fields, memoized per worker.
-        """
-        pool = self._worker_pool()
-        if pool is None:
-            outputs = stream.run_laminar(
-                iterations, parsed["lowering"], parsed["opt"]).outputs
-            return {"checksum": f"{checksum_outputs(outputs):016x}",
-                    "outputs": len(outputs),
-                    "seconds": time.monotonic() - started,
-                    "route": "interp"}
-        reply = self._pool_call(pool, {
-            "kind": "interp", "iterations": iterations,
-            "source": request.get("source"),
-            "benchmark": request.get("benchmark"),
-            "no_opt": bool(request.get("no_opt")),
-            "no_elim": bool(request.get("no_elim")),
-            "pipeline": request.get("pipeline"),
-            "reroll": request.get("reroll"),
-            "reroll_min_repeat": request.get("reroll_min_repeat"),
-            "limits": self._effective_limits(parsed).spec()})
-        return {"checksum": reply["checksum"],
-                "outputs": reply["outputs"],
-                "seconds": reply["seconds"], "route": "interp"}
-
-    def _pool_call(self, pool: WorkerPool, job: dict) -> dict:
+    def _pool_call(self, job: dict) -> dict:
         """Submit one job; job-level errors become the daemon's own
         exception taxonomy so status mapping and auto-route degradation
-        behave exactly as they do for in-process execution.
-        (:class:`~repro.serve.pool.PoolExhausted` — the worker itself
-        died twice — propagates and maps to a 503.)
+        see the same exceptions a direct call would raise.
+        (:class:`~repro.serve.pool.WorkerError` — the worker died twice,
+        or the pool is closed — propagates and maps to a 503.)
         """
-        reply = pool.submit(job)
+        reply = self.pool.submit(job)
         if reply.get("ok"):
             return reply
         kind = reply.get("kind")
@@ -732,28 +661,6 @@ class ServeServer:
         if kind == "compile-error":
             raise ApiError(422, "compile-error", 1, message)
         raise ApiError(500, "internal", 1, message)
-
-    def _stream(self, parsed: dict) -> tuple[CompiledStream, bool]:
-        """Frontend-compile the request's spec, memoized by source hash."""
-        if parsed["benchmark"] is not None:
-            memo_key = f"benchmark:{parsed['benchmark']}"
-        else:
-            memo_key = hashlib.sha256(
-                parsed["source"].encode("utf-8")).hexdigest()
-        with self._streams_lock:
-            stream = self._streams.get(memo_key)
-            if stream is not None:
-                self._streams.move_to_end(memo_key)
-                return stream, True
-        if parsed["benchmark"] is not None:
-            stream = load_benchmark(parsed["benchmark"])
-        else:
-            stream = compile_source(parsed["source"], "<serve>")
-        with self._streams_lock:
-            self._streams[memo_key] = stream
-            while len(self._streams) > STREAM_MEMO_SIZE:
-                self._streams.popitem(last=False)
-        return stream, False
 
     def _ensure_entry(self, stream: CompiledStream, parsed: dict):
         """Cache lookup with single-flight build on miss.

@@ -32,6 +32,7 @@ crash-detection, respawn and retry machinery runs end to end.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import select
@@ -40,17 +41,30 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
 
+from repro.api import CompiledStream, compile_source
+from repro.backend import runner
+from repro.backend.common import checksum_outputs
+from repro.faults import ResourceExhausted, ResourceLimits, use_limits
 from repro.faults import plan as fault_plan
+from repro.frontend.errors import CompileError
+from repro.lir import LoweringOptions
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
+from repro.opt import OptOptions
+from repro.suite import load_benchmark
 
 DEFAULT_WORKERS = 2
-# Outer per-job deadline: must exceed the native runner's own run
-# timeout (300 s) so the inner, better-diagnosed timeout fires first.
-DEFAULT_JOB_TIMEOUT = 330.0
+# Outer per-job deadline: exceeds the native runner's own run timeout
+# so the inner, better-diagnosed timeout fires first.
+DEFAULT_JOB_TIMEOUT = runner.DEFAULT_RUN_TIMEOUT + 30.0
+# How many frontend-compiled streams a StreamMemo keeps.
+STREAM_MEMO_SIZE = 128
+# The raw spec fields an interp job carries: the stream and its options.
+SPEC_FIELDS = ("source", "benchmark", "no_opt", "no_elim", "pipeline",
+               "reroll", "reroll_min_repeat")
 # How many trailing stderr lines to keep per worker for crash reports.
 _STDERR_KEEP = 30
 _READ_CHUNK = 65536
@@ -374,68 +388,80 @@ class WorkerPool:
                 pass
 
 
-# -- the worker side ----------------------------------------------------------
+# -- spec parsing and the stream memo (daemon and worker) ---------------------
 
-def _job_options(job: dict):
-    """Rebuild (LoweringOptions, OptOptions) from the job's raw fields."""
-    from repro.lir import LoweringOptions
-    from repro.opt import OptOptions
-
-    opt = OptOptions.none() if job.get("no_opt") else OptOptions()
-    if job.get("pipeline") is not None:
-        opt.pipeline = job["pipeline"]
-    if job.get("reroll") is not None:
-        opt.reroll = bool(job["reroll"])
-    if job.get("reroll_min_repeat") is not None:
-        opt.reroll_min_repeat = int(job["reroll_min_repeat"])
+def spec_options(spec: dict) -> tuple[LoweringOptions, OptOptions]:
+    """Build ``(LoweringOptions, OptOptions)`` from a serve spec's raw
+    ``no_opt``/``no_elim``/``pipeline``/``reroll``/``reroll_min_repeat``
+    fields.  Raises :class:`ValueError` on a malformed field."""
+    opt = OptOptions.none() if spec.get("no_opt") else OptOptions()
+    pipeline = spec.get("pipeline")
+    if pipeline is not None:
+        try:
+            opt.pipeline = pipeline
+        except TypeError as error:
+            raise ValueError(str(error)) from None
+    reroll = spec.get("reroll")
+    if reroll is not None:
+        if not isinstance(reroll, bool):
+            raise ValueError("'reroll' must be a boolean")
+        opt.reroll = reroll
+    min_repeat = spec.get("reroll_min_repeat")
+    if min_repeat is not None:
+        if not isinstance(min_repeat, int) \
+                or isinstance(min_repeat, bool) or min_repeat < 2:
+            raise ValueError("'reroll_min_repeat' must be an integer >= 2")
+        opt.reroll_min_repeat = min_repeat
     lowering = LoweringOptions(
-        eliminate_splitjoin=not job.get("no_elim", False))
+        eliminate_splitjoin=not spec.get("no_elim", False))
     return lowering, opt
 
 
-_worker_streams: dict = {}
+class StreamMemo:
+    """Frontend-compiled streams keyed by benchmark name or source hash,
+    least recently used evicted first, so the hot path touches neither
+    the parser nor the scheduler."""
 
+    def __init__(self):
+        self._streams: "OrderedDict[str, CompiledStream]" = OrderedDict()
+        self._lock = threading.Lock()
 
-def _worker_stream(job: dict):
-    """Frontend-compile the job's spec, memoized per worker process."""
-    from repro.api import compile_source
-    from repro.suite import load_benchmark
-
-    if job.get("benchmark") is not None:
-        memo_key = f"benchmark:{job['benchmark']}"
-    else:
-        import hashlib
-        memo_key = hashlib.sha256(
-            job["source"].encode("utf-8")).hexdigest()
-    stream = _worker_streams.get(memo_key)
-    if stream is None:
-        if job.get("benchmark") is not None:
-            stream = load_benchmark(job["benchmark"])
+    def get(self, spec: dict) -> tuple[CompiledStream, bool]:
+        """The spec's stream and whether it was already memoized."""
+        benchmark = spec.get("benchmark")
+        if benchmark is not None:
+            key = f"benchmark:{benchmark}"
         else:
-            stream = compile_source(job["source"], "<pool-worker>")
-        _worker_streams[memo_key] = stream
-        if len(_worker_streams) > 64:
-            _worker_streams.pop(next(iter(_worker_streams)))
-    return stream
+            key = hashlib.sha256(spec["source"].encode("utf-8")).hexdigest()
+        with self._lock:
+            stream = self._streams.get(key)
+            if stream is not None:
+                self._streams.move_to_end(key)
+                return stream, True
+        if benchmark is not None:
+            stream = load_benchmark(benchmark)
+        else:
+            stream = compile_source(spec["source"], "<serve>")
+        with self._lock:
+            self._streams[key] = stream
+            while len(self._streams) > STREAM_MEMO_SIZE:
+                self._streams.popitem(last=False)
+        return stream, False
 
 
-def _execute_job(job: dict) -> dict:
+# -- the worker side ----------------------------------------------------------
+
+def _execute_job(job: dict, streams: StreamMemo) -> dict:
     """Run one job; returns the success payload (exceptions propagate)."""
-    from repro.backend import runner
-    from repro.backend.common import checksum_outputs
-
     iterations = int(job["iterations"])
     if job["kind"] == "native":
-        run = runner.run_binary(Path(job["binary"]), iterations,
-                                timeout=float(job.get(
-                                    "run_timeout",
-                                    runner.DEFAULT_RUN_TIMEOUT)))
+        run = runner.run_binary(Path(job["binary"]), iterations)
         return {"ok": True, "checksum": f"{run.checksum:016x}",
                 "outputs": run.output_count, "seconds": run.seconds}
     if job["kind"] == "interp":
         started = time.monotonic()
-        stream = _worker_stream(job)
-        lowering, opt = _job_options(job)
+        stream, _ = streams.get(job)
+        lowering, opt = spec_options(job)
         outputs = stream.run_laminar(iterations, lowering, opt).outputs
         return {"ok": True,
                 "checksum": f"{checksum_outputs(outputs):016x}",
@@ -446,10 +472,6 @@ def _execute_job(job: dict) -> dict:
 
 def _job_error(error: BaseException) -> dict:
     """Map one job-level exception to a structured reply."""
-    from repro.backend import runner
-    from repro.faults import ResourceExhausted
-    from repro.frontend.errors import CompileError
-
     if isinstance(error, ResourceExhausted):
         return {"ok": False, "kind": "resource-exhausted",
                 "error": error.message, "resource": error.resource,
@@ -475,8 +497,7 @@ def worker_main() -> int:
     proto = os.fdopen(os.dup(1), "w", buffering=1, encoding="utf-8")
     os.dup2(2, 1)
     sys.stdout = sys.stderr
-    from repro.faults import ResourceLimits, use_limits
-
+    streams = StreamMemo()
     for raw in sys.stdin.buffer:
         try:
             job = json.loads(raw.decode("utf-8"))
@@ -496,7 +517,7 @@ def worker_main() -> int:
             limits = ResourceLimits.parse(job["limits"]) \
                 if job.get("limits") else ResourceLimits()
             with use_limits(limits):
-                reply = _execute_job(job)
+                reply = _execute_job(job, streams)
         except BaseException as error:  # noqa: BLE001 - the job boundary
             reply = _job_error(error)
         proto.write(json.dumps(reply, sort_keys=True) + "\n")

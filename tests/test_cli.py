@@ -456,21 +456,15 @@ class TestLedgerExitCodes:
         assert "past the ledger" in proc.stderr
 
 
-class TestMetricsServe:
+class TestServeSelfCheck:
     cli = TestExitCodes.cli
 
-    def test_print_only_emits_valid_exposition(self, tiny_file):
-        proc = self.cli("metrics-serve", tiny_file, "-n", "2",
-                        "--print-only")
-        assert proc.returncode == 0
-        assert proc.stdout.rstrip().endswith("# EOF")
-        assert "repro_" in proc.stdout
-
-    def test_self_check_scrapes_itself(self, tiny_file):
-        proc = self.cli("metrics-serve", tiny_file, "-n", "2",
-                        "--port", "0", "--self-check")
-        assert proc.returncode == 0
-        assert "repro_obs_up 1" in proc.stdout
+    def test_self_check_prints_exposition(self, tmp_path):
+        proc = self.cli("serve", "--port", "0", "--no-access-log",
+                        "--self-check", "--cache-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "repro_serve_requests_total" in proc.stdout
+        assert "repro_serve_run_" in proc.stdout
         assert proc.stdout.rstrip().endswith("# EOF")
 
 

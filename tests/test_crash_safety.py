@@ -363,6 +363,40 @@ class TestServeUnderFaults:
             assert degraded.json["checksum"] == _oracle(3)
 
 
+# -- the pool is the only execution path -------------------------------------
+
+class TestPoolOnly:
+    def test_zero_workers_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            ServeServer(socket_path=tmp_path / "d.sock",
+                        cache=ArtifactCache(tmp_path / "cache"), workers=0)
+
+    @pytest.mark.parametrize("command", ["serve", "chaos"])
+    def test_cli_zero_workers_is_a_usage_error(self, command):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
+                                / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--workers", "0"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr
+
+    def test_run_after_stop_is_503_draining(self, tmp_path):
+        server = ServeServer(socket_path=tmp_path / "d.sock",
+                             cache=ArtifactCache(tmp_path / "cache"),
+                             ledger=False).start()
+        server.stop()
+        status, _, body, _ = server.handle(
+            "POST", "/run", json.dumps({"source": COUNTER_PROGRAM,
+                                        "route": "interp"}).encode())
+        assert status == 503
+        payload = json.loads(body)
+        assert payload["kind"] == "draining"
+        assert payload["exit_code"] == 4
+        assert server.pool.all_pids == []  # nothing ran anywhere
+
+
 # -- graceful drain -----------------------------------------------------------
 
 SLOW_ITERATIONS = 400_000  # ~1.5 s of interpreter work
@@ -568,7 +602,7 @@ class TestClientRetry:
     def test_connection_refused_is_retried_once(self, tmp_path):
         server = ServeServer(socket_path=tmp_path / "d.sock",
                              cache=ArtifactCache(tmp_path / "cache"),
-                             workers=0, ledger=False).start()
+                             ledger=False).start()
         try:
             client = ServeClient(socket_path=server.socket_path)
             real = client._connection
@@ -584,6 +618,7 @@ class TestClientRetry:
             response = client.healthz()
             assert response.ok
             assert len(attempts) == 2
+            assert response.json["pool"]["spawned"] == 0
         finally:
             server.stop()
 

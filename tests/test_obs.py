@@ -2,7 +2,6 @@
 
 import json
 import threading
-import urllib.request
 
 import pytest
 
@@ -552,29 +551,6 @@ class TestOpenMetrics:
         text = (tmp_path / "metrics.prom").read_text()
         assert "repro_hits_total 1" in text
         assert text.endswith("# EOF\n")
-
-    def test_metrics_server_scrape(self):
-        trace.enable()
-        metrics.registry().reset()
-        metrics.gauge("obs.up").set(1)
-        server = sinks.serve_metrics(port=0)
-        try:
-            assert server.port != 0
-            with urllib.request.urlopen(server.url, timeout=5) as resp:
-                assert resp.status == 200
-                assert resp.headers["Content-Type"] == \
-                    sinks.OPENMETRICS_CONTENT_TYPE
-                body = resp.read().decode("utf-8")
-            assert "repro_obs_up 1" in body
-            assert body.endswith("# EOF\n")
-            health = server.url.replace("/metrics", "/healthz")
-            with urllib.request.urlopen(health, timeout=5) as resp:
-                assert resp.read() == b"ok\n"
-            missing = server.url.replace("/metrics", "/nope")
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(missing, timeout=5)
-        finally:
-            server.stop()
 
 
 class TestLabeledMetrics:

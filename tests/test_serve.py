@@ -7,10 +7,11 @@ import threading
 
 import pytest
 
+from repro.backend.common import checksum_outputs
 from repro.cache import ArtifactCache
 from repro.serve import ServeClient, ServeServer
 
-from .conftest import TINY_PROGRAM, requires_cc
+from .conftest import DEMO_PROGRAM, TINY_PROGRAM, requires_cc
 
 COUNTER_PROGRAM_TEMPLATE = """
 void->int filter Count%(tag)s() {
@@ -237,6 +238,25 @@ class TestNativeRoute:
                               backend="fifo-c").json
         assert response["route"] == "native"
         assert response["backend"] == "fifo-c"
+
+
+@requires_cc
+@pytest.mark.parametrize("options", [
+    {"no_opt": True}, {"no_elim": True}, {"pipeline": "cp,fold,dce"},
+    {"reroll": False}, {"reroll_min_repeat": 8},
+], ids=lambda options: next(iter(options)))
+@pytest.mark.parametrize("route", ["native", "interp"])
+def test_spec_options_bit_exact_on_both_routes(client, demo_stream,
+                                               route, options):
+    """Each spec option reaches the worker (which re-parses the raw
+    fields of an interp job) and leaves the output bits unchanged."""
+    outputs = demo_stream.run_laminar(8).outputs
+    response = client.run(source=DEMO_PROGRAM, iterations=8, route=route,
+                          **options)
+    assert response.ok, response.text
+    assert response.json["route"] == route
+    assert response.json["checksum"] == \
+        f"{checksum_outputs(outputs):016x}"
 
 
 class TestCliSurface:
