@@ -5,9 +5,11 @@ the host-platform column of the speedup experiment (E3).
 
 Hardened against a hostile toolchain (see ``docs/ROBUSTNESS.md``):
 
-* both the compile step and the binary run have wall-clock timeouts, and
-  a timed-out subprocess is killed together with its whole process group
-  (``cc`` forks ``cc1``/``ld``; killing only the leader leaves orphans);
+* ``cc`` and the binary both run under one supervision loop
+  (:func:`_supervise`) with a wall-clock timeout; a timed-out subprocess
+  is killed together with its whole process group (``cc`` forks
+  ``cc1``/``ld``; killing only the leader leaves orphans), and a
+  heartbeat run can arm a stall watchdog that names the hot filter;
 * transient compile failures (spawn errors, a compiler killed by a
   signal) are retried a bounded number of times with exponential
   backoff, while real diagnostics (nonzero exit with errors) fail fast;
@@ -26,15 +28,14 @@ a hostile machine.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
+import selectors
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,9 +51,9 @@ from repro.obs import trace
 # correct).
 DEFAULT_CFLAGS = ("-O3", "-fwrapv", "-std=gnu11", "-fopenmp-simd")
 
-# Wall-clock budgets per subprocess step.  Compiling one generated
-# translation unit takes seconds; a minute-plus compile means a wedged
-# toolchain, not a slow one.
+# Wall-clock budgets per subprocess step, read at call time (tests
+# shrink them).  Compiling one generated translation unit takes seconds;
+# a minute-plus compile means a wedged toolchain, not a slow one.
 DEFAULT_COMPILE_TIMEOUT = 120.0
 DEFAULT_RUN_TIMEOUT = 300.0
 
@@ -209,33 +210,99 @@ def _with_artifacts(error: NativeToolchainError,
     return fresh
 
 
-# -- subprocess plumbing ------------------------------------------------------
+# -- subprocess supervision ---------------------------------------------------
 
-def _run_checked(cmd: list[str],
-                 timeout: float) -> subprocess.CompletedProcess:
-    """Run ``cmd`` in its own process group; on timeout kill the group.
+_READ_CHUNK = 65536
 
-    ``subprocess.run``'s timeout only kills the direct child — a wedged
-    ``cc`` leaves ``cc1``/``ld`` orphans holding the workdir open.
+
+def kill_process_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the process group ``proc`` leads (it runs in its own session).
+
+    Killing only the leader leaves ``cc1``/``ld`` (or a binary's own
+    children) orphaned, holding the pipes and the workdir open.
     """
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        stdout, stderr = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        _kill_process_group(proc)
-        proc.communicate()
-        raise
-    return subprocess.CompletedProcess(cmd, proc.returncode, stdout,
-                                       stderr)
-
-
-def _kill_process_group(proc: subprocess.Popen) -> None:
     try:
         os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
     except (ProcessLookupError, PermissionError, OSError):
-        proc.kill()
+        try:
+            proc.kill()
+        except OSError:
+            pass
+
+
+@dataclass
+class _Supervised:
+    """What :func:`_supervise` saw of one child process."""
+
+    returncode: int
+    stdout: str
+    stderr: str
+    # "timeout" or "stall" when the child was killed at that deadline.
+    killed: str | None = None
+
+
+def _supervise(cmd: list[str], timeout: float, *,
+               env: dict[str, str] | None = None,
+               stall_timeout: float | None = None) -> _Supervised:
+    """Run ``cmd`` to completion under supervision, in the calling thread.
+
+    The child leads its own session.  One selector reads its stdout and
+    stderr to EOF, publishing each ``heartbeat-json`` stderr line as it
+    arrives (so the telemetry lands in the caller's request context).
+    The whole process group is killed at the hard ``timeout`` or, when
+    ``stall_timeout`` is armed, once no heartbeat has arrived for that
+    long.  Raises ``OSError`` only when the spawn itself fails.
+    """
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
+    out, err = bytearray(), bytearray()
+    scanned = 0  # err[:scanned] is whole lines, already scanned for beats
+    killed: str | None = None
+    last_beat = time.monotonic()
+    deadline = last_beat + timeout
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdout, selectors.EVENT_READ, out)
+            selector.register(proc.stderr, selectors.EVENT_READ, err)
+            while selector.get_map():
+                wake = deadline if stall_timeout is None \
+                    else min(deadline, last_beat + stall_timeout)
+                now = time.monotonic()
+                if now >= wake:
+                    killed = "timeout" if now >= deadline else "stall"
+                    break
+                for key, _ in selector.select(wake - now):
+                    chunk = os.read(key.fd, _READ_CHUNK)
+                    if not chunk:
+                        selector.unregister(key.fileobj)
+                        continue
+                    key.data.extend(chunk)
+                    if key.data is not err:
+                        continue
+                    end = err.rfind(b"\n") + 1
+                    for line in err[scanned:end].split(b"\n"):
+                        beat = parse_heartbeat(
+                            line.decode("utf-8", "replace"))
+                        if beat is not None:
+                            last_beat = time.monotonic()
+                            _publish_heartbeat(beat)
+                    scanned = end
+        if killed is None:
+            # Both pipes are at EOF; a child that closed them early
+            # still answers to the hard deadline.
+            try:
+                proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                killed = "timeout"
+    finally:
+        if killed is not None or proc.returncode is None:
+            kill_process_group(proc)
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    return _Supervised(proc.returncode, out.decode("utf-8", "replace"),
+                       err.decode("utf-8", "replace"), killed)
 
 
 @dataclass
@@ -259,9 +326,6 @@ class NativeRun:
 # -- heartbeat side channel ---------------------------------------------------
 
 HEARTBEAT_PREFIX = "heartbeat-json "
-
-# How often the watchdog loop wakes to check the clock (seconds).
-_WATCH_POLL = 0.01
 
 
 def parse_heartbeat(line: str) -> dict | None:
@@ -291,117 +355,29 @@ def hot_filter(beat: dict | None) -> str | None:
     return max(filters, key=lambda entry: entry.get("ns", 0))["name"]
 
 
-class _HeartbeatWatch:
-    """Host-side heartbeat state shared with the watchdog loop."""
-
-    def __init__(self, on_heartbeat=None):
-        self.last_seen = time.monotonic()
-        self.beats = 0
-        self.latest: dict | None = None
-        self._on_heartbeat = on_heartbeat
-
-    def note_line(self, line: str) -> None:
-        beat = parse_heartbeat(line)
-        if beat is None:
-            return
-        self.last_seen = time.monotonic()
-        self.beats += 1
-        self.latest = beat
-        obs_metrics.counter("native.heartbeat.count").inc()
-        if "iter" in beat:
-            obs_metrics.gauge("native.heartbeat.iterations").set(
-                beat["iter"])
-        if "outputs" in beat:
-            obs_metrics.gauge("native.heartbeat.outputs").set(
-                beat["outputs"])
-        if "ns" in beat:
-            obs_metrics.gauge("native.heartbeat.ns").set(beat["ns"])
-        for entry in beat.get("filters", []):
-            if isinstance(entry, dict) and "name" in entry:
-                obs_metrics.gauge(
-                    f"native.heartbeat.filter.{entry['name']}.ns").set(
-                    entry.get("ns", 0))
-        if self._on_heartbeat is not None:
-            self._on_heartbeat(beat)
+def _publish_heartbeat(beat: dict) -> None:
+    """Mirror one live beat into the ``native.heartbeat.*`` metrics."""
+    obs_metrics.counter("native.heartbeat.count").inc()
+    if "iter" in beat:
+        obs_metrics.gauge("native.heartbeat.iterations").set(beat["iter"])
+    if "outputs" in beat:
+        obs_metrics.gauge("native.heartbeat.outputs").set(beat["outputs"])
+    if "ns" in beat:
+        obs_metrics.gauge("native.heartbeat.ns").set(beat["ns"])
+    for entry in beat.get("filters", []):
+        if isinstance(entry, dict) and "name" in entry:
+            obs_metrics.gauge(
+                f"native.heartbeat.filter.{entry['name']}.ns").set(
+                entry.get("ns", 0))
 
 
-def _run_watched(cmd: list[str], timeout: float,
-                 stall_timeout: float | None,
-                 env: dict[str, str] | None,
-                 watch: _HeartbeatWatch,
-                 stalled_name: str,
-                 injected: bool) -> subprocess.CompletedProcess:
-    """Run ``cmd`` streaming stderr line-by-line under a stall watchdog.
-
-    Raises ``subprocess.TimeoutExpired`` at the hard deadline and
-    :class:`NativeStallError` when no heartbeat arrives within
-    ``stall_timeout`` seconds — whichever comes first.  Either way the
-    whole process group is killed, never just the leader.
-    """
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True,
-                            start_new_session=True, env=env)
-    stdout_parts: list[str] = []
-    stderr_lines: list[str] = []
-
-    def _drain_stdout() -> None:
-        stdout_parts.append(proc.stdout.read())
-
-    def _drain_stderr() -> None:
-        for line in proc.stderr:
-            stderr_lines.append(line)
-            watch.note_line(line.rstrip("\n"))
-
-    # New threads do not inherit contextvars: copy the caller's context
-    # so heartbeat gauges published by the stderr reader stay attributed
-    # to the serve request (if any) that launched this binary.
-    readers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(_drain_stdout,), daemon=True),
-               threading.Thread(target=contextvars.copy_context().run,
-                                args=(_drain_stderr,), daemon=True)]
-    for reader in readers:
-        reader.start()
-
-    def _finish() -> None:
-        for reader in readers:
-            reader.join(timeout=5)
-        proc.stdout.close()
-        proc.stderr.close()
-
-    started = time.monotonic()
-    watch.last_seen = started
-    while proc.poll() is None:
-        time.sleep(_WATCH_POLL)
-        now = time.monotonic()
-        if now - started > timeout:
-            _kill_process_group(proc)
-            proc.wait()
-            _finish()
-            raise subprocess.TimeoutExpired(cmd, timeout)
-        if stall_timeout is not None \
-                and now - watch.last_seen > stall_timeout:
-            _kill_process_group(proc)
-            proc.wait()
-            _finish()
-            beat = watch.latest or {}
-            last_filter = hot_filter(watch.latest)
-            obs_metrics.counter("native.stall").inc()
-            obs_bus.emit_event(
-                "native.stall", binary=stalled_name,
-                stall_timeout=stall_timeout, beats=watch.beats,
-                last_iter=beat.get("iter"), last_filter=last_filter,
-                injected=injected)
-            where = f" in filter {last_filter!r}" if last_filter else ""
-            raise NativeStallError(
-                f"no heartbeat within {stall_timeout:g}s "
-                f"(last beat: iteration {beat.get('iter', 'none')}"
-                f"{where}, {watch.beats} beat(s) total)"
-                + (" (injected bin-hang)" if injected else ""),
-                injected=injected)
-    _finish()
-    return subprocess.CompletedProcess(cmd, proc.returncode,
-                                       "".join(stdout_parts),
-                                       "".join(stderr_lines))
+def _check_watchdog(heartbeat_ms: int | None,
+                    stall_timeout: float | None) -> None:
+    if stall_timeout is not None and heartbeat_ms is None:
+        raise ValueError(
+            "stall_timeout arms the heartbeat watchdog and needs "
+            "heartbeat_ms; a binary without heartbeats is bounded by "
+            "DEFAULT_RUN_TIMEOUT alone")
 
 
 # A stand-in for a wedged binary (the bin-hang fault site): one valid
@@ -418,8 +394,6 @@ _HANG_SCRIPT = (
 def compile_c(code: str, workdir: Path | None = None,
               cflags: tuple[str, ...] = DEFAULT_CFLAGS,
               name: str = "prog",
-              timeout: float = DEFAULT_COMPILE_TIMEOUT,
-              retries: int = TRANSIENT_RETRIES,
               keep_artifacts: bool | None = None) -> Path:
     """Compile ``code`` and return the binary path.
 
@@ -444,25 +418,25 @@ def compile_c(code: str, workdir: Path | None = None,
         workdir = Path(tempfile.mkdtemp(prefix="repro_native_"))
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _compile_into(code, workdir, compiler, cflags, name,
-                             timeout, retries, plan)
+        return _compile_into(code, workdir, compiler, cflags, name, plan)
     except NativeToolchainError as error:
         kept = _finish_workdir(workdir, owned, error, keep)
         raise _with_artifacts(error, kept) from error.__cause__
 
 
 def _compile_into(code: str, workdir: Path, compiler: str,
-                  cflags: tuple[str, ...], name: str, timeout: float,
-                  retries: int, plan: fault_plan.FaultPlan) -> Path:
+                  cflags: tuple[str, ...], name: str,
+                  plan: fault_plan.FaultPlan) -> Path:
     src = workdir / f"{name}.c"
     binary = workdir / name
     src.write_text(code)
     cmd = [compiler, *cflags, str(src), "-o", str(binary), "-lm"]
+    timeout = DEFAULT_COMPILE_TIMEOUT
     if plan.should_fire("cc-timeout"):
         raise NativeCompileError(
             f"C compilation timed out after {timeout:g}s "
             "(injected cc-timeout)", injected=True)
-    attempts = max(0, retries) + 1
+    attempts = max(0, TRANSIENT_RETRIES) + 1
     last_error: NativeCompileError | None = None
     with trace.span("native.compile", name=name, compiler=compiler,
                     flags=" ".join(cflags), code_bytes=len(code)) as span:
@@ -471,23 +445,22 @@ def _compile_into(code: str, workdir: Path, compiler: str,
                 obs_metrics.counter("native.compile.retries").inc()
                 time.sleep(RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1)))
             if plan.should_fire("cc-crash"):
-                result = subprocess.CompletedProcess(
-                    cmd, -int(signal.SIGSEGV), "",
+                result = _Supervised(
+                    -int(signal.SIGSEGV), "",
                     "injected fault: compiler killed by signal")
                 injected = True
             else:
                 injected = False
                 try:
-                    result = _run_checked(cmd, timeout)
-                except subprocess.TimeoutExpired:
-                    raise NativeCompileError(
-                        f"C compilation timed out after "
-                        f"{timeout:g}s") from None
+                    result = _supervise(cmd, timeout)
                 except OSError as error:
                     # Spawn failure (EAGAIN, ENOMEM, ...): transient.
                     last_error = NativeCompileError(
                         f"failed to spawn compiler: {error}")
                     continue
+                if result.killed:
+                    raise NativeCompileError(
+                        f"C compilation timed out after {timeout:g}s")
             if result.returncode == 0:
                 warnings = result.stderr.count("warning:")
                 if warnings:
@@ -513,26 +486,25 @@ def _compile_into(code: str, workdir: Path, compiler: str,
 
 def run_binary(binary: Path, iterations: int,
                print_outputs: bool = False,
-               timeout: float = DEFAULT_RUN_TIMEOUT,
                heartbeat_ms: int | None = None,
-               stall_timeout: float | None = None,
-               on_heartbeat=None) -> NativeRun:
+               stall_timeout: float | None = None) -> NativeRun:
     """Run the compiled binary and strictly parse its output protocol.
 
     ``heartbeat_ms`` sets ``REPRO_HEARTBEAT_MS`` in the child's
     environment (profile builds then emit ``heartbeat-json`` progress
-    lines; 0 = every iteration).  ``stall_timeout`` arms the watchdog:
-    when no heartbeat arrives within that many seconds the process group
-    is killed and :class:`NativeStallError` raised — *before* the hard
-    ``timeout``.  ``on_heartbeat`` receives each parsed beat dict live;
-    beats are also published as ``native.heartbeat.*`` gauges and
-    collected into :attr:`NativeRun.heartbeats`.
+    lines; 0 = every iteration), published live as ``native.heartbeat.*``
+    metrics and collected into :attr:`NativeRun.heartbeats`.
+    ``stall_timeout`` arms the watchdog and needs ``heartbeat_ms``
+    (``ValueError`` otherwise): when no heartbeat arrives within that
+    many seconds the process group is killed and
+    :class:`NativeStallError` raised, naming the hot filter.  Every run
+    is bounded by ``DEFAULT_RUN_TIMEOUT``.
     """
+    _check_watchdog(heartbeat_ms, stall_timeout)
     plan = fault_plan.current_plan()
     mode = "print" if print_outputs else "time"
     cmd = [str(binary), str(iterations), mode]
-    streaming = (heartbeat_ms is not None or stall_timeout is not None
-                 or on_heartbeat is not None)
+    timeout = DEFAULT_RUN_TIMEOUT
     injected = False
     with trace.span("native.run", name=binary.name, iterations=iterations,
                     mode=mode):
@@ -548,21 +520,20 @@ def run_binary(binary: Path, iterations: int,
                 "binary stopped making progress and no heartbeat "
                 "watchdog was armed (injected bin-hang)", injected=True)
         if plan.should_fire("bin-nonzero"):
-            result = subprocess.CompletedProcess(
-                cmd, 1, "", "injected fault: binary exited nonzero")
+            result = _Supervised(1, "", "injected fault: binary exited "
+                                        "nonzero")
             injected = True
         elif plan.should_fire("bin-garbage"):
-            result = subprocess.CompletedProcess(
-                cmd, 0, "not-a-number\n",
+            result = _Supervised(
+                0, "not-a-number\n",
                 "checksum zzzz\nchecksum 0\noutputs many\nseconds soon\n")
             injected = True
         elif plan.should_fire("malformed-stdout"):
             # Exit 0 with the protocol lines missing — exactly what a
             # crashed-after-exec or truncated binary produces.
-            result = subprocess.CompletedProcess(
-                cmd, 0, "", "checksum 00000000deadbeef\n")
+            result = _Supervised(0, "", "checksum 00000000deadbeef\n")
             injected = True
-        elif streaming or hang:
+        else:
             if hang:
                 # Swap in a wedge that emits one beat then goes silent,
                 # so the real watchdog path runs end to end.
@@ -572,26 +543,41 @@ def run_binary(binary: Path, iterations: int,
             if heartbeat_ms is not None:
                 env = {**os.environ,
                        "REPRO_HEARTBEAT_MS": str(heartbeat_ms)}
-            watch = _HeartbeatWatch(on_heartbeat)
-            try:
-                result = _run_watched(cmd, timeout, stall_timeout, env,
-                                      watch, binary.name,
-                                      injected=injected)
-            except subprocess.TimeoutExpired:
+            result = _supervise(cmd, timeout, env=env,
+                                stall_timeout=stall_timeout)
+            if result.killed == "stall":
+                raise _stalled(binary.name, stall_timeout, result,
+                               injected)
+            if result.killed:
                 raise NativeRunError(
-                    f"native run timed out after {timeout:g}s") from None
-        else:
-            try:
-                result = _run_checked(cmd, timeout)
-            except subprocess.TimeoutExpired:
-                raise NativeRunError(
-                    f"native run timed out after {timeout:g}s") from None
+                    f"native run timed out after {timeout:g}s")
     if result.returncode != 0:
         raise NativeRunError(
             f"native run failed (exit {result.returncode}):\n"
             f"{result.stderr[:2000]}", injected=injected)
     return parse_run_output(result.stdout, result.stderr, print_outputs,
                             injected=injected)
+
+
+def _stalled(name: str, stall_timeout: float, result: _Supervised,
+             injected: bool) -> NativeStallError:
+    """Record a watchdog kill and describe it by its last heartbeat."""
+    beats = [beat for beat in map(parse_heartbeat,
+                                  result.stderr.splitlines()) if beat]
+    beat = beats[-1] if beats else {}
+    last_filter = hot_filter(beat)
+    obs_metrics.counter("native.stall").inc()
+    obs_bus.emit_event(
+        "native.stall", binary=name, stall_timeout=stall_timeout,
+        beats=len(beats), last_iter=beat.get("iter"),
+        last_filter=last_filter, injected=injected)
+    where = f" in filter {last_filter!r}" if last_filter else ""
+    return NativeStallError(
+        f"no heartbeat within {stall_timeout:g}s "
+        f"(last beat: iteration {beat.get('iter', 'none')}"
+        f"{where}, {len(beats)} beat(s) total)"
+        + (" (injected bin-hang)" if injected else ""),
+        injected=injected)
 
 
 def parse_run_output(stdout: str, stderr: str, print_outputs: bool,
@@ -681,33 +667,30 @@ def compile_and_run(code: str, iterations: int,
                     workdir: Path | None = None,
                     name: str = "prog",
                     keep_artifacts: bool | None = None,
-                    compile_timeout: float = DEFAULT_COMPILE_TIMEOUT,
-                    run_timeout: float = DEFAULT_RUN_TIMEOUT,
                     heartbeat_ms: int | None = None,
-                    stall_timeout: float | None = None,
-                    on_heartbeat=None) -> NativeRun:
+                    stall_timeout: float | None = None) -> NativeRun:
     """Compile and run with full temp-dir lifecycle management.
 
     Auto-created workdirs are deleted on success, kept on real failures
     (the path is appended to the diagnostic) and deleted on injected
     ones; ``keep_artifacts`` (or ``REPRO_KEEP_ARTIFACTS=1``) keeps them
     unconditionally.  Caller-supplied ``workdir``s are never removed.
+    ``heartbeat_ms``/``stall_timeout`` are :func:`run_binary`'s.
     """
+    _check_watchdog(heartbeat_ms, stall_timeout)
     keep = keep_artifacts if keep_artifacts is not None \
         else default_keep_artifacts()
     owned = workdir is None
     with trace.span("native", name=name) as span:
         # compile_c applies the failure policy for the dir it creates.
         binary = compile_c(code, workdir=workdir, name=name,
-                           timeout=compile_timeout, keep_artifacts=keep)
+                           keep_artifacts=keep)
         workdir = binary.parent
         try:
             run = run_binary(binary, iterations,
                              print_outputs=print_outputs,
-                             timeout=run_timeout,
                              heartbeat_ms=heartbeat_ms,
-                             stall_timeout=stall_timeout,
-                             on_heartbeat=on_heartbeat)
+                             stall_timeout=stall_timeout)
         except NativeToolchainError as error:
             kept = _finish_workdir(workdir, owned, error, keep)
             raise _with_artifacts(error, kept) from error.__cause__

@@ -133,8 +133,7 @@ def run_native_cached(stream, iterations: int, *,
                       backend: str = "laminar-c", lowering=None, opt=None,
                       print_outputs: bool = False,
                       cflags: tuple[str, ...] = runner.DEFAULT_CFLAGS,
-                      cache: ArtifactCache | None = None,
-                      run_timeout: float = runner.DEFAULT_RUN_TIMEOUT
+                      cache: ArtifactCache | None = None
                       ) -> tuple[runner.NativeRun, bool]:
     """Run a (possibly cached) native binary; returns ``(run, hit)``.
 
@@ -144,6 +143,5 @@ def run_native_cached(stream, iterations: int, *,
     entry, hit = ensure_native(stream, backend=backend, lowering=lowering,
                                opt=opt, cflags=cflags, cache=cache)
     run = runner.run_binary(entry.binary, iterations,
-                            print_outputs=print_outputs,
-                            timeout=run_timeout)
+                            print_outputs=print_outputs)
     return run, hit

@@ -69,8 +69,9 @@ Commands
 ``run``, ``report``, ``profile`` and ``fuzz`` accept ``--event-log
 PATH`` to stream structured telemetry (events, closed spans, a final
 metrics snapshot) to a JSONL file; ``profile --native`` accepts
-``--heartbeat MS`` / ``--stall-timeout S`` for live native heartbeats
-and the stall watchdog (see ``docs/OBSERVABILITY.md``).
+``--heartbeat MS`` for live native heartbeats and, with it,
+``--stall-timeout S`` for the stall watchdog (see
+``docs/OBSERVABILITY.md``).
 
 ``run`` and ``report`` also accept ``--trace`` to print the span tree
 to stderr after the normal output.  ``run``, ``emit``, ``report`` and
@@ -512,6 +513,10 @@ def _load_target(target: str) -> CompiledStream | None:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    if args.stall_timeout is not None and args.heartbeat is None:
+        print("error: --stall-timeout needs --heartbeat: the watchdog "
+              "only watches heartbeats", file=sys.stderr)
+        return 2
     started = time.monotonic()
     was_enabled = obs_trace.is_enabled()
     obs_trace.enable()
@@ -1084,9 +1089,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "iteration)")
     profile.add_argument("--stall-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="with --native: kill the instrumented "
-                              "binary and record a native.stall event "
-                              "when no heartbeat arrives for SECONDS")
+                         help="with --native --heartbeat: kill the "
+                              "instrumented binary and record a "
+                              "native.stall event when no heartbeat "
+                              "arrives for SECONDS")
     profile.add_argument("--no-elim", action="store_true")
     profile.add_argument("--no-opt", action="store_true")
     _add_opt_arguments(profile)

@@ -106,18 +106,13 @@ class BenchmarkEvaluation:
 def evaluate_stream(name: str, stream: CompiledStream, iterations: int = 8,
                     lowering: LoweringOptions | None = None,
                     opt: OptOptions | None = None,
-                    native: bool = False,
-                    stall_timeout: float | None = None) -> BenchmarkEvaluation:
+                    native: bool = False) -> BenchmarkEvaluation:
     """Evaluate an already-compiled stream program.
 
     ``native=True`` additionally builds and times the LaminarIR C backend;
     when the toolchain fails the record degrades gracefully to
     interpreter-only results (``degraded``/``degraded_reason`` set,
     ``native_seconds`` left ``None``) instead of raising.
-    ``stall_timeout`` arms the run watchdog; the plain binary emits no
-    heartbeats, so here it acts as a *soft wall-clock deadline* (a
-    stall, with its ``native.stall`` event, rather than the blunt hard
-    timeout).  The live heartbeat path is ``profile --native``.
     """
     with trace.span("evaluate", benchmark=name, iterations=iterations):
         fifo = stream.run_fifo(iterations)
@@ -135,8 +130,7 @@ def evaluate_stream(name: str, stream: CompiledStream, iterations: int = 8,
             from repro.faults import degrade
             attempt = degrade.native_or_fallback(
                 stream.laminar_c(lowering, opt), iterations,
-                name=name, where=f"evaluate[{name}]",
-                stall_timeout=stall_timeout)
+                name=name, where=f"evaluate[{name}]")
             if attempt.degraded:
                 evaluation.degraded = True
                 evaluation.degraded_reason = attempt.reason

@@ -46,22 +46,12 @@ def record_fallback(where: str, reason: str) -> None:
 def native_or_fallback(code: str, iterations: int, *,
                        print_outputs: bool = False, name: str = "prog",
                        where: str = "native",
-                       heartbeat_ms: int | None = None,
-                       stall_timeout: float | None = None,
                        log: Callable[[str], None] | None = None
                        ) -> NativeAttempt:
-    """Run ``code`` natively, degrading to a no-result on toolchain loss.
-
-    ``heartbeat_ms``/``stall_timeout`` pass through to the runner's
-    heartbeat side channel and stall watchdog (profile builds only); a
-    stall is a :class:`NativeRunError` and propagates like any other
-    binary failure.
-    """
+    """Run ``code`` natively, degrading to a no-result on toolchain loss."""
     try:
         run = compile_and_run(code, iterations,
-                              print_outputs=print_outputs, name=name,
-                              heartbeat_ms=heartbeat_ms,
-                              stall_timeout=stall_timeout)
+                              print_outputs=print_outputs, name=name)
     except NativeCompileError as error:
         reason = str(error)
         record_fallback(where, reason)

@@ -27,8 +27,9 @@ unattributable soup.  This module gives each request its own island:
 
 Threads do **not** inherit contextvars automatically — a worker thread
 that should report into the current request must be started with
-``contextvars.copy_context().run`` (the native runner's stderr reader
-threads do exactly that, so heartbeat gauges land in the right request).
+``contextvars.copy_context().run``.  (The native runner needs no such
+thread: it supervises a binary from the calling thread, so heartbeat
+gauges land in the right request.)
 """
 
 from __future__ import annotations

@@ -90,16 +90,6 @@ class PoolExhausted(WorkerError):
     """The job failed on a fresh worker even after the retry."""
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError, OSError):
-        try:
-            proc.kill()
-        except OSError:
-            pass
-
-
 class _Worker:
     """One supervised worker process and its pipe protocol state."""
 
@@ -215,7 +205,7 @@ class _Worker:
         while self.proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
         if self.proc.poll() is None:
-            _kill_group(self.proc)
+            runner.kill_process_group(self.proc)
             self.proc.wait()
         try:
             self.proc.stdout.close()
@@ -295,15 +285,15 @@ class WorkerPool:
 
     # -- job dispatch ---------------------------------------------------------
 
-    def submit(self, job: dict, timeout: float | None = None) -> dict:
+    def submit(self, job: dict) -> dict:
         """Run one job on a worker; crash/hang → respawn + retry once.
 
-        Returns the worker's reply dict (``{"ok": true, ...}`` or a
-        structured job-level error — the caller maps those to its own
-        error model).  Raises :class:`PoolExhausted` when the job failed
-        a second time on a fresh worker.
+        Each attempt is bounded by ``job_timeout``.  Returns the worker's
+        reply dict (``{"ok": true, ...}`` or a structured job-level error
+        — the caller maps those to its own error model).  Raises
+        :class:`PoolExhausted` when the job failed a second time on a
+        fresh worker.
         """
-        deadline = timeout if timeout is not None else self.job_timeout
         plan = fault_plan.current_plan()
         last_error: WorkerError | None = None
         for attempt in range(2):
@@ -318,7 +308,7 @@ class WorkerPool:
             worker = self._checkout()
             pid = worker.pid
             try:
-                reply = worker.call(dispatch, deadline)
+                reply = worker.call(dispatch, self.job_timeout)
             except WorkerCrashed as error:
                 self._discard(worker)
                 self.crashes += 1

@@ -11,6 +11,8 @@ toolchain — not the generated program — fails.
 from __future__ import annotations
 
 import glob
+import os
+import time
 
 import pytest
 
@@ -333,6 +335,66 @@ class TestInjection:
             with pytest.raises(NativeProtocolError, match="missing"):
                 compile_and_run(code, 1)
         assert no_leaked_dirs()
+
+
+# -- real hard timeouts (no fault plan) ---------------------------------------
+
+def _process_gone(pid: int, within: float = 5.0) -> bool:
+    """True once ``pid`` no longer runs (absent, or a zombie awaiting
+    an init that does not reap)."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                state = stat.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return True
+        except OSError:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            state = "R"
+        if state in ("Z", "X"):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestRealTimeouts:
+    def test_binary_timeout_kills_the_process_group(self, tmp_path,
+                                                    monkeypatch):
+        pidfile = tmp_path / "child.pid"
+        binary = tmp_path / "wedged"
+        binary.write_text("#!/bin/sh\n"
+                          f"sleep 60 &\necho $! > {pidfile}\nwait\n")
+        binary.chmod(0o755)
+        monkeypatch.setattr(runner, "DEFAULT_RUN_TIMEOUT", 0.5)
+        started = time.monotonic()
+        with pytest.raises(NativeRunError, match="timed out") as excinfo:
+            runner.run_binary(binary, 1)
+        assert time.monotonic() - started < 10
+        assert not excinfo.value.injected
+        # The backgrounded grandchild died with its group, not just the
+        # shell that started it.
+        assert _process_gone(int(pidfile.read_text()))
+
+    def test_compiler_timeout(self, tmp_path, monkeypatch):
+        fake_bin = tmp_path / "bin"
+        fake_bin.mkdir()
+        fake_cc = fake_bin / "cc"
+        fake_cc.write_text("#!/bin/sh\nsleep 60\n")
+        fake_cc.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{fake_bin}{os.pathsep}"
+                                   f"{os.environ.get('PATH', '')}")
+        monkeypatch.setattr(runner, "DEFAULT_COMPILE_TIMEOUT", 0.5)
+        started = time.monotonic()
+        with pytest.raises(NativeCompileError, match="timed out") \
+                as excinfo:
+            runner.compile_c("int main(void){return 0;}",
+                             workdir=tmp_path / "build")
+        assert time.monotonic() - started < 10
+        assert not excinfo.value.injected
 
 
 # -- temp-dir lifecycle ------------------------------------------------------

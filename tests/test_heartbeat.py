@@ -7,9 +7,11 @@ import pytest
 from repro.backend import runner
 from repro.backend.common import C_MAIN, c_main
 from repro.backend.laminar_c import generate_laminar_c
+from repro.cli import main
 from repro.faults.plan import FaultPlan, inject
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
+from repro.obs import reqctx
 from repro.obs import trace
 from tests.conftest import requires_cc
 
@@ -106,11 +108,11 @@ class TestWatchdogInjection:
         with inject(FaultPlan.parse("bin-hang:1")):
             with pytest.raises(runner.NativeStallError,
                                match="injected-hang") as info:
-                runner.run_binary(binary, 4, stall_timeout=0.3,
-                                  timeout=30.0)
+                runner.run_binary(binary, 4, heartbeat_ms=0,
+                                  stall_timeout=0.3)
         assert info.value.injected
         assert info.value.stage == "stall"
-        # The stall fired well before the 30s hard timeout and recorded
+        # The stall fired well before the hard run timeout and recorded
         # the event + counter with the last-known filter.
         events = obs_bus.get_bus().recent_events("native.stall")
         assert len(events) == 1
@@ -122,6 +124,31 @@ class TestWatchdogInjection:
         assert snapshot["native.heartbeat.count"] == 1
 
 
+class TestWatchdogNeedsHeartbeats:
+    """Without heartbeats the watchdog could only be a second hard
+    timeout that names no hot filter, so arming it alone is an error."""
+
+    def test_run_binary_rejects_stall_timeout_alone(self, tmp_path):
+        binary = tmp_path / "prog"
+        binary.write_text("")
+        with pytest.raises(ValueError, match="heartbeat_ms"):
+            runner.run_binary(binary, 4, stall_timeout=1.0)
+
+    def test_compile_and_run_rejects_before_compiling(self, tmp_path):
+        workdir = tmp_path / "never"
+        with pytest.raises(ValueError, match="heartbeat_ms"):
+            runner.compile_and_run("int main(void){return 0;}", 4,
+                                   workdir=workdir, stall_timeout=1.0)
+        assert not workdir.exists()
+
+    def test_profile_stall_timeout_without_heartbeat_exits_2(self,
+                                                             capsys):
+        code = main(["profile", "lattice", "-n", "2", "--native",
+                     "--stall-timeout", "2"])
+        assert code == 2
+        assert "--stall-timeout needs --heartbeat" in capsys.readouterr().err
+
+
 @requires_cc
 class TestNativeHeartbeats:
     def test_profile_run_emits_live_heartbeats(self, tiny_stream,
@@ -130,14 +157,11 @@ class TestNativeHeartbeats:
         obs_metrics.registry().reset()
         code = generate_laminar_c(tiny_stream.lower().program,
                                   profile=True)
-        seen = []
         run = runner.compile_and_run(code, 4, workdir=tmp_path,
-                                     name="tiny_hb", heartbeat_ms=0,
-                                     on_heartbeat=seen.append)
+                                     name="tiny_hb", heartbeat_ms=0)
         # REPRO_HEARTBEAT_MS=0 beats every iteration plus one final
         # beat after the loop: deterministic iterations + 1.
         assert len(run.heartbeats) == 5
-        assert len(seen) >= 2
         assert run.heartbeats[-1]["iter"] == 4
         assert run.heartbeats[-1]["outputs"] == run.output_count
         names = {f["name"] for f in run.heartbeats[-1]["filters"]}
@@ -148,6 +172,26 @@ class TestNativeHeartbeats:
         gauges = [k for k in snapshot
                   if k.startswith("native.heartbeat.filter.")]
         assert gauges
+
+    def test_heartbeats_land_in_the_request_registry(self, tiny_stream,
+                                                     tmp_path):
+        # The daemon runs a binary inside the request's context: live
+        # heartbeat telemetry must be attributed to that request, not
+        # to the process-wide registry.
+        trace.enable()
+        obs_metrics.registry().reset()
+        code = generate_laminar_c(tiny_stream.lower().program,
+                                  profile=True)
+        ctx = reqctx.RequestContext()
+        with reqctx.activate(ctx):
+            run = runner.compile_and_run(code, 4, workdir=tmp_path,
+                                         name="tiny_ctx", heartbeat_ms=0)
+        assert len(run.heartbeats) == 5
+        local = ctx.registry.as_dict()
+        assert local["native.heartbeat.count"] == 5
+        assert local["native.heartbeat.iterations"] == 4
+        assert "native.heartbeat.count" not in \
+            obs_metrics.registry().as_dict()
 
     def test_heartbeats_off_by_default(self, tiny_stream, tmp_path):
         code = generate_laminar_c(tiny_stream.lower().program,
