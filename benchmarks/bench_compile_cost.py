@@ -19,8 +19,10 @@ Both stages are compared against committed baselines under
 * ``compile_cost_baseline.json`` — the current pipeline, per stage, for
   CI's regression gates: ``--check NAME [NAME...]`` re-measures just
   those benchmarks and fails if either stage's time exceeds 2x its
-  baseline, or if filterbank x4 lowers other than exactly its baseline
-  op count (deterministic, so any host can gate it).
+  baseline, if filterbank x4 lowers other than exactly its baseline
+  op count (deterministic, so any host can gate it), or if its
+  ``tracemalloc`` heap peak across lower plus optimize exceeds 1.25x
+  its baseline.
 
 A full run writes ``results/compile_cost.txt``, the raw measurements in
 ``results/compile_cost.json`` and the headline numbers in the
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -66,6 +69,15 @@ CHECK_FLOOR_S = 0.05
 # its ~80% dead firings.
 CODEGEN_SIZE_RATIO = 3.0
 _CODEGEN_SIZE_BENCH = ("filterbank", 4)
+
+# Memory gate: filterbank x4's Python heap peak across lower plus
+# optimize (tracemalloc, so independent of the allocator and of other
+# processes) may not exceed this multiple of its baseline.  The peak is
+# set by the size of an IR op and by the optimizer's per-temp tables:
+# losing any one of the slotted IR, dead-code elimination's dense
+# liveness table or re-roll's use counts breaks the gate.
+PEAK_KEY = "traced_peak_mib"
+PEAK_TOLERANCE = 1.25
 
 _SEED_BASELINE = RESULTS_DIR / "compile_cost_seed.json"
 _CURRENT_BASELINE = RESULTS_DIR / "compile_cost_baseline.json"
@@ -129,6 +141,21 @@ def measure(name: str, scale: int, full: bool = True) -> dict:
         "speedup": record.speedup(I7_2600K),
     })
     return result
+
+
+def traced_peak_mib(name: str, scale: int) -> float:
+    """Python heap peak (MiB) while lowering and optimizing one program."""
+    stream = load_benchmark(name, scale=scale)
+    opt = OptOptions()
+    tracemalloc.start()
+    try:
+        with fresh_temp_ids():
+            program = lower(stream.schedule, stream.source,
+                            demand=opt.prunes_dead_code())
+            optimize(program, opt)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def codegen_size_ratio(name: str, scale: int) -> float:
@@ -219,7 +246,9 @@ def check(names: list[str]) -> int:
     committed value: the lowering gate catches a lost firing-template
     fast path, the optimize gate a pass manager that stops paying for
     itself.  filterbank x4's lowered-op count must equal its baseline:
-    that catches lost demand-driven replay on any machine.
+    that catches lost demand-driven replay on any machine, and its
+    traced heap peak may not exceed ``PEAK_TOLERANCE`` times its
+    baseline.
     """
     baseline = _load_baseline(_CURRENT_BASELINE)
     failures = []
@@ -228,8 +257,11 @@ def check(names: list[str]) -> int:
         for scale in SCALES:
             key = f"{name}@{scale}"
             expected = baseline.get(key)
+            required = {*STAGES, "ops_lowered"}
+            if (name, scale) == _CODEGEN_SIZE_BENCH:
+                required.add(PEAK_KEY)
             if not isinstance(expected, dict) \
-                    or not {*STAGES, "ops_lowered"} <= set(expected):
+                    or not required <= set(expected):
                 print(f"compile-cost check: no baseline for {key}; "
                       f"regenerate {_CURRENT_BASELINE.name}",
                       file=sys.stderr)
@@ -261,6 +293,12 @@ def check(names: list[str]) -> int:
               f"{ratio:.2f}x (gate {CODEGEN_SIZE_RATIO:.0f}x) {status}")
         if status == "FAIL":
             failures.append(f"{bench}@{scale} codegen size")
+        peak, limit = traced_peak_mib(bench, scale), baseline[key][PEAK_KEY]
+        status = "ok" if peak <= limit * PEAK_TOLERANCE else "FAIL"
+        print(f"{key}: traced heap peak {peak:.1f} MiB (baseline "
+              f"{limit:.1f} MiB, tolerance {PEAK_TOLERANCE}x) {status}")
+        if status == "FAIL":
+            failures.append(f"{key} heap peak")
     if failures:
         print(f"compile-cost check failed for: {', '.join(failures)}",
               file=sys.stderr)
@@ -278,6 +316,9 @@ def update_baseline() -> int:
             data[f"{name}@{scale}"] = {
                 **{stage: round(result[stage], 4) for stage in STAGES},
                 "ops_lowered": result["ops_lowered"]}
+            if (name, scale) == _CODEGEN_SIZE_BENCH:
+                data[f"{name}@{scale}"][PEAK_KEY] = round(
+                    traced_peak_mib(name, scale), 1)
             print(f"{name}@{scale}: " + ", ".join(
                 f"{label} {result[stage]:.4f}s"
                 for stage, label in STAGES.items()))
@@ -311,7 +352,8 @@ def main(argv=None) -> int:
         "--check", nargs="+", metavar="NAME",
         help="CI smoke mode: measure just these benchmarks and fail on "
              f"a >{CHECK_TOLERANCE:.0f}x lowering- or optimize-time "
-             "regression or a changed filterbank x4 lowered-op count")
+             "regression, a changed filterbank x4 lowered-op count or a "
+             f">{PEAK_TOLERANCE}x filterbank x4 heap-peak regression")
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="re-measure the sweep and rewrite "

@@ -98,14 +98,14 @@ def fresh_temp_ids() -> Iterator[None]:
             _global_ids = itertools.count(max(high, next(_global_ids)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """An SSA operand: either a :class:`Const` or a :class:`Temp`."""
 
     ty: ScalarType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Value):
     value: object = 0
 
@@ -113,7 +113,7 @@ class Const(Value):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Temp(Value):
     """A named SSA value (a token or an intermediate result).
 
@@ -202,7 +202,7 @@ class Provenance:
 # -- operations -----------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Op:
     """Base class.  ``result`` is None for pure side-effect ops.
 
@@ -232,7 +232,7 @@ class Op:
         return not self.has_side_effect
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BinOp(Op):
     """Arithmetic/comparison/bitwise op.
 
@@ -257,7 +257,7 @@ class BinOp(Op):
         return f"{self.result} = {self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class UnOp(Op):
     op: str = ""  # "-", "!", "~"
     operand: Value = None  # type: ignore[assignment]
@@ -272,7 +272,7 @@ class UnOp(Op):
         return f"{self.result} = {self.op}{self.operand}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CastOp(Op):
     operand: Value = None  # type: ignore[assignment]
 
@@ -287,7 +287,7 @@ class CastOp(Op):
         return f"{self.result} = cast<{self.result.ty}>({self.operand})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SelectOp(Op):
     """If-converted conditional: ``result = cond ? then : otherwise``."""
 
@@ -310,7 +310,7 @@ class SelectOp(Op):
                 f"{self.otherwise}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CallOp(Op):
     """Intrinsic call; impure intrinsics (the RNG) are ordered effects."""
 
@@ -333,7 +333,7 @@ class CallOp(Op):
         return f"{self.result} = {self.name}({args})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LoadOp(Op):
     """Read a state slot (``index`` is None for scalar slots)."""
 
@@ -353,7 +353,7 @@ class LoadOp(Op):
         return f"{self.result} = load {self.slot.name}{idx}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class StoreOp(Op):
     slot: StateSlot = None  # type: ignore[assignment]
     index: Value | None = None
@@ -378,7 +378,7 @@ class StoreOp(Op):
         return f"store {self.slot.name}{idx}, {self.value}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MoveOp(Op):
     """A register-to-register copy.
 
@@ -401,7 +401,7 @@ class MoveOp(Op):
         return f"{self.result} = move {self.src}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LoopRegion(Op):
     """A counted loop over a re-rolled run of identical firings.
 
@@ -498,7 +498,7 @@ class LoopRegion(Op):
                 f"{{ {len(self.body)} ops }}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PrintOp(Op):
     value: Value = None  # type: ignore[assignment]
     newline: bool = True

@@ -522,6 +522,13 @@ def _ops_with_bodies(program: Program):
                 yield from op.body
 
 
+def _result_id_span(program: Program) -> tuple[int, int]:
+    """Smallest and largest result id of any section-level op."""
+    ids = [op.result.id for _title, ops in program.sections() for op in ops
+           if op.result is not None]
+    return min(ids, default=0), max(ids, default=-1)
+
+
 def _try_remove(state: FixpointState, op: Op) -> int:
     index = state.index
     if index.is_erased(op):
@@ -578,12 +585,19 @@ def eliminate_dead_code_dense(program: Program) -> int:
 
     Stores whose loads all die within this same sweep survive it; the
     indexed fixpoint DCE picks those up.
+
+    Liveness is one byte per temp id between the smallest and largest
+    section-level result id: ids are dense within a lowering (see
+    :func:`~repro.lir.ops.fresh_temp_ids`), so the table stays a few
+    hundred KiB where a set of ids took megabytes.  Only op results are
+    ever looked up, so uses of ids outside that span go unmarked.
     """
-    live: set[int] = set()
+    lo, hi = _result_id_span(program)
+    live = bytearray(hi - lo + 1)
 
     def mark(value: Value) -> None:
-        if isinstance(value, Temp):
-            live.add(value.id)
+        if isinstance(value, Temp) and lo <= value.id <= hi:
+            live[value.id - lo] = 1
 
     for value in program.carry_inits:
         mark(value)
@@ -606,14 +620,15 @@ def eliminate_dead_code_dense(program: Program) -> int:
                 removed += 1
                 continue
             needed = op.has_side_effect or (
-                op.result is not None and op.result.id in live)
+                op.result is not None and live[op.result.id - lo])
             if not needed:
                 removed += 1
                 continue
             for operand in op.operands():
                 mark(operand)
             kept_rev.append(op)
-        ops[:] = list(reversed(kept_rev))
+        kept_rev.reverse()
+        ops[:] = kept_rev
     # Drop state slots that no remaining op touches.
     used_slots = {
         op.slot.name

@@ -47,6 +47,7 @@ smaller than the unrolled run, and the dynamic op count must not blow up
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from typing import Iterable
 
 from repro.frontend.types import INT
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
@@ -216,22 +217,28 @@ def reroll_steady(program: Program, min_repeat: int = 4) -> int:
     if min_repeat < 2:
         min_repeat = 2
 
-    # Use sites over the whole program plus the carry lists, for the
+    # Use counts over the whole program plus the carry lists, for the
     # "is this result consumed outside its run?" test.
-    use_ops: dict[int, list[Op]] = {}
-    for _title, ops in program.sections():
-        for op in ops:
-            for operand in op.operands():
-                if isinstance(operand, Temp):
-                    use_ops.setdefault(operand.id, []).append(op)
+    uses = _use_counts(op for _title, ops in program.sections()
+                       for op in ops)
     carry_used = {v.id for v in list(program.carry_inits)
                   + list(program.carry_nexts) if isinstance(v, Temp)}
 
-    builder = _RegionBuilder(program, use_ops, carry_used, min_repeat)
+    builder = _RegionBuilder(program, uses, carry_used, min_repeat)
     regions = 0
     for _title, ops in program.sections():
         regions += _reroll_section(ops, builder, min_repeat)
     return regions
+
+
+def _use_counts(ops: Iterable[Op]) -> dict[int, int]:
+    """How many operand slots of ``ops`` read each temp id."""
+    uses: dict[int, int] = {}
+    for op in ops:
+        for operand in op.operands():
+            if isinstance(operand, Temp):
+                uses[operand.id] = uses.get(operand.id, 0) + 1
+    return uses
 
 
 def _reroll_section(section: list[Op], builder: _RegionBuilder,
@@ -272,11 +279,11 @@ def _reroll_section(section: list[Op], builder: _RegionBuilder,
 
 class _RegionBuilder:
     def __init__(self, program: Program,
-                 use_ops: dict[int, list[Op]], carry_used: set[int],
+                 uses: dict[int, int], carry_used: set[int],
                  min_repeat: int):
         self.program = program
         self.rewriter: _Rewriter = None  # set per section
-        self.use_ops = use_ops
+        self.uses = uses
         self.carry_used = carry_used
         self.min_repeat = min_repeat
         self.slot_names = {slot.name for slot in program.state_slots}
@@ -497,8 +504,10 @@ class _RegionBuilder:
             body.append(clone)
 
         # Scatter: results consumed outside the run survive in arrays.
+        # A result is read outside when it has more uses in the whole
+        # program than in the run, or when a carry list reads it.
         scatter_loads: list[Op] = []
-        run_set = set(map(id, run))
+        run_uses = _use_counts(run)
         for j in range(period):
             if run[j].result is None:
                 continue
@@ -506,9 +515,8 @@ class _RegionBuilder:
             for i in range(trips):
                 temp = run[i * period + j].result
                 assert temp is not None
-                outside = temp.id in self.carry_used or any(
-                    id(user) not in run_set
-                    for user in self.use_ops.get(temp.id, ()))
+                outside = temp.id in self.carry_used or \
+                    self.uses.get(temp.id, 0) > run_uses.get(temp.id, 0)
                 if outside:
                     used.append(i)
             if not used:

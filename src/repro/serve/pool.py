@@ -130,6 +130,10 @@ class _Worker:
                     line.decode("utf-8", "replace").rstrip("\n"))
         except (OSError, ValueError):
             pass
+        finally:
+            # The reader closes the pipe: closing it from another thread
+            # would block on the reader's buffer lock until EOF anyway.
+            stream.close()
 
     def alive(self) -> bool:
         return self.proc.poll() is None
@@ -211,6 +215,9 @@ class _Worker:
             self.proc.stdout.close()
         except (OSError, ValueError):
             pass
+        # The worker has exited, so the drain thread reads EOF and closes
+        # stderr.  Bounded: a stray grandchild may hold the pipe open.
+        self._stderr_thread.join(timeout=0.5)
 
 
 class WorkerPool:

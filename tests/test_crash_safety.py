@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -133,6 +135,26 @@ class TestWorkerPool:
         for pid in pids:
             with pytest.raises((ProcessLookupError, PermissionError)):
                 os.kill(pid, 0)
+
+    def test_close_releases_every_pipe(self, monkeypatch):
+        # An unclosed pipe warns from its finalizer, where the error
+        # filter turns the ResourceWarning into an unraisable exception.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            pool = WorkerPool(size=1, job_timeout=60)
+            pool.submit({"kind": "interp", "source": COUNTER_PROGRAM,
+                         "iterations": 2})
+            pool.close()
+            deadline = time.monotonic() + 3.0
+            while any(thread.name.startswith("repro-pool-stderr-")
+                      for thread in threading.enumerate()) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            del pool
+            gc.collect()
+        assert [str(record.exc_value) for record in unraisable] == []
 
     def test_job_level_compile_error_is_structured_not_a_crash(self):
         pool = WorkerPool(size=1, job_timeout=60)

@@ -7,7 +7,8 @@ from repro import compile_source
 from repro.frontend.errors import LoweringError, RateError
 from repro.lir import (BinOp, LoweringOptions, MoveOp, PrintOp, SelectOp,
                        StoreOp, lower)
-from repro.lir.ops import CallOp, LoadOp
+from repro.frontend.types import INT
+from repro.lir.ops import CallOp, Const, LoadOp, Op, Temp
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -238,3 +239,30 @@ class TestDump:
         program = demo_stream.lower().program
         text = program.dump(max_ops_per_section=2)
         assert "more)" in text
+
+
+def _concrete_op_classes():
+    pending, found = list(Op.__subclasses__()), []
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending.extend(cls.__subclasses__())
+    return found
+
+
+class TestLeanLayout:
+    """IR objects are slotted: the unrolled schedule makes hundreds of
+    thousands of them, and a per-instance ``__dict__`` would be most of
+    their size."""
+
+    def test_values_have_no_instance_dict(self):
+        for value in (Temp(INT), Const(INT, 1)):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    @pytest.mark.parametrize("cls", _concrete_op_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_ops_have_no_instance_dict(self, cls):
+        assert not hasattr(cls(result=None), "__dict__")
+
+    def test_every_op_class_is_covered(self):
+        assert len(_concrete_op_classes()) >= 10
