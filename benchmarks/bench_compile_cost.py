@@ -8,8 +8,10 @@ and reports, per stage, lowering (symbolic execution) wall time and
 LaminarIR steady-section size, generated C size for both backends, and
 the modeled speedup — showing that the win persists while the
 compile-side costs grow roughly linearly with the steady state.  It
-lowers the way ``CompiledStream.lower`` does: demand-driven, since the
-default pipeline prunes dead code.
+lowers the way ``CompiledStream.lower`` does, with
+``OptOptions.lowering_flags()``: demand-driven, since the default
+pipeline prunes dead code, and with loop regions from the schedule's
+firing runs, since it re-rolls.
 
 Both stages are compared against committed baselines under
 ``results/``:
@@ -66,7 +68,8 @@ CHECK_FLOOR_S = 0.05
 # filterbank x4 (the largest unrolled steady state in the sweep) by at
 # least this factor versus the fully-unrolled build.  The same program's
 # lowered-op count is gated exactly: demand-driven lowering leaves out
-# its ~80% dead firings.
+# its ~80% dead firings, and the loop regions formed at lowering hold
+# ~90% of the rest.
 CODEGEN_SIZE_RATIO = 3.0
 _CODEGEN_SIZE_BENCH = ("filterbank", 4)
 
@@ -110,7 +113,7 @@ def measure(name: str, scale: int, full: bool = True) -> dict:
     with fresh_temp_ids():
         start = time.perf_counter()
         program = lower(stream.schedule, stream.source,
-                        demand=opt.prunes_dead_code())
+                        **opt.lowering_flags())
         lower_seconds = time.perf_counter() - start
         ops_lowered = sum(len(ops) for _, ops in program.sections())
         opt_stats = optimize(program, opt)
@@ -151,7 +154,7 @@ def traced_peak_mib(name: str, scale: int) -> float:
     try:
         with fresh_temp_ids():
             program = lower(stream.schedule, stream.source,
-                            demand=opt.prunes_dead_code())
+                            **opt.lowering_flags())
             optimize(program, opt)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
@@ -246,7 +249,8 @@ def check(names: list[str]) -> int:
     committed value: the lowering gate catches a lost firing-template
     fast path, the optimize gate a pass manager that stops paying for
     itself.  filterbank x4's lowered-op count must equal its baseline:
-    that catches lost demand-driven replay on any machine, and its
+    that catches lost demand-driven replay or lost loop regions at
+    lowering on any machine, and its
     traced heap peak may not exceed ``PEAK_TOLERANCE`` times its
     baseline.
     """

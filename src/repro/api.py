@@ -148,9 +148,11 @@ class CompiledStream:
                 trace.span("lower", stream=self.name):
             with trace.span("lower.lir"):
                 # Firings no emitted code reads are left out only when
-                # the optimizer's dead-code pre-prune would delete them.
+                # the optimizer's dead-code pre-prune would delete them,
+                # and firing runs become loop regions only when it
+                # re-rolls.
                 program = lower(self.schedule, self.source, lowering,
-                                demand=opt.prunes_dead_code())
+                                **opt.lowering_flags())
             stats = optimize(program, opt)
             with trace.span("verify"):
                 verify(program)  # cheap invariant check after each pipeline

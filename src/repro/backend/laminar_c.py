@@ -342,7 +342,9 @@ class LaminarCBackend:
 # program: the persistent artifact cache keys on codegen_fingerprint().
 # 2: loop regions emitted as counted for-loops (restrict aliases,
 #    optional ``#pragma omp simd``) instead of fully-unrolled bodies.
-CODEGEN_VERSION = 2
+# 3: the lowering forms loop regions from the schedule's firing runs,
+#    which changes the regions (and names) a program's C carries.
+CODEGEN_VERSION = 3
 
 
 def codegen_fingerprint() -> str:

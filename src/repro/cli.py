@@ -112,6 +112,7 @@ from repro.evaluation import evaluate_stream, format_table
 from repro.faults import (FaultPlan, ResourceExhausted, ResourceLimits,
                           active_limits, inject, use_limits)
 from repro.frontend.errors import CompileError
+from repro.knobs import KNOBS, Knob, compile_options
 from repro.lir import LoweringOptions
 from repro.machine import PLATFORMS
 from repro.obs import bus as obs_bus
@@ -120,60 +121,54 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.sinks import JsonlEventSink, OPENMETRICS_CONTENT_TYPE
-from repro.opt import OptOptions, parse_pipeline
+from repro.opt import OptOptions
 from repro.suite import BENCHMARKS, benchmark_names, load_benchmark
 
 
 def _options(args: argparse.Namespace) -> tuple[LoweringOptions,
                                                 OptOptions]:
-    lowering = LoweringOptions(
-        eliminate_splitjoin=not getattr(args, "no_elim", False))
-    opt = OptOptions.none() if getattr(args, "no_opt", False) \
-        else OptOptions()
-    pipeline = getattr(args, "opt_pipeline", None)
-    if pipeline is not None:
-        # An explicit ordering wins over the boolean switches (including
-        # --no-opt): exactly these passes run, in this order.
-        opt.pipeline = pipeline
+    # An explicit --opt-pipeline wins over the boolean switches
+    # (including --no-opt): exactly those passes run, in that order.
+    lowering, opt = compile_options(
+        {knob.key: getattr(args, knob.key, None) for knob in KNOBS})
     max_rounds = getattr(args, "opt_max_rounds", None)
     if max_rounds is not None:
         opt.max_rounds = max_rounds
-    reroll = getattr(args, "reroll", None)
-    if reroll is not None:
-        opt.reroll = reroll
-    min_repeat = getattr(args, "reroll_min_repeat", None)
-    if min_repeat is not None:
-        opt.reroll_min_repeat = min_repeat
     return lowering, opt
 
 
-def _pipeline_spec(spec: str) -> tuple[str, ...]:
-    """argparse type for --opt-pipeline: validate pass names up front."""
-    try:
-        return parse_pipeline(spec)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _knob_type(knob: Knob):
+    """argparse type for a valued knob: the check the daemon runs."""
+    def parse(text: str) -> object:
+        try:
+            return knob.check(knob.text(text))
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return parse
 
 
-def _add_opt_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--opt-pipeline", type=_pipeline_spec, metavar="PASSES",
-        help="comma-separated pass ordering, e.g. "
-             "'cp,promote,fold,cse,dce' (overrides the default pipeline)")
+def _add_opt_arguments(parser: argparse.ArgumentParser,
+                       switches: bool = True) -> None:
+    """The compile knobs as flags; ``switches=False`` leaves out
+    ``--no-opt`` and ``--no-elim``."""
+    for knob in KNOBS:
+        if len(knob.flags) == 2:
+            on, off = knob.flags
+            parser.add_argument(on, dest=knob.key, action="store_true",
+                                default=None, help=knob.help[0])
+            parser.add_argument(off, dest=knob.key, action="store_false",
+                                help=knob.help[1])
+        elif knob.text is None:
+            if switches:
+                parser.add_argument(*knob.flags, dest=knob.key,
+                                    action="store_true", help=knob.help[0])
+        else:
+            parser.add_argument(*knob.flags, dest=knob.key,
+                                type=_knob_type(knob),
+                                metavar=knob.metavar, help=knob.help[0])
     parser.add_argument(
         "--opt-max-rounds", type=int, metavar="N",
         help="cap the optimizer's fixpoint rounds (default 64)")
-    parser.add_argument(
-        "--reroll", dest="reroll", action="store_true", default=None,
-        help="re-roll repeated firing runs into counted loop regions "
-             "(the default; see docs/OPTIMIZER.md)")
-    parser.add_argument(
-        "--no-reroll", dest="reroll", action="store_false",
-        help="keep the steady state fully unrolled")
-    parser.add_argument(
-        "--reroll-min-repeat", type=int, metavar="N",
-        help="minimum consecutive firings of one filter before a run "
-             "is re-rolled (default 4, floor 2)")
 
 
 def _limits_spec(spec: str) -> ResourceLimits:
@@ -226,7 +221,7 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_name(args: argparse.Namespace) -> str | None:
-    pipeline = getattr(args, "opt_pipeline", None)
+    pipeline = getattr(args, "pipeline", None)
     if pipeline:
         return ",".join(pipeline)
     if getattr(args, "no_opt", False):
@@ -1016,10 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-n", "--iterations", type=int, default=10)
     run.add_argument("--quiet", action="store_true",
                      help="suppress the output stream")
-    run.add_argument("--no-elim", action="store_true",
-                     help="disable splitter/joiner elimination")
-    run.add_argument("--no-opt", action="store_true",
-                     help="disable the optimizer")
     _add_opt_arguments(run)
     run.add_argument("--native", action="store_true",
                      help="also build and run the laminar C backend, "
@@ -1035,8 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("file")
     emit.add_argument("--form", choices=("lir", "c", "fifo-c"),
                       default="lir")
-    emit.add_argument("--no-elim", action="store_true")
-    emit.add_argument("--no-opt", action="store_true")
     _add_opt_arguments(emit)
     _add_robustness_arguments(emit)
     emit.set_defaults(func=cmd_emit)
@@ -1055,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the per-filter provenance attribution "
                              "table (ops before/after opt, steady share, "
                              "tokens moved)")
-    _add_opt_arguments(report)
+    _add_opt_arguments(report, switches=False)
     report.add_argument("--native", action="store_true",
                         help="also build and time the laminar C backend "
                              "(degrades gracefully when no toolchain is "
@@ -1093,8 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "instrumented binary and record a "
                               "native.stall event when no heartbeat "
                               "arrives for SECONDS")
-    profile.add_argument("--no-elim", action="store_true")
-    profile.add_argument("--no-opt", action="store_true")
     _add_opt_arguments(profile)
     _add_robustness_arguments(profile)
     _add_telemetry_arguments(profile)

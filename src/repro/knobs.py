@@ -1,0 +1,98 @@
+"""The compile knobs, in one table for the command line and the daemon.
+
+Each knob is a field of a serve request spec and a CLI flag (two, for an
+on/off pair).  :func:`compile_options` turns either side's values into
+the ``(LoweringOptions, OptOptions)`` pair, and a value either side may
+not take raises the same ``ValueError`` on both: the daemon answers 400
+with it, the CLI exits 2 with it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Mapping
+
+from repro.lir import LoweringOptions
+from repro.opt import OptOptions
+from repro.opt.pipeline import as_pipeline
+
+
+@dataclass(frozen=True)
+class Knob:
+    """``key`` is the spec field and the CLI's argparse dest; ``check``
+    validates a value (JSON from a spec, or ``text`` applied to a CLI
+    argument, shown as ``metavar``) and returns the one to use.  An
+    on/off flag has no ``text``; a second flag is its negation."""
+
+    key: str
+    flags: tuple[str, ...]
+    help: tuple[str, ...]
+    check: Callable[[object], object]
+    text: Callable[[str], object] | None = None
+    metavar: str | None = None
+
+
+def _pipeline(value: object) -> tuple[str, ...]:
+    try:
+        return as_pipeline(value)
+    except TypeError as error:
+        raise ValueError(str(error)) from None
+
+
+def _reroll(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("'reroll' must be a boolean")
+    return value
+
+
+def _min_repeat(value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 2:
+        raise ValueError("'reroll_min_repeat' must be an integer >= 2")
+    return value
+
+
+def _integer_text(text: str) -> object:
+    """An integer argument as an int; other text is left for the check
+    to reject with its own message."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+KNOBS = (
+    Knob("no_opt", ("--no-opt",), ("disable the optimizer",), bool),
+    Knob("no_elim", ("--no-elim",),
+         ("disable splitter/joiner elimination",), bool),
+    Knob("pipeline", ("--opt-pipeline",),
+         ("comma-separated pass ordering, e.g. 'cp,promote,fold,cse,dce' "
+          "(overrides the default pipeline)",), _pipeline, text=str,
+         metavar="PASSES"),
+    Knob("reroll", ("--reroll", "--no-reroll"),
+         ("collapse repeated firing runs into counted loop regions "
+          "(the default; see docs/OPTIMIZER.md)",
+          "keep the steady state fully unrolled"), _reroll),
+    Knob("reroll_min_repeat", ("--reroll-min-repeat",),
+         ("minimum consecutive firings of one filter before a run "
+          "becomes a loop region (default 4, at least 2)",),
+         _min_repeat, text=_integer_text, metavar="N"),
+)
+
+
+def compile_options(values: Mapping[str, object]
+                    ) -> tuple[LoweringOptions, OptOptions]:
+    """``(LoweringOptions, OptOptions)`` from knob values by key; a
+    missing or ``None`` value keeps the default.  Raises
+    ``ValueError`` on a value its knob does not take."""
+    knobs = {knob.key: knob.check(values[knob.key]) for knob in KNOBS
+             if values.get(knob.key) is not None}
+    opt = OptOptions.none() if knobs.get("no_opt") else OptOptions()
+    if "pipeline" in knobs:
+        opt.pipeline = knobs["pipeline"]
+    if "reroll" in knobs:
+        opt.reroll = knobs["reroll"]
+    if "reroll_min_repeat" in knobs:
+        opt.reroll_min_repeat = knobs["reroll_min_repeat"]
+    lowering = LoweringOptions(
+        eliminate_splitjoin=not knobs.get("no_elim", False))
+    return lowering, opt

@@ -242,6 +242,10 @@ class ProgramIndex:
 
         for op in affected:
             op.map_operands(swap)
+            if isinstance(op, LoopRegion):
+                # A carry's next value may be a body result, which
+                # map_operands (outer operands only) leaves alone.
+                op.carry_nexts = [swap(value) for value in op.carry_nexts]
         if isinstance(new, Temp) and affected:
             bucket = self._uses.setdefault(new.id, {})
             for op in affected:

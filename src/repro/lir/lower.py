@@ -18,6 +18,12 @@ queues as pending values, and it is replayed — into the position it
 fired at — only once code that is emitted reads one of them.  The
 queues tell at compile time which tokens nobody reads, so the firings
 that only compute those emit nothing (docs/LOWERING.md §2c).
+
+Lowered with loop regions (``lower(..., region_min_repeat=K)``), each
+run of ``K`` or more consecutive firings that replayed one firing
+template — and emitted code — becomes one counted
+:class:`~repro.lir.ops.LoopRegion` when its section ends: the template
+replayed once over trip-indexed inputs (docs/LOWERING.md §4b).
 """
 
 from __future__ import annotations
@@ -38,10 +44,12 @@ from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
 from repro.lir import template as firing_template
-from repro.lir.ops import (Const, MoveOp, Op, PrintOp, StateSlot, Temp,
-                           Value, const_bool, const_float, const_int,
-                           reserve_temp_ids, reserved_temp_ids)
+from repro.lir.ops import (Const, LoadOp, LoopRegion, MoveOp, Op, PrintOp,
+                           StateSlot, Temp, Value, const_bool, const_float,
+                           const_int, reserve_temp_ids, reserved_temp_ids,
+                           wrap_i32)
 from repro.lir.program import Program
+from repro.lir.regions import RegionAssembly, SlotAllocator, value_key
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks)
 from repro.lir.template import FiringTemplate
 from repro.frontend.types import ArrayType, Type
@@ -87,8 +95,9 @@ class _Deferred:
     It keeps what a replay needs (its template and inputs, the actor and
     phase its ops are stamped with), the position in its section it
     fired at, and the block of temp ids its replay will mint.  Forced,
-    it holds the replay's ops and outputs; dropped at the end of its
-    section unforced, it holds neither.
+    it holds the replay's ops and outputs (and, when the lowering forms
+    loop regions, keeps its template and resolved inputs); dropped at
+    the end of its section unforced, it holds neither.
     """
 
     __slots__ = ("template", "inputs", "actor", "phase", "position",
@@ -107,6 +116,25 @@ class _Deferred:
         self.ops: list[Op] | None = None
 
 
+class _Replayed:
+    """A firing replayed where it fired, noted so that its section's end
+    can collapse it into a loop region: its template, its inputs and
+    outputs (the pushes, then the exits) and its ops' place in the
+    section's block."""
+
+    __slots__ = ("template", "inputs", "actor", "outputs", "position",
+                 "count")
+
+    def __init__(self, template: FiringTemplate, inputs: list, actor: str,
+                 outputs: list, position: int, count: int):
+        self.template: FiringTemplate | None = template
+        self.inputs: list | None = inputs
+        self.actor = actor
+        self.outputs = outputs
+        self.position = position
+        self.count = count
+
+
 class _Pending:
     """Output ``index`` (a push, or a field's value at exit) of a
     deferred firing; ``const`` when its replay will compute a constant."""
@@ -117,6 +145,32 @@ class _Pending:
         self.firing = firing
         self.index = index
         self.const = const
+
+
+def _promotable_load(op: Op) -> bool:
+    """A load of a scalar, or of an array element at a constant index."""
+    return op.__class__ is LoadOp and (op.index is None
+                                       or op.index.__class__ is Const)
+
+
+def _column_value(assembly: RegionAssembly, column: list[Value]) -> Value:
+    """The body value that takes ``column[trip]`` in each trip."""
+    head = column[0]
+    # A temp is equal only to itself; equal constants may be distinct
+    # objects.
+    if head.__class__ is Temp:
+        if all(value is head for value in column):
+            return head
+    elif all(value.__class__ is Const for value in column):
+        key = value_key(head)
+        if all(value_key(value) == key for value in column):
+            return head
+    if head.ty == INT and all(value.__class__ is Const for value in column):
+        stride = wrap_i32(column[1].value - head.value)
+        if all(value.value == wrap_i32(head.value + stride * trip)
+               for trip, value in enumerate(column)):
+            return assembly.affine(head.value, stride)
+    return assembly.gather(column)
 
 
 def _sanitize(name: str) -> str:
@@ -228,7 +282,8 @@ class _RecordingHooks(_FilterHooks):
 class Lowerer:
     def __init__(self, schedule: Schedule, source: str = "",
                  options: LoweringOptions | None = None, *,
-                 demand: bool = False):
+                 demand: bool = False,
+                 region_min_repeat: int | None = None):
         self.schedule = schedule
         self.graph: FlatGraph = schedule.graph
         self.source = source
@@ -263,9 +318,15 @@ class Lowerer:
         # section's deferred firings spliced in at its end.
         self.demand = demand
         self._phase = "setup"
-        self._deferred: list[_Deferred] = []
+        # The section's deferred firings, and with regions on also the
+        # ones replayed in place, in the order they fired.
+        self._fired: list[_Deferred | _Replayed] = []
         self.firings_deferred = 0
         self.firings_dropped = 0
+        # Loop regions from runs of one template's firings.
+        self.region_min_repeat = region_min_repeat
+        self._slots = SlotAllocator(self.program)
+        self.regions_formed = 0
 
     def queue_of(self, channel: Channel | None) -> deque[Value]:
         assert channel is not None
@@ -321,13 +382,16 @@ class Lowerer:
         self._end_section()
 
         self.program.prints_per_iteration = sum(
-            1 for op in self.program.steady if isinstance(op, PrintOp))
+            op.trips * sum(isinstance(inner, PrintOp) for inner in op.body)
+            if isinstance(op, LoopRegion) else isinstance(op, PrintOp)
+            for op in self.program.steady)
         trace.current_span().annotate(
             templates_built=self.templates_built,
             firings_replayed=self.firings_replayed,
             firings_fallback=self.firings_fallback,
             firings_deferred=self.firings_deferred,
-            firings_dropped=self.firings_dropped)
+            firings_dropped=self.firings_dropped,
+            regions=self.regions_formed)
         return self.program
 
     # -- demand-driven replay ----------------------------------------------
@@ -339,24 +403,169 @@ class Lowerer:
 
     def _end_section(self) -> None:
         """Splice the forced firings' ops in where they fired; the
-        others are dropped.  Nothing reads a value of this section's
-        firings later: the carries took the queues' tokens, and the
-        field caches are invalidated at the boundary."""
+        others are dropped.  Then collapse runs of firings into loop
+        regions.  Nothing reads a value of this section's firings later:
+        the carries took the queues' tokens, and the field caches are
+        invalidated at the boundary."""
         block = self.emitter.block
         spliced: list[Op] = []
+        # (firing, start, end) of each firing that emitted ops, in the
+        # spliced block.
+        spans: list[tuple[_Deferred | _Replayed, int, int]] = []
         start = 0
-        for firing in self._deferred:
-            if firing.ops is None:
+        for firing in self._fired:
+            if firing.__class__ is _Replayed:
+                ops = block[firing.position:firing.position + firing.count]
+                end = firing.position + firing.count
+            elif firing.ops is None:
                 self.firings_dropped += 1
-            elif firing.ops:
-                spliced.extend(block[start:firing.position])
-                spliced.extend(firing.ops)
-                start = firing.position
-            firing.template = firing.inputs = firing.ops = None
-        if spliced:
+                continue
+            else:
+                ops, end = firing.ops, firing.position
+            spliced.extend(block[start:firing.position])
+            start = end
+            if ops:
+                spans.append((firing, len(spliced),
+                              len(spliced) + len(ops)))
+                spliced.extend(ops)
+        if self._fired:
             spliced.extend(block[start:])
             block[:] = spliced
-        self._deferred = []
+        if spans and self.region_min_repeat is not None:
+            self._form_regions(block, spans)
+        for firing in self._fired:
+            if firing.__class__ is _Deferred:
+                firing.template = firing.inputs = firing.ops = None
+        self._fired = []
+
+    # -- loop regions -----------------------------------------------------
+
+    def _form_regions(self, block: list[Op], spans: list) -> None:
+        """Collapse each run of ``region_min_repeat`` or more adjacent
+        firings of one template into a loop region, in place in
+        ``block``.  Left to the re-roll pass: a template that stores
+        filter state, which that pass sees promoted to values, and one
+        that is itself a loop, whose finer period that pass finds."""
+        min_repeat = max(2, self.region_min_repeat)
+        # Where each firing output is last read; the carry lists read
+        # after the block.  Nothing else a firing computes is read
+        # outside it.
+        last_read = {value.id: -1 for firing, _, _ in spans
+                     for value in firing.outputs if value.__class__ is Temp}
+        for position, op in enumerate(block):
+            for operand in op.operands():
+                if operand.__class__ is Temp and operand.id in last_read:
+                    last_read[operand.id] = position
+        for value in self.program.carry_inits + self.program.carry_nexts:
+            if value.__class__ is Temp and value.id in last_read:
+                last_read[value.id] = len(block)
+        # Scatter loads of this section's regions, which later regions
+        # chain onto.
+        scatter_defs: dict[int, Op] = {}
+        out: list[Op] = []
+        cursor = 0
+        first = 0
+        while first < len(spans):
+            template = spans[first][0].template
+            last = first + 1
+            while last < len(spans) \
+                    and spans[last][0].template is template \
+                    and spans[last][1] == spans[last - 1][2]:
+                last += 1
+            run = spans[first:last]
+            first = last
+            if len(run) < min_repeat or template.stores \
+                    or template.loops:
+                continue
+            replacement = self._collapse(block, run, min_repeat, last_read,
+                                         scatter_defs)
+            if replacement is None:
+                continue
+            out.extend(block[cursor:run[0][1]])
+            out.extend(replacement)
+            cursor = run[-1][2]
+            self.regions_formed += 1
+            for op in replacement:
+                if op.__class__ is LoadOp:
+                    scatter_defs[op.result.id] = op
+        if cursor:
+            out.extend(block[cursor:])
+            block[:] = out
+
+    def _collapse(self, block: list[Op], run: list, min_repeat: int,
+                  last_read: dict[int, int],
+                  scatter_defs: dict[int, Op]) -> list[Op] | None:
+        """The ops replacing ``run`` — gather stores, the region, scatter
+        loads — or ``None`` when no region over it pays.  Tries 1, 2,
+        4, ... firings per trip."""
+        firings = [firing for firing, _, _ in run]
+        start, end = run[0][1], run[-1][2]
+        # Loads of a filter's own state leave with promotion, so they
+        # are not counted against the region.
+        defined: set[int] = set()
+        length = 0
+        for op in block[start:end]:
+            length += not _promotable_load(op)
+            if op.result is not None:
+                defined.add(op.result.id)
+        # The inputs must all come from before the run; the outputs it
+        # computes that are read after it escape.
+        for firing in firings:
+            for value in firing.inputs:
+                if value.__class__ is Temp and value.id in defined:
+                    return None
+        escaping = {value.id for firing in firings
+                    for value in firing.outputs
+                    if value.__class__ is Temp and value.id in defined
+                    and last_read[value.id] >= end}
+        per_trip = 1
+        while len(firings) // per_trip >= min_repeat:
+            if len(firings) % per_trip == 0:
+                built = self._build_region(firings, per_trip, block[start],
+                                           length, escaping, scatter_defs)
+                if built is not None:
+                    return built
+            per_trip *= 2
+        return None
+
+    def _build_region(self, firings: list, per_trip: int, first: Op,
+                      length: int, escaping: set[int],
+                      scatter_defs: dict[int, Op]) -> list[Op] | None:
+        """A region doing ``per_trip`` of ``firings`` per trip, or
+        ``None`` when it does not pay."""
+        trips = len(firings) // per_trip
+        template = firings[0].template
+        assembly = RegionAssembly(self._slots, trips, (first.prov[0],),
+                                  scatter_defs.get, lambda *_: True)
+        body: list[Op] = []
+        results: list[list[Value | None]] = []
+        for j in range(per_trip):
+            trip_firings = firings[j::per_trip]
+            inputs = [_column_value(assembly,
+                                    [firing.inputs[p]
+                                     for firing in trip_firings])
+                      for p in range(len(firings[0].inputs))]
+            with self.emitter.redirected(body, firings[0].actor, "filter",
+                                         self._phase):
+                pushed, exits = template.replay(self.emitter, inputs,
+                                                self.source)
+            results.append(pushed + exits)
+        rebound: set[int] = set()
+        for j, outputs in enumerate(results):
+            trip_firings = firings[j::per_trip]
+            for index, value in enumerate(outputs):
+                rebind = []
+                for trip, firing in enumerate(trip_firings):
+                    temp = firing.outputs[index]
+                    if temp.__class__ is Temp and temp.id in escaping \
+                            and temp.id not in rebound:
+                        rebound.add(temp.id)
+                        rebind.append((trip, temp))
+                if rebind:
+                    assert value.__class__ is Temp
+                    assembly.scatter(value, rebind)
+        free = sum(_promotable_load(op) for op in body)
+        return assembly.finish(body, length, free=free)
 
     def _defer(self, vertex: FilterVertex, template: FiringTemplate,
                inputs: list) -> list:
@@ -374,7 +583,7 @@ class Lowerer:
             temps, const_outputs = template.fold_profile(const_inputs)
             firing = _Deferred(template, inputs, vertex.filter.name,
                                self._phase, len(self.emitter.block), temps)
-            self._deferred.append(firing)
+            self._fired.append(firing)
             self.firings_deferred += 1
         else:
             self.firings_replayed += 1
@@ -428,7 +637,10 @@ class Lowerer:
             self.firings_replayed += 1
             top.outputs = pushed + exits
             top.ops = ops
-            top.template = top.inputs = None
+            if self.region_min_repeat is None:
+                top.template = top.inputs = None
+            else:
+                top.inputs = inputs
 
     # -- filters ------------------------------------------------------------------
 
@@ -542,10 +754,15 @@ class Lowerer:
             pushed = outputs[:len(template.pushes)]
             exits = outputs[len(template.pushes):]
         else:
-            pushed, exits = template.replay(
-                self.emitter, [self.resolve(value) for value in inputs],
-                self.source)
+            resolved = [self.resolve(value) for value in inputs]
+            position = len(self.emitter.block)
+            pushed, exits = template.replay(self.emitter, resolved,
+                                            self.source)
             self.firings_replayed += 1
+            if self.region_min_repeat is not None:
+                self._fired.append(_Replayed(
+                    template, resolved, vertex.filter.name, pushed + exits,
+                    position, len(self.emitter.block) - position))
         for (name, _), value in zip(template.exits, exits):
             fields[name].cached = value
         if pushed:
@@ -658,12 +875,19 @@ def _collector_paused() -> Iterator[None]:
 
 def lower(schedule: Schedule, source: str = "",
           options: LoweringOptions | None = None, *,
-          demand: bool = False) -> Program:
+          demand: bool = False,
+          region_min_repeat: int | None = None) -> Program:
     """Lower a scheduled flat graph to a LaminarIR program.
 
     ``demand=True`` leaves out the pure firings whose outputs no emitted
     code reads: the program is the eager one minus ops that dead-code
     elimination deletes, so use it only when that pass runs after.
+    ``region_min_repeat=K`` collapses runs of ``K`` or more firings of
+    one template into loop regions, whose coefficient-table loads only
+    state promotion turns back into constants.
+    :meth:`repro.opt.OptOptions.lowering_flags` gives both for a
+    pipeline.
     """
     with _collector_paused():
-        return Lowerer(schedule, source, options, demand=demand).lower()
+        return Lowerer(schedule, source, options, demand=demand,
+                       region_min_repeat=region_min_repeat).lower()

@@ -46,6 +46,7 @@ from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, PrintOp,
                            StateSlot, StoreOp, Temp, UnOp, Value,
                            fresh_temp_ids)
+from repro.lir.regions import value_key
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks,
                                check_const_bounds)
 
@@ -116,6 +117,12 @@ class FiringTemplate:
     exits: list[tuple[str, int | None]]
     end_line: int | None
     deferrable: bool = False
+    # Whether a replay stores to filter state (a written field, an
+    # array element).
+    stores: bool = False
+    # Whether the steps are a loop: copies of one shorter unit (see
+    # _repeats_unit).
+    loops: bool = False
     # fold_profile's answers, by constant-input mask.
     _profiles: dict = field(default_factory=dict, repr=False)
 
@@ -243,6 +250,61 @@ def _deferrable(op, note: object) -> bool:
     return isinstance(op, UnOp)
 
 
+def _step_shape(step: tuple) -> tuple[tuple, tuple]:
+    """A step without its source line: what it does, and the value
+    slots it reads."""
+    kind = step[0]
+    if kind == _BINOP:
+        return (kind, step[2], step[5]), (step[3], step[4])
+    if kind == _UNOP:
+        return (kind, step[2], step[4]), (step[3],)
+    if kind in (_CAST, _COERCE):
+        return (kind, step[2]), (step[3],)
+    if kind == _CALL:
+        return (kind, step[2], step[4], step[5]), step[3]
+    if kind == _LOAD:
+        return (kind, id(step[2])), (step[3],)
+    if kind == _STORE:
+        return (kind, id(step[2])), (step[3], step[5])
+    return (kind, step[2]), (step[3],)
+
+
+def _repeats_unit(steps: list[tuple], inputs: int,
+                  consts: list[Value]) -> bool:
+    """Whether ``steps`` are two or more copies of one unit, each copy
+    reading the same inputs and constant values as the one before, or
+    its own results where the one before read its own.  Such a firing
+    is itself a loop, and the repetition re-roll finds inside it is
+    finer than one firing per trip.  ``inputs`` counts the value slots
+    before the constants."""
+    base = inputs + len(consts)
+
+    def key(slot: int | None) -> tuple | None:
+        if slot is None or slot < inputs:
+            return ("in", slot)
+        if slot < base:
+            return ("const", value_key(consts[slot - inputs]))
+        return ("result", slot - base)
+
+    shapes = []
+    for step in steps:
+        shape, reads = _step_shape(step)
+        shapes.append((shape, [key(slot) for slot in reads]))
+    for unit in range(1, len(steps) // 2 + 1):
+        if len(steps) % unit:
+            continue
+        shift = sum(step[0] not in (_STORE, _PRINT)
+                    for step in steps[:unit])
+        if all(shapes[k][0] == shapes[k - unit][0]
+               and all(read == (prior if prior[0] != "result"
+                                else ("result", prior[1] + shift))
+                       for read, prior in zip(shapes[k][1],
+                                              shapes[k - unit][1]))
+               for k in range(unit, len(steps))):
+            return True
+    return False
+
+
 def record(executor: BodyExecutor, block: ast.Block,
            make_hooks: Callable[[Emitter], TokenHooks]
            ) -> FiringTemplate | None:
@@ -352,4 +414,7 @@ def record(executor: BodyExecutor, block: ast.Block,
         pushes=[slot(value) for value in hooks.pushed],  # type: ignore
         exits=[(name, slot(value)) for name, value in exit_values],
         end_line=recorder._line if block.stmts else None,
-        deferrable=deferrable)
+        deferrable=deferrable,
+        stores=any(step[0] == _STORE for step in steps),
+        loops=_repeats_unit(steps, len(hooks.tokens) + len(cached),
+                            consts))

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.faults import limits as faults_limits
 from repro.faults import plan as fault_plan
 from repro.lir.analysis import ProgramIndex
+from repro.lir.ops import LoopRegion
 from repro.lir.program import Program
 from repro.lir.verify import verify_index
 from repro.obs import metrics as obs_metrics
@@ -104,6 +105,23 @@ def parse_pipeline(spec: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def as_pipeline(value: object) -> tuple[str, ...]:
+    """Canonical pass names from a spec string or an iterable of names.
+
+    Raises ``ValueError`` on an unknown pass and ``TypeError`` on a
+    value that is neither.
+    """
+    if isinstance(value, str):
+        return parse_pipeline(value)
+    try:
+        spec = ",".join(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise TypeError(
+            "OptOptions.pipeline must be a string or an "
+            f"iterable of pass names, got {value!r}") from None
+    return parse_pipeline(spec)
+
+
 @dataclass
 class OptOptions:
     copy_propagation: bool = True
@@ -136,16 +154,7 @@ class OptOptions:
         # --opt-pipeline type raises instead of a late TypeError deep in
         # the lowering cache.
         if name == "pipeline" and value is not None:
-            if isinstance(value, str):
-                value = parse_pipeline(value)
-            else:
-                try:
-                    spec = ",".join(value)  # type: ignore[arg-type]
-                except TypeError:
-                    raise TypeError(
-                        "OptOptions.pipeline must be a string or an "
-                        f"iterable of pass names, got {value!r}") from None
-                value = parse_pipeline(spec)
+            value = as_pipeline(value)
         super().__setattr__(name, value)
 
     @classmethod
@@ -164,10 +173,23 @@ class OptOptions:
         """Whether the pipeline begins with the dense dead-code pre-prune.
 
         Demand-driven lowering omits exactly code that pass deletes, so
-        ``CompiledStream.lower`` asks this before lowering that way.
+        :meth:`lowering_flags` asks this before lowering that way.
         """
         return "dead_code_elimination" in self.resolved_pipeline() \
             and self.round_cap() > 0
+
+    def lowering_flags(self) -> dict[str, object]:
+        """The lowering's keyword flags for this pipeline.
+
+        ``demand``: lower demand-driven when the dead-code pre-prune
+        would delete what that leaves out.  ``region_min_repeat``: form
+        loop regions from the schedule's firing runs when the pipeline
+        re-rolls, with re-roll's minimum repeat count (else ``None``).
+        """
+        rerolls = "reroll_steady" in self.resolved_pipeline()
+        return {"demand": self.prunes_dead_code(),
+                "region_min_repeat":
+                    max(2, self.reroll_min_repeat) if rerolls else None}
 
     def resolved_pipeline(self) -> tuple[str, ...]:
         if self.pipeline is not None:
@@ -213,6 +235,9 @@ class OptStats:
     ops_after: dict[str, int] = field(default_factory=dict)
     moves_propagated: int = 0
     slots_promoted: int = 0
+    # Loop regions formed: those the program arrived with (the lowering
+    # forms them from the schedule's firing runs) plus the re-roll
+    # pass's.
     regions_rerolled: int = 0
     ops_folded: int = 0
     carries_specialized: int = 0
@@ -255,7 +280,11 @@ class PassManager:
     def __init__(self, program: Program, options: OptOptions):
         self.program = program
         self.options = options
-        self.stats = OptStats(ops_before=_section_sizes(program))
+        self.stats = OptStats(
+            ops_before=_section_sizes(program),
+            regions_rerolled=sum(op.__class__ is LoopRegion
+                                 for _title, ops in program.sections()
+                                 for op in ops))
         self.index: ProgramIndex | None = None
         self.state: FixpointState | None = None
         self._pass_stats: dict[str, PassStat] = {}

@@ -12,7 +12,10 @@ explicit ``load``/``store`` on a named slot, the classic LLVM promotions
 * elements only written during setup/init feed their last stored value
   directly into later uses — for constant coefficient tables this folds
   filter arithmetic down to constants, which is exactly the paper's
-  "partial results computed at compile time" effect on static input.
+  "partial results computed at compile time" effect on static input;
+* a loop region's body may read a promoted slot at constant indices
+  (a filter's coefficient table, read by every trip): each such load
+  becomes the element's value where the region starts.
 
 This pass models what LLVM does to the generated C; running it on the IR
 makes the effect measurable in interpreter op counts.
@@ -55,15 +58,18 @@ def _classify(program: Program,
     for title, ops in program.sections():
         for op in ops:
             if isinstance(op, LoopRegion):
-                # Region bodies index their gather/scatter slots by the
-                # trip counter; the promotion sweep never descends into
-                # a body, so anything a body touches must stay a slot.
-                for slot in op.body_slot_loads():
-                    promotable.discard(slot.name)
-                for slot in op.body_slot_stores():
-                    promotable.discard(slot.name)
-                    if title == "steady":
-                        steady_stored.add(slot.name)
+                # A body may read an element at a constant index, which
+                # the sweep rewrites to the element's value on entry
+                # (the body does not store it).  Any other access —
+                # indexed by the trip counter, or a store — keeps the
+                # slot in memory.
+                for inner in op.body:
+                    if isinstance(inner, StoreOp):
+                        promotable.discard(inner.slot.name)
+                    elif isinstance(inner, LoadOp) \
+                            and inner.index is not None \
+                            and not isinstance(inner.index, Const):
+                        promotable.discard(inner.slot.name)
                 continue
             if not isinstance(op, (LoadOp, StoreOp)):
                 continue
@@ -107,9 +113,28 @@ def promote_state(program: Program,
         assert isinstance(index, Const) and isinstance(index.value, int)
         return index.value
 
+    def sweep_body(region: LoopRegion) -> None:
+        # Promoted loads leave the body first, so that mapping the
+        # region's outer operands reaches the uses of their results.
+        kept: list[Op] = []
+        for op in region.body:
+            if isinstance(op, LoadOp) and op.slot.name in promotable:
+                element = element_index(op)
+                if 0 <= element < len(current[op.slot.name]):
+                    assert op.result is not None
+                    subst[op.result] = current[op.slot.name][element]
+                    continue
+            kept.append(op)
+        region.body[:] = kept
+        region.map_operands(resolve)
+
     def sweep(ops: list[Op]) -> None:
         kept: list[Op] = []
         for op in ops:
+            if isinstance(op, LoopRegion):
+                sweep_body(op)
+                kept.append(op)
+                continue
             op.map_operands(resolve)
             if isinstance(op, (LoadOp, StoreOp)) \
                     and op.slot.name in promotable:

@@ -1,9 +1,13 @@
 """Re-roll the unrolled steady state into counted :class:`LoopRegion`\\ s.
 
 Full unrolling is what gives LaminarIR direct token naming, but a large
-steady schedule repeats the *same* filter body hundreds of times.  This
-pass detects those repeats — consecutive runs of ops stamped with the
-same filter provenance (PR 4) — fingerprints them for a structural
+schedule repeats the *same* filter body many times.  The lowering
+already collapses runs of firings that replayed one firing template
+(:mod:`repro.lir.lower`); this pass finds the repetition the schedule
+does not state: periods inside a single firing (a source's unrolled
+loop), untemplated bodies, runs the lowering declined, and any program
+lowered without regions.  It scans consecutive runs of ops stamped with
+the same filter provenance, fingerprints them for a structural
 period, and collapses ``K >= min_repeat`` repeats into one
 :class:`LoopRegion` executed ``K`` times.
 
@@ -19,52 +23,33 @@ how the value varies:
 * **affine** — int constants in arithmetic progression: rematerialized
   as ``base + stride * trip`` (bit-exact under i32 wraparound; float
   progressions are never folded this way);
-* **gather** — anything else defined before the run: spilled to a fresh
-  gather array indexed ``trip + offset``.  Overlapping peek windows are
-  packed into one shared array, and a gather whose values are themselves
-  constant-indexed loads of a single array (e.g. an upstream region's
-  scatter array) is *chained*: the body loads that array directly at
-  ``base + stride * trip`` and no copy is materialized.
+* **gather** — anything else defined before the run: chained onto an
+  array it was loaded from, or packed into a gather array.
 
-Results consumed outside the run are *scattered*: the body stores every
-trip's value to a fresh array at ``trip``, and constant-index loads
-after the region rebind the original temps (so downstream ops — and the
-program carry lists — are untouched).  Downstream runs then chain on
-those arrays, which is how back-to-back filter runs turn into
-array-to-array loop nests with no per-token temps left in between.
+Results consumed outside the run are *scattered*.  Gathering, chaining,
+scattering and the profitability test are
+:class:`repro.lir.regions.RegionAssembly`'s, shared with the lowering.
 
 Token indices are plain ``base + stride * trip`` — never modulo — so the
 emitted C stays scalar-replaceable and autovectorizable; bodies with no
 carries and no ordered effects are marked ``parallel`` for
 ``#pragma omp simd``.
-
-A run is only rewritten when it *shrinks*: the static op count of the
-replacement (gather stores + body + scatter loads + the region) must be
-smaller than the unrolled run, and the dynamic op count must not blow up
-(re-rolling is a size/compile-time optimization first).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable
 
 from repro.frontend.types import INT
-from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
-                           MoveOp, Op, PrintOp, Provenance, SelectOp,
-                           StateSlot, StoreOp, Temp, Value, const_int,
-                           wrap_i32)
+from repro.lir.ops import (BinOp, CallOp, Const, LoadOp, LoopRegion,
+                           MoveOp, Op, PrintOp, StateSlot, StoreOp, Temp,
+                           Value, const_int, wrap_i32)
 from repro.lir.program import Program
+from repro.lir.regions import (RegionAssembly, SlotAllocator, profitable,
+                               strided_loads, value_key)
 
 __all__ = ["reroll_steady"]
-
-
-def _value_key(value: Value) -> tuple:
-    if isinstance(value, Temp):
-        return ("t", value.id)
-    assert isinstance(value, Const)
-    return ("c", str(value.ty), type(value.value).__name__,
-            repr(value.value))
 
 
 def _shape_key(op: Op) -> tuple:
@@ -121,64 +106,6 @@ class _Affine:
 @dataclass
 class _Gather:
     values: list[Value]
-    ty: object
-
-
-@dataclass
-class _GatherArray:
-    """A shared gather array under construction (stride-1 packing)."""
-
-    values: list[Value] = field(default_factory=list)
-    keys: list[tuple] = field(default_factory=list)
-    positions: dict[tuple, list[int]] = field(default_factory=dict)
-    recs: list[dict] = field(default_factory=list)  # {"offset": int, ...}
-
-    def append(self, value: Value) -> None:
-        key = _value_key(value)
-        self.positions.setdefault(key, []).append(len(self.values))
-        self.values.append(value)
-        self.keys.append(key)
-
-    def prepend(self, values: list[Value], keys: list[tuple]) -> None:
-        shift = len(values)
-        self.values[:0] = values
-        self.keys[:0] = keys
-        self.positions = {}
-        for position, key in enumerate(self.keys):
-            self.positions.setdefault(key, []).append(position)
-        for rec in self.recs:
-            rec["offset"] += shift
-
-    def try_align(self, vals: list[Value],
-                  keys: list[tuple]) -> int | None:
-        """Find offset ``o`` with ``vals[i] == self.values[o+i]`` on the
-        overlap, extending either end; returns the final offset.
-        ``keys`` is the caller-precomputed ``_value_key`` list for
-        ``vals`` — one gather probes many arrays, so keying once
-        outside keeps this probe cheap."""
-        candidates: list[int] = list(self.positions.get(keys[0], ()))
-        head = self.keys[0]
-        for d in range(1, len(vals)):
-            if keys[d] == head:
-                candidates.append(-d)
-        for o in candidates:
-            ok = True
-            for i, key in enumerate(keys):
-                p = o + i
-                if 0 <= p < len(self.keys):
-                    if self.keys[p] != key:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if o < 0:
-                self.prepend(vals[:-o], keys[:-o])
-                o = 0
-            tail = o + len(vals) - len(self.values)
-            for i in range(len(vals) - tail, len(vals)):
-                self.append(vals[i])
-            return o
-        return None
 
 
 class _Rewriter:
@@ -189,19 +116,108 @@ class _Rewriter:
         self.def_pos: dict[int, int] = {}
         self.def_op: dict[int, Op] = {}
         self.last_store: dict[str, int] = {}
+        # Slots stored only at constant indices, each index once:
+        # index -> the value stored.
+        self.const_stores: dict[str, dict[int, Value]] = {}
+        self.other_stores: set[str] = set()
 
     def append(self, op: Op) -> None:
         position = len(self.new_steady)
         self.new_steady.append(op)
         if isinstance(op, LoopRegion):
+            _forward_gathers(op, self)
             for slot in op.body_slot_stores():
                 self.last_store[slot.name] = position
+                self.other_stores.add(slot.name)
             return
         if op.result is not None:
             self.def_pos[op.result.id] = position
             self.def_op[op.result.id] = op
         if isinstance(op, StoreOp):
-            self.last_store[op.slot.name] = position
+            name = op.slot.name
+            self.last_store[name] = position
+            stores = self.const_stores.setdefault(name, {})
+            if isinstance(op.index, Const) and op.index.value not in stores:
+                stores[op.index.value] = op.value
+            else:
+                self.other_stores.add(name)
+
+    def strided_source(self, slot: StateSlot, stored: set[str]
+                       ) -> tuple[StateSlot, int, int] | None:
+        """``(source, base, stride)`` when every element ``k`` of ``slot``
+        was stored from a load of ``source[base + stride * k]`` that
+        nothing stored since; ``stored`` names slots stored after."""
+        values = self.const_stores.get(slot.name)
+        if slot.name in self.other_stores or values is None \
+                or sorted(values) != list(range(slot.size or 0)):
+            return None
+        loads = [self.def_op.get(value.id) if isinstance(value, Temp)
+                 else None for _, value in sorted(values.items())]
+        if not all(isinstance(load, LoadOp)
+                   and isinstance(load.index, Const) for load in loads):
+            return None
+        source = loads[0].slot
+        base = loads[0].index.value
+        stride = loads[1].index.value - base if len(loads) > 1 else 1
+        if any(load.slot is not source
+               or load.index.value != base + stride * k
+               for k, load in enumerate(loads)) \
+                or source.name in stored:
+            return None
+        first = min(self.def_pos[load.result.id] for load in loads)
+        if self.last_store.get(source.name, -1) >= first:
+            return None
+        return source, base, stride
+
+
+def _forward_gathers(region: LoopRegion, rewriter: _Rewriter) -> None:
+    """Point a region's loads of a gather array straight at the array
+    its elements were loaded from.
+
+    The lowering forms a region before this pass rolls the single
+    firing that feeds it, so its inputs were gathered one by one; once
+    that firing is a region, they are loads of its scatter array, and
+    the copy can go (dead-code elimination drops it).
+    """
+    index = region.index
+    stored = {slot.name for slot in region.body_slot_stores()}
+    offsets: dict[int, int] = {index.id: 0}
+    for op in region.body:
+        if isinstance(op, BinOp) and op.op == "+" and op.rhs is index \
+                and isinstance(op.lhs, Const) and op.lhs.ty == INT:
+            offsets[op.result.id] = op.lhs.value
+    body: list[Op] = []
+    affine: dict[tuple[int, int], Value] = {}
+    sources: dict[str, tuple[StateSlot, int, int] | None] = {}
+    for op in region.body:
+        source = None
+        if isinstance(op, LoadOp) and isinstance(op.index, Temp) \
+                and op.index.id in offsets and op.slot.name not in stored:
+            if op.slot.name not in sources:
+                sources[op.slot.name] = rewriter.strided_source(op.slot,
+                                                                stored)
+            source = sources[op.slot.name]
+        if source is None:
+            body.append(op)
+            continue
+        slot, base, stride = source
+        key = (base + stride * offsets[op.index.id], stride)
+        value = affine.get(key)
+        if value is None:
+            value = index
+            if stride != 1:
+                value = Temp(INT, hint="ridx")
+                body.append(BinOp(result=value, prov=op.prov, op="*",
+                                  lhs=const_int(stride), rhs=index))
+            if key[0] != 0:
+                shifted = Temp(INT, hint="ridx")
+                body.append(BinOp(result=shifted, prov=op.prov, op="+",
+                                  lhs=const_int(key[0]), rhs=value))
+                value = shifted
+            affine[key] = value
+        body.append(LoadOp(result=op.result, prov=op.prov, slot=slot,
+                           index=value))
+    region.body[:] = body
 
 
 def reroll_steady(program: Program, min_repeat: int = 4) -> int:
@@ -220,11 +236,22 @@ def reroll_steady(program: Program, min_repeat: int = 4) -> int:
     # Use counts over the whole program plus the carry lists, for the
     # "is this result consumed outside its run?" test.
     uses = _use_counts(op for _title, ops in program.sections()
-                       for op in ops)
+                      for op in ops)
     carry_used = {v.id for v in list(program.carry_inits)
                   + list(program.carry_nexts) if isinstance(v, Temp)}
 
-    builder = _RegionBuilder(program, uses, carry_used, min_repeat)
+    # The arrays the program's regions gather from and scatter to: runs
+    # that only fill or read those belong to their regions.
+    arrays: set[StateSlot] = set()
+    for _title, ops in program.sections():
+        for op in ops:
+            if isinstance(op, LoopRegion):
+                arrays.update(inner.slot for inner in op.body
+                              if isinstance(inner, StoreOp)
+                              or isinstance(inner, LoadOp)
+                              and not isinstance(inner.index, Const))
+
+    builder = _RegionBuilder(program, uses, carry_used, min_repeat, arrays)
     regions = 0
     for _title, ops in program.sections():
         regions += _reroll_section(ops, builder, min_repeat)
@@ -280,22 +307,25 @@ def _reroll_section(section: list[Op], builder: _RegionBuilder,
 class _RegionBuilder:
     def __init__(self, program: Program,
                  uses: dict[int, int], carry_used: set[int],
-                 min_repeat: int):
+                 min_repeat: int, arrays: set[StateSlot]):
         self.program = program
         self.rewriter: _Rewriter = None  # set per section
         self.uses = uses
         self.carry_used = carry_used
         self.min_repeat = min_repeat
-        self.slot_names = {slot.name for slot in program.state_slots}
-        self.counter = 0
+        self.arrays = arrays
+        self.slots = SlotAllocator(program)
 
     def try_reroll(self, run: list[Op]) -> list[Op] | None:
         length = len(run)
-        if length < 2 * self.min_repeat:
+        if length < 2 * self.min_repeat \
+                or all(isinstance(op, (LoadOp, StoreOp))
+                       and op.slot in self.arrays for op in run):
             return None
         run_def = {op.result.id: p for p, op in enumerate(run)
                    if op.result is not None}
         shape_keys = [_shape_key(op) for op in run]
+        run_uses: dict[int, int] | None = None
         for period in range(1, length // self.min_repeat + 1):
             if length % period:
                 continue
@@ -305,10 +335,63 @@ class _RegionBuilder:
             plan = self._match_period(run, period, run_def)
             if plan is None:
                 continue
-            built = self._build(run, period, plan, run_def)
+            if run_uses is None:
+                run_uses = _use_counts(run)
+            rebinds = self._escaping(run, period, run_uses)
+            if self._cannot_pay(run, period, plan, rebinds):
+                continue
+            built = self._build(run, period, plan, rebinds)
             if built is not None:
                 return built
         return None
+
+    def _escaping(self, run: list[Op], period: int,
+                  run_uses: dict[int, int]) -> list[list[tuple[int, Temp]]]:
+        """Per body position, each trip whose result is read outside the
+        run, with that result: it has more uses in the whole program
+        than in the run, or a carry list reads it."""
+        trips = len(run) // period
+        rebinds: list[list[tuple[int, Temp]]] = []
+        for j in range(period):
+            rebind = []
+            if run[j].result is not None:
+                for i in range(trips):
+                    temp = run[i * period + j].result
+                    assert temp is not None
+                    if temp.id in self.carry_used or self.uses.get(
+                            temp.id, 0) > run_uses.get(temp.id, 0):
+                        rebind.append((i, temp))
+            rebinds.append(rebind)
+        return rebinds
+
+    def _cannot_pay(self, run: list[Op], period: int,
+                    plan: list[list[object]],
+                    rebinds: list[list[tuple[int, Temp]]]) -> bool:
+        """Whether a lower bound on the region's cost already fails the
+        profitability test, so building it is wasted.  Each distinct
+        gathered column costs the body a load, and each distinct value
+        of a column that cannot chain costs a gather store."""
+        loads: set[tuple] = set()
+        stored: set[tuple] = set()
+        carried: set[int] = set()
+        for slots in plan:
+            for slot_plan in slots:
+                if isinstance(slot_plan, _Carried):
+                    carried.add(slot_plan.rel)
+                elif isinstance(slot_plan, _Gather):
+                    source = strided_loads(slot_plan.values,
+                                           self.rewriter.def_op.get)
+                    if source is not None:
+                        loads.add((source[0].name,) + source[1:])
+                        continue
+                    keys = tuple(value_key(v) for v in slot_plan.values)
+                    loads.add(keys)
+                    stored.update(keys)
+        scattered = [rebind for rebind in rebinds if rebind]
+        return not profitable(
+            len(run), len(run) // period,
+            len(stored) + sum(len(rebind) for rebind in scattered),
+            period + len(loads) + len(scattered), len(carried))
 
     # -- fingerprinting -----------------------------------------------------
 
@@ -336,7 +419,8 @@ class _RegionBuilder:
     def _classify(self, vals: list[Value], period: int,
                   run_def: dict[int, int]) -> object | None:
         trips = len(vals)
-        if any(v.ty != vals[0].ty for v in vals[1:]):
+        ty = vals[0].ty
+        if any(v.ty is not ty and v.ty != ty for v in vals):
             # A mixed-type column cannot become one body operand (the
             # carry param / gather slot would have to change type).
             return None
@@ -358,8 +442,8 @@ class _RegionBuilder:
                     return None
                 return _Carried(rel, init)
             return None
-        first_key = _value_key(vals[0])
-        if all(_value_key(v) == first_key for v in vals[1:]):
+        first_key = value_key(vals[0])
+        if all(value_key(v) == first_key for v in vals[1:]):
             return _Invariant(vals[0])
         if all(isinstance(v, Const) for v in vals) and vals[0].ty == INT:
             base = vals[0].value
@@ -367,110 +451,30 @@ class _RegionBuilder:
             if all(v.value == wrap_i32(base + stride * i)
                    for i, v in enumerate(vals)):
                 return _Affine(base, stride)
-        return _Gather(list(vals), vals[0].ty)
+        return _Gather(list(vals))
 
     # -- construction -------------------------------------------------------
 
     def _build(self, run: list[Op], period: int,
                plan: list[list[object]],
-               run_def: dict[int, int]) -> list[Op] | None:
+               rebinds: list[list[tuple[int, Temp]]]) -> list[Op] | None:
         trips = len(run) // period
-        prov = (run[0].prov[0],)
-        slot_mark = len(self.program.state_slots)
-        index = Temp(INT, hint="trip")
-        prelude: list[Op] = []
-        body: list[Op] = []
-        affine_cache: dict[tuple[int, int], Value] = {}
-        chain_cache: dict[tuple[str, int, int], Temp] = {}
-        gather_cache: dict[tuple[int, int], Temp] = {}
-        arrays: list[_GatherArray] = []
-        carries: dict[int, tuple[Temp, Value]] = {}
+        rewriter = self.rewriter
         run_stores = {op.slot.name for op in run if isinstance(op, StoreOp)}
 
-        def affine_value(base: int, stride: int) -> Value:
-            if stride == 0:
-                return const_int(base)
-            key = (base, stride)
-            if key in affine_cache:
-                return affine_cache[key]
-            value: Value = index
-            if stride != 1:
-                scaled = Temp(INT, hint="ridx")
-                prelude.append(BinOp(result=scaled, prov=prov, op="*",
-                                     lhs=const_int(stride), rhs=index))
-                value = scaled
-            if base != 0:
-                shifted = Temp(INT, hint="ridx")
-                prelude.append(BinOp(result=shifted, prov=prov, op="+",
-                                     lhs=const_int(base), rhs=value))
-                value = shifted
-            affine_cache[key] = value
-            return value
-
-        def chain_value(gather: _Gather) -> Temp | None:
-            """Load an existing array directly instead of copying it."""
-            defs = []
-            for v in gather.values:
-                if not isinstance(v, Temp):
-                    return None
-                def_op = self.rewriter.def_op.get(v.id)
-                if not isinstance(def_op, LoadOp) \
-                        or not isinstance(def_op.index, Const):
-                    return None
-                defs.append(def_op)
-            slot = defs[0].slot
-            if any(d.slot is not slot for d in defs):
-                return None
+        def may_chain(slot: StateSlot, values: list[Value]) -> bool:
             if slot.name in run_stores:
-                return None
-            indices = [d.index.value for d in defs]
-            stride = indices[1] - indices[0]
-            if any(indices[i] != indices[0] + stride * i
-                   for i in range(len(indices))):
-                return None
-            min_def = min(self.rewriter.def_pos[v.id]
-                          for v in gather.values)
-            if self.rewriter.last_store.get(slot.name, -1) >= min_def:
-                return None
-            key = (slot.name, indices[0], stride)
-            if key in chain_cache:
-                return chain_cache[key]
-            result = Temp(slot.ty, hint="rg")
-            prelude.append(LoadOp(result=result, prov=prov, slot=slot,
-                                  index=affine_value(indices[0], stride)))
-            chain_cache[key] = result
-            return result
+                return False
+            first = min(rewriter.def_pos[v.id] for v in values)
+            return rewriter.last_store.get(slot.name, -1) < first
 
-        def gather_value(gather: _Gather) -> Temp:
-            keys = [_value_key(v) for v in gather.values]
-            for array in arrays:
-                if array.values and array.values[0].ty == gather.ty:
-                    offset = array.try_align(gather.values, keys)
-                    if offset is not None:
-                        return gather_load(array, offset, gather.ty)
-            array = _GatherArray()
-            for v in gather.values:
-                array.append(v)
-            arrays.append(array)
-            return gather_load(array, 0, gather.ty)
-
-        def gather_load(array: _GatherArray, offset: int, ty) -> Temp:
-            for rec in array.recs:
-                if rec["offset"] == offset:
-                    return rec["temp"]
-            result = Temp(ty, hint="rg")
-            rec = {"offset": offset, "temp": result}
-            array.recs.append(rec)
-            return result
-
+        assembly = RegionAssembly(self.slots, trips, (run[0].prov[0],),
+                                  rewriter.def_op.get, may_chain)
+        body: list[Op] = []
+        carries: dict[int, tuple[Temp, Value]] = {}
         body_results: list[Temp | None] = []
-        cloned_effects = False
         for j in range(period):
             template = run[j]
-            if isinstance(template, (StoreOp, PrintOp)) \
-                    or (isinstance(template, CallOp)
-                        and template.has_side_effect):
-                cloned_effects = True
             replacements: list[Value] = []
             for slot_plan in plan[j]:
                 if isinstance(slot_plan, _Invariant):
@@ -486,12 +490,10 @@ class _RegionBuilder:
                         replacements.append(param)
                 elif isinstance(slot_plan, _Affine):
                     replacements.append(
-                        affine_value(slot_plan.base, slot_plan.stride))
+                        assembly.affine(slot_plan.base, slot_plan.stride))
                 else:
                     assert isinstance(slot_plan, _Gather)
-                    chained = chain_value(slot_plan)
-                    replacements.append(chained if chained is not None
-                                        else gather_value(slot_plan))
+                    replacements.append(assembly.gather(slot_plan.values))
             clone = dc_replace(template)
             if template.result is not None:
                 fresh = Temp(template.result.ty, hint=template.result.hint)
@@ -504,86 +506,12 @@ class _RegionBuilder:
             body.append(clone)
 
         # Scatter: results consumed outside the run survive in arrays.
-        # A result is read outside when it has more uses in the whole
-        # program than in the run, or when a carry list reads it.
-        scatter_loads: list[Op] = []
-        run_uses = _use_counts(run)
-        for j in range(period):
-            if run[j].result is None:
-                continue
-            used: list[int] = []
-            for i in range(trips):
-                temp = run[i * period + j].result
-                assert temp is not None
-                outside = temp.id in self.carry_used or \
-                    self.uses.get(temp.id, 0) > run_uses.get(temp.id, 0)
-                if outside:
-                    used.append(i)
-            if not used:
-                continue
-            slot = self._fresh_slot("s", run[j].result.ty, trips)
-            body.append(StoreOp(result=None, prov=prov, slot=slot,
-                                index=index, value=body_results[j]))
-            for i in used:
-                scatter_loads.append(
-                    LoadOp(result=run[i * period + j].result, prov=prov,
-                           slot=slot, index=const_int(i)))
+        for result, rebind in zip(body_results, rebinds):
+            if rebind:
+                assembly.scatter(result, rebind)
 
-        # Finalize gather arrays: emit the copy-in stores and the body
-        # loads (offsets are stable now).
-        gather_stores: list[Op] = []
-        for array in arrays:
-            if not array.recs:
-                continue
-            slot = self._fresh_slot("g", array.values[0].ty,
-                                    len(array.values))
-            for p, value in enumerate(array.values):
-                gather_stores.append(
-                    StoreOp(result=None, prov=prov, slot=slot,
-                            index=const_int(p), value=value))
-            for rec in array.recs:
-                prelude.append(
-                    LoadOp(result=rec["temp"], prov=prov, slot=slot,
-                           index=affine_value(rec["offset"], 1)))
-
-        body = prelude + body
-        carry_params = [carries[r][0] for r in sorted(carries)]
-        carry_inits: list[Value] = [carries[r][1] for r in sorted(carries)]
-        carry_nexts: list[Value] = [body_results[r] for r in sorted(carries)]
-
-        static_new = (len(gather_stores) + len(body)
-                      + len(scatter_loads) + 1)
-        executed_new = (len(gather_stores) + len(scatter_loads)
-                        + trips * (len(body) + len(carry_params)))
-        length = len(run)
-        # Static shrink is the point; the dynamic budget tolerates the
-        # gather/scatter/index overhead (roughly one extra op per body
-        # op for peek-window filters) but rejects pathological cases
-        # where the overhead dwarfs the body.
-        budget = max(2 * length + trips, length * 9 // 4)
-        if static_new >= length or executed_new > budget:
-            # Not profitable: roll back the scatter/gather slots this
-            # attempt registered.
-            for slot in self.program.state_slots[slot_mark:]:
-                self.slot_names.discard(slot.name)
-            del self.program.state_slots[slot_mark:]
-            return None
-
-        region = LoopRegion(result=None, prov=prov, trips=trips,
-                            index=index, body=body,
-                            carry_params=carry_params,
-                            carry_inits=carry_inits,
-                            carry_nexts=carry_nexts,
-                            parallel=not cloned_effects and not carries)
-        return gather_stores + [region] + scatter_loads
-
-    def _fresh_slot(self, kind: str, ty, size: int) -> StateSlot:
-        while True:
-            name = f"rr{self.counter}_{kind}"
-            self.counter += 1
-            if name not in self.slot_names:
-                break
-        self.slot_names.add(name)
-        slot = StateSlot(name=name, ty=ty, size=size)
-        self.program.state_slots.append(slot)
-        return slot
+        order = sorted(carries)
+        return assembly.finish(
+            body, len(run),
+            ([carries[r][0] for r in order], [carries[r][1] for r in order],
+             [body_results[r] for r in order]))

@@ -50,6 +50,7 @@ from repro.backend.common import checksum_outputs
 from repro.faults import ResourceExhausted, ResourceLimits, use_limits
 from repro.faults import plan as fault_plan
 from repro.frontend.errors import CompileError
+from repro.knobs import KNOBS, compile_options
 from repro.lir import LoweringOptions
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
@@ -63,8 +64,7 @@ DEFAULT_JOB_TIMEOUT = runner.DEFAULT_RUN_TIMEOUT + 30.0
 # How many frontend-compiled streams a StreamMemo keeps.
 STREAM_MEMO_SIZE = 128
 # The raw spec fields an interp job carries: the stream and its options.
-SPEC_FIELDS = ("source", "benchmark", "no_opt", "no_elim", "pipeline",
-               "reroll", "reroll_min_repeat")
+SPEC_FIELDS = ("source", "benchmark") + tuple(knob.key for knob in KNOBS)
 # How many trailing stderr lines to keep per worker for crash reports.
 _STDERR_KEEP = 30
 _READ_CHUNK = 65536
@@ -388,30 +388,10 @@ class WorkerPool:
 # -- spec parsing and the stream memo (daemon and worker) ---------------------
 
 def spec_options(spec: dict) -> tuple[LoweringOptions, OptOptions]:
-    """Build ``(LoweringOptions, OptOptions)`` from a serve spec's raw
-    ``no_opt``/``no_elim``/``pipeline``/``reroll``/``reroll_min_repeat``
-    fields.  Raises :class:`ValueError` on a malformed field."""
-    opt = OptOptions.none() if spec.get("no_opt") else OptOptions()
-    pipeline = spec.get("pipeline")
-    if pipeline is not None:
-        try:
-            opt.pipeline = pipeline
-        except TypeError as error:
-            raise ValueError(str(error)) from None
-    reroll = spec.get("reroll")
-    if reroll is not None:
-        if not isinstance(reroll, bool):
-            raise ValueError("'reroll' must be a boolean")
-        opt.reroll = reroll
-    min_repeat = spec.get("reroll_min_repeat")
-    if min_repeat is not None:
-        if not isinstance(min_repeat, int) \
-                or isinstance(min_repeat, bool) or min_repeat < 2:
-            raise ValueError("'reroll_min_repeat' must be an integer >= 2")
-        opt.reroll_min_repeat = min_repeat
-    lowering = LoweringOptions(
-        eliminate_splitjoin=not spec.get("no_elim", False))
-    return lowering, opt
+    """Build ``(LoweringOptions, OptOptions)`` from a serve spec's knob
+    fields (:data:`repro.knobs.KNOBS`).  Raises :class:`ValueError` on a
+    malformed field."""
+    return compile_options(spec)
 
 
 class StreamMemo:

@@ -114,3 +114,30 @@ def test_suite_benchmark_native(tmp_path):
     native = compile_and_run(stream.laminar_c(), iterations,
                              workdir=tmp_path)
     assert native.checksum == expected
+
+
+# -O1 keeps the sanitized builds quick; -fwrapv and the rest are the
+# default build's, so the two must print the same bits.
+SANITIZE_CFLAGS = ("-O1", "-fwrapv", "-std=gnu11", "-fopenmp-simd",
+                   "-fsanitize=address,undefined",
+                   "-fno-sanitize-recover=all")
+
+
+@pytest.mark.parametrize("name", ["filterbank", "beamformer", "dct",
+                                  "fm_radio", "fft", "matrixmult"])
+def test_loop_region_arrays_sanitizer_clean(name, tmp_path):
+    """Loop regions index gather and scatter arrays by the trip count:
+    AddressSanitizer traps an index past an array's end, and
+    UndefinedBehaviorSanitizer the arithmetic around it."""
+    from repro.backend.runner import compile_c, run_binary
+    from repro.suite import load_benchmark
+    stream = load_benchmark(name)
+    code = stream.laminar_c()
+    iterations = 2
+    optimized = run_binary(compile_c(code, tmp_path, name="o3"),
+                           iterations)
+    sanitized = run_binary(compile_c(code, tmp_path, SANITIZE_CFLAGS,
+                                     name="sanitized"), iterations)
+    assert sanitized.checksum == optimized.checksum
+    assert optimized.checksum == \
+        checksum_outputs(stream.run_fifo(iterations).outputs)

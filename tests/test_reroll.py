@@ -64,6 +64,28 @@ void->void pipeline P { add Src(); add Acc(); add Snk(); }
 """
 
 
+# A field written through a select whose condition reads a table: the
+# body has no template (the condition is not a constant when lowered),
+# so re-roll rolls it with the field as a carry.
+HOLD_SOURCE = """
+void->float filter Src() { work push 1 { push(randf()); } }
+float->float filter Hold() {
+  float acc;
+  int[1] on;
+  init { acc = 0.0; on[0] = 1; }
+  work push 1 pop 1 {
+    float x = pop();
+    acc = on[0] > 0 ? x * 2.0 : acc;
+    push(acc + x);
+  }
+}
+float->void filter Snk() {
+  work pop 16 { for (int i = 0; i < 16; i++) println(pop()); }
+}
+void->void pipeline P { add Src(); add Hold(); add Snk(); }
+"""
+
+
 def _regions(program) -> list[LoopRegion]:
     return [op for _title, ops in program.sections() for op in ops
             if isinstance(op, LoopRegion)]
@@ -156,6 +178,19 @@ class TestPassManagerIntegration:
         program = lower(stream.schedule, stream.source)
         optimize(program)
         verify(program)  # raises on any malformed region
+
+    def test_folded_carry_next_is_rewritten(self):
+        # The carried field's next value is a select that folds only
+        # after re-roll (its condition reads a promoted table): folding
+        # must rewrite the region's carry list, not just the body.
+        from repro.lir.verify import verify
+        stream = compile_source(HOLD_SOURCE)
+        program = lower(stream.schedule, stream.source)
+        optimize(program)
+        verify(program)
+        assert any(region.carry_params for region in _regions(program))
+        assert stream.run_laminar(16).outputs == \
+            stream.run_fifo(16).outputs
 
     def test_benchmark_rerolls_and_verifies(self):
         from repro.lir.verify import verify
