@@ -832,29 +832,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _tail_record(raw: str) -> dict | None:
-    """Normalize one JSONL line to an access-style record, or ``None``.
+    """The access record on one JSONL line, or ``None``.
 
     Understands both the daemon's access log (``type: access``) and the
-    ``serve.request`` events of a ``--event-log`` JSONL file.  Raises
-    ``json.JSONDecodeError`` on an unparseable line (a torn write) so
-    the caller can warn instead of silently dropping it.
+    ``serve.request`` events of a ``--event-log`` JSONL file, whose
+    attrs are the same access record.  Raises ``json.JSONDecodeError``
+    on an unparseable line (a torn write) so the caller can warn
+    instead of silently dropping it.
     """
     record = json.loads(raw)
     if not isinstance(record, dict):
         return None
-    if record.get("type") == "access":
-        return record
     if record.get("type") == "event" \
             and record.get("name") == "serve.request":
-        attrs = record.get("attrs", {})
-        return {"wall_time": record.get("wall_time", 0.0),
-                "request_id": attrs.get("request_id", "-"),
-                "method": "-",
-                "route": attrs.get("route", "-"),
-                "status": attrs.get("status", "-"),
-                "backend": attrs.get("backend"),
-                "duration_ms": attrs.get("duration_ms", 0.0)}
-    return None
+        return record.get("attrs", {})
+    return record if record.get("type") == "access" else None
 
 
 def _render_tail_line(record: dict, use_color: bool,

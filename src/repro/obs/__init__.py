@@ -10,8 +10,8 @@ The pieces work together:
 * :mod:`repro.obs.bus` — the telemetry bus: structured point-in-time
   :class:`~repro.obs.bus.Event` records plus the
   :class:`~repro.obs.bus.TelemetrySink` fan-out seam;
-* :mod:`repro.obs.sinks` — concrete sinks: JSONL event log, Chrome
-  trace, OpenMetrics text exposition (served by the serve daemon's
+* :mod:`repro.obs.sinks` — the JSONL event log sink, the serve access
+  log and the OpenMetrics text exposition (served by the serve daemon's
   ``GET /metrics``);
 * :mod:`repro.obs.export` — text-tree, JSON and Chrome trace-event
   renderings of a collected span forest;
@@ -19,8 +19,10 @@ The pieces work together:
   behind ``python -m repro history`` / ``compare``;
 * :mod:`repro.obs.reqctx` — per-request contextvars scoping: the serve
   daemon activates a :class:`~repro.obs.reqctx.RequestContext` per HTTP
-  request so spans, metric deltas and events stay attributable under
-  concurrency, with W3C ``traceparent`` propagation end-to-end.
+  request so spans and events stay attributable under concurrency, with
+  W3C ``traceparent`` propagation end-to-end.  The request's root span
+  is its one record: access log, flight recorder and ``serve.request``
+  event are all projected from it.
 
 Spans and metrics are off by default and near-free when disabled; turn
 them on with ``REPRO_TRACE=1``, :func:`repro.obs.trace.enable`, the
@@ -39,21 +41,19 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                registry)
 from repro.obs.reqctx import (RequestContext, make_traceparent,
                               parse_traceparent)
-from repro.obs.sinks import (ChromeTraceSink, JsonlAccessLog, JsonlEventSink,
-                             OpenMetricsSink, span_tree, to_openmetrics)
+from repro.obs.sinks import JsonlAccessLog, JsonlEventSink, to_openmetrics
 from repro.obs.trace import (Span, Tracer, current_span, disable, enable,
                              get_trace, get_tracer, is_enabled, span,
                              traced, tracing)
 
 __all__ = [
-    "ChromeTraceSink", "Counter", "Event", "Gauge", "Histogram",
-    "JsonlAccessLog", "JsonlEventSink", "MetricsRegistry",
-    "OpenMetricsSink", "RequestContext", "Span", "TelemetryBus",
-    "TelemetrySink", "Tracer", "bus", "counter", "current_span", "disable",
-    "emit_event", "enable", "export", "format_tree", "gauge", "get_bus",
-    "get_trace", "get_tracer", "histogram", "is_enabled", "ledger",
-    "make_traceparent", "metrics", "parse_traceparent", "publish_counters",
-    "registry", "reqctx", "sinks", "span", "span_tree", "to_chrome_trace",
-    "to_json", "to_openmetrics", "trace", "traced", "tracing",
-    "write_chrome_trace",
+    "Counter", "Event", "Gauge", "Histogram", "JsonlAccessLog",
+    "JsonlEventSink", "MetricsRegistry", "RequestContext", "Span",
+    "TelemetryBus", "TelemetrySink", "Tracer", "bus", "counter",
+    "current_span", "disable", "emit_event", "enable", "export",
+    "format_tree", "gauge", "get_bus", "get_trace", "get_tracer",
+    "histogram", "is_enabled", "ledger", "make_traceparent", "metrics",
+    "parse_traceparent", "publish_counters", "registry", "reqctx",
+    "sinks", "span", "to_chrome_trace", "to_json", "to_openmetrics",
+    "trace", "traced", "tracing", "write_chrome_trace",
 ]

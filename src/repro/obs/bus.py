@@ -4,8 +4,7 @@ The bus is the seam between the *producers* of telemetry (spans from
 :mod:`repro.obs.trace`, metrics from :mod:`repro.obs.metrics`, and the
 structured :class:`Event` records this module introduces) and its
 *consumers* — :class:`TelemetrySink` implementations that stream it
-somewhere durable (:mod:`repro.obs.sinks`: a JSONL event log, a Chrome
-trace file, an OpenMetrics text exposition).
+somewhere durable (:mod:`repro.obs.sinks`: a JSONL event log).
 
 Three kinds of telemetry flow through:
 
@@ -20,15 +19,14 @@ Three kinds of telemetry flow through:
   while at least one sink is attached.  With no sinks the hook is
   ``None`` and span exit pays nothing extra.
 * **Metric snapshots** — pushed at :meth:`TelemetryBus.flush` time so
-  file sinks can persist a final registry snapshot.
+  a file sink can persist a final registry snapshot.
 
 Sinks must tolerate being called from any thread; the bus serializes
 fan-out under one lock.
 
 While a :class:`repro.obs.reqctx.RequestContext` is active, every
 emitted event is stamped with that request's ``request_id``/``trace_id``
-attributes and additionally appended to the context's own event list, so
-a request's events can be read back without filtering the global ring.
+attributes.
 """
 
 from __future__ import annotations
@@ -132,8 +130,6 @@ class TelemetryBus:
             attrs.setdefault("trace_id", ctx.trace_id)
         event = Event(name=name, wall_time=time.time(),
                       monotonic_ns=time.monotonic_ns(), attrs=attrs)
-        if ctx is not None:
-            ctx.events.append(event)
         with self._lock:
             self._events.append(event)
             sinks = list(self._sinks)

@@ -6,7 +6,9 @@ Three formats:
   attributes, plus an aligned metrics section (the default output of
   ``python -m repro profile``);
 * :func:`to_json` — a plain-dict form (span forest + metric snapshot)
-  for machine consumption;
+  for machine consumption, built on :func:`span_to_dict`, the one span
+  serializer (the serve daemon's ``/debug/*`` endpoints and the JSONL
+  event log use it too);
 * :func:`to_chrome_trace` — the Chrome trace-event format, loadable in
   ``chrome://tracing`` and https://ui.perfetto.dev (complete ``"X"``
   events in microseconds plus ``"M"`` metadata records).
@@ -18,13 +20,8 @@ import json
 import os
 from pathlib import Path
 
+from repro.obs.bus import _jsonable
 from repro.obs.trace import Span
-
-
-def _jsonable(value: object) -> object:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
 
 
 def _fmt_duration(seconds: float) -> str:
@@ -100,7 +97,13 @@ def _render(span: Span, lines: list[str], prefix: str,
 
 # -- JSON ---------------------------------------------------------------------
 
-def span_to_dict(span: Span, epoch: float = 0.0) -> dict:
+def span_to_dict(span: Span, epoch: float = 0.0, *,
+                 nested: bool = True) -> dict:
+    """One span as a JSON-serializable dict, start relative to ``epoch``.
+
+    ``nested`` adds ``children`` (always a list, possibly empty) with
+    the whole subtree; without it the record is flat, one span alone.
+    """
     out: dict[str, object] = {
         "name": span.name,
         "start_s": span.start - epoch,
@@ -111,7 +114,7 @@ def span_to_dict(span: Span, epoch: float = 0.0) -> dict:
     if span.attrs:
         out["attrs"] = {key: _jsonable(value)
                         for key, value in span.attrs.items()}
-    if span.children:
+    if nested:
         out["children"] = [span_to_dict(child, epoch)
                            for child in span.children]
     return out

@@ -24,11 +24,9 @@ instrument, rendered as OpenMetrics label pairs by
 (routes, statuses, backend names — never keys, ids or paths); every new
 value mints a time series that lives for the life of the process.
 
-Like tracing, recording is **context-local**: while a
-:class:`repro.obs.reqctx.RequestContext` is active the module helpers
-publish into that request's private registry, which the daemon merges
-into the process-global one when the request completes (counters add,
-gauges last-write-wins, histograms pool their samples).
+Unlike tracing, recording is **not** context-local: the helpers always
+publish into the process-global registry, so a serve request's counters
+and histograms land in the process-wide aggregates ``/metrics`` scrapes.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 
-from repro.obs import reqctx, trace
+from repro.obs import trace
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -163,29 +161,6 @@ class Histogram:
             out["p99"] = self.percentile(99)
         return out
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Count/total/min/max combine exactly; the sample reservoirs are
-        concatenated and re-decimated, so percentiles stay the usual
-        bounded-reservoir estimates.
-        """
-        if not other.count:
-            return
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or (other.min is not None
-                                and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None
-                                and other.max > self.max):
-            self.max = other.max
-        self._samples.extend(other._samples)
-        self._stride = max(self._stride, other._stride)
-        while len(self._samples) > self.MAX_SAMPLES:
-            self._samples = self._samples[::2]
-            self._stride *= 2
-
 
 class _NullInstrument:
     """Shared do-nothing instrument returned while recording is off."""
@@ -282,22 +257,6 @@ class MetricsRegistry:
             out[_display_name(metric.name, metric.labels)] = value
         return out
 
-    def merge_into(self, target: "MetricsRegistry") -> None:
-        """Fold this registry into ``target``: counters add, gauges
-        last-write-wins, histograms pool their samples.
-
-        This is how per-request deltas land in the process-wide
-        aggregates when a daemon request completes."""
-        for metric in self._sorted():
-            labels = dict(metric.labels)
-            if isinstance(metric, Counter):
-                if metric.value:
-                    target.counter(metric.name, **labels).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                target.gauge(metric.name, **labels).set(metric.value)
-            else:
-                target.histogram(metric.name, **labels).merge(metric)
-
     def reset(self) -> None:
         with self._lock:
             self._metrics = {}
@@ -308,38 +267,26 @@ _REGISTRY = MetricsRegistry()
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry (always readable, even when disabled).
-
-    Note this is deliberately *not* context-local: scrapers (``/metrics``,
-    exporters, ``profile``) read process-wide aggregates here.  The
-    recording helpers below are what route to a request's registry."""
-    return _REGISTRY
-
-
-def _active_registry() -> MetricsRegistry:
-    """The request-scoped registry when a context is active, else global."""
-    ctx = reqctx.current()
-    if ctx is not None:
-        return ctx.registry
+    """The process-global registry (always readable, even when disabled)."""
     return _REGISTRY
 
 
 def counter(name: str, /, **labels: object) -> Counter | _NullInstrument:
     if not trace.is_enabled():
         return NULL_INSTRUMENT
-    return _active_registry().counter(name, **labels)
+    return _REGISTRY.counter(name, **labels)
 
 
 def gauge(name: str, /, **labels: object) -> Gauge | _NullInstrument:
     if not trace.is_enabled():
         return NULL_INSTRUMENT
-    return _active_registry().gauge(name, **labels)
+    return _REGISTRY.gauge(name, **labels)
 
 
 def histogram(name: str, /, **labels: object) -> Histogram | _NullInstrument:
     if not trace.is_enabled():
         return NULL_INSTRUMENT
-    return _active_registry().histogram(name, **labels)
+    return _REGISTRY.histogram(name, **labels)
 
 
 def publish_counters(prefix: str, counters) -> None:
@@ -351,13 +298,12 @@ def publish_counters(prefix: str, counters) -> None:
     """
     if not trace.is_enabled():
         return
-    target = _active_registry()
     mapping = counters.as_dict() if hasattr(counters, "as_dict") \
         else dict(counters)
     for key, value in mapping.items():
-        target.gauge(f"{prefix}.{key}").set(value)
+        _REGISTRY.gauge(f"{prefix}.{key}").set(value)
     if hasattr(counters, "total_ops"):
-        target.gauge(f"{prefix}.total_ops").set(counters.total_ops)
+        _REGISTRY.gauge(f"{prefix}.total_ops").set(counters.total_ops)
     if hasattr(counters, "memory_accesses"):
-        target.gauge(f"{prefix}.memory_accesses").set(
+        _REGISTRY.gauge(f"{prefix}.memory_accesses").set(
             counters.memory_accesses)

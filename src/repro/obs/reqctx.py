@@ -1,23 +1,25 @@
-"""Per-request observability context: contextvars-scoped telemetry.
+"""Per-request observability context: contextvars-scoped tracing.
 
-One process-global tracer/metrics registry/telemetry bus is fine for a
-CLI invocation — one command, one pipeline, one span tree.  A serving
-process is different: the daemon handles many requests concurrently and
-their span trees, metric increments and events would interleave into an
-unattributable soup.  This module gives each request its own island:
+One process-global tracer is fine for a CLI invocation — one command,
+one pipeline, one span tree.  A serving process is different: the
+daemon handles many requests concurrently and their span trees would
+interleave into an unattributable soup.  This module gives each request
+its own island:
 
-* a :class:`RequestContext` bundles an isolated
-  :class:`repro.obs.trace.Tracer` (every span stamped with the request
-  and trace ids), an isolated :class:`repro.obs.metrics.MetricsRegistry`
-  (merged into the process-wide registry when the request completes —
-  counters add, histograms pool their samples, gauges last-write-wins)
-  and a per-request event list (the global bus additionally stamps every
-  event emitted under a context with the request/trace ids);
+* a :class:`RequestContext` holds the request's trace identity and an
+  isolated :class:`repro.obs.trace.Tracer` whose every span is stamped
+  with the request and trace ids.  The daemon opens one
+  ``serve.request`` root span on it, and that span is the request's
+  one record: :func:`note` annotates it with access-log facts (backend,
+  cache hit, dedup, degraded, ...), and the daemon projects it into the
+  access log, the flight recorder and the ``serve.request`` event.
+  The global bus stamps every event emitted under a context with the
+  request/trace ids; metrics always go to the process-wide registry;
 * the context travels via a :mod:`contextvars` variable, so it follows
   the request through nested calls without threading a parameter through
   every layer — and the **ambient default is preserved**: with no
-  context active, :func:`repro.obs.trace.span` and the metric helpers
-  behave exactly as before (CLI runs and tests are untouched);
+  context active, :func:`repro.obs.trace.span` behaves exactly as
+  before (CLI runs and tests are untouched);
 * trace identity follows the W3C Trace Context ``traceparent`` header
   (``00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>``):
   :func:`parse_traceparent` / :func:`make_traceparent` are the only
@@ -26,10 +28,8 @@ unattributable soup.  This module gives each request its own island:
   client → daemon → cache → build → run.
 
 Threads do **not** inherit contextvars automatically — a worker thread
-that should report into the current request must be started with
-``contextvars.copy_context().run``.  (The native runner needs no such
-thread: it supervises a binary from the calling thread, so heartbeat
-gauges land in the right request.)
+that should trace into the current request must be started with
+``contextvars.copy_context().run``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def make_traceparent(trace_id: str | None = None,
 
 
 class RequestContext:
-    """Isolated telemetry for one request, plus its trace identity.
+    """One request's trace identity plus its isolated tracer.
 
     ``request_id`` is the daemon's own 16-hex span id for the request —
     it becomes the ``parent-id`` of the outgoing :attr:`traceparent` and
@@ -95,11 +95,10 @@ class RequestContext:
     """
 
     __slots__ = ("request_id", "trace_id", "parent_id", "flags",
-                 "traceparent_in", "tracer", "registry", "events", "info")
+                 "traceparent_in", "tracer")
 
     def __init__(self, *, traceparent: str | None = None,
                  request_id: str | None = None):
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
         parsed = parse_traceparent(traceparent) if traceparent else None
@@ -114,11 +113,6 @@ class RequestContext:
         self.request_id = request_id or mint_span_id()
         self.tracer = Tracer(stamp={"request_id": self.request_id,
                                     "trace_id": self.trace_id})
-        self.registry = MetricsRegistry()
-        self.events: list = []
-        # Free-form facts the request handlers record for the access
-        # log (backend, cache hit, dedup, degraded, ...).
-        self.info: dict = {}
 
     @property
     def traceparent(self) -> str:
@@ -136,10 +130,11 @@ def current() -> RequestContext | None:
 
 
 def note(**facts: object) -> None:
-    """Record access-log facts on the active context (no-op without one)."""
+    """Annotate the active context's root span with access-log facts
+    (a no-op without a context or before its root span opens)."""
     ctx = _CONTEXT.get()
-    if ctx is not None:
-        ctx.info.update(facts)
+    if ctx is not None and ctx.tracer.roots:
+        ctx.tracer.roots[0].annotate(**facts)
 
 
 @contextlib.contextmanager

@@ -1,27 +1,23 @@
-"""Concrete telemetry sinks: JSONL event log, Chrome trace, OpenMetrics.
+"""Concrete telemetry outputs: JSONL event log, access log, OpenMetrics.
 
-Every sink implements the :class:`repro.obs.bus.TelemetrySink`
-interface; attach them with ``bus.get_bus().add_sink(...)`` (the CLI's
-``--event-log`` flag does exactly that).
-
-* :class:`JsonlEventSink` — appends one JSON object per line: every
-  published event (``{"type": "event", ...}``), every closed span
-  (``{"type": "span", ...}``, flat — nesting is recoverable from the
-  Chrome trace or the span forest) and a final metrics snapshot
-  (``{"type": "metrics", ...}``) at flush.  The durable, greppable,
-  diffable form of what PR 1's in-process tracer kept only in memory.
-* :class:`ChromeTraceSink` — the existing Chrome trace-event exporter
-  (:mod:`repro.obs.export`) ported onto the sink interface: buffers the
-  last metrics snapshot and serializes the collected span forest at
-  close.
-* :class:`OpenMetricsSink` / :func:`to_openmetrics` — the metrics
-  registry rendered as Prometheus/OpenMetrics text exposition
-  (``repro_``-prefixed families; counters as ``_total``, histograms as
-  summaries with ``quantile`` labels, terminated by ``# EOF``); the
-  serve daemon's ``GET /metrics`` serves it.
+* :class:`JsonlEventSink` — a :class:`repro.obs.bus.TelemetrySink`
+  (the CLI's ``--event-log`` flag attaches one) that appends one JSON
+  object per line: every published event (``{"type": "event", ...}``),
+  every closed span (``{"type": "span", ...}``, flat: the
+  :func:`repro.obs.export.span_to_dict` fields without ``children``)
+  and a final metrics snapshot (``{"type": "metrics", ...}``) at flush.
 * :class:`JsonlAccessLog` — the serve daemon's structured request log:
-  one JSON object per request, flushed per line so ``repro tail
-  --follow`` and CI greps see entries the moment they land.
+  one access record per request.
+* :func:`to_openmetrics` — the metrics registry rendered as
+  Prometheus/OpenMetrics text exposition (``repro_``-prefixed families;
+  counters as ``_total``, histograms as summaries with ``quantile``
+  labels, terminated by ``# EOF``); the serve daemon's ``GET /metrics``
+  serves it.
+
+Both JSONL files are a :class:`JsonlAppender`: opened on the first
+write, and every line is written under one lock and flushed at once, so
+``repro tail --follow`` and CI greps see it the moment it lands, and a
+process killed without a clean shutdown loses nothing it wrote.
 """
 
 from __future__ import annotations
@@ -32,81 +28,15 @@ import threading
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.bus import Event, TelemetrySink, _jsonable
+from repro.obs.bus import Event, TelemetrySink
+from repro.obs.export import span_to_dict
 
 OPENMETRICS_CONTENT_TYPE = \
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 
-def span_record(span) -> dict:
-    """A flat JSON-serializable record of one closed span."""
-    out: dict[str, object] = {
-        "name": span.name,
-        "wall_start": span.wall_start,
-        "start_ns": span.start_ns,
-        "duration_ns": span.duration_ns if span.duration_ns is not None
-        else 0,
-        "thread": span.thread_id,
-        "children": len(span.children),
-    }
-    if span.attrs:
-        out["attrs"] = {key: _jsonable(value)
-                        for key, value in span.attrs.items()}
-    return out
-
-
-def span_tree(span) -> dict:
-    """A nested JSON-serializable record of a span and its descendants
-    (what ``GET /debug/trace/<request-id>`` returns)."""
-    record = span_record(span)
-    record["children"] = [span_tree(child) for child in span.children]
-    return record
-
-
-class JsonlEventSink(TelemetrySink):
-    """Append-only JSONL log of events, closed spans and metric snapshots."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._file = None
-
-    def _write(self, payload: dict) -> None:
-        with self._lock:
-            if self._file is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = self.path.open("a", encoding="utf-8")
-            self._file.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    def on_event(self, event: Event) -> None:
-        self._write({"type": "event", **event.to_dict()})
-
-    def on_span(self, span) -> None:
-        self._write({"type": "span", **span_record(span)})
-
-    def on_metrics(self, snapshot: dict) -> None:
-        self._write({"type": "metrics", "metrics": snapshot})
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-
-class JsonlAccessLog:
-    """Append-only JSONL request log for the serve daemon.
-
-    Unlike :class:`JsonlEventSink` (buffered until flush), every record
-    is flushed as it is written: tailers (``repro tail --follow``) and
-    CI greps must see a request the moment it completes, and the daemon
-    may be killed without a clean shutdown.
-    """
+class JsonlAppender:
+    """An append-only JSONL file, opened lazily, flushed per line."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -129,20 +59,21 @@ class JsonlAccessLog:
                 self._file = None
 
 
-class ChromeTraceSink(TelemetrySink):
-    """Writes the collected span forest as Chrome trace-event JSON at close."""
+class JsonlAccessLog(JsonlAppender):
+    """The serve daemon's request log: one access record per line."""
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._snapshot: dict | None = None
+
+class JsonlEventSink(JsonlAppender, TelemetrySink):
+    """JSONL log of events, closed spans and metric snapshots."""
+
+    def on_event(self, event: Event) -> None:
+        self.write({"type": "event", **event.to_dict()})
+
+    def on_span(self, span) -> None:
+        self.write({"type": "span", **span_to_dict(span, nested=False)})
 
     def on_metrics(self, snapshot: dict) -> None:
-        self._snapshot = snapshot
-
-    def close(self) -> None:
-        from repro.obs import export, trace
-        export.write_chrome_trace(trace.get_trace(), self.path,
-                                  metrics=self._snapshot)
+        self.write({"type": "metrics", "metrics": snapshot})
 
 
 # -- OpenMetrics text exposition ----------------------------------------------
@@ -240,17 +171,3 @@ def to_openmetrics(registry: "obs_metrics.MetricsRegistry | None" = None
                 f"{family}_sum{labels} {_fmt(instrument.total)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-class OpenMetricsSink(TelemetrySink):
-    """Writes the OpenMetrics exposition to a file at every flush."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def flush(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(to_openmetrics())
-
-    def close(self) -> None:
-        self.flush()

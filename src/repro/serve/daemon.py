@@ -20,19 +20,26 @@ persistent artifact cache (:mod:`repro.cache`):
   ``repro_serve_inflight{route}`` gauge); ``GET /healthz`` (uptime,
   in-flight count, cache entries/bytes, ledger reachability);
   ``GET /cache/stats``.
-* ``GET /debug/requests`` — the flight recorder: the last N completed
-  requests, each with its access record and span tree;
+* ``GET /debug/requests`` — the flight recorder: the last
+  :data:`FLIGHT_RECORDER_SIZE` completed requests, each with its access
+  record and span tree;
   ``GET /debug/trace/<request-id>`` — one request's record + span tree.
 
 Every request runs under its own
-:class:`repro.obs.reqctx.RequestContext`: spans, metric deltas and bus
-events are recorded into request-private structures (merged into the
-process-wide aggregates at completion) and stamped with a per-request
-id.  A valid W3C ``traceparent`` header is honoured — its trace id
-flows through every span, event, cache hit/miss, ledger record and the
-access log, and the response carries ``X-Request-Id`` plus the outgoing
-``traceparent``.  When an access log is configured, each request
-appends one flushed JSONL record (see ``repro tail``).
+:class:`repro.obs.reqctx.RequestContext`, whose tracer stamps every span
+with a per-request id, and opens one ``serve.request`` root span on it.
+That span is the request's one record: the handlers annotate it
+(:func:`repro.obs.reqctx.note`), and :func:`access_record` projects it,
+plus the context's ids, into the access record.  That record is the
+access-log line (one flushed JSONL line, see ``repro tail``), the
+flight recorder's ``record``, the attrs of the ``serve.request`` bus
+event, and the source of the serve ledger record's ids.  The flight
+recorder keeps the root span itself and serializes it only when
+``/debug/*`` is read.  Metrics go straight to the process-wide
+registry.  A valid W3C ``traceparent`` header is honoured — its trace
+id flows through every span, event, cache hit/miss, ledger record and
+the access log, and the response carries ``X-Request-Id`` plus the
+outgoing ``traceparent``.
 
 Concurrent compilations of the *same* cache key are deduplicated: one
 request builds, the rest wait and read the published entry
@@ -46,7 +53,8 @@ spec is installed thread-locally around every compile, and a request
 asking for more than ``max_iterations`` is rejected outright.  The PR 5
 exit-code taxonomy maps onto the error model::
 
-    HTTP 400  {"kind": "usage",              "exit_code": 2}
+    HTTP 400  {"kind": "usage",              "exit_code": 2}  (also a
+              malformed or negative ``Content-Length``)
     HTTP 422  {"kind": "compile-error",      "exit_code": 1}
     HTTP 429  {"kind": "resource-exhausted", "exit_code": 3}
     HTTP 503  {"kind": "native-<stage>",     "exit_code": 4}
@@ -77,8 +85,9 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import reqctx
 from repro.obs import trace as obs_trace
+from repro.obs.export import span_to_dict
 from repro.obs.sinks import (JsonlAccessLog, OPENMETRICS_CONTENT_TYPE,
-                             span_tree, to_openmetrics)
+                             to_openmetrics)
 from repro.serve import pool as pool_mod
 from repro.serve.admission import (AdmissionQueue, CircuitBreaker,
                                    CircuitOpenError, ShedRequest)
@@ -95,7 +104,7 @@ DEFAULT_ACCESS_LOG = Path(".repro") / "serve-access.jsonl"
 ACCESS_LOG_ENV = "REPRO_ACCESS_LOG"
 
 # How many completed requests the in-memory flight recorder keeps
-# (records + span trees, served by GET /debug/requests).
+# (records + root spans, served by GET /debug/requests).
 FLIGHT_RECORDER_SIZE = 128
 
 _KNOWN_ROUTES = ("/healthz", "/metrics", "/cache/stats", "/compile",
@@ -146,7 +155,6 @@ class ServeServer:
                  max_iterations: int = DEFAULT_MAX_ITERATIONS,
                  ledger: bool = True,
                  access_log: "str | Path | None" = None,
-                 flight_recorder: int = FLIGHT_RECORDER_SIZE,
                  workers: int = pool_mod.DEFAULT_WORKERS,
                  job_timeout: float = pool_mod.DEFAULT_JOB_TIMEOUT,
                  admission: AdmissionQueue | None = None,
@@ -174,8 +182,9 @@ class ServeServer:
         self.started_at = time.time()
         self.access_log = JsonlAccessLog(access_log) \
             if access_log else None
-        self._recorder: "collections.deque[dict]" = \
-            collections.deque(maxlen=max(1, flight_recorder))
+        # (access record, root span) pairs, oldest first.
+        self._recorder: collections.deque = collections.deque(
+            maxlen=FLIGHT_RECORDER_SIZE)
         self._recorder_lock = threading.Lock()
         self._inflight_routes: dict[str, int] = {}
         self._inflight_routes_lock = threading.Lock()
@@ -283,49 +292,50 @@ class ServeServer:
 
     # -- request plumbing -----------------------------------------------------
 
-    def handle(self, method: str, path: str, body: bytes,
+    def handle(self, method: str, path: str, body: bytes | None,
                headers: dict | None = None
                ) -> tuple[int, str, bytes, dict]:
         """Serve one request under its own :class:`RequestContext`.
 
+        ``body`` is ``None`` when the request's ``Content-Length`` was
+        malformed; that request is answered 400 like any usage error.
         Returns ``(status, content-type, body, extra response headers)``
         — the extra headers carry ``X-Request-Id`` and the outgoing
-        ``traceparent``.  On completion the request's metric deltas
-        merge into the global registry, the labeled latency histogram
-        observes the request, and the access record lands in the flight
-        recorder (and the access log, if configured).
+        ``traceparent``.  On completion the labeled latency histogram
+        observes the request, and its access record lands in the flight
+        recorder, the access log (if configured) and the
+        ``serve.request`` event.
         """
-        wall = time.time()
-        started = time.monotonic()
         lowered = {key.lower(): value
                    for key, value in (headers or {}).items()}
-        traceparent = lowered.get("traceparent")
-        ctx = reqctx.RequestContext(traceparent=traceparent)
+        ctx = reqctx.RequestContext(traceparent=lowered.get("traceparent"))
         route = _route_label(path)
         self._inflight_add(route, 1)
         try:
-            with reqctx.activate(ctx):
-                with obs_trace.span("serve.request", method=method,
-                                    route=route) as root:
-                    status, content_type, payload, resp_headers = \
-                        self._dispatch_request(method, path, body)
-                    root.annotate(status=status)
+            # Opened on the request's tracer directly, so the record
+            # exists even while process-wide tracing is off.
+            with reqctx.activate(ctx), ctx.tracer.span(
+                    "serve.request", method=method, path=path,
+                    route=route) as root:
+                status, content_type, payload, resp_headers = \
+                    self._dispatch_request(method, path, body)
+                root.annotate(status=status, bytes_out=len(payload))
         finally:
             self._inflight_add(route, -1)
-        duration = time.monotonic() - started
-        self._finish_request(ctx, wall=wall, method=method, path=path,
-                             route=route, status=status,
-                             duration=duration, bytes_out=len(payload))
+        self._finish_request(ctx, root)
         extra = dict(resp_headers)
         extra.update({"X-Request-Id": ctx.request_id,
                       "Traceparent": ctx.traceparent})
         return status, content_type, payload, extra
 
     def _dispatch_request(self, method: str, path: str,
-                          body: bytes) -> tuple[int, str, bytes, dict]:
+                          body: bytes | None) -> tuple[int, str, bytes, dict]:
         """Route one request to its endpoint; never raises."""
         obs_metrics.counter("serve.requests").inc()
         try:
+            if body is None:
+                raise _usage("Content-Length must be a non-negative "
+                             "integer")
             if method == "GET" and path in ("/healthz", "/"):
                 return self._json(200, self._healthz())
             if method == "GET" and path == "/metrics":
@@ -334,7 +344,8 @@ class ServeServer:
             if method == "GET" and path == "/cache/stats":
                 return self._json(200, self.cache.stats())
             if method == "GET" and path == "/debug/requests":
-                return self._json(200, {"requests": self._recent()})
+                return self._json(200, {"requests": [
+                    _recorder_entry(*entry) for entry in self._recent()]})
             if method == "GET" and path.startswith("/debug/trace/"):
                 needle = path[len("/debug/trace/"):]
                 return self._json(200, self._trace_of(needle))
@@ -394,48 +405,21 @@ class ServeServer:
         with self._inflight_routes_lock:
             return sum(self._inflight_routes.values())
 
-    def _finish_request(self, ctx: reqctx.RequestContext, *, wall: float,
-                        method: str, path: str, route: str, status: int,
-                        duration: float, bytes_out: int) -> None:
-        ctx.registry.merge_into(obs_metrics.registry())
-        info = ctx.info
-        backend = str(info.get("backend", "-"))
+    def _finish_request(self, ctx: reqctx.RequestContext,
+                        root: obs_trace.Span) -> None:
+        record = access_record(ctx)
         obs_metrics.registry().histogram(
-            "serve.request.seconds", route=route, status=str(status),
-            backend=backend).observe(duration)
-        record = {
-            "type": "access",
-            "wall_time": wall,
-            "request_id": ctx.request_id,
-            "trace_id": ctx.trace_id,
-            "traceparent": ctx.traceparent,
-            "traceparent_in": ctx.traceparent_in,
-            "method": method,
-            "path": path,
-            "route": route,
-            "status": status,
-            "backend": backend,
-            "cache_hit": info.get("cache_hit"),
-            "dedup": bool(info.get("dedup", False)),
-            "degraded": bool(info.get("degraded", False)),
-            "run_route": info.get("run_route"),
-            "stream": info.get("stream"),
-            "duration_ms": duration * 1e3,
-            "bytes_out": bytes_out,
-        }
-        spans = [span_tree(root) for root in ctx.tracer.roots]
+            "serve.request.seconds", route=record["route"],
+            status=str(record["status"]),
+            backend=record["backend"]).observe(root.duration)
         with self._recorder_lock:
-            self._recorder.append({"record": record, "spans": spans})
+            self._recorder.append((record, root))
         if self.access_log is not None:
             try:
                 self.access_log.write(record)
             except OSError:
                 pass  # a full disk must not fail the request
-        # Emitted after the context closes, so stamp the ids explicitly.
-        obs_bus.emit_event("serve.request", request_id=ctx.request_id,
-                           trace_id=ctx.trace_id, route=route,
-                           status=status, backend=backend,
-                           duration_ms=record["duration_ms"])
+        obs_bus.emit_event("serve.request", **record)
 
     # -- introspection endpoints ----------------------------------------------
 
@@ -457,7 +441,7 @@ class ServeServer:
             "breaker": self.breaker.stats(),
         }
 
-    def _recent(self) -> list[dict]:
+    def _recent(self) -> list[tuple[dict, obs_trace.Span]]:
         """Flight-recorder contents, most recent request first."""
         with self._recorder_lock:
             entries = list(self._recorder)
@@ -468,17 +452,14 @@ class ServeServer:
         """One recorded request by request-id (prefix) or trace-id."""
         if not needle:
             raise _usage("empty request id")
-        with self._recorder_lock:
-            entries = list(self._recorder)
-        for entry in reversed(entries):
-            record = entry["record"]
+        for record, root in self._recent():
             if record["request_id"].startswith(needle) \
                     or record["trace_id"] == needle:
-                return entry
+                return _recorder_entry(record, root)
         raise ApiError(404, "usage", 2,
                        f"no recorded request matches {needle!r} "
                        f"(the flight recorder keeps the last "
-                       f"{self._recorder.maxlen})")
+                       f"{FLIGHT_RECORDER_SIZE})")
 
     def _json(self, status: int, payload: dict,
               headers: dict | None = None) -> tuple[int, str, bytes, dict]:
@@ -711,7 +692,9 @@ class ServeServer:
         """Best-effort ledger record for one served run."""
         if not self.ledger:
             return
-        ctx = reqctx.current()
+        # The root span is still open here: only the record's ids are
+        # final, and they are all the ledger takes from it.
+        record = access_record(reqctx.current())
         body = obs_ledger.make_body(
             "serve", stream.name, spec_hash=stream.source_hash,
             backend=parsed["backend"] if result["route"] == "native"
@@ -724,8 +707,7 @@ class ServeServer:
             checksum=result["checksum"], seconds=result["seconds"],
             metrics={"outputs": result["outputs"],
                      "wall_seconds": result["wall_seconds"]},
-            request_id=ctx.request_id if ctx else None,
-            trace_id=ctx.trace_id if ctx else None)
+            request_id=record["request_id"], trace_id=record["trace_id"])
         try:
             envelope = obs_ledger.append(body)
         except OSError:
@@ -734,6 +716,42 @@ class ServeServer:
                            record_id=envelope["record_id"],
                            seq=envelope["seq"], kind="serve",
                            target=stream.name)
+
+
+def access_record(ctx: reqctx.RequestContext) -> dict:
+    """Project a request's ``serve.request`` root span, plus the
+    context's ids, into its access record: the one record the access
+    log, the flight recorder, the ``serve.request`` event and the serve
+    ledger all read."""
+    root = ctx.tracer.roots[0]
+    facts = root.attrs
+    return {
+        "type": "access",
+        "wall_time": root.wall_start,
+        "request_id": ctx.request_id,
+        "trace_id": ctx.trace_id,
+        "traceparent": ctx.traceparent,
+        "traceparent_in": ctx.traceparent_in,
+        "method": facts["method"],
+        "path": facts["path"],
+        "route": facts["route"],
+        "status": facts.get("status"),
+        "backend": str(facts.get("backend", "-")),
+        "cache_hit": facts.get("cache_hit"),
+        "dedup": bool(facts.get("dedup", False)),
+        "degraded": bool(facts.get("degraded", False)),
+        "run_route": facts.get("run_route"),
+        "stream": facts.get("stream"),
+        "duration_ms": (root.duration_ns or 0) / 1e6,
+        "bytes_out": facts.get("bytes_out"),
+    }
+
+
+def _recorder_entry(record: dict, root: obs_trace.Span) -> dict:
+    """A flight-recorder entry as ``/debug/*`` serves it; the span tree
+    is serialized here, on read, with start times relative to the
+    request's start."""
+    return {"record": record, "spans": [span_to_dict(root, root.start)]}
 
 
 def _ledger_reachable(path: Path) -> bool:
@@ -764,8 +782,13 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        body = None  # malformed: handle() answers 400
+        if length >= 0:
+            body = self.rfile.read(length) if length else b""
         path = self.path.split("?", 1)[0]
         status, content_type, payload, extra = self.server.owner.handle(
             method, path, body, dict(self.headers))
@@ -774,6 +797,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for name, value in extra.items():
             self.send_header(name, value)
+        if body is None:
+            # The unread body's extent is unknown: end the connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -11,7 +11,6 @@ from repro.cli import main
 from repro.faults.plan import FaultPlan, inject
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
-from repro.obs import reqctx
 from repro.obs import trace
 from tests.conftest import requires_cc
 
@@ -172,26 +171,6 @@ class TestNativeHeartbeats:
         gauges = [k for k in snapshot
                   if k.startswith("native.heartbeat.filter.")]
         assert gauges
-
-    def test_heartbeats_land_in_the_request_registry(self, tiny_stream,
-                                                     tmp_path):
-        # The daemon runs a binary inside the request's context: live
-        # heartbeat telemetry must be attributed to that request, not
-        # to the process-wide registry.
-        trace.enable()
-        obs_metrics.registry().reset()
-        code = generate_laminar_c(tiny_stream.lower().program,
-                                  profile=True)
-        ctx = reqctx.RequestContext()
-        with reqctx.activate(ctx):
-            run = runner.compile_and_run(code, 4, workdir=tmp_path,
-                                         name="tiny_ctx", heartbeat_ms=0)
-        assert len(run.heartbeats) == 5
-        local = ctx.registry.as_dict()
-        assert local["native.heartbeat.count"] == 5
-        assert local["native.heartbeat.iterations"] == 4
-        assert "native.heartbeat.count" not in \
-            obs_metrics.registry().as_dict()
 
     def test_heartbeats_off_by_default(self, tiny_stream, tmp_path):
         code = generate_laminar_c(tiny_stream.lower().program,

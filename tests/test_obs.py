@@ -484,7 +484,7 @@ class TestJsonlEventSink:
         assert by_type["event"][0]["attrs"] == {"binary": "prog"}
         span_line = by_type["span"][0]
         assert span_line["name"] == "spanned"
-        assert span_line["duration_ns"] >= 0
+        assert span_line["duration_s"] >= 0
         assert span_line["attrs"] == {"file": "x.str"}
         assert by_type["metrics"][0]["metrics"] == {"hits": 3}
 
@@ -497,16 +497,6 @@ class TestJsonlEventSink:
         names = [json.loads(line)["name"]
                  for line in path.read_text().splitlines()]
         assert names == ["round0", "round1"]
-
-    def test_chrome_trace_sink(self, tmp_path):
-        trace.enable()
-        with trace.span("traced"):
-            pass
-        sink = sinks.ChromeTraceSink(tmp_path / "trace.json")
-        sink.on_metrics({"m": 1})
-        sink.close()
-        parsed = json.loads((tmp_path / "trace.json").read_text())
-        assert any(e["name"] == "traced" for e in parsed["traceEvents"])
 
 
 class TestOpenMetrics:
@@ -541,16 +531,6 @@ class TestOpenMetrics:
     def test_empty_registry_is_still_valid(self):
         text = sinks.to_openmetrics(metrics.MetricsRegistry())
         assert text == "# EOF\n"
-
-    def test_sink_writes_at_flush(self, tmp_path):
-        trace.enable()
-        metrics.registry().reset()
-        metrics.counter("hits").inc()
-        sink = sinks.OpenMetricsSink(tmp_path / "metrics.prom")
-        sink.flush()
-        text = (tmp_path / "metrics.prom").read_text()
-        assert "repro_hits_total 1" in text
-        assert text.endswith("# EOF\n")
 
 
 class TestLabeledMetrics:
@@ -593,49 +573,16 @@ class TestLabeledMetrics:
         gauge.add(-1)
         assert gauge.value == 4
 
-    def test_histogram_merge_is_exact_on_moments(self):
-        left = metrics.Histogram("h")
-        right = metrics.Histogram("h")
-        for value in (1.0, 2.0, 3.0):
-            left.observe(value)
-        for value in (10.0, 0.5):
-            right.observe(value)
-        left.merge(right)
-        assert left.count == 5
-        assert left.total == 16.5
-        assert left.min == 0.5
-        assert left.max == 10.0
-        assert left.percentile(99) == 10.0
-
-    def test_merge_into_semantics(self):
-        source = metrics.MetricsRegistry()
-        target = metrics.MetricsRegistry()
-        target.counter("c", route="/run").inc(10)
-        target.gauge("g").set(1)
-        target.histogram("h").observe(1.0)
-        source.counter("c", route="/run").inc(2)
-        source.counter("untouched")  # zero: must not land in target
-        source.gauge("g").set(7)
-        source.histogram("h").observe(3.0)
-        source.merge_into(target)
-        assert target.counter("c", route="/run").value == 12
-        assert target.gauge("g").value == 7
-        assert target.histogram("h").count == 2
-        assert target.histogram("h").total == 4.0
-        assert "untouched" not in target.names()
-
-    def test_helpers_route_to_active_context(self):
+    def test_helpers_write_to_the_process_registry_in_a_context(self):
         trace.enable()
         ctx = reqctx.RequestContext()
         metrics.counter("ambient.hits").inc()
         with reqctx.activate(ctx):
             metrics.counter("ctx.hits").inc(3)
             metrics.gauge("ctx.depth").set(2)
-        assert "ctx.hits" not in metrics.registry().names()
-        assert ctx.registry.counter("ctx.hits").value == 3
-        assert ctx.registry.gauge("ctx.depth").value == 2
+        assert metrics.registry().counter("ctx.hits").value == 3
+        assert metrics.registry().gauge("ctx.depth").value == 2
         assert metrics.registry().counter("ambient.hits").value == 1
-        assert "ambient.hits" not in ctx.registry.names()
 
 
 class TestTraceparent:
@@ -710,9 +657,7 @@ class TestRequestContext:
     def test_bus_events_stamped_and_collected(self):
         ctx = reqctx.RequestContext()
         with reqctx.activate(ctx):
-            bus.emit_event("ctx.fact", foo=1)
-        assert len(ctx.events) == 1
-        event = ctx.events[0]
+            event = bus.emit_event("ctx.fact", foo=1)
         assert event.attrs == {"foo": 1,
                                "request_id": ctx.request_id,
                                "trace_id": ctx.trace_id}
@@ -727,9 +672,13 @@ class TestRequestContext:
         ctx = reqctx.RequestContext()
         reqctx.note(orphan=True)  # no active context: a no-op
         with reqctx.activate(ctx):
-            reqctx.note(backend="laminar-c")
-            reqctx.note(cache_hit=True)
-        assert ctx.info == {"backend": "laminar-c", "cache_hit": True}
+            reqctx.note(early=True)  # no root span yet: a no-op
+            with ctx.tracer.span("root") as root:
+                reqctx.note(backend="laminar-c")
+                reqctx.note(cache_hit=True)
+        assert root.attrs == {"request_id": ctx.request_id,
+                              "trace_id": ctx.trace_id,
+                              "backend": "laminar-c", "cache_hit": True}
         assert reqctx.current() is None
 
     def test_activation_nests_and_restores(self):

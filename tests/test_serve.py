@@ -122,6 +122,33 @@ class TestValidation:
         assert client.run(benchmark="autocor",
                           iterations="many").status == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, client, server,
+                                             length):
+        import socket
+
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(server.socket_path)
+            sock.sendall(f"POST /run HTTP/1.1\r\nHost: d\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode().split("\r\n")
+        assert status_line.split()[1] == "400"
+        payload = json.loads(body)
+        assert payload["kind"] == "usage"
+        assert payload["exit_code"] == 2
+        headers = {name.lower(): value for name, value
+                   in (line.split(": ", 1) for line in header_lines)}
+        assert headers["connection"] == "close"
+        # Counted and recorded like any other request.
+        record = client.debug_trace(headers["x-request-id"]).json["record"]
+        assert record["route"] == "/run"
+        assert record["status"] == 400
+
     def test_compile_error_maps_to_422(self, client):
         response = client.compile(source="void->void pipeline P { }")
         assert response.status == 422
@@ -385,22 +412,33 @@ class TestObservability:
         # The in-flight gauge sees the scrape itself being served.
         assert 'repro_serve_inflight{route="/metrics"} 1' in text
 
-    def test_access_log_written_and_flushed(self, tmp_path):
+    def test_access_log_written_and_flushed(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import bus as obs_bus
+        from repro.obs.sinks import JsonlEventSink
+
         log_path = tmp_path / "access.jsonl"
+        event_path = tmp_path / "events.jsonl"
+        sink = obs_bus.get_bus().add_sink(JsonlEventSink(event_path))
         instance = ServeServer(socket_path=tmp_path / "a.sock",
                                cache=ArtifactCache(tmp_path / "cache"),
                                access_log=log_path).start()
         try:
             handle = ServeClient(socket_path=instance.socket_path)
             assert handle.wait_ready()
-            response = handle.run(source=_program("Logged"),
-                                  iterations=4, route="interp")
+            response = handle.run(
+                source=_program("Logged"), iterations=4, route="interp",
+                traceparent=f"00-{'ab' * 16}-{'cd' * 8}-01")
             assert response.ok, response.text
             # Flushed per line: readable before the server stops.
             lines = [json.loads(line) for line
                      in log_path.read_text().splitlines()]
+            traced = handle.debug_trace(response.request_id).json
+            recent = handle.debug_requests()
         finally:
             instance.stop()
+            obs_bus.get_bus().remove_sink(sink)
+            sink.close()
         runs = [record for record in lines if record["route"] == "/run"]
         assert len(runs) == 1
         record = runs[0]
@@ -412,6 +450,29 @@ class TestObservability:
         assert record["duration_ms"] >= 0
         assert record["bytes_out"] > 0
         assert record["traceparent"] == response.headers["traceparent"]
+        # One record: the access-log line, the flight recorder's record
+        # and the serve.request event's attrs are the same dict...
+        events = [json.loads(line) for line
+                  in event_path.read_text().splitlines()]
+        served = [event["attrs"] for event in events
+                  if event["type"] == "event"
+                  and event["name"] == "serve.request"
+                  and event["attrs"]["request_id"] == response.request_id]
+        assert served == [record]
+        assert traced["record"] == record
+        # ...the flight recorder still serves its span tree...
+        mine = [entry for entry in recent
+                if entry["record"]["request_id"] == response.request_id]
+        assert [set(entry) for entry in mine] == [{"record", "spans"}]
+        assert [root["name"] for root in mine[0]["spans"]] == \
+            ["serve.request"]
+        # ...and `repro tail` renders it alike from either log.
+        capsys.readouterr()
+        assert main(["tail", str(log_path), "--route", "/run"]) == 0
+        from_access_log = capsys.readouterr().out
+        assert response.request_id in from_access_log
+        assert main(["tail", str(event_path), "--route", "/run"]) == 0
+        assert capsys.readouterr().out == from_access_log
 
     def test_run_ledger_record_carries_request_ids(self, client):
         from repro.obs import ledger as obs_ledger
