@@ -9,6 +9,11 @@ the paper's "enabling effect" measured natively in experiment E3.
 Temps referenced outside their defining section (possible after state
 promotion, e.g. a coefficient computed during setup and used every
 iteration) are emitted as statics; everything else is a block-local.
+
+Only the steady section is timed.  Setup and the init schedule run once,
+so they form a *prologue* compiled for compile time: each is a
+``REPRO_PROLOGUE`` function (``noinline``, and at ``-O1`` under gcc) and
+its loop regions are plain counted loops.
 """
 
 from __future__ import annotations
@@ -23,6 +28,17 @@ from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
 from repro.lir.program import Program
 
 _SECTION_NAMES = ("repro_setup", "repro_init_schedule", "repro_steady")
+
+# The run-once sections' attribute.  noinline keeps them out of main()
+# (where the inlined steady loop is compiled at -O3); gcc's per-function
+# optimize("O1") keeps the command line's -fwrapv.  Not `cold`: that makes
+# gcc compile all of main(), the steady loop included, for size.
+PROLOGUE_MACRO = """\
+#if defined(__GNUC__) && !defined(__clang__)
+#define REPRO_PROLOGUE __attribute__((noinline, optimize("O1")))
+#else
+#define REPRO_PROLOGUE __attribute__((noinline))
+#endif"""
 
 
 def _expanded_count(ops: list[Op]) -> int:
@@ -110,7 +126,7 @@ class LaminarCBackend:
 
     def generate(self) -> str:
         self._analyze()
-        chunks = [C_PRELUDE]
+        chunks = [C_PRELUDE, PROLOGUE_MACRO]
 
         steady_runs: list[tuple[str | None, list[Op]]] = []
         if self.profile:
@@ -139,7 +155,9 @@ class LaminarCBackend:
             chunks.append(f"static {types[temp_id]} t{temp_id};")
 
         for section, (title, ops) in enumerate(self.program.sections()):
-            lines = [f"static void {_SECTION_NAMES[section]}(void)", "{"]
+            prologue = section != 2  # setup and init run once
+            header = f"static void {_SECTION_NAMES[section]}(void)"
+            lines = [f"REPRO_PROLOGUE {header}" if prologue else header, "{"]
             if self.profile and section == 2:
                 lines.append("    repro_prof_t_iter = repro_now();")
                 for key, run_ops in steady_runs:
@@ -160,7 +178,7 @@ class LaminarCBackend:
                                  f"{_expanded_count(run_ops)};")
                     lines.append(f"    repro_prof_calls[{row}]++;")
             else:
-                lines.extend(self._emit_ops(ops))
+                lines.extend(self._emit_ops(ops, prologue=prologue))
             if section == 1:
                 for param, value in zip(self.program.carry_params,
                                         self.program.carry_inits):
@@ -185,29 +203,34 @@ class LaminarCBackend:
 
     # -- op translation ----------------------------------------------------------------
 
-    def _emit_ops(self, ops: list[Op], indent: str = "    ") -> list[str]:
+    def _emit_ops(self, ops: list[Op], indent: str = "    ",
+                  prologue: bool = False) -> list[str]:
         lines: list[str] = []
         for op in ops:
             if isinstance(op, LoopRegion):
-                lines.extend(self._region(op, indent))
+                lines.extend(self._region(op, indent, prologue))
             else:
                 lines.append(indent + self._op(op))
         return lines
 
-    def _region(self, region: LoopRegion, indent: str) -> list[str]:
+    def _region(self, region: LoopRegion, indent: str,
+                prologue: bool = False) -> list[str]:
         """Emit a re-rolled run as a counted ``for`` loop.
 
-        The body's gather/scatter arrays get ``restrict``-qualified local
-        aliases (read-only ones also ``const``) so the C compiler can
-        prove the per-trip accesses independent; data-parallel bodies get
-        ``#pragma omp simd`` (activated by ``-fopenmp-simd``).
+        In the steady section the body's gather/scatter arrays get
+        ``restrict``-qualified local aliases (read-only ones also
+        ``const``) so the C compiler can prove the per-trip accesses
+        independent; data-parallel bodies get ``#pragma omp simd``
+        (activated by ``-fopenmp-simd``).  A ``prologue`` region runs
+        once and is emitted as a plain loop, with neither.
         """
         inner = indent + "    "
         lines = [indent + "{"]
         stored = {slot.name for slot in region.body_slot_stores()}
         aliased: list[str] = []
-        for slot in list(region.body_slot_loads()) \
-                + list(region.body_slot_stores()):
+        slots = [] if prologue else \
+            list(region.body_slot_loads()) + list(region.body_slot_stores())
+        for slot in slots:
             if slot.name in self._slot_alias or not slot.is_array:
                 continue
             alias = f"rr_{slot.name}"
@@ -219,7 +242,7 @@ class LaminarCBackend:
         for param, init in zip(region.carry_params, region.carry_inits):
             lines.append(f"{inner}{c_type(param.ty)} {self._name(param)} "
                          f"= {self._value(init)};")
-        if region.parallel:
+        if region.parallel and not prologue:
             lines.append(f"{inner}#pragma omp simd")
         counter = self._name(region.index)
         lines.append(f"{inner}for (i32 {counter} = 0; "
@@ -344,7 +367,9 @@ class LaminarCBackend:
 #    optional ``#pragma omp simd``) instead of fully-unrolled bodies.
 # 3: the lowering forms loop regions from the schedule's firing runs,
 #    which changes the regions (and names) a program's C carries.
-CODEGEN_VERSION = 3
+# 4: setup and init are REPRO_PROLOGUE (noinline, gcc -O1) functions whose
+#    loop regions are plain loops; the steady section is unchanged.
+CODEGEN_VERSION = 4
 
 
 def codegen_fingerprint() -> str:

@@ -9,11 +9,9 @@ somewhere durable (:mod:`repro.obs.sinks`: a JSONL event log).
 Three kinds of telemetry flow through:
 
 * **Events** — discrete, point-in-time facts (``native.stall``,
-  ``compile.done``).  Always recorded into a bounded in-process ring
-  buffer (:meth:`TelemetryBus.recent_events`) and forwarded to every
-  attached sink, independent of whether span tracing is enabled — an
-  event like a watchdog stall must not vanish just because nobody asked
-  for a profile.
+  ``compile.done``).  Forwarded to every attached sink, independent of
+  whether span tracing is enabled — an event like a watchdog stall must
+  not vanish just because nobody asked for a profile.
 * **Spans** — forwarded to sinks as they *close* (streamed, not
   buffered), via a hook the bus installs into :mod:`repro.obs.trace`
   while at least one sink is attached.  With no sinks the hook is
@@ -33,12 +31,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs import reqctx, trace
-
-EVENT_BUFFER = 256
 
 
 @dataclass
@@ -99,7 +94,6 @@ class TelemetryBus:
     def __init__(self):
         self._lock = threading.Lock()
         self._sinks: list[TelemetrySink] = []
-        self._events: deque[Event] = deque(maxlen=EVENT_BUFFER)
 
     # -- sink lifecycle -------------------------------------------------------
 
@@ -123,17 +117,14 @@ class TelemetryBus:
     # -- telemetry fan-out ----------------------------------------------------
 
     def emit(self, name: str, /, **attrs: object) -> Event:
-        """Publish an event: buffered in-process and sent to every sink."""
+        """Publish an event to every attached sink."""
         ctx = reqctx.current()
         if ctx is not None:
             attrs.setdefault("request_id", ctx.request_id)
             attrs.setdefault("trace_id", ctx.trace_id)
         event = Event(name=name, wall_time=time.time(),
                       monotonic_ns=time.monotonic_ns(), attrs=attrs)
-        with self._lock:
-            self._events.append(event)
-            sinks = list(self._sinks)
-        for sink in sinks:
+        for sink in self.sinks():
             sink.on_event(event)
         return event
 
@@ -149,20 +140,6 @@ class TelemetryBus:
             if metrics_snapshot is not None:
                 sink.on_metrics(metrics_snapshot)
             sink.flush()
-
-    # -- introspection --------------------------------------------------------
-
-    def recent_events(self, name: str | None = None) -> list[Event]:
-        """Buffered events, oldest first; optionally filtered by name."""
-        with self._lock:
-            events = list(self._events)
-        if name is not None:
-            events = [event for event in events if event.name == name]
-        return events
-
-    def reset_events(self) -> None:
-        with self._lock:
-            self._events.clear()
 
 
 _BUS = TelemetryBus()

@@ -233,12 +233,6 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[key] for key in sorted(self._metrics)]
 
-    def names(self) -> list[str]:
-        """Sorted display names (labeled metrics render as
-        ``name{k="v"}``)."""
-        return [_display_name(metric.name, metric.labels)
-                for metric in self._sorted()]
-
     def instruments(self) -> dict[str, Counter | Gauge | Histogram]:
         """Display name → instrument snapshot (sorted), for exporters."""
         return {_display_name(metric.name, metric.labels): metric

@@ -218,13 +218,11 @@ def _reset_all() -> None:
     _TRACER.reset()
     from repro.obs import metrics as _metrics
     _metrics.registry().reset()
-    from repro.obs import bus as _bus
-    _bus.get_bus().reset_events()
 
 
 def reset() -> None:
-    """Drop all collected spans, metrics and buffered events without
-    changing enablement (attached sinks stay attached)."""
+    """Drop all collected spans and metrics without changing
+    enablement (attached sinks stay attached)."""
     _reset_all()
 
 

@@ -1,9 +1,14 @@
 """Unit tests for the C code generators (text-level, no compiler needed)."""
 
+import hashlib
+
 import pytest
 
 from repro import LoweringOptions, compile_source
 from repro.backend.fifo_c import FifoCodegenOptions
+from repro.backend.laminar_c import generate_laminar_c
+from repro.suite import benchmark_names, load_benchmark
+from tests.conftest import function_text
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -179,3 +184,56 @@ class TestLaminarCodegen:
         for section in ("repro_setup", "repro_init_schedule",
                         "repro_steady"):
             assert f"static void {section}(void)" in code
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    def test_prologue_marks_run_once_sections_only(self, demo_stream,
+                                                   profile):
+        code = generate_laminar_c(demo_stream.lower().program,
+                                  profile=profile)
+        assert code.count('#define REPRO_PROLOGUE __attribute__(('
+                          'noinline, optimize("O1")))') == 1
+        assert code.count("REPRO_PROLOGUE static void") == 2
+        for section in ("repro_setup", "repro_init_schedule"):
+            assert f"\nREPRO_PROLOGUE static void {section}(void)" in code
+        assert "\nstatic void repro_steady(void)" in code
+
+
+# sha256 prefixes of the repro_steady text: the run-once prologue is
+# compiled for compile time, but the timed section must not change with
+# it.  Re-pin only for a change meant to alter the steady C (and bump
+# CODEGEN_VERSION with it).
+STEADY_DIGESTS = {
+    ("autocor", 1): "7bea6bb075a11649",
+    ("beamformer", 1): "318fd3afe7f78577",
+    ("bitonic_sort", 1): "2fb905f1dd9dddb2",
+    ("channel_vocoder", 1): "e8955e5e9ceeb57b",
+    ("dct", 1): "86aaa939a20ecd66",
+    ("fft", 1): "2b0224e957b65089",
+    ("filterbank", 1): "0a893162de2785b5",
+    ("fm_radio", 1): "1a77476a0bca12e1",
+    ("histogram", 1): "8381692afb1a1ab2",
+    ("lattice", 1): "1f0b85f1cef4b08e",
+    ("matrixmult", 1): "0eb3884436dc90a0",
+    ("rate_convert", 1): "26424197e88207ab",
+    ("tde", 1): "8230aaac8dd14805",
+    ("tea_cipher", 1): "76b2b523c41da0dc",
+    ("autocor", 4): "10f09b64cfc2b935",
+    ("bitonic_sort", 4): "7779839484da5749",
+    ("fft", 4): "b05677eb611260bd",
+    ("filterbank", 4): "9da0e973bd246502",
+    ("matrixmult", 4): "5f17ea997ad77138",
+}
+
+
+def test_steady_digests_cover_the_suite():
+    assert {name for name, scale in STEADY_DIGESTS if scale == 1} == \
+        set(benchmark_names(include_extras=True))
+
+
+@pytest.mark.parametrize("name,scale", sorted(STEADY_DIGESTS))
+def test_steady_text_is_pinned(name, scale):
+    code = load_benchmark(name, scale=scale).laminar_c()
+    steady = function_text(code, "repro_steady")
+    assert hashlib.sha256(steady.encode()).hexdigest()[:16] == \
+        STEADY_DIGESTS[name, scale]

@@ -9,21 +9,18 @@ from repro.backend.common import C_MAIN, c_main
 from repro.backend.laminar_c import generate_laminar_c
 from repro.cli import main
 from repro.faults.plan import FaultPlan, inject
-from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-from tests.conftest import requires_cc
+from tests.conftest import captured_telemetry, requires_cc
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     trace.disable()
     trace.reset()
-    obs_bus.get_bus().reset_events()
     yield
     trace.disable()
     trace.reset()
-    obs_bus.get_bus().reset_events()
 
 
 class TestByteIdentity:
@@ -104,7 +101,8 @@ class TestWatchdogInjection:
         obs_metrics.registry().reset()
         binary = tmp_path / "prog"
         binary.write_text("")
-        with inject(FaultPlan.parse("bin-hang:1")):
+        with captured_telemetry() as sink, \
+                inject(FaultPlan.parse("bin-hang:1")):
             with pytest.raises(runner.NativeStallError,
                                match="injected-hang") as info:
                 runner.run_binary(binary, 4, heartbeat_ms=0,
@@ -113,7 +111,7 @@ class TestWatchdogInjection:
         assert info.value.stage == "stall"
         # The stall fired well before the hard run timeout and recorded
         # the event + counter with the last-known filter.
-        events = obs_bus.get_bus().recent_events("native.stall")
+        events = sink.named("native.stall")
         assert len(events) == 1
         assert events[0].attrs["last_filter"] == "injected-hang"
         assert events[0].attrs["beats"] == 1

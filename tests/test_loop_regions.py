@@ -19,6 +19,7 @@ from repro.lir.ops import BinOp, Const, LoadOp, LoopRegion, fresh_temp_ids
 from repro.opt import OptOptions, optimize, promote_state
 from repro.serve.pool import spec_options
 from repro.suite import benchmark_names, load_benchmark
+from tests.conftest import function_text
 
 # Src fires once per token Fir pops and Fir once per token Snk pops, so
 # Snk's pop rate sets the length of the runs in the steady state.
@@ -177,6 +178,32 @@ class TestPromotion:
                            for op in region.body)
             assert any(isinstance(op, BinOp) and op.op == "*"
                        and isinstance(op.rhs, Const) for op in region.body)
+
+
+class TestPrologueEmission:
+    """Run-once regions are plain loops; steady ones keep their
+    ``restrict`` aliases and, when parallel, ``#pragma omp simd``."""
+
+    @pytest.mark.parametrize("name,parallel_init", [
+        ("beamformer", 12), ("filterbank", 0)])
+    def test_only_steady_regions_carry_promises(self, name, parallel_init):
+        stream = load_benchmark(name)
+        program = stream.lower().program
+        code = stream.laminar_c()
+        init = function_text(code, "repro_init_schedule")
+        steady = function_text(code, "repro_steady")
+        regions = _regions(program, "init")
+        assert init.count("for (") == len(regions) > 0
+        # The IR still marks them parallel; only the text drops the
+        # promises.
+        assert sum(region.parallel for region in regions) == parallel_init
+        assert "restrict" not in init
+        assert "#pragma omp simd" not in init
+        regions = _regions(program, "steady")
+        assert steady.count("for (") == len(regions) > 0
+        assert steady.count("*restrict ") >= len(regions)
+        assert steady.count("#pragma omp simd") == \
+            sum(region.parallel for region in regions)
 
 
 ALL = benchmark_names(include_extras=True)

@@ -9,7 +9,7 @@ import pytest
 
 from repro import LoweringOptions, compile_source
 from repro.backend import checksum_outputs, compile_and_run
-from tests.conftest import requires_cc
+from tests.conftest import function_text, requires_cc
 
 pytestmark = requires_cc
 
@@ -106,6 +106,33 @@ def test_ablation_native_matches(tmp_path):
     assert native.checksum == expected
 
 
+# x + 1 > x at x = INT_MAX: false when ints wrap, folded to true by a
+# compiler that treats signed overflow as undefined.  randi(1) is always
+# 0 but opaque to the C compiler.  prework lands in the init schedule,
+# which is compiled at its own per-function level; work is the -O3
+# steady control.
+WRAP_PROGRAM = """
+void->int filter Edge() {
+  prework push 1 { int x = 2147483647 - randi(1); push(x + 1 > x ? 1 : 0); }
+  work push 1 { int x = 2147483647 - randi(1); push(x + 1 > x ? 1 : 0); }
+}
+int->void filter P() { work pop 1 { println(pop()); } }
+void->void pipeline Top { add Edge(); add P(); }
+"""
+
+
+def test_prologue_keeps_wrapping_int_semantics(tmp_path):
+    stream = compile_source(WRAP_PROGRAM)
+    iterations = 4
+    outputs = stream.run_fifo(iterations).outputs
+    assert outputs == [0] * iterations
+    code = stream.laminar_c()
+    for section in ("repro_init_schedule", "repro_steady"):
+        assert " + 1;" in function_text(code, section), section
+    native = compile_and_run(code, iterations, workdir=tmp_path)
+    assert native.checksum == checksum_outputs(outputs)
+
+
 def test_suite_benchmark_native(tmp_path):
     from repro.suite import load_benchmark
     stream = load_benchmark("fft")
@@ -124,11 +151,15 @@ SANITIZE_CFLAGS = ("-O1", "-fwrapv", "-std=gnu11", "-fopenmp-simd",
 
 
 @pytest.mark.parametrize("name", ["filterbank", "beamformer", "dct",
-                                  "fm_radio", "fft", "matrixmult"])
+                                  "fm_radio", "fft", "matrixmult",
+                                  "channel_vocoder", "rate_convert",
+                                  "lattice"])
 def test_loop_region_arrays_sanitizer_clean(name, tmp_path):
     """Loop regions index gather and scatter arrays by the trip count:
     AddressSanitizer traps an index past an array's end, and
-    UndefinedBehaviorSanitizer the arithmetic around it."""
+    UndefinedBehaviorSanitizer the arithmetic around it.  Together the
+    programs cover every suite program whose run-once prologue is not
+    empty."""
     from repro.backend.runner import compile_c, run_binary
     from repro.suite import load_benchmark
     stream = load_benchmark(name)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import compile_source
 from repro.obs import bus, export, metrics, reqctx, sinks, trace
-from tests.conftest import TINY_PROGRAM
+from tests.conftest import TINY_PROGRAM, ListSink, captured_telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -374,59 +374,26 @@ class TestHistogramPercentiles:
         assert abs(a.percentile(50) - n / 2) <= a._stride * 2
 
 
-class _ListSink(bus.TelemetrySink):
-    def __init__(self):
-        self.events, self.spans, self.snapshots = [], [], []
-        self.flushes = 0
-
-    def on_event(self, event):
-        self.events.append(event)
-
-    def on_span(self, span):
-        self.spans.append(span)
-
-    def on_metrics(self, snapshot):
-        self.snapshots.append(snapshot)
-
-    def flush(self):
-        self.flushes += 1
-
-
 class TestTelemetryBus:
     def setup_method(self):
         self.bus = bus.TelemetryBus()
 
-    def test_events_buffered_without_sinks_or_tracing(self):
+    def test_events_delivered_without_tracing(self):
         assert not trace.is_enabled()
+        sink = self.bus.add_sink(ListSink())
         event = self.bus.emit("native.stall", binary="prog", beats=2)
         assert event.wall_time > 0
         assert event.monotonic_ns > 0
-        recent = self.bus.recent_events()
-        assert [e.name for e in recent] == ["native.stall"]
-        assert recent[0].attrs == {"binary": "prog", "beats": 2}
-
-    def test_buffer_is_bounded(self):
-        for index in range(bus.EVENT_BUFFER + 50):
-            self.bus.emit("e", index=index)
-        recent = self.bus.recent_events()
-        assert len(recent) == bus.EVENT_BUFFER
-        assert recent[0].attrs["index"] == 50  # oldest evicted first
-
-    def test_filter_by_name(self):
-        self.bus.emit("a")
-        self.bus.emit("b")
-        self.bus.emit("a")
-        assert len(self.bus.recent_events("a")) == 2
-        self.bus.reset_events()
-        assert self.bus.recent_events() == []
+        assert [e.name for e in sink.events] == ["native.stall"]
+        assert sink.events[0].attrs == {"binary": "prog", "beats": 2}
 
     def test_events_fan_out_to_sinks(self):
-        sink = self.bus.add_sink(_ListSink())
+        sink = self.bus.add_sink(ListSink())
         self.bus.emit("compile.done", filters=3)
         assert [e.name for e in sink.events] == ["compile.done"]
 
     def test_flush_pushes_metrics_snapshot(self):
-        sink = self.bus.add_sink(_ListSink())
+        sink = self.bus.add_sink(ListSink())
         self.bus.flush({"x": 1})
         assert sink.snapshots == [{"x": 1}]
         assert sink.flushes == 1
@@ -435,7 +402,7 @@ class TestTelemetryBus:
         assert sink.flushes == 2
 
     def test_span_hook_installed_only_while_sinks_attached(self):
-        sink = _ListSink()
+        sink = ListSink()
         self.bus.add_sink(sink)
         trace.enable()
         # The global bus owns the real hook; drive this bus's hook
@@ -455,11 +422,10 @@ class TestTelemetryBus:
         json.dumps(payload)  # fully serializable
 
     def test_global_bus_helpers(self):
-        bus.get_bus().reset_events()
-        bus.emit_event("global.check", k="v")
-        events = bus.get_bus().recent_events("global.check")
+        with captured_telemetry() as sink:
+            bus.emit_event("global.check", k="v")
+        events = sink.named("global.check")
         assert events and events[-1].attrs == {"k": "v"}
-        bus.get_bus().reset_events()
 
 
 class TestJsonlEventSink:
@@ -564,7 +530,8 @@ class TestLabeledMetrics:
         registry.counter("hits", status="200", route="/run").inc(4)
         assert registry.as_dict() == \
             {'hits{route="/run",status="200"}': 4}
-        assert registry.names() == ['hits{route="/run",status="200"}']
+        assert list(registry.instruments()) == \
+            ['hits{route="/run",status="200"}']
 
     def test_gauge_add(self):
         gauge = metrics.Gauge("g")
@@ -656,13 +623,13 @@ class TestRequestContext:
 
     def test_bus_events_stamped_and_collected(self):
         ctx = reqctx.RequestContext()
-        with reqctx.activate(ctx):
+        with captured_telemetry() as sink, reqctx.activate(ctx):
             event = bus.emit_event("ctx.fact", foo=1)
         assert event.attrs == {"foo": 1,
                                "request_id": ctx.request_id,
                                "trace_id": ctx.trace_id}
-        # Still visible on the global ring too.
-        assert bus.get_bus().recent_events("ctx.fact")
+        # Delivered, stamped, to the global bus's sinks too.
+        assert sink.named("ctx.fact") == [event]
 
     def test_events_outside_context_are_unstamped(self):
         event = bus.emit_event("ambient.fact")
