@@ -13,18 +13,14 @@ lowers the way ``CompiledStream.lower`` does, with
 pipeline prunes dead code, and with loop regions from the schedule's
 firing runs, since it re-rolls.
 
-Both stages are compared against committed baselines under
-``results/``:
-
-* ``compile_cost_seed.json`` — the pre-pass-manager optimizer, for the
-  "vs seed" column (the analysis-driven rewrite's headline);
-* ``compile_cost_baseline.json`` — the current pipeline, per stage, for
-  CI's regression gates: ``--check NAME [NAME...]`` re-measures just
-  those benchmarks and fails if either stage's time exceeds 2x its
-  baseline, if filterbank x4 lowers other than exactly its baseline
-  op count (deterministic, so any host can gate it), or if its
-  ``tracemalloc`` heap peak across lower plus optimize exceeds 1.25x
-  its baseline.
+Both stages are compared against the committed per-stage baseline
+``results/compile_cost_baseline.json`` in CI's regression gates:
+``--check NAME [NAME...]`` re-measures just those benchmarks and fails
+if either stage's time exceeds 2x its baseline, if filterbank x4 lowers
+other than exactly its baseline op count or needs more than 3 optimizer
+fixpoint rounds (both deterministic, so any host can gate them), or if
+its ``tracemalloc`` heap peak across lower plus optimize exceeds 1.25x
+its baseline.
 
 A full run writes ``results/compile_cost.txt``, the raw measurements in
 ``results/compile_cost.json`` and the headline numbers in the
@@ -57,8 +53,9 @@ STAGES = {"lower_s": "lowering", "optimize_s": "optimize"}
 
 # CI regression gate: fail --check when a stage's time exceeds this
 # multiple of the committed baseline (generous — CI machines are noisy;
-# losing the firing templates costs lowering ~2.5x, losing the sparse
-# worklists costs the optimizer 5-10x).
+# losing the firing templates costs lowering ~2.5x, and specializing one
+# link of a carry chain per fixpoint round instead of whole chains costs
+# filterbank x4's optimize ~6x).
 CHECK_TOLERANCE = 2.0
 # Stages shorter than this are not gated: at a few milliseconds the
 # timer's and the host's noise exceed any regression worth reporting.
@@ -73,6 +70,11 @@ CHECK_FLOOR_S = 0.05
 CODEGEN_SIZE_RATIO = 3.0
 _CODEGEN_SIZE_BENCH = ("filterbank", 4)
 
+# Round gate: filterbank x4 must reach the optimizer's fixpoint within
+# this many rounds.  Its upsampler peek windows are 16-deep chains of
+# constant carries; resolving a chain one link per round took 17 rounds.
+MAX_FIXPOINT_ROUNDS = 3
+
 # Memory gate: filterbank x4's Python heap peak across lower plus
 # optimize (tracemalloc, so independent of the allocator and of other
 # processes) may not exceed this multiple of its baseline.  The peak is
@@ -82,7 +84,6 @@ _CODEGEN_SIZE_BENCH = ("filterbank", 4)
 PEAK_KEY = "traced_peak_mib"
 PEAK_TOLERANCE = 1.25
 
-_SEED_BASELINE = RESULTS_DIR / "compile_cost_seed.json"
 _CURRENT_BASELINE = RESULTS_DIR / "compile_cost_baseline.json"
 
 
@@ -171,16 +172,12 @@ def codegen_size_ratio(name: str, scale: int) -> float:
 
 
 def build_report() -> tuple[str, dict]:
-    seed = _load_baseline(_SEED_BASELINE)
     rows = []
     data: dict[tuple[str, int], dict] = {}
     for name in SWEEP_NAMES:
         for scale in SCALES:
             result = measure(name, scale)
             data[(name, scale)] = result
-            seed_s = seed.get(f"{name}@{scale}")
-            vs_seed = f"{seed_s / result['optimize_s']:.1f}x" \
-                if seed_s and result["optimize_s"] > 0 else "n/a"
             rows.append([
                 f"{name} x{scale}",
                 str(result["ops_lowered"]),
@@ -188,7 +185,7 @@ def build_report() -> tuple[str, dict]:
                 str(result["steady_ops_static"]),
                 f"{result['lower_s'] * 1000:.0f} ms",
                 f"{result['optimize_s'] * 1000:.0f} ms",
-                vs_seed,
+                str(result["fixpoint_rounds"]),
                 f"{result['fifo_c_kb']:.1f} KB",
                 f"{result['laminar_c_kb']:.1f} KB",
                 f"{result['speedup']:.2f}x",
@@ -196,7 +193,7 @@ def build_report() -> tuple[str, dict]:
     table = format_table(
         ["benchmark/scale", "ops lowered", "steady ops (exec)",
          "steady ops (emitted)",
-         "lowering time", "optimize time", "optimize vs seed",
+         "lowering time", "optimize time", "fixpoint rounds",
          "FIFO C size", "LaminarIR C size", "modeled speedup (i7)"],
         rows,
         title="Extension: compile-time and code-size cost of the "
@@ -212,6 +209,7 @@ def _headline(data: dict, size_ratio: float) -> dict:
         "filterbank4_lower_s": headline["lower_s"],
         "filterbank4_ops_lowered": headline["ops_lowered"],
         "filterbank4_optimize_s": headline["optimize_s"],
+        "filterbank4_fixpoint_rounds": headline["fixpoint_rounds"],
         "filterbank4_steady_ops": headline["steady_ops"],
         "filterbank4_steady_ops_static": headline["steady_ops_static"],
         "filterbank4_laminar_c_kb": headline["laminar_c_kb"],
@@ -250,13 +248,14 @@ def check(names: list[str]) -> int:
     fast path, the optimize gate a pass manager that stops paying for
     itself.  filterbank x4's lowered-op count must equal its baseline:
     that catches lost demand-driven replay or lost loop regions at
-    lowering on any machine, and its
-    traced heap peak may not exceed ``PEAK_TOLERANCE`` times its
-    baseline.
+    lowering on any machine.  Its optimizer must converge within
+    ``MAX_FIXPOINT_ROUNDS`` rounds, and its traced heap peak may not
+    exceed ``PEAK_TOLERANCE`` times its baseline.
     """
     baseline = _load_baseline(_CURRENT_BASELINE)
     failures = []
     ops_lowered = {}
+    rounds = {}
     for name in names:
         for scale in SCALES:
             key = f"{name}@{scale}"
@@ -273,6 +272,7 @@ def check(names: list[str]) -> int:
             result = measure(name, scale, full=False)
             assert result["converged"], key
             ops_lowered[key] = result["ops_lowered"]
+            rounds[key] = result["fixpoint_rounds"]
             for stage, label in STAGES.items():
                 actual, limit = result[stage], expected[stage]
                 status = "ok"
@@ -291,6 +291,11 @@ def check(names: list[str]) -> int:
               f"gated exactly) {status}")
         if status == "FAIL":
             failures.append(f"{key} ops lowered")
+        status = "ok" if rounds[key] <= MAX_FIXPOINT_ROUNDS else "FAIL"
+        print(f"{key}: {rounds[key]} fixpoint rounds "
+              f"(gate ≤ {MAX_FIXPOINT_ROUNDS}) {status}")
+        if status == "FAIL":
+            failures.append(f"{key} fixpoint rounds")
         ratio = codegen_size_ratio(bench, scale)
         status = "ok" if ratio >= CODEGEN_SIZE_RATIO else "FAIL"
         print(f"{bench}@{scale}: laminar C unrolled/re-rolled "
@@ -335,17 +340,16 @@ def update_baseline() -> int:
 def test_compile_cost(benchmark):
     benchmark(lambda: load_benchmark("fft", scale=2).lower())
     _table, data, size_ratio = report()
-    seed = _load_baseline(_SEED_BASELINE)
     for name in SWEEP_NAMES:
         # executed work grows with the problem...
         assert data[(name, 4)]["steady_ops"] >= \
             data[(name, 1)]["steady_ops"]
         # ...but the speedup does not collapse
         assert data[(name, 4)]["speedup"] > 1.0
-    # The acceptance headline: the pass manager optimizes the largest
-    # steady state (filterbank) at least 2x faster than the seed.
-    assert data[("filterbank", 4)]["optimize_s"] * 2.0 <= \
-        seed["filterbank@4"]
+    # Carry chains resolve in one call, so the largest steady state
+    # (filterbank) reaches the fixpoint in a few rounds.
+    assert data[("filterbank", 4)]["fixpoint_rounds"] <= \
+        MAX_FIXPOINT_ROUNDS
     # Re-rolling shrinks what the C backend emits for that same state.
     assert size_ratio >= CODEGEN_SIZE_RATIO, size_ratio
 
@@ -356,8 +360,9 @@ def main(argv=None) -> int:
         "--check", nargs="+", metavar="NAME",
         help="CI smoke mode: measure just these benchmarks and fail on "
              f"a >{CHECK_TOLERANCE:.0f}x lowering- or optimize-time "
-             "regression, a changed filterbank x4 lowered-op count or a "
-             f">{PEAK_TOLERANCE}x filterbank x4 heap-peak regression")
+             "regression, a changed filterbank x4 lowered-op count, more "
+             f"than {MAX_FIXPOINT_ROUNDS} filterbank x4 fixpoint rounds "
+             f"or a >{PEAK_TOLERANCE}x filterbank x4 heap-peak regression")
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="re-measure the sweep and rewrite "

@@ -441,8 +441,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             [[stat.name, str(stat.runs), str(stat.changes)]
              for stat in stats.pass_stats],
             title=f"optimizer: {stats.fixpoint_rounds} fixpoint round(s), "
-                  f"{convergence}, {stats.analysis_rebuilds} analysis "
-                  f"build(s), {stats.optimize_seconds * 1000:.1f} ms"))
+                  f"{convergence}, {stats.optimize_seconds * 1000:.1f} ms"))
     if getattr(args, "attribution", False):
         print()
         print(_attribution_table(stream, lowering, opt))

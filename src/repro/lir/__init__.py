@@ -1,6 +1,5 @@
 """LaminarIR: the paper's token-named IR and the lowering that builds it."""
 
-from repro.lir.analysis import EraseEffects, OpWorklist, ProgramIndex
 from repro.lir.attribution import (FilterAttribution, attribute_program,
                                    steady_share)
 from repro.lir.lower import Lowerer, LoweringOptions, lower
@@ -9,14 +8,13 @@ from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, MoveOp, Op,
                            Temp, UnOp, Value, const_bool, const_float,
                            const_int, wrap_i32)
 from repro.lir.program import Program
-from repro.lir.verify import VerificationError, verify, verify_index
+from repro.lir.verify import VerificationError, verify
 
 __all__ = [
-    "BinOp", "CallOp", "CastOp", "Const", "EraseEffects",
-    "FilterAttribution", "LoadOp", "Lowerer", "LoweringOptions", "MoveOp",
-    "Op", "OpWorklist", "PrintOp", "Program", "ProgramIndex", "Provenance",
-    "SelectOp", "StateSlot", "StoreOp", "Temp", "UnOp", "Value",
-    "VerificationError", "attribute_program", "const_bool", "const_float",
-    "const_int", "lower", "steady_share", "verify", "verify_index",
+    "BinOp", "CallOp", "CastOp", "Const", "FilterAttribution", "LoadOp",
+    "Lowerer", "LoweringOptions", "MoveOp", "Op", "PrintOp", "Program",
+    "Provenance", "SelectOp", "StateSlot", "StoreOp", "Temp", "UnOp",
+    "Value", "VerificationError", "attribute_program", "const_bool",
+    "const_float", "const_int", "lower", "steady_share", "verify",
     "wrap_i32",
 ]

@@ -14,7 +14,11 @@ Checks the structural invariants every pass must preserve:
 * a loop region marked ``parallel`` (which the C backend vectorizes
   with ``#pragma omp simd``) has independent trips: no carries, no
   print or impure call, every store indexed ``base + stride * trip``
-  with ``stride != 0``, and no slot both loaded and stored in its body.
+  with ``stride != 0``, and no slot both loaded and stored in its body;
+* provenance integrity: every :class:`Provenance` entry is well formed
+  (a non-empty filter name, a known kind and phase), and stamping is
+  all-or-nothing — hand-built programs carry none, but no pass may
+  strip the stamps of some ops of a lowered program.
 
 The test suite runs the verifier after lowering and after every
 optimizer configuration; it is also handy when developing new passes.
@@ -23,9 +27,10 @@ optimizer configuration; it is also handy when developing new passes.
 from __future__ import annotations
 
 from repro.frontend.types import FLOAT, INT
-from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp,
-                           LoopRegion, Op, PrintOp, SelectOp, StateSlot,
-                           StoreOp, Temp, Value, wrap_i32)
+from repro.lir.ops import (PROVENANCE_KINDS, PROVENANCE_PHASES, BinOp,
+                           CallOp, CastOp, Const, LoadOp, LoopRegion, Op,
+                           PrintOp, Provenance, SelectOp, StateSlot, StoreOp,
+                           Temp, Value, wrap_i32)
 from repro.lir.program import Program
 
 
@@ -71,6 +76,7 @@ class _Verifier:
         for param, nxt in zip(self.program.carry_params,
                               self.program.carry_nexts):
             self._check_use(nxt, "carry.next")
+        _check_provenance(self.program)
 
     # -- helpers ------------------------------------------------------------
 
@@ -225,47 +231,31 @@ def _check_parallel(region: LoopRegion, where: str) -> None:
               f"{sorted(both)}")
 
 
+def _check_provenance(program: Program) -> None:
+    stamped = 0
+    missing: Op | None = None
+    for _title, ops in program.sections():
+        for outer in ops:
+            body = outer.body if isinstance(outer, LoopRegion) else ()
+            for op in (outer, *body):
+                if not op.prov:
+                    if missing is None:
+                        missing = op
+                    continue
+                stamped += 1
+                for entry in op.prov:
+                    if not isinstance(entry, Provenance) \
+                            or not entry.filter \
+                            or entry.kind not in PROVENANCE_KINDS \
+                            or entry.phase not in PROVENANCE_PHASES:
+                        _fail(f"provenance integrity: {op} carries a "
+                              f"malformed provenance entry {entry!r}")
+    if stamped and missing is not None:
+        _fail(f"provenance integrity: {missing} lost its provenance "
+              f"while {stamped} op(s) kept theirs")
+
+
 def verify(program: Program) -> Program:
     """Raise :class:`VerificationError` if ``program`` is malformed."""
     _Verifier(program).run()
     return program
-
-
-def verify_index(program: Program, index) -> None:
-    """Check an incrementally-maintained index against a fresh rebuild.
-
-    ``index`` is a :class:`repro.lir.analysis.ProgramIndex`.  The check
-    compacts the index (so the section lists reflect every erasure) and
-    compares its normalized snapshot against one built from scratch —
-    any drift means a pass updated the program without telling the
-    index, or vice versa.  Used by the optimizer's ``verify_analyses``
-    mode and the analysis property tests.
-    """
-    from repro.lir.analysis import ProgramIndex
-
-    index.compact()
-    stamped, missing, malformed = index.provenance_report()
-    if malformed:
-        _fail(f"provenance integrity: {len(malformed)} op(s) carry a "
-              f"malformed provenance entry, e.g. {malformed[0]} "
-              f"({malformed[0].prov!r})")
-    if stamped and missing:
-        _fail(f"provenance integrity: {len(missing)} op(s) lost their "
-              f"provenance while {stamped} kept it, e.g. {missing[0]}")
-    fresh = ProgramIndex(program)
-    mine = index.snapshot()
-    theirs = fresh.snapshot()
-    if mine == theirs:
-        return
-    for key in theirs:
-        if mine.get(key) != theirs[key]:
-            ours, ref = mine.get(key), theirs[key]
-            if isinstance(ours, dict) and isinstance(ref, dict):
-                missing = sorted(set(ref) - set(ours))
-                extra = sorted(set(ours) - set(ref))
-                stale = sorted(k for k in set(ours) & set(ref)
-                               if ours[k] != ref[k])
-                _fail(f"analysis index mismatch in {key!r}: "
-                      f"missing={missing} extra={extra} stale={stale}")
-            _fail(f"analysis index mismatch in {key!r}")
-    _fail("analysis index mismatch")

@@ -2,8 +2,7 @@
 
 from repro.opt.carries import (eliminate_dead_carries,
                                specialize_constant_carries)
-from repro.opt.passes import (FixpointState,
-                              common_subexpression_elimination,
+from repro.opt.passes import (common_subexpression_elimination,
                               constant_folding, copy_propagation,
                               dead_code_elimination)
 from repro.opt.pipeline import (OptOptions, OptStats, PassManager, PassStat,
@@ -13,7 +12,7 @@ from repro.opt.reroll import reroll_steady
 from repro.opt.schedule_ops import schedule_for_pressure
 
 __all__ = [
-    "FixpointState", "OptOptions", "OptStats", "PassManager", "PassStat",
+    "OptOptions", "OptStats", "PassManager", "PassStat",
     "PromoteOptions", "common_subexpression_elimination",
     "constant_folding", "copy_propagation", "dead_code_elimination",
     "eliminate_dead_carries", "optimize", "parse_pipeline",

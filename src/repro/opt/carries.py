@@ -1,4 +1,4 @@
-"""Constant loop-carry specialization.
+"""Constant loop-carry specialization and dead-carry removal.
 
 A loop-carried token whose initial value is a constant and whose
 next-iteration value is (a) the same constant or (b) the carry itself is
@@ -8,21 +8,22 @@ constant folding — with static input this is what lets whole benchmarks
 collapse to precomputed output streams (experiment E6), mirroring what
 LLVM does to the paper's static-input programs.
 
+Specializing one carry can make another invariant: in a peek window of
+zeros, each carry's next value is the previous carry's parameter.
+:func:`specialize_constant_carries` therefore substitutes along the
+carry lists until nothing changes, and only then rewrites the ops once,
+so a window of any depth goes in one call rather than one link per
+optimizer round.
+
 Comparison is bit-exact (``-0.0`` is not ``0.0``; ``True`` is not ``1``)
 so the substitution never changes observable output.
-
-Both passes come in two forms: an indexed version that works through a
-:class:`repro.opt.passes.FixpointState` (used by the pass manager, so
-replaced parameters requeue exactly the affected ops) and the original
-standalone one-argument functions.
 """
 
 from __future__ import annotations
 
-from repro.lir.analysis import ProgramIndex
 from repro.lir.ops import Const, Temp, Value
 from repro.lir.program import Program
-from repro.opt.passes import FixpointState
+from repro.opt.passes import apply_subst, read_temp_ids, resolver
 
 
 def _same_const(left: Value, right: Value) -> bool:
@@ -35,68 +36,60 @@ def _same_const(left: Value, right: Value) -> bool:
     return repr(left.value) == repr(right.value)
 
 
-def specialize_carries(state: FixpointState) -> int:
-    """Replace invariant constant carries with their constants.
-
-    Runs inside the optimizer's fixpoint: each round of constant folding
-    can expose new invariant carries (the manager re-runs this only
-    while ``carry_dirty`` is set).  The parameter-to-constant rewrites
-    happen *before* the carry lists are filtered, so every dropped
-    init/next entry is a constant by then — no op use is orphaned.
-    """
-    program, index = state.program, state.index
-    replaced: list[tuple[Temp, Const]] = []
-    keep: list[int] = []
-    for position, param in enumerate(program.carry_params):
-        init = program.carry_inits[position]
-        nxt = program.carry_nexts[position]
-        invariant = _same_const(init, nxt) \
-            or (isinstance(init, Const) and nxt is param)
-        if invariant:
-            assert isinstance(init, Const)
-            replaced.append((param, init))
-        else:
-            keep.append(position)
-    if not replaced:
-        return 0
-    for param, constant in replaced:
-        affected, carries = index.replace_all_uses(param, constant)
-        state.note_rewritten(affected, carries)
+def _keep_carries(program: Program, keep: list[int]) -> None:
     program.carry_params = [program.carry_params[i] for i in keep]
     program.carry_inits = [program.carry_inits[i] for i in keep]
     program.carry_nexts = [program.carry_nexts[i] for i in keep]
-    index.rebuild_carries()
-    return len(replaced)
 
 
 def specialize_constant_carries(program: Program) -> int:
-    """Standalone entry point: returns the number of carries removed."""
-    index = ProgramIndex(program)
-    state = FixpointState(program, index)
-    removed = specialize_carries(state)
-    index.compact()
-    return removed
+    """Replace invariant constant carries with their constants.
+
+    Returns the number of carries removed.  The parameter-to-constant
+    rewrites happen *before* the carry lists are filtered, so every
+    dropped init/next entry is a constant by then — no op use is
+    orphaned.
+    """
+    params = program.carry_params
+    subst: dict[int, Value] = {}
+    resolve = resolver(subst)
+    changed = True
+    while changed:
+        changed = False
+        for position, param in enumerate(params):
+            if param.id in subst:
+                continue
+            init = resolve(program.carry_inits[position])
+            nxt = resolve(program.carry_nexts[position])
+            if _same_const(init, nxt) \
+                    or (isinstance(init, Const) and nxt is param):
+                subst[param.id] = init
+                changed = True
+    if not subst:
+        return 0
+    apply_subst(program, subst)
+    _keep_carries(program, [i for i, param in enumerate(params)
+                            if param.id not in subst])
+    return len(subst)
 
 
-def remove_dead_carries(state: FixpointState) -> int:
+def eliminate_dead_carries(program: Program) -> int:
     """Remove loop carries that never influence an observable effect.
 
     A carry is *live* if its parameter is used by any op, or if it feeds
     the next value of another live carry.  Dead carries arise when a
     consumer pops tokens it never reads (decimators) or when earlier
     passes fold away every use; removing them shrinks the loop-carried
-    footprint that dominates register pressure.
-
-    Dropping a dead carry removes the last uses of its init/next values;
-    their defining ops go onto the DCE worklist.
+    footprint that dominates register pressure.  Returns the number of
+    carries removed; the ops that computed their init and next values
+    are left to dead-code elimination.
     """
-    program, index = state.program, state.index
     params = program.carry_params
     if not params:
         return 0
     index_of = {param.id: i for i, param in enumerate(params)}
-
-    live = [index.op_use_count(param.id) > 0 for param in params]
+    used = read_temp_ids(program)
+    live = [param.id in used for param in params]
     changed = True
     while changed:
         changed = False
@@ -105,32 +98,7 @@ def remove_dead_carries(state: FixpointState) -> int:
                     and nxt.id in index_of and not live[index_of[nxt.id]]:
                 live[index_of[nxt.id]] = True
                 changed = True
-
     if all(live):
         return 0
-    keep = [i for i, is_live in enumerate(live) if is_live]
-    dropped: list[Value] = []
-    for i, is_live in enumerate(live):
-        if not is_live:
-            dropped.append(program.carry_inits[i])
-            dropped.append(program.carry_nexts[i])
-    program.carry_params = [program.carry_params[i] for i in keep]
-    program.carry_inits = [program.carry_inits[i] for i in keep]
-    program.carry_nexts = [program.carry_nexts[i] for i in keep]
-    index.rebuild_carries()
-    state.carry_dirty = True
-    for value in dropped:
-        if isinstance(value, Temp) and index.use_count(value.id) == 0:
-            def_op = index.def_of(value.id)
-            if def_op is not None:
-                state.dce.push(def_op)
-    return len(params) - len(keep)
-
-
-def eliminate_dead_carries(program: Program) -> int:
-    """Standalone entry point: returns the number of carries removed."""
-    index = ProgramIndex(program)
-    state = FixpointState(program, index)
-    removed = remove_dead_carries(state)
-    index.compact()
-    return removed
+    _keep_carries(program, [i for i, is_live in enumerate(live) if is_live])
+    return len(params) - sum(live)

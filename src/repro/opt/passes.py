@@ -7,26 +7,24 @@ paper LLVM performs them on the generated C; here we also run them on the
 IR itself so the effect is *measurable* in op counts and drives the
 platform cost models.
 
-The passes consume a shared :class:`repro.lir.analysis.ProgramIndex` and
-communicate through :class:`FixpointState`: rewriting an op's operands
-pushes exactly that op back onto the folding and CSE worklists, and
-erasing an op pushes the ops it just made dead onto the DCE worklist.
-After the initial full sweeps, each fixpoint round therefore only
-touches ops something actually changed — the sparse-worklist scheme that
-replaces the old rescan-everything rounds.
-
-The public one-argument functions (``copy_propagation(program)`` etc.)
-keep their original standalone contract: build a private index, run the
-single pass, sweep, return the change count.
+Every pass is a plain ``Program -> int`` function that returns how many
+changes it made, and each is one linear sweep over the sections (region
+bodies included).  Forward passes rewrite operands through a
+substitution as they go, so a cascade — a fold enabling the next fold, a
+merge enabling the next merge — resolves within the one sweep; the
+backward dead-code sweep likewise removes whole dead chains.  The pass
+manager (``repro.opt.pipeline``) repeats the group until a round
+changes nothing.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.frontend.errors import UNKNOWN_LOCATION
 from repro.graph.builder import apply_binary
 from repro.frontend.intrinsics import INTRINSICS
 from repro.frontend.types import BOOLEAN, FLOAT, INT
-from repro.lir.analysis import EraseEffects, OpWorklist, ProgramIndex
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, SelectOp, StoreOp, Temp, UnOp, Value,
                            const_bool, const_float, const_int)
@@ -35,84 +33,54 @@ from repro.lir.program import Program
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
-class FixpointState:
-    """Shared worklists and dirty flags for one optimizer fixpoint run.
-
-    The CSE bookkeeping lives here too: ``_cse_available`` maps a
-    (section, expression-key) pair to the op currently representing that
-    expression, ``_cse_key_of`` is its reverse (so a rewritten op's
-    stale table entry can be evicted), and ``_cse_load_version`` caches
-    each load's store-version from the last full scan.  ``cse_full``
-    forces a full rescan — set initially and whenever a store is erased
-    (erasing a store shifts every later load's version).
-    """
-
-    def __init__(self, program: Program, index: ProgramIndex):
-        self.program = program
-        self.index = index
-        self.fold = OpWorklist()
-        self.dce = OpWorklist()
-        self.cse_candidates = OpWorklist()
-        # Full-sweep flags: the first folding/DCE run visits every live
-        # op directly (cheaper than queueing the whole program), after
-        # which only the worklists drive them.
-        self.fold_all = True
-        self.dce_all = True
-        self.cse_full = True
-        self.carry_dirty = True
-        self._cse_available: dict[tuple, Op] = {}
-        self._cse_key_of: dict[Op, tuple] = {}
-        self._cse_load_version: dict[Op, int] = {}
-
-    def pending_fold(self) -> bool:
-        return self.fold_all or bool(self.fold)
-
-    def pending_dce(self) -> bool:
-        return self.dce_all or bool(self.dce)
-
-    def note_rewritten(self, affected: list[Op],
-                       carries_touched: bool) -> None:
-        """An operand rewrite touched ``affected``: requeue them."""
-        for op in affected:
-            self.fold.push(op)
-            key = self._cse_key_of.pop(op, None)
-            if key is not None and self._cse_available.get(key) is op:
-                del self._cse_available[key]
-            self.cse_candidates.push(op)
-        if carries_touched:
-            self.carry_dirty = True
-
-    def note_erased(self, effects: EraseEffects) -> None:
-        """An erasure freed these candidates: requeue them for DCE."""
-        self.dce.push_all(effects.dead_defs)
-        self.dce.push_all(effects.dead_stores)
-        if effects.erased_store:
-            self.cse_full = True
-        if effects.dead_carry_params:
-            self.carry_dirty = True
+# -- substitution -------------------------------------------------------------
 
 
-# -- copy propagation ---------------------------------------------------------
-
-
-def _apply_subst(program: Program, subst: dict[Temp, Value]) -> None:
-    """Rewrite every operand through ``subst`` (chased to a fixpoint)."""
-    if not subst:
-        return
+def resolver(subst: dict[int, Value]) -> Callable[[Value], Value]:
+    """Map a value through ``subst`` (keyed by temp id), chasing chains."""
 
     def resolve(value: Value) -> Value:
-        seen = 0
-        while isinstance(value, Temp) and value in subst:
-            value = subst[value]
-            seen += 1
-            assert seen < 1_000_000, "substitution cycle"
+        steps = 0
+        while isinstance(value, Temp):
+            new = subst.get(value.id)
+            if new is None:
+                break
+            value = new
+            steps += 1
+            assert steps <= len(subst), "substitution cycle"
         return value
 
+    return resolve
+
+
+def apply_subst(program: Program, subst: dict[int, Value]) -> None:
+    """Rewrite every operand and carry-list entry through ``subst``."""
+    if not subst:
+        return
+    resolve = resolver(subst)
     for _title, ops in program.sections():
         for op in ops:
             op.map_operands(resolve)
+    _resolve_carries(program, resolve)
+
+
+def _resolve_carries(program: Program,
+                     resolve: Callable[[Value], Value]) -> None:
+    """Rewrite the program's carry inits and nexts through ``resolve``."""
     program.carry_inits = [resolve(v) for v in program.carry_inits]
     program.carry_nexts = [resolve(v) for v in program.carry_nexts]
+
+
+def ops_with_bodies(program: Program):
+    """Every op in every section, with region body ops included."""
+    for _title, ops in program.sections():
+        for op in ops:
+            yield op
+            if isinstance(op, LoopRegion):
+                yield from op.body
+
+
+# -- copy propagation ---------------------------------------------------------
 
 
 def _copy_source(op: Op) -> Value | None:
@@ -124,36 +92,13 @@ def _copy_source(op: Op) -> Value | None:
     return None
 
 
-def propagate_copies(state: FixpointState) -> int:
+def copy_propagation(program: Program) -> int:
     """Forward ``move`` results (and no-op casts) to their sources.
 
-    A single forward scan: each rewrite is eager, so move chains resolve
-    within one call (by the time ``c = move b`` is visited, ``b`` has
-    already been replaced by ``a``).
+    One sweep drops the moves and records what each stood for; one
+    substitution pass then rewrites the uses (chasing move chains).
     """
-    index = state.index
-    removed = 0
-    for op in list(index.live_ops()):
-        source = _copy_source(op)
-        if source is None:
-            continue
-        assert op.result is not None
-        affected, carries = index.replace_all_uses(op.result, source)
-        state.note_rewritten(affected, carries)
-        state.note_erased(index.erase(op))
-        removed += 1
-    return removed
-
-
-def propagate_copies_dense(program: Program) -> int:
-    """Index-free copy propagation: one sweep plus a substitution pass.
-
-    The pass manager uses this form when no def-use index exists yet
-    (copy propagation sits at the head of the default pipeline, right
-    before ``promote_state`` invalidates any index) — building a
-    program-wide index only to throw it away would dominate the pass.
-    """
-    subst: dict[Temp, Value] = {}
+    subst: dict[int, Value] = {}
     removed = 0
     for _title, ops in program.sections():
         kept: list[Op] = []
@@ -163,16 +108,11 @@ def propagate_copies_dense(program: Program) -> int:
                 kept.append(op)
                 continue
             assert op.result is not None
-            subst[op.result] = source
+            subst[op.result.id] = source
             removed += 1
         ops[:] = kept
-    _apply_subst(program, subst)
+    apply_subst(program, subst)
     return removed
-
-
-def copy_propagation(program: Program) -> int:
-    """Standalone entry point: forward copies and drop the moves."""
-    return propagate_copies_dense(program)
 
 
 # -- constant folding ---------------------------------------------------------
@@ -284,47 +224,44 @@ def _fold_algebraic(op: BinOp) -> Value | None:
     return None
 
 
-def _try_fold(state: FixpointState, op: Op) -> int:
-    index = state.index
-    if index.is_erased(op) or op.result is None:
-        return 0
-    if index.use_count(op.result.id) == 0:
-        return 0  # already dead; erasing it is DCE's job
-    replacement = _fold_op(op)
-    if replacement is None:
-        return 0
-    affected, carries = index.replace_all_uses(op.result, replacement)
-    state.note_rewritten(affected, carries)
-    state.note_erased(index.erase(op))
-    return 1
-
-
-def fold_constants(state: FixpointState) -> int:
-    """Fold everything once (first call), then drain the worklist.
-
-    Folding an op replaces its uses eagerly, which pushes exactly the
-    affected users back onto the worklist — cascades resolve within one
-    drain without revisiting untouched ops.
-    """
-    folded = 0
-    if state.fold_all:
-        state.fold_all = False
-        for op in list(state.index.live_ops()):
-            folded += _try_fold(state, op)
-        # Every op queued during the sweep sits after its rewriter in
-        # program order, so the sweep itself already revisited it.
-        state.fold.clear()
-    while (op := state.fold.pop()) is not None:
-        folded += _try_fold(state, op)
-    return folded
-
-
 def constant_folding(program: Program) -> int:
-    """Standalone entry point: fold ops whose operands are constants."""
-    index = ProgramIndex(program)
-    state = FixpointState(program, index)
-    folded = fold_constants(state)
-    index.compact()
+    """Fold ops whose operands are constants (plus exact identities).
+
+    A forward sweep: each op's operands are first rewritten through the
+    folds made so far, so a chain of constant ops folds in one call.
+    Region bodies fold too; a folded body result also rewrites the
+    region's carry nexts.
+    """
+    subst: dict[int, Value] = {}
+    resolve = resolver(subst)
+    folded = 0
+
+    def sweep(ops: list[Op]) -> list[Op]:
+        nonlocal folded
+        kept: list[Op] = []
+        for op in ops:
+            if isinstance(op, LoopRegion):
+                if subst:
+                    op.carry_inits = [resolve(v) for v in op.carry_inits]
+                op.body[:] = sweep(op.body)
+                if subst:
+                    op.carry_nexts = [resolve(v) for v in op.carry_nexts]
+                kept.append(op)
+                continue
+            if subst:
+                op.map_operands(resolve)
+            replacement = None if op.result is None else _fold_op(op)
+            if replacement is None:
+                kept.append(op)
+                continue
+            subst[op.result.id] = replacement  # type: ignore[union-attr]
+            folded += 1
+        return kept
+
+    for _title, ops in program.sections():
+        ops[:] = sweep(ops)
+    if subst:
+        _resolve_carries(program, resolve)
     return folded
 
 
@@ -372,47 +309,45 @@ def _load_key(op: LoadOp, version: int) -> tuple:
             _vkey(op.index) if op.index is not None else None, version)
 
 
-def _dedupe(state: FixpointState, rep: Op, dup: Op) -> None:
-    """Replace ``dup`` (dominated) with ``rep`` and erase it."""
-    assert rep.result is not None and dup.result is not None
-    # The survivor absorbs the duplicate's provenance set so attribution
-    # still knows every filter the merged computation came from (the
-    # survivor's own provenance stays primary).
-    if dup.prov:
-        rep.prov = rep.prov + tuple(
-            entry for entry in dup.prov if entry not in rep.prov)
-    affected, carries = state.index.replace_all_uses(dup.result, rep.result)
-    state.note_rewritten(affected, carries)
-    state.note_erased(state.index.erase(dup))
-    key = state._cse_key_of.pop(dup, None)
-    if key is not None and state._cse_available.get(key) is dup:
-        del state._cse_available[key]
+def read_temp_ids(program: Program) -> set[int]:
+    """Ids of the temps some op reads.
 
-
-def _cse_full_scan(state: FixpointState) -> int:
-    """Rebuild the available-expression table with one ordered sweep.
-
-    Loads are versioned per slot by the number of preceding stores, so a
-    load never dedupes across a store.  The sweep also compacts the
-    section lists for free (it rebuilds them anyway).
+    A region reads its own carry lists; its body ops count in their own
+    right.  The program's carry lists are not included.
     """
-    index = state.index
-    state.cse_full = False
-    state._cse_available = {}
-    state._cse_key_of = {}
-    state._cse_load_version = {}
+    return {value.id for op in ops_with_bodies(program)
+            for value in (op.carry_inits + op.carry_nexts
+                          if isinstance(op, LoopRegion) else op.operands())
+            if isinstance(value, Temp)}
+
+
+def common_subexpression_elimination(program: Program) -> int:
+    """Deduplicate pure ops; loads are versioned per state slot.
+
+    One forward sweep per section keeps a table of available
+    expressions.  A load's key includes the number of stores to its
+    slot seen so far, so a load never merges across a store; a loop
+    region counts as a store to every slot its body stores.  The first
+    op of a kind in program order survives and absorbs the duplicate's
+    provenance, so attribution still knows every filter the merged
+    computation came from (the survivor's own provenance stays primary).
+    Uses of a duplicate are rewritten everywhere, region bodies
+    included; ops inside a body are not merged.
+    """
+    used = read_temp_ids(program)
+    used.update(v.id for v in program.carry_inits + program.carry_nexts
+                if isinstance(v, Temp))
+    subst: dict[int, Value] = {}
+    resolve = resolver(subst)
     removed = 0
-    for title, ops in state.program.sections():
+    for _title, ops in program.sections():
+        available: dict[tuple, Op] = {}
         versions: dict[str, int] = {}
         kept: list[Op] = []
         for op in ops:
-            if index.is_erased(op):
-                continue
+            if subst:
+                op.map_operands(resolve)
             if isinstance(op, LoopRegion):
-                # The whole region acts as a clobber for every slot its
-                # body stores: later loads must not merge with loads
-                # hoisted above the region.  The body itself is scoped
-                # separately (incremental CSE keys body ops by region).
                 for slot in op.body_slot_stores():
                     versions[slot.name] = versions.get(slot.name, 0) + 1
                 kept.append(op)
@@ -422,232 +357,117 @@ def _cse_full_scan(state: FixpointState) -> int:
                 kept.append(op)
                 continue
             if isinstance(op, LoadOp):
-                version = versions.get(op.slot.name, 0)
-                state._cse_load_version[op] = version
-                key = _load_key(op, version)
+                key = _load_key(op, versions.get(op.slot.name, 0))
             else:
                 key = _cse_key(op)
-            if key is None or op.result is None:
+            # Dead ops are dead-code elimination's job; never let one
+            # become (or match) a survivor, which would resurrect it.
+            if key is None or op.result is None \
+                    or op.result.id not in used:
                 kept.append(op)
                 continue
-            if index.use_count(op.result.id) == 0:
-                # Dead ops are DCE's job; never let one become (or match)
-                # a representative — redirecting uses to it would only
-                # resurrect work DCE is about to delete.
+            existing = available.get(key)
+            if existing is None:
+                available[key] = op
                 kept.append(op)
                 continue
-            skey = (title, None, key)
-            existing = state._cse_available.get(skey)
-            if existing is not None and not index.is_erased(existing):
-                _dedupe(state, existing, op)
-                removed += 1
-                continue
-            state._cse_available[skey] = op
-            state._cse_key_of[op] = skey
-            kept.append(op)
+            if op.prov:
+                existing.prov = existing.prov + tuple(
+                    entry for entry in op.prov
+                    if entry not in existing.prov)
+            subst[op.result.id] = existing.result  # type: ignore[assignment]
+            removed += 1
         ops[:] = kept
-    # The sweep re-keyed every live op (including the ones its own
-    # rewrites touched, which all sit later in program order), so any
-    # queued candidates are stale.
-    state.cse_candidates.clear()
-    return removed
-
-
-def _cse_incremental(state: FixpointState) -> int:
-    """Re-key only the candidate ops (those whose operands changed)."""
-    index = state.index
-    removed = 0
-    while (op := state.cse_candidates.pop()) is not None:
-        if index.is_erased(op) or op.result is None:
-            continue
-        if isinstance(op, StoreOp) or index.use_count(op.result.id) == 0:
-            continue
-        if isinstance(op, LoadOp):
-            version = state._cse_load_version.get(op)
-            if version is None:
-                continue  # never keyed by a full scan; leave it alone
-            key = _load_key(op, version)
-        else:
-            key = _cse_key(op)
-        if key is None:
-            continue
-        # Scope by enclosing region: a body temp is only in scope inside
-        # its own region, so merging across the region boundary (either
-        # direction) would break SSA or hoist per-trip values.
-        skey = (index.section_of(op), index.region_of(op), key)
-        existing = state._cse_available.get(skey)
-        if existing is not None and index.is_erased(existing):
-            existing = None
-        if existing is None or existing is op:
-            state._cse_available[skey] = op
-            state._cse_key_of[op] = skey
-            continue
-        # Keep whichever op comes first in the section: its result
-        # dominates every use of the other's.
-        if index.op_id(existing) < index.op_id(op):
-            _dedupe(state, existing, op)
-        else:
-            state._cse_available[skey] = op
-            state._cse_key_of[op] = skey
-            _dedupe(state, op, existing)
-        removed += 1
-    return removed
-
-
-def eliminate_common_subexpressions(state: FixpointState) -> int:
-    """Deduplicate pure ops; loads are versioned per state slot."""
-    if state.cse_full:
-        return _cse_full_scan(state)
-    return _cse_incremental(state)
-
-
-def common_subexpression_elimination(program: Program) -> int:
-    """Standalone entry point: one full available-expression sweep."""
-    index = ProgramIndex(program)
-    state = FixpointState(program, index)
-    removed = _cse_full_scan(state)
-    index.compact()
+    if subst:
+        _resolve_carries(program, resolve)
     return removed
 
 
 # -- dead code elimination ----------------------------------------------------
 
 
-def _ops_with_bodies(program: Program):
-    """Every op in every section, with region body ops included."""
-    for _title, ops in program.sections():
-        for op in ops:
-            yield op
-            if isinstance(op, LoopRegion):
-                yield from op.body
-
-
 def _result_id_span(program: Program) -> tuple[int, int]:
-    """Smallest and largest result id of any section-level op."""
-    ids = [op.result.id for _title, ops in program.sections() for op in ops
+    """Smallest and largest result id of any op, region bodies included."""
+    ids = [op.result.id for op in ops_with_bodies(program)
            if op.result is not None]
     return min(ids, default=0), max(ids, default=-1)
 
 
-def _try_remove(state: FixpointState, op: Op) -> int:
-    index = state.index
-    if index.is_erased(op):
-        return 0
-    if isinstance(op, StoreOp):
-        if index.slot_load_count(op.slot.name) == 0:
-            state.note_erased(index.erase(op))
-            return 1
-        return 0
-    if op.has_side_effect:
-        return 0
-    if op.result is not None and index.use_count(op.result.id) > 0:
-        return 0
-    state.note_erased(index.erase(op))
-    return 1
+def dead_code_elimination(program: Program) -> int:
+    """Remove pure ops whose results are unused, and stores to slots
+    that are never loaded.
 
-
-def eliminate_dead_code(state: FixpointState) -> int:
-    """Sweep everything backwards once (first call), then drain the
-    worklist.
-
-    Erasing an op reports which defs lost their last use; those flow
-    straight back onto this worklist, so transitive chains die in one
-    drain.  Stores to slots that are never loaded anywhere are dead
-    effects; when the last load of a slot dies, its stores are requeued
-    (they may sit anywhere in program order, so the drain after the
-    backward sweep picks up the ones the sweep already passed).
-    """
-    program, index = state.program, state.index
-    removed = 0
-    if state.dce_all:
-        state.dce_all = False
-        for op in reversed(list(index.live_ops())):
-            removed += _try_remove(state, op)
-    while (op := state.dce.pop()) is not None:
-        removed += _try_remove(state, op)
-    # Drop state slots that no remaining op touches.
-    program.state_slots = [s for s in program.state_slots
-                           if index.slot_touched(s.name)]
-    return removed
-
-
-def eliminate_dead_code_dense(program: Program) -> int:
-    """Index-free DCE: one backward liveness sweep over the raw lists.
-
-    Straight-line sections mean a single backward pass removes whole
-    transitively-dead chains (an op's uses always follow its def, so by
-    the time the sweep reaches a def, every surviving user has marked
-    it).  The pass manager runs this *before* any pass that would build
-    or restructure the def-use index: unreferenced dataflow (decimators
-    that pop tokens nobody reads) can dwarf the live program, and
-    promoting/indexing it first only to delete it later dominated
-    optimize time on the large-scale benchmarks.
-
-    Stores whose loads all die within this same sweep survive it; the
-    indexed fixpoint DCE picks those up.
+    A backward liveness sweep over the three sections: carry values are
+    live by definition (they feed the next iteration or the steady
+    block parameters), effects are roots, and an op's uses always follow
+    its def, so by the time the sweep reaches a def every surviving user
+    has marked it — one sweep removes whole transitively dead chains.
+    The sweep enters loop-region bodies: a region's carry nexts are
+    marked first, then its body is swept backwards.  When dead loads
+    were the last reads of a slot, the slot's stores die too, and the
+    sweep repeats until no more slots lose their last load.
 
     Liveness is one byte per temp id between the smallest and largest
-    section-level result id: ids are dense within a lowering (see
-    :func:`~repro.lir.ops.fresh_temp_ids`), so the table stays a few
-    hundred KiB where a set of ids took megabytes.  Only op results are
-    ever looked up, so uses of ids outside that span go unmarked.
+    result id: ids are dense within a lowering (see
+    :func:`~repro.lir.ops.fresh_temp_ids`), so the table stays small
+    where a set of ids would not.  Only op results are ever looked up,
+    so uses of ids outside that span go unmarked.
     """
     lo, hi = _result_id_span(program)
-    live = bytearray(hi - lo + 1)
-
-    def mark(value: Value) -> None:
-        if isinstance(value, Temp) and lo <= value.id <= hi:
-            live[value.id - lo] = 1
-
-    for value in program.carry_inits:
-        mark(value)
-    for value in program.carry_nexts:
-        mark(value)
-
-    # Stores to slots that are never loaded anywhere are dead effects.
-    # Region bodies count: a slot may only ever be read inside a loop.
-    loaded_slots = {
-        op.slot.name
-        for op in _ops_with_bodies(program)
-        if isinstance(op, LoadOp)}
-
+    loaded_slots = {op.slot.name for op in ops_with_bodies(program)
+                    if isinstance(op, LoadOp)}
     removed = 0
-    sections = [ops for _t, ops in program.sections()]
-    for ops in reversed(sections):
-        kept_rev: list[Op] = []
-        for op in reversed(ops):
-            if isinstance(op, StoreOp) and op.slot.name not in loaded_slots:
-                removed += 1
-                continue
-            needed = op.has_side_effect or (
-                op.result is not None and live[op.result.id - lo])
-            if not needed:
-                removed += 1
-                continue
-            for operand in op.operands():
-                mark(operand)
-            kept_rev.append(op)
-        kept_rev.reverse()
-        ops[:] = kept_rev
+    while True:
+        live = bytearray(hi - lo + 1)
+
+        def mark(value: Value) -> None:
+            if isinstance(value, Temp) and lo <= value.id <= hi:
+                live[value.id - lo] = 1
+
+        still_loaded: set[str] = set()
+        touched: set[str] = set()
+
+        def sweep(ops: list[Op]) -> list[Op]:
+            nonlocal removed
+            kept_rev: list[Op] = []
+            for op in reversed(ops):
+                if isinstance(op, LoopRegion):
+                    for value in op.carry_nexts:
+                        mark(value)
+                    op.body[:] = sweep(op.body)
+                    for value in op.carry_inits:
+                        mark(value)
+                    kept_rev.append(op)
+                    continue
+                if isinstance(op, StoreOp) \
+                        and op.slot.name not in loaded_slots:
+                    removed += 1
+                    continue
+                if not (op.has_side_effect or (
+                        op.result is not None and live[op.result.id - lo])):
+                    removed += 1
+                    continue
+                for operand in op.operands():  # mark(), inlined: hot
+                    if isinstance(operand, Temp) and lo <= operand.id <= hi:
+                        live[operand.id - lo] = 1
+                if isinstance(op, (LoadOp, StoreOp)):
+                    touched.add(op.slot.name)
+                    if isinstance(op, LoadOp):
+                        still_loaded.add(op.slot.name)
+                kept_rev.append(op)
+            kept_rev.reverse()
+            return kept_rev
+
+        for value in program.carry_inits:
+            mark(value)
+        for value in program.carry_nexts:
+            mark(value)
+        for _title, ops in reversed(program.sections()):
+            ops[:] = sweep(ops)
+        if not (loaded_slots - still_loaded) & touched:
+            break  # no surviving store lost the last load of its slot
+        loaded_slots = still_loaded
     # Drop state slots that no remaining op touches.
-    used_slots = {
-        op.slot.name
-        for op in _ops_with_bodies(program)
-        if isinstance(op, (LoadOp, StoreOp))}
     program.state_slots = [s for s in program.state_slots
-                           if s.name in used_slots]
-    return removed
-
-
-def dead_code_elimination(program: Program) -> int:
-    """Standalone entry point: remove pure ops whose results are unused.
-
-    Liveness flows backwards across all three sections plus the carry
-    lists (carry values are live by definition: they feed the next
-    iteration or the steady block parameters).
-    """
-    index = ProgramIndex(program)
-    state = FixpointState(program, index)
-    removed = eliminate_dead_code(state)
-    index.compact()
+                           if s.name in touched]
     return removed

@@ -6,18 +6,15 @@ pipeline.  The default order matches the classic sequence::
     copy-prop → promote (mem2reg/SROA) → re-roll (counted loop regions)
     → {const-fold, carries, CSE, DCE}* → pressure scheduling
 
-but the bracketed fixpoint group no longer rescans the whole program
-each round: the passes share a :class:`repro.lir.analysis.ProgramIndex`
-and sparse worklists (see ``repro.opt.passes``), so after the first
-round each pass only visits ops something actually changed.  The group
-converges when a round drains every worklist without a change.
-
-The manager tracks which passes preserve the def-use index and which
-invalidate it: state promotion and pressure scheduling restructure the
-section lists, so the index is rebuilt (and the worklists reseeded)
-before the next index-consuming pass.  ``OptOptions.pipeline`` accepts a
-custom pass ordering (the CLI's ``--opt-pipeline``); each switch can
-still be disabled individually for the E7 ablation benchmarks.
+The bracketed group repeats until a round changes nothing.  Each pass in
+it is one linear sweep over the program (see ``repro.opt.passes``) that
+resolves its own cascades — carry specialization included, which
+substitutes a whole chain of invariant carries in one call — so the
+group typically converges in one to three rounds.  Every pass is
+idempotent, so a pass is skipped when no pass has changed the program
+since it last ran.  ``OptOptions.pipeline`` accepts a custom pass
+ordering (the CLI's ``--opt-pipeline``); each switch can still be
+disabled individually for the E7 ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -28,17 +25,15 @@ from dataclasses import dataclass, field
 
 from repro.faults import limits as faults_limits
 from repro.faults import plan as fault_plan
-from repro.lir.analysis import ProgramIndex
 from repro.lir.ops import LoopRegion
 from repro.lir.program import Program
-from repro.lir.verify import verify_index
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-from repro.opt.carries import remove_dead_carries, specialize_carries
-from repro.opt.passes import (FixpointState, eliminate_common_subexpressions,
-                              eliminate_dead_code, eliminate_dead_code_dense,
-                              fold_constants, propagate_copies,
-                              propagate_copies_dense)
+from repro.opt.carries import (eliminate_dead_carries,
+                               specialize_constant_carries)
+from repro.opt.passes import (common_subexpression_elimination,
+                              constant_folding, copy_propagation,
+                              dead_code_elimination)
 from repro.opt.promote import PromoteOptions, promote_state
 from repro.opt.reroll import reroll_steady
 from repro.opt.schedule_ops import schedule_for_pressure
@@ -65,11 +60,21 @@ _PASS_ALIASES = {
     "schedule_for_pressure": "schedule_for_pressure",
 }
 
-# Steps that may participate in a fixpoint group: contiguous runs of
-# these in the pipeline iterate together until quiescent.
-_FIXPOINT_STEPS = frozenset((
-    "constant_folding", "carries", "common_subexpression_elimination",
-    "dead_code_elimination"))
+# Steps that may participate in a fixpoint group (contiguous runs of
+# these in the pipeline iterate together until quiescent), each with
+# the passes it runs as (span name, pass) pairs: the carries step is two
+# passes that keep their own spans.
+_GROUP_PASSES = {
+    "constant_folding": (("constant_folding", constant_folding),),
+    "carries": (
+        ("specialize_constant_carries", specialize_constant_carries),
+        ("eliminate_dead_carries", eliminate_dead_carries)),
+    "common_subexpression_elimination": (
+        ("common_subexpression_elimination",
+         common_subexpression_elimination),),
+    "dead_code_elimination": (
+        ("dead_code_elimination", dead_code_elimination),),
+}
 
 # Which OptStats aggregate each pass feeds (kept for backward compat
 # with the seed pipeline's reporting).
@@ -143,9 +148,6 @@ class OptOptions:
     # the classic order from the boolean switches above; when set, the
     # switches are ignored and exactly these passes run.
     pipeline: tuple[str, ...] | None = None
-    # Check the incremental def-use index against a from-scratch rebuild
-    # after every pass (slow; for tests and pass development).
-    verify_analyses: bool = False
 
     def __setattr__(self, name: str, value: object) -> None:
         # Every pipeline assignment path — the constructor included —
@@ -250,8 +252,8 @@ class OptStats:
     converged: bool = True
     # Per-pass totals in first-run order (the report table).
     pass_stats: list[PassStat] = field(default_factory=list)
-    # How often the def-use index was (re)built, and the optimize wall
-    # time (drives bench_compile_cost's speedup-vs-seed column).
+    # Always 0: the optimizer builds no analysis.  Kept only because
+    # perfbench/layers.py reads it.
     analysis_rebuilds: int = 0
     optimize_seconds: float = 0.0
 
@@ -268,13 +270,13 @@ def _section_sizes(program: Program) -> dict[str, int]:
 
 
 class PassManager:
-    """Runs a pass pipeline over a shared, incrementally-updated index.
+    """Runs a pass pipeline and records per-pass statistics.
 
-    Responsibilities: build the :class:`ProgramIndex` lazily (first pass
-    that needs it), rebuild it after passes that restructure the section
-    lists (promotion, scheduling), drive contiguous fixpoint-capable
-    passes to quiescence via their sparse worklists, and record per-pass
-    statistics, spans and metrics.
+    Contiguous fixpoint-capable passes run as a group, round after
+    round, until a round changes nothing; every pass is a plain
+    ``Program -> int`` sweep, so there is no analysis to keep valid
+    between passes.  Each pass run gets an ``opt.<pass>`` span and an
+    ``opt.<pass>.ops`` counter.
     """
 
     def __init__(self, program: Program, options: OptOptions):
@@ -285,27 +287,13 @@ class PassManager:
             regions_rerolled=sum(op.__class__ is LoopRegion
                                  for _title, ops in program.sections()
                                  for op in ops))
-        self.index: ProgramIndex | None = None
-        self.state: FixpointState | None = None
         self._pass_stats: dict[str, PassStat] = {}
-
-    # -- analysis lifecycle --------------------------------------------------
-
-    def _ensure_state(self) -> FixpointState:
-        if self.state is None:
-            with trace.span("opt.analysis.build"):
-                self.index = ProgramIndex(self.program)
-                self.state = FixpointState(self.program, self.index)
-            self.stats.analysis_rebuilds += 1
-            obs_metrics.counter("opt.analysis.rebuilds").inc()
-        return self.state
-
-    def _invalidate(self) -> None:
-        """Forget the index after a pass restructured the sections."""
-        if self.index is not None:
-            self.index.compact()
-        self.index = None
-        self.state = None
+        # Changes made by every pass so far, and that count as of each
+        # fixpoint step's last run: every step is idempotent, so a step
+        # is skipped when nothing has changed since it last ran.
+        # (Scheduling only reorders, which no step's result depends on.)
+        self._changes = 0
+        self._ran_at: dict[str, int] = {}
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -315,158 +303,80 @@ class PassManager:
             stat = self._pass_stats[name] = PassStat(name)
         stat.runs += 1
         stat.changes += delta
+        self._changes += delta
         aggregate = _AGGREGATE_FIELD.get(name)
         if aggregate is not None:
             setattr(self.stats, aggregate,
                     getattr(self.stats, aggregate) + delta)
 
-    def _run_pass(self, name: str, fn, round_index: int | None = None,
-                  worklist_size: int | None = None) -> int:
+    def _run_pass(self, name: str, fn,
+                  round_index: int | None = None) -> int:
         attrs = {} if round_index is None else {"round": round_index}
         with trace.span(f"opt.{name}", **attrs) as span:
-            delta = fn()
+            delta = fn(self.program)
             span.annotate(ops=delta)
         obs_metrics.counter(f"opt.{name}.ops").inc(delta)
-        if worklist_size is not None:
-            obs_metrics.histogram(f"opt.{name}.worklist").observe(
-                worklist_size)
         self._record(name, delta)
-        if self.options.verify_analyses and self.index is not None:
-            verify_index(self.program, self.index)
         return delta
+
+    def _run_step(self, step: str, round_index: int | None = None) -> int:
+        if self._ran_at.get(step) == self._changes:
+            return 0
+        changed = sum(self._run_pass(name, fn, round_index)
+                      for name, fn in _GROUP_PASSES[step])
+        self._ran_at[step] = self._changes
+        return changed
 
     # -- steps ---------------------------------------------------------------
 
-    def _step_copy_propagation(self,
-                               round_index: int | None = None) -> int:
-        if self.state is None:
-            # No index yet (copy-prop heads the default pipeline, right
-            # before promotion invalidates any index): the dense sweep is
-            # much cheaper than building a program-wide index for it.
-            return self._run_pass(
-                "copy_propagation",
-                lambda: propagate_copies_dense(self.program))
-        state = self.state
-        return self._run_pass("copy_propagation",
-                              lambda: propagate_copies(state))
+    def _step_copy_propagation(self) -> None:
+        self._run_pass("copy_propagation", copy_propagation)
 
-    def _step_promote_state(self, round_index: int | None = None) -> int:
-        # Promotion walks the raw section lists and rewrites them, so it
-        # needs a compacted program and invalidates the index after.
-        if self.index is not None:
-            self.index.compact()
+    def _step_promote_state(self) -> None:
         with trace.span("opt.promote_state") as span:
             promoted = promote_state(self.program, self.options.promote)
             span.annotate(slots=promoted)
         obs_metrics.counter("opt.promote_state.slots").inc(promoted)
         self._record("promote_state", promoted)
-        if promoted:
-            self._invalidate()
-        if self.options.verify_analyses and self.index is not None:
-            verify_index(self.program, self.index)
-        return promoted
 
-    def _step_reroll(self, round_index: int | None = None) -> int:
-        # Re-rolling rewrites the raw steady list (and adds gather/
-        # scatter slots), so like promotion it wants a compacted program
-        # and invalidates the index when it fires.
-        if self.index is not None:
-            self.index.compact()
+    def _step_reroll(self) -> None:
         with trace.span("opt.reroll_steady") as span:
             regions = reroll_steady(
                 self.program, self.options.reroll_min_repeat)
             span.annotate(regions=regions)
         obs_metrics.counter("opt.reroll_steady.regions").inc(regions)
         self._record("reroll_steady", regions)
-        if regions:
-            self._invalidate()
-        if self.options.verify_analyses and self.index is not None:
-            verify_index(self.program, self.index)
-        return regions
 
-    def _step_constant_folding(self, round_index: int | None = None) -> int:
-        state = self._ensure_state()
-        if round_index is not None and not state.pending_fold():
-            return 0
-        return self._run_pass("constant_folding",
-                              lambda: fold_constants(state),
-                              round_index, worklist_size=len(state.fold))
-
-    def _step_carries(self, round_index: int | None = None) -> int:
-        state = self._ensure_state()
-        if round_index is not None and not state.carry_dirty:
-            return 0
-        state.carry_dirty = False
-        changed = self._run_pass("specialize_constant_carries",
-                                 lambda: specialize_carries(state),
-                                 round_index)
-        changed += self._run_pass("eliminate_dead_carries",
-                                  lambda: remove_dead_carries(state),
-                                  round_index)
-        return changed
-
-    def _step_cse(self, round_index: int | None = None) -> int:
-        state = self._ensure_state()
-        if round_index is not None and not state.cse_full \
-                and not state.cse_candidates:
-            return 0
-        return self._run_pass(
-            "common_subexpression_elimination",
-            lambda: eliminate_common_subexpressions(state), round_index,
-            worklist_size=len(state.cse_candidates))
-
-    def _step_dce(self, round_index: int | None = None) -> int:
-        state = self._ensure_state()
-        if round_index is not None and not state.pending_dce():
-            return 0
-        return self._run_pass("dead_code_elimination",
-                              lambda: eliminate_dead_code(state),
-                              round_index, worklist_size=len(state.dce))
-
-    def _step_schedule(self, round_index: int | None = None) -> int:
-        # The scheduler reorders the raw section lists: compact first,
-        # and renumber (lazily) if any pass still needs op ids after.
-        if self.index is not None:
-            self.index.compact()
+    def _step_schedule(self) -> None:
         with trace.span("opt.schedule_for_pressure"):
             schedule_for_pressure(self.program)
         self._record("schedule_for_pressure", 0)
-        self._invalidate()
-        return 0
 
     _STEPS = {
         "copy_propagation": _step_copy_propagation,
         "promote_state": _step_promote_state,
         "reroll_steady": _step_reroll,
-        "constant_folding": _step_constant_folding,
-        "carries": _step_carries,
-        "common_subexpression_elimination": _step_cse,
-        "dead_code_elimination": _step_dce,
         "schedule_for_pressure": _step_schedule,
     }
 
     # -- driver --------------------------------------------------------------
 
     def _run_fixpoint(self, steps: list[str]) -> None:
-        """Iterate a group of worklist passes until a round is quiet."""
+        """Iterate a group of passes until a round is quiet."""
         converged = False
         if "dead_code_elimination" in steps \
                 and steps[0] != "dead_code_elimination" \
                 and self.options.round_cap() > 0:
-            # Prune transitively dead ops before the first full folding
-            # and CSE sweeps.  Unreferenced dataflow (decimators that pop
-            # tokens nobody reads) can dwarf the live program; keying and
-            # folding it first only to delete it at the end of round 0
-            # dominated optimize time on the large-scale benchmarks.
-            state = self._ensure_state()
-            if state.dce_all:
-                self._STEPS["dead_code_elimination"](self, None)
+            # Prune dead ops before the first folding and CSE sweeps:
+            # promotion and re-roll leave dead loads, stores and gathers
+            # behind, and folding or keying them first is wasted work.
+            self._run_step("dead_code_elimination")
         for round_index in range(self.options.round_cap()):
             faults_limits.check_deadline("optimizer fixpoint round")
             self.stats.fixpoint_rounds += 1
             changed = 0
             for step in steps:
-                changed += self._STEPS[step](self, round_index)
+                changed += self._run_step(step, round_index)
             if changed == 0:
                 converged = True
                 break
@@ -478,26 +388,26 @@ class PassManager:
         faults_limits.check_deadline("optimizer pipeline")
         pipeline = self.options.resolved_pipeline()
         if self.options.prunes_dead_code():
-            # Index-free pre-prune: drop transitively dead ops before any
-            # pass walks (promote), indexes or keys (fold/CSE) them.
-            self._run_pass(
-                "dead_code_elimination",
-                lambda: eliminate_dead_code_dense(self.program))
+            # Drop transitively dead ops before any pass walks (promote)
+            # or keys (fold/CSE) them.  Unreferenced dataflow
+            # (decimators that pop tokens nobody reads) can dwarf the
+            # live program.
+            self._run_step("dead_code_elimination")
         position = 0
         saw_fixpoint_group = False
         while position < len(pipeline):
             step = pipeline[position]
-            if step in _FIXPOINT_STEPS:
+            if step in _GROUP_PASSES:
                 group = [step]
                 position += 1
                 while position < len(pipeline) \
-                        and pipeline[position] in _FIXPOINT_STEPS:
+                        and pipeline[position] in _GROUP_PASSES:
                     group.append(pipeline[position])
                     position += 1
                 self._run_fixpoint(group)
                 saw_fixpoint_group = True
             else:
-                self._STEPS[step](self, None)
+                self._STEPS[step](self)
                 position += 1
         if not saw_fixpoint_group:
             # Preserve the seed pipeline's accounting: the round loop
@@ -505,8 +415,6 @@ class PassManager:
             # (vacuously convergent) round — or zero non-convergent
             # rounds when the cap itself is zero.
             self._run_fixpoint([])
-        if self.index is not None:
-            self.index.compact()
         self.stats.pass_stats = list(self._pass_stats.values())
         self.stats.ops_after = _section_sizes(self.program)
         self.stats.optimize_seconds = time.perf_counter() - started

@@ -1,170 +1,25 @@
-"""Tests for the def-use ``ProgramIndex`` and its incremental updates.
+"""Property tests: the whole optimizer on fuzzed and suite programs.
 
-The unit tests drive the index directly on hand-built IR; the property
-tests reuse the fuzz generator and run the whole optimizer with
-``verify_analyses=True``, which cross-checks the incrementally
-maintained index against a from-scratch rebuild after every pass.
+Each test lowers a program, runs the optimizer and checks that the
+result passes :func:`repro.lir.verify` — SSA, carry lists, state slots,
+region invariants and provenance integrity — and that the pass
+manager's fixpoint converged.
 """
 
 import pytest
 
 from repro import compile_source
 from repro.frontend.errors import CompileError
-from repro.frontend.types import FLOAT, INT
 from repro.fuzz import generate_program
-from repro.lir import (BinOp, CallOp, LoadOp, MoveOp, OpWorklist, PrintOp,
-                       Program, ProgramIndex, StateSlot, StoreOp, Temp,
-                       VerificationError, const_float, lower, verify_index)
+from repro.lir import lower, verify
 from repro.opt import OptOptions, optimize
 
 
-def make_program():
-    return Program(name="test")
-
-
-def indexed(program):
-    return ProgramIndex(program)
-
-
-class TestOpWorklist:
-    def test_push_deduplicates(self):
-        program = make_program()
-        op = PrintOp(result=None, value=const_float(1.0))
-        worklist = OpWorklist()
-        worklist.push(op)
-        worklist.push(op)
-        assert len(worklist) == 1
-        assert worklist.pop() is op
-        assert worklist.pop() is None
-
-    def test_pop_allows_repush(self):
-        op = PrintOp(result=None, value=const_float(1.0))
-        worklist = OpWorklist()
-        worklist.push(op)
-        assert worklist.pop() is op
-        worklist.push(op)
-        assert worklist.pop() is op
-
-
-class TestProgramIndex:
-    def _chain(self):
-        """randf -> b = a + a -> c = move b -> print c"""
-        program = make_program()
-        a, b, c = Temp(FLOAT), Temp(FLOAT), Temp(FLOAT)
-        ops = [
-            CallOp(result=a, name="randf", args=[], pure=False),
-            BinOp(result=b, op="+", lhs=a, rhs=a),
-            MoveOp(result=c, src=b),
-            PrintOp(result=None, value=c),
-        ]
-        program.steady = list(ops)
-        return program, ops, (a, b, c)
-
-    def test_def_and_use_lookup(self):
-        program, ops, (a, b, c) = self._chain()
-        index = indexed(program)
-        assert index.def_of(a.id) is ops[0]
-        assert index.def_of(b.id) is ops[1]
-        # Use counts are per-op: `a + a` is one user of `a`.
-        assert index.op_use_count(a.id) == 1
-        assert index.users_of(a.id) == [ops[1]]
-        assert index.use_count(c.id) == 1
-        verify_index(program, index)
-
-    def test_op_ids_follow_program_order(self):
-        program, ops, _temps = self._chain()
-        index = indexed(program)
-        ids = [index.op_id(op) for op in ops]
-        assert ids == sorted(ids)
-        assert index.section_of(ops[0]) == "steady"
-
-    def test_replace_all_uses_moves_use_lists(self):
-        program, ops, (a, b, c) = self._chain()
-        index = indexed(program)
-        affected, carries_touched = index.replace_all_uses(c, a)
-        assert affected == [ops[3]]
-        assert not carries_touched
-        assert ops[3].value is a
-        assert index.use_count(c.id) == 0
-        assert sorted(index.op_id(op) for op in index.users_of(a.id)) == \
-            [index.op_id(ops[1]), index.op_id(ops[3])]
-        verify_index(program, index)
-
-    def test_erase_reports_newly_dead_defs(self):
-        program, ops, (a, b, c) = self._chain()
-        index = indexed(program)
-        index.replace_all_uses(c, a)
-        effects = index.erase(ops[2])  # the now-unused move
-        assert effects.dead_defs == [ops[1]]
-        assert index.is_erased(ops[2])
-        assert list(index.live_ops()) == [ops[0], ops[1], ops[3]]
-        verify_index(program, index)
-
-    def test_erase_refuses_while_result_is_used(self):
-        program, ops, _temps = self._chain()
-        index = indexed(program)
-        with pytest.raises(AssertionError):
-            index.erase(ops[1])  # b still feeds the move
-
-    def test_compact_rewrites_section_lists(self):
-        program, ops, (a, b, c) = self._chain()
-        index = indexed(program)
-        index.replace_all_uses(c, a)
-        index.erase(ops[2])
-        index.compact()
-        assert program.steady == [ops[0], ops[1], ops[3]]
-
-    def test_erasing_last_load_queues_slot_stores(self):
-        program = make_program()
-        slot = StateSlot(name="s", ty=FLOAT)
-        program.state_slots = [slot]
-        loaded = Temp(FLOAT)
-        store = StoreOp(result=None, slot=slot, value=const_float(2.0))
-        load = LoadOp(result=loaded, slot=slot)
-        program.steady = [store, load,
-                          PrintOp(result=None, value=loaded)]
-        index = indexed(program)
-        assert index.slot_load_count("s") == 1
-        index.replace_all_uses(loaded, const_float(2.0))
-        effects = index.erase(load)
-        assert effects.dead_stores == [store]
-        assert index.slot_load_count("s") == 0
-        verify_index(program, index)
-
-    def test_carry_uses_tracked(self):
-        program = make_program()
-        param = Temp(FLOAT)
-        a = Temp(FLOAT)
-        program.init = [CallOp(result=a, name="randf", args=[],
-                               pure=False)]
-        program.carry_params = [param]
-        program.carry_inits = [a]
-        program.carry_nexts = [param]
-        program.steady = [PrintOp(result=None, value=param)]
-        index = indexed(program)
-        # `a` has no op users but feeds a carry: still live.
-        assert index.op_use_count(a.id) == 0
-        assert index.use_count(a.id) == 1
-        affected, carries_touched = index.replace_all_uses(
-            param, const_float(0.0))
-        assert carries_touched
-        assert affected == [program.steady[0]]
-        assert program.carry_nexts == [const_float(0.0)]
-        verify_index(program, index)
-
-    def test_verify_index_catches_corruption(self):
-        program, _ops, (a, _b, _c) = self._chain()
-        index = indexed(program)
-        rogue = PrintOp(result=None, value=a)  # behind the index's back
-        program.steady.append(rogue)
-        with pytest.raises(VerificationError):
-            verify_index(program, index)
-
-
 class TestIncrementalMatchesRebuild:
-    """Satellite property test: after every optimizer pass, the
-    incrementally maintained index must equal a from-scratch rebuild
-    (``verify_analyses=True`` makes the pass manager check exactly that).
+    """The optimized program verifies after every pipeline shape.
+
+    (The name dates from when these tests cross-checked an incremental
+    def-use index against a rebuild; they now check the program itself.)
     """
 
     @pytest.mark.parametrize("seed", range(25))
@@ -175,14 +30,16 @@ class TestIncrementalMatchesRebuild:
         except CompileError:
             pytest.skip("generator emitted a program the frontend rejects")
         program = lower(stream.schedule, stream.source)
-        stats = optimize(program, OptOptions(verify_analyses=True))
+        stats = optimize(program)
+        verify(program)
         assert stats.converged
 
     def test_suite_benchmark(self):
         from repro.suite import load_benchmark
         stream = load_benchmark("rate_convert")
         program = lower(stream.schedule, stream.source)
-        stats = optimize(program, OptOptions(verify_analyses=True))
+        stats = optimize(program)
+        verify(program)
         assert stats.converged
 
     def test_custom_pipeline_keeps_index_consistent(self):
@@ -190,6 +47,6 @@ class TestIncrementalMatchesRebuild:
         stream = compile_source(source)
         program = lower(stream.schedule, stream.source)
         stats = optimize(program, OptOptions(
-            pipeline=("dce", "fold", "cse", "carry", "dce", "schedule"),
-            verify_analyses=True))
+            pipeline=("dce", "fold", "cse", "carry", "dce", "schedule")))
+        verify(program)
         assert stats.converged

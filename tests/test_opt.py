@@ -493,6 +493,49 @@ class TestDeadCarryElimination:
         assert stream.run_laminar(6).outputs == stream.run_fifo(6).outputs
 
 
+class TestCarryChains:
+    """Carry specialization resolves a whole chain of invariant carries
+    in one call, so the fixpoint does not spend a round per link."""
+
+    DEPTH = 10
+
+    def _zero_window(self):
+        # A peek window of zeros: the last carry is invariant on its
+        # own (its next value is itself) and every other carry's next
+        # value is the following carry, so each becomes invariant only
+        # once its successor is specialized.
+        program = make_program()
+        params = [Temp(FLOAT) for _ in range(self.DEPTH)]
+        program.carry_params = list(params)
+        program.carry_inits = [const_float(0.0)] * self.DEPTH
+        program.carry_nexts = params[1:] + params[-1:]
+        program.steady = [PrintOp(result=None, value=p) for p in params]
+        return program
+
+    def test_one_call_removes_the_whole_chain(self):
+        from repro.opt import specialize_constant_carries
+        program = self._zero_window()
+        assert specialize_constant_carries(program) == self.DEPTH
+        assert program.carry_params == []
+        assert program.carry_inits == program.carry_nexts == []
+        assert [op.value for op in program.steady] == \
+            [const_float(0.0)] * self.DEPTH
+
+    def test_optimize_converges_in_two_rounds(self):
+        program = self._zero_window()
+        stats = optimize(program)
+        assert stats.converged
+        assert stats.carries_specialized == self.DEPTH
+        assert stats.fixpoint_rounds <= 2
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_filterbank_converges_in_three_rounds(self, scale):
+        from repro.suite import load_benchmark
+        stats = load_benchmark("filterbank", scale=scale).lower().opt_stats
+        assert stats.converged
+        assert stats.fixpoint_rounds <= 3
+
+
 class TestPassManagerConfig:
     """The pass-pipeline and round-cap knobs added with the pass manager."""
 
@@ -557,6 +600,24 @@ class TestPassManagerConfig:
         stats = demo_stream.lower().opt_stats
         assert stats.converged
         assert stats.fixpoint_rounds <= 64
+
+    def test_pass_skipped_when_nothing_changed_since_its_last_run(
+            self, demo_stream):
+        from repro.lir import lower
+        program = lower(demo_stream.schedule, demo_stream.source)
+        optimize(program)
+        # On an optimized program each pass runs once: the dead-code
+        # pre-prune finds nothing, so the group's own DCE runs are
+        # skipped, and one quiet round ends the group.
+        second = optimize(program)
+        assert second.fixpoint_rounds == 1
+        assert {stat.name: stat.runs for stat in second.pass_stats} == {
+            name: 1 for name in (
+                "dead_code_elimination", "copy_propagation",
+                "promote_state", "reroll_steady", "constant_folding",
+                "specialize_constant_carries", "eliminate_dead_carries",
+                "common_subexpression_elimination",
+                "schedule_for_pressure")}
 
     def test_pass_stats_reported_in_first_run_order(self, demo_stream):
         stats = demo_stream.lower().opt_stats

@@ -9,7 +9,8 @@ from repro.backend.runner import compile_and_run
 from repro.frontend.types import FLOAT
 from repro.fuzz.generator import generate_program
 from repro.lir import (BinOp, CallOp, PrintOp, Program, Provenance, Temp,
-                       attribute_program, steady_share)
+                       VerificationError, attribute_program, steady_share,
+                       verify)
 from repro.lir.attribution import UNATTRIBUTED
 from repro.lir.ops import PROVENANCE_KINDS, PROVENANCE_PHASES
 from repro.obs import export, metrics, trace
@@ -86,7 +87,28 @@ class TestProvenanceStamping:
         ]
         for op in program.steady:
             assert op.prov == ()
-        optimize(program, OptOptions(verify_analyses=True))
+        optimize(program)
+        verify(program)
+
+    # These mutate the program, so each lowers its own rather than the
+    # shared fixture's cached one.
+    def test_verify_rejects_a_cleared_stamp(self):
+        program = compile_source(SPLITJOIN_PROGRAM).lower().program
+        verify(program)
+        program.steady[0].prov = ()
+        with pytest.raises(VerificationError, match="lost its provenance"):
+            verify(program)
+
+    @pytest.mark.parametrize("entry", [
+        "Src", Provenance(""), Provenance("Src", kind="actor"),
+        Provenance("Src", phase="prologue")],
+        ids=["not-a-provenance", "no-filter", "bad-kind", "bad-phase"])
+    def test_verify_rejects_a_malformed_stamp(self, entry):
+        program = compile_source(SPLITJOIN_PROGRAM).lower().program
+        op = program.steady[0]
+        op.prov = (entry,) + op.prov
+        with pytest.raises(VerificationError, match="malformed provenance"):
+            verify(program)
 
 
 class TestAttribution:
@@ -144,8 +166,9 @@ class TestFuzzProvenanceProperty:
     def test_provenance_and_token_attribution(self, seed):
         source = generate_program(f"prov:{seed}")
         stream = compile_source(source, f"prov_{seed}.str")
-        lowered = stream.lower(None, OptOptions(verify_analyses=True))
+        lowered = stream.lower()
         program = lowered.program
+        verify(program)
         for title, ops in program.sections():
             for op in ops:
                 assert op.prov, f"seed {seed}: unstamped op in {title}"

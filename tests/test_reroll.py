@@ -159,12 +159,12 @@ class TestRegionFormation:
 
 class TestPassManagerIntegration:
     def test_index_valid_with_regions(self):
+        from repro.lir.verify import verify
         stream = compile_source(REPEAT_SOURCE)
         program = lower(stream.schedule, stream.source)
-        # verify_analyses re-checks the def-use index against the
-        # program after every pass — including region bodies.
-        stats = optimize(program, OptOptions(verify_analyses=True))
+        stats = optimize(program)
         assert stats.regions_rerolled >= 1
+        verify(program)
 
     def test_worklist_passes_converge_with_regions(self):
         stream = compile_source(REPEAT_SOURCE)
