@@ -149,8 +149,8 @@ class CompiledStream:
             with trace.span("lower.lir"):
                 # Firings no emitted code reads are left out only when
                 # the optimizer's dead-code pre-prune would delete them,
-                # and firing runs become loop regions only when it
-                # re-rolls.
+                # and firing runs become loop regions only when its
+                # pipeline has the reroll entry.
                 program = lower(self.schedule, self.source, lowering,
                                 **opt.lowering_flags())
             stats = optimize(program, opt)

@@ -171,7 +171,7 @@ class LaminarCBackend:
                     lines.extend(self._emit_ops(run_ops))
                     lines.append(f"    repro_prof_ns[{row}] += "
                                  f"(repro_now() - repro_prof_t0) * 1e9;")
-                    # Attribute re-rolled runs by *executed* ops (trips ×
+                    # Attribute loop regions by *executed* ops (trips ×
                     # body), so per-filter shares stay comparable with
                     # the fully-unrolled build.
                     lines.append(f"    repro_prof_ops[{row}] += "
@@ -215,7 +215,7 @@ class LaminarCBackend:
 
     def _region(self, region: LoopRegion, indent: str,
                 prologue: bool = False) -> list[str]:
-        """Emit a re-rolled run as a counted ``for`` loop.
+        """Emit a loop region as a counted ``for`` loop.
 
         In the steady section the body's gather/scatter arrays get
         ``restrict``-qualified local aliases (read-only ones also
@@ -369,7 +369,9 @@ class LaminarCBackend:
 #    which changes the regions (and names) a program's C carries.
 # 4: setup and init are REPRO_PROLOGUE (noinline, gcc -O1) functions whose
 #    loop regions are plain loops; the steady section is unchanged.
-CODEGEN_VERSION = 4
+# 5: the lowering forms every loop region (unit trips, if-converted
+#    bodies, field carries), which changes the regions and names.
+CODEGEN_VERSION = 5
 
 
 def codegen_fingerprint() -> str:

@@ -45,7 +45,7 @@ from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
-# -fopenmp-simd activates ``#pragma omp simd`` on re-rolled loop bodies
+# -fopenmp-simd activates ``#pragma omp simd`` on loop-region bodies
 # without pulling in the OpenMP runtime (gcc and clang both honor it; on
 # compilers that ignore it the pragma is inert and the code is still
 # correct).

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType, Type
+from repro.frontend.types import FLOAT, INT, Type
 
 
 @dataclass(frozen=True)
@@ -127,15 +127,3 @@ class XorShift32:
             raise ValueError("randi bound must be non-zero")
         value = self.next_u32() % (bound & 0xFFFFFFFF)
         return value - 0x100000000 if value >= 0x80000000 else value
-
-
-# Boolean-typed helpers used by the type checker.
-_NUMERIC = (INT, FLOAT)
-
-
-def check_numeric_scalar(ty: Type) -> bool:
-    return isinstance(ty, ScalarType) and ty in _NUMERIC
-
-
-def is_boolean(ty: Type) -> bool:
-    return ty == BOOLEAN

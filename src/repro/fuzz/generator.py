@@ -20,7 +20,9 @@ program is well-typed and schedulable by construction:
 Covered surface: pipelines, splitjoins (duplicate and weighted
 round-robin including weight-0 ports), feedbackloops, peeking filters,
 prework (with rates different from steady rates), int/float/array
-state, and the ``randf``/``randi`` intrinsics.
+state, the ``randf``/``randi`` intrinsics, and work bodies that push
+from a static ``for`` loop (peeking at offsets affine in its index),
+which the lowering rolls back into loop regions.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class GeneratorOptions:
     # Fraction of specs drawn in "large-repeat" mode: rate declarations
     # are boosted past ``max_rate`` and splitjoins widen, so the steady
     # schedule repeats filters many times in a row — the shape the
-    # re-roll pass collapses into loop regions (and the shape most
-    # likely to expose its bugs).
+    # lowering collapses into loop regions (and the shape most likely
+    # to expose its bugs).
     large_repeat_bias: float = 0.25
     large_rate_factor: int = 3     # boosted rate cap = max_rate * this
     wide_splitjoin_max: int = 5    # branch cap in large-repeat mode
@@ -247,9 +249,10 @@ class _Gen:
 
     def _body(self, in_ty: str | None, out_ty: str | None, push: int,
               pop: int, peek: int, atoms_seed: list[tuple[str, str]],
-              prints: bool = False) -> BodySpec:
+              prints: bool = False, loop: bool = False) -> BodySpec:
         """Generate one body.  ``atoms_seed`` are (name, ty) pairs of
-        fields already in scope."""
+        fields already in scope; with ``loop`` the body may push from a
+        ``for`` loop instead of one push statement per token."""
         rng = self.rng
         ints = [n for n, t in atoms_seed if t == INT]
         floats = [n for n, t in atoms_seed if t == FLOAT]
@@ -262,6 +265,11 @@ class _Gen:
                 stmts.append(f"{in_ty} pk{k} = peek({offset});")
                 (ints if in_ty == INT else floats).append(f"pk{k}")
                 self.features.add("peek")
+        looped = loop and out_ty is not None and push > 1 \
+            and rng.random() < 0.3
+        if looped:
+            stmts.append(self._push_loop(in_ty, out_ty, push, peek, ints,
+                                         floats))
         for i in range(pop):
             stmts.append(f"{in_ty} x{i} = pop();")
             (ints if in_ty == INT else floats).append(f"x{i}")
@@ -272,12 +280,32 @@ class _Gen:
                 f"{ty} y{j} = {exprs.gen(ty, rng.randint(1, 3), True)};")
             (ints if ty == INT else floats).append(f"y{j}")
         push_exprs = []
-        if out_ty is not None:
+        if out_ty is not None and not looped:
             for _ in range(push):
                 push_exprs.append(exprs.gen(out_ty, self.rng.randint(1, 2),
                                             True))
         return BodySpec(push=push, pop=pop, peek=peek, stmts=stmts,
                         push_exprs=push_exprs, prints=prints)
+
+    def _push_loop(self, in_ty: str | None, out_ty: str, push: int,
+                   peek: int, ints: list[str], floats: list[str]) -> str:
+        """A loop pushing once per trip: its expression may read the
+        index ``i``, peek at offsets affine in ``i`` (before any pop, so
+        within the whole window) and call ``randf``."""
+        rng = self.rng
+        ints = ints + ["i"]
+        floats = list(floats)
+        if in_ty is not None:
+            for _ in range(rng.randint(1, 2)):
+                stride = rng.choice([step for step in (0, 1, 2)
+                                     if step * (push - 1) < peek])
+                offset = rng.randint(0, peek - 1 - stride * (push - 1))
+                (ints if in_ty == INT else floats).append(
+                    f"peek({stride} * i + {offset})")
+        self.features.add("push-loop")
+        expr = _Exprs(rng, ints, floats, self.features).gen(
+            out_ty, rng.randint(1, 3), True)
+        return f"for (int i = 0; i < {push}; i++) {{ push({expr}); }}"
 
     def _maybe_array_field(self, fields, init_stmts, atoms) -> None:
         if self.rng.random() >= 0.3:
@@ -299,7 +327,7 @@ class _Gen:
         init_stmts = [f"t = {rng.randint(0, 5)};"]
         atoms: list[tuple[str, str]] = [("t", INT)]
         self._maybe_array_field(fields, init_stmts, atoms)
-        body = self._body(None, out_ty, push, 0, 0, atoms)
+        body = self._body(None, out_ty, push, 0, 0, atoms, loop=True)
         spec = FilterSpec(name=self.name("Src"), in_ty=None, out_ty=out_ty,
                           work=body, fields=fields, init_stmts=init_stmts,
                           counter=True)
@@ -336,7 +364,7 @@ class _Gen:
             init_stmts.append(f"acc = {zero};")
             atoms.append(("acc", out_ty))
         self._maybe_array_field(fields, init_stmts, atoms)
-        body = self._body(in_ty, out_ty, push, pop, peek, atoms)
+        body = self._body(in_ty, out_ty, push, pop, peek, atoms, loop=True)
         if atoms and rng.random() < 0.6 and atoms[0][0] == "acc":
             exprs = _Exprs(rng,
                            [a for a, t in atoms if t == INT]

@@ -149,7 +149,7 @@ class LaminarInterpreter:
             raise AssertionError(type(op).__name__)
 
     def _run_region(self, region: LoopRegion) -> None:
-        """Execute a re-rolled loop directly: counters accumulate per
+        """Execute a loop region directly: counters accumulate per
         trip, exactly as the unrolled form would have counted."""
         carries = [self._value(v) for v in region.carry_inits]
         params = region.carry_params

@@ -69,12 +69,13 @@ KNOBS = (
           "(overrides the default pipeline)",), _pipeline, text=str,
          metavar="PASSES"),
     Knob("reroll", ("--reroll", "--no-reroll"),
-         ("collapse repeated firing runs into counted loop regions "
-          "(the default; see docs/OPTIMIZER.md)",
-          "keep the steady state fully unrolled"), _reroll),
+         ("roll repeated firings and unrolled loop bodies into counted "
+          "loop regions as the program is lowered (the default; see "
+          "docs/LOWERING.md)",
+          "keep the program fully unrolled"), _reroll),
     Knob("reroll_min_repeat", ("--reroll-min-repeat",),
-         ("minimum consecutive firings of one filter before a run "
-          "becomes a loop region (default 4, at least 2)",),
+         ("fewest trips a loop region may have: repeats of a firing, "
+          "or of one unit of its unrolled loop (default 4, at least 2)",),
          _min_repeat, text=_integer_text, metavar="N"),
 )
 

@@ -81,7 +81,7 @@ def attribute_program(program: Program) -> list[FilterAttribution]:
     for title, ops in program.sections():
         for op in ops:
             if isinstance(op, LoopRegion):
-                # A re-rolled run still *executes* trips × body ops per
+                # A loop region still *executes* trips × body ops per
                 # iteration; attribute each body op per trip so the
                 # rows keep summing to the expanded section totals.
                 for inner in op.body:

@@ -20,10 +20,12 @@ queues tell at compile time which tokens nobody reads, so the firings
 that only compute those emit nothing (docs/LOWERING.md §2c).
 
 Lowered with loop regions (``lower(..., region_min_repeat=K)``), each
-run of ``K`` or more consecutive firings that replayed one firing
-template — and emitted code — becomes one counted
-:class:`~repro.lir.ops.LoopRegion` when its section ends: the template
-replayed once over trip-indexed inputs (docs/LOWERING.md §4b).
+run of consecutive firings that replayed one firing template — and
+emitted code — becomes one counted :class:`~repro.lir.ops.LoopRegion`
+when its section ends, if it makes ``K`` trips or more: the template's
+loop unit (one copy of the firing's unrolled loop, or the whole body)
+replayed once per unit of a trip over trip-indexed inputs, with what a
+trip hands the next as carries (docs/LOWERING.md §4b).
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
 from repro.lir import template as firing_template
 from repro.lir.ops import (Const, LoadOp, LoopRegion, MoveOp, Op, PrintOp,
-                           StateSlot, Temp, Value, const_bool, const_float,
-                           const_int, reserve_temp_ids, reserved_temp_ids,
-                           wrap_i32)
+                           StateSlot, StoreOp, Temp, Value, const_bool,
+                           const_float, const_int, recycled_temp_ids,
+                           reserve_temp_ids, reserved_temp_ids)
 from repro.lir.program import Program
 from repro.lir.regions import RegionAssembly, SlotAllocator, value_key
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks)
-from repro.lir.template import FiringTemplate
+from repro.lir.template import IN, PREV, FiringTemplate, LoopUnit
 from repro.frontend.types import ArrayType, Type
 from repro.obs import trace
 from repro.scheduling.schedule import Firing, Schedule
@@ -147,30 +149,12 @@ class _Pending:
         self.const = const
 
 
-def _promotable_load(op: Op) -> bool:
-    """A load of a scalar, or of an array element at a constant index."""
-    return op.__class__ is LoadOp and (op.index is None
-                                       or op.index.__class__ is Const)
-
-
-def _column_value(assembly: RegionAssembly, column: list[Value]) -> Value:
-    """The body value that takes ``column[trip]`` in each trip."""
-    head = column[0]
-    # A temp is equal only to itself; equal constants may be distinct
-    # objects.
-    if head.__class__ is Temp:
-        if all(value is head for value in column):
-            return head
-    elif all(value.__class__ is Const for value in column):
-        key = value_key(head)
-        if all(value_key(value) == key for value in column):
-            return head
-    if head.ty == INT and all(value.__class__ is Const for value in column):
-        stride = wrap_i32(column[1].value - head.value)
-        if all(value.value == wrap_i32(head.value + stride * trip)
-               for trip, value in enumerate(column)):
-            return assembly.affine(head.value, stride)
-    return assembly.gather(column)
+def _promotable(op: Op) -> bool:
+    """A load of a scalar or of an array element at a constant index,
+    or a store to a scalar: state promotion removes these."""
+    if op.__class__ is LoadOp:
+        return op.index is None or op.index.__class__ is Const
+    return op.__class__ is StoreOp and op.index is None
 
 
 def _sanitize(name: str) -> str:
@@ -301,12 +285,13 @@ class Lowerer:
         # firing counts only accumulate there (the attribution tables and
         # interpreters report steady-state numbers).
         self._counting = False
-        # Firing templates by (vertex, prework, scalar fields cached at
-        # entry).  A body whose recording failed is not recorded again,
-        # in any instance of its filter: the failure (data-dependent
-        # control, a LoweringError) almost always comes from the body
+        # Firing templates by (vertex, prework): a filter's scalar fields
+        # are loaded before its first firing in a section, so each
+        # firing finds them all cached.  A body whose recording failed is not recorded again,
+        # in any instance of its filter: the failure (a predicated
+        # return, a LoweringError) almost always comes from the body
         # itself, and per-firing execution is always correct.
-        self._templates: dict[tuple[FilterVertex, bool, tuple[str, ...]],
+        self._templates: dict[tuple[FilterVertex, bool],
                               FiringTemplate] = {}
         # (id of the filter's declaration, prework); AST nodes are
         # compared by value, so they are keyed by identity.
@@ -441,11 +426,9 @@ class Lowerer:
     # -- loop regions -----------------------------------------------------
 
     def _form_regions(self, block: list[Op], spans: list) -> None:
-        """Collapse each run of ``region_min_repeat`` or more adjacent
-        firings of one template into a loop region, in place in
-        ``block``.  Left to the re-roll pass: a template that stores
-        filter state, which that pass sees promoted to values, and one
-        that is itself a loop, whose finer period that pass finds."""
+        """Collapse each run of adjacent firings of one template whose
+        loop unit repeats ``region_min_repeat`` or more times in all
+        into a loop region, in place in ``block``."""
         min_repeat = max(2, self.region_min_repeat)
         # Where each firing output is last read; the carry lists read
         # after the block.  Nothing else a firing computes is read
@@ -474,11 +457,11 @@ class Lowerer:
                 last += 1
             run = spans[first:last]
             first = last
-            if len(run) < min_repeat or template.stores \
-                    or template.loops:
+            unit = template.unit
+            if unit is None or len(run) * unit.copies < min_repeat:
                 continue
-            replacement = self._collapse(block, run, min_repeat, last_read,
-                                         scatter_defs)
+            replacement = self._collapse(block, run, unit, min_repeat,
+                                         last_read, scatter_defs)
             if replacement is None:
                 continue
             out.extend(block[cursor:run[0][1]])
@@ -492,95 +475,152 @@ class Lowerer:
             out.extend(block[cursor:])
             block[:] = out
 
-    def _collapse(self, block: list[Op], run: list, min_repeat: int,
-                  last_read: dict[int, int],
+    def _collapse(self, block: list[Op], run: list, unit: LoopUnit,
+                  min_repeat: int, last_read: dict[int, int],
                   scatter_defs: dict[int, Op]) -> list[Op] | None:
         """The ops replacing ``run`` — gather stores, the region, scatter
-        loads — or ``None`` when no region over it pays.  Tries 1, 2,
-        4, ... firings per trip."""
+        loads, then the last firing's field stores — or ``None`` when no
+        region over it pays.  Tries, fewest first, each divisor of a
+        firing's units per trip, then 2, 4, 8, ... whole firings."""
         firings = [firing for firing, _, _ in run]
         start, end = run[0][1], run[-1][2]
-        # Loads of a filter's own state leave with promotion, so they
-        # are not counted against the region.
+        # Loads and scalar stores of a filter's own state leave with
+        # promotion, so they are not counted against the region.
         defined: set[int] = set()
         length = 0
         for op in block[start:end]:
-            length += not _promotable_load(op)
+            length += not _promotable(op)
             if op.result is not None:
                 defined.add(op.result.id)
-        # The inputs must all come from before the run; the outputs it
-        # computes that are read after it escape.
-        for firing in firings:
-            for value in firing.inputs:
-                if value.__class__ is Temp and value.id in defined:
-                    return None
+        # The outputs the run computes that are read after it escape,
+        # and so do the values the last firing's field stores store:
+        # those stores follow the region.
+        tail = block[end - unit.tail:end]
         escaping = {value.id for firing in firings
                     for value in firing.outputs
                     if value.__class__ is Temp and value.id in defined
                     and last_read[value.id] >= end}
-        per_trip = 1
-        while len(firings) // per_trip >= min_repeat:
-            if len(firings) % per_trip == 0:
-                built = self._build_region(firings, per_trip, block[start],
-                                           length, escaping, scatter_defs)
+        escaping.update(op.value.id for op in tail
+                        if op.value.__class__ is Temp
+                        and op.value.id in defined)
+        # The unit (numbered across the run) and result computing each
+        # output the run defines.
+        made: dict[int, tuple[int, int]] = {}
+        for index, firing in enumerate(firings):
+            for value, at in zip(firing.outputs, unit.outputs):
+                if at is not None and value.__class__ is Temp \
+                        and value.id in defined:
+                    made[value.id] = (index * unit.copies + at[0], at[1])
+        # A unit that reads its previous copy starts a trip only where a
+        # firing starts, unless the run is one firing.
+        copies = unit.copies
+        units = len(firings) * copies
+        sizes = [] if len(firings) > 1 and any(
+            kind == PREV for column in unit.columns for kind, _ in column) \
+            else [size for size in range(1, copies) if copies % size == 0]
+        size = copies
+        while units % size == 0:
+            sizes.append(size)
+            size *= 2
+        # The region's temps take the ids of the run's temps it drops.
+        with recycled_temp_ids(sorted(
+                op.result.id for op in block[start:end]
+                if op.result is not None
+                and op.result.id not in escaping)):
+            for per_trip in sizes:
+                if units // per_trip < min_repeat:
+                    break
+                built = self._build_region(firings, unit, per_trip,
+                                           block[start], length, escaping,
+                                           defined, made, scatter_defs)
                 if built is not None:
-                    return built
-            per_trip *= 2
+                    return built + tail
         return None
 
-    def _build_region(self, firings: list, per_trip: int, first: Op,
-                      length: int, escaping: set[int],
+    def _build_region(self, firings: list, unit: LoopUnit, per_trip: int,
+                      first: Op, length: int, escaping: set[int],
+                      defined: set[int], made: dict[int, tuple[int, int]],
                       scatter_defs: dict[int, Op]) -> list[Op] | None:
-        """A region doing ``per_trip`` of ``firings`` per trip, or
-        ``None`` when it does not pay."""
-        trips = len(firings) // per_trip
-        template = firings[0].template
+        """A region doing ``per_trip`` units of ``firings`` per trip, or
+        ``None`` when a column does not fit a loop or the region does
+        not pay.  A column's value in a trip is a value from before the
+        run, or the unit before's result: within the trip that is an
+        operand of the body, across trips a carry."""
+        copies = unit.copies
+        trips = len(firings) * copies // per_trip
         assembly = RegionAssembly(self._slots, trips, (first.prov[0],),
-                                  scatter_defs.get, lambda *_: True)
+                                  scatter_defs.get)
         body: list[Op] = []
-        results: list[list[Value | None]] = []
+        results: list[list[Value]] = []
+        # (result, initial value key) -> (param, initial value, result)
+        carries: dict[tuple, tuple[Temp, Value, int]] = {}
         for j in range(per_trip):
-            trip_firings = firings[j::per_trip]
-            inputs = [_column_value(assembly,
-                                    [firing.inputs[p]
-                                     for firing in trip_firings])
-                      for p in range(len(firings[0].inputs))]
+            inputs: list[Value] = []
+            for column in unit.columns:
+                # A value, or the int r for the unit before's result r.
+                values: list = []
+                for trip in range(trips):
+                    index = trip * per_trip + j
+                    kind, what = column[index % copies]
+                    if kind != PREV:
+                        if kind == IN:
+                            what = firings[index // copies].inputs[what]
+                        if what.__class__ is Temp and what.id in defined:
+                            at = made.get(what.id)
+                            if at is None or at[0] != index - 1:
+                                return None
+                            what = at[1]
+                    values.append(what)
+                prior = [value for value in values if value.__class__ is int]
+                if not prior:
+                    inputs.append(assembly.column(values))
+                elif len(set(prior)) != 1 \
+                        or len(prior) != (trips if j else trips - 1):
+                    return None
+                elif j:
+                    inputs.append(results[j - 1][prior[0]])
+                else:
+                    key = (prior[0], value_key(values[0]))
+                    if key not in carries:
+                        carries[key] = (Temp(values[0].ty, hint="rc"),
+                                        values[0], prior[0])
+                    inputs.append(carries[key][0])
             with self.emitter.redirected(body, firings[0].actor, "filter",
                                          self._phase):
-                pushed, exits = template.replay(self.emitter, inputs,
-                                                self.source)
-            results.append(pushed + exits)
+                pushed, _ = unit.template.replay(self.emitter, inputs,
+                                                 self.source)
+            results.append(pushed)
+        carried = [(param, init, results[-1][r])
+                   for param, init, r in carries.values()]
+        if any(param.ty != nxt.ty for param, _, nxt in carried):
+            return None
+        rebinds: dict[tuple[int, int], list[tuple[int, Temp]]] = {}
         rebound: set[int] = set()
-        for j, outputs in enumerate(results):
-            trip_firings = firings[j::per_trip]
-            for index, value in enumerate(outputs):
-                rebind = []
-                for trip, firing in enumerate(trip_firings):
-                    temp = firing.outputs[index]
-                    if temp.__class__ is Temp and temp.id in escaping \
-                            and temp.id not in rebound:
-                        rebound.add(temp.id)
-                        rebind.append((trip, temp))
-                if rebind:
-                    assert value.__class__ is Temp
-                    assembly.scatter(value, rebind)
-        free = sum(_promotable_load(op) for op in body)
-        return assembly.finish(body, length, free=free)
+        for index, firing in enumerate(firings):
+            for value, at in zip(firing.outputs, unit.outputs):
+                if at is not None and value.__class__ is Temp \
+                        and value.id in escaping and value.id not in rebound:
+                    rebound.add(value.id)
+                    trip, j = divmod(index * copies + at[0], per_trip)
+                    rebinds.setdefault((j, at[1]), []).append((trip, value))
+        for j, r in sorted(rebinds):
+            if results[j][r].__class__ is not Temp:
+                return None
+            assembly.scatter(results[j][r], rebinds[j, r])
+        return assembly.finish(body, length, carried,
+                               sum(_promotable(op) for op in body))
 
     def _defer(self, vertex: FilterVertex, template: FiringTemplate,
-               inputs: list) -> list:
-        """Record a pure firing; returns its outputs (the pushes, then
-        the exits) as they will be: inputs and constants passed through
-        stay themselves, the rest are pending.  A template without ops
-        only passes values through, which is its whole replay."""
-        const_outputs: tuple[bool, ...] = ()
+               inputs: list, profile: tuple[int, tuple[bool, ...]]
+               ) -> list:
+        """Record a pure firing whose replay ``template.fold_profile``
+        describes; returns its outputs (the pushes, then the exits) as
+        they will be: inputs and constants passed through stay
+        themselves, the rest are pending.  A template without ops only
+        passes values through, which is its whole replay."""
+        temps, const_outputs = profile
         firing = None
         if template.steps:
-            const_inputs = tuple(
-                value.__class__ is Const
-                or (value.__class__ is _Pending and value.const)
-                for value in inputs)
-            temps, const_outputs = template.fold_profile(const_inputs)
             firing = _Deferred(template, inputs, vertex.filter.name,
                                self._phase, len(self.emitter.block), temps)
             self._fired.append(firing)
@@ -708,6 +748,7 @@ class Lowerer:
         body = node.decl.prework if prework else node.decl.work
         assert body is not None and body.body is not None
         executor = self.executors[vertex]
+        executor.load_fields()
         if not self._replay(vertex, prework, rates.peek, body.body,
                             executor):
             self.firings_fallback += 1
@@ -721,14 +762,14 @@ class Lowerer:
     def _replay(self, vertex: FilterVertex, prework: bool, peek_rate: int,
                 block: ast.Block, executor: BodyExecutor) -> bool:
         """Fire by replaying the body's template, recording it first if
-        needed.  False when the body has no template, or when the input
-        queue is too short (per-firing execution then reports it)."""
+        needed.  False when the body has no template, when the input
+        queue is too short (per-firing execution then reports it), or
+        when the firing's inputs would fold a condition the template's
+        path was decided on."""
         body_key = (id(vertex.filter.decl), prework)
         if body_key in self._untemplated:
             return False
-        cached = tuple(name for name, cell in executor.fields.items()
-                       if not cell.dims and cell.cached is not None)
-        key = (vertex, prework, cached)
+        key = (vertex, prework)
         template = self._templates.get(key)
         if template is None:
             template = firing_template.record(
@@ -745,12 +786,20 @@ class Lowerer:
             if len(in_queue) < template.tokens:
                 return False
             tokens = list(islice(in_queue, template.tokens))
-            for _ in range(template.pops):
-                in_queue.popleft()
         fields = executor.fields
         inputs = tokens + [fields[name].cached for name in template.fields]
-        if self.demand and template.deferrable:
-            outputs = self._defer(vertex, template, inputs)
+        deferred = self.demand and template.deferrable
+        if deferred or template.decisions:
+            profile = template.fold_profile(tuple(
+                value.__class__ is Const
+                or (value.__class__ is _Pending and value.const)
+                for value in inputs))
+            if profile is None:
+                return False
+        for _ in range(template.pops):
+            in_queue.popleft()
+        if deferred:
+            outputs = self._defer(vertex, template, inputs, profile)
             pushed = outputs[:len(template.pushes)]
             exits = outputs[len(template.pushes):]
         else:
@@ -882,9 +931,9 @@ def lower(schedule: Schedule, source: str = "",
     ``demand=True`` leaves out the pure firings whose outputs no emitted
     code reads: the program is the eager one minus ops that dead-code
     elimination deletes, so use it only when that pass runs after.
-    ``region_min_repeat=K`` collapses runs of ``K`` or more firings of
-    one template into loop regions, whose coefficient-table loads only
-    state promotion turns back into constants.
+    ``region_min_repeat=K`` collapses runs of firings of one template
+    into loop regions of ``K`` trips or more, whose coefficient-table
+    loads only state promotion turns back into constants.
     :meth:`repro.opt.OptOptions.lowering_flags` gives both for a
     pipeline.
     """

@@ -31,12 +31,16 @@ _global_ids = itertools.count()
 _global_lock = threading.Lock()
 
 
+def _next_global_id() -> int:
+    with _global_lock:
+        return next(_global_ids)
+
+
 def _next_temp_id() -> int:
     ids = _scoped_ids.get()
     if ids is not None:
         return next(ids)
-    with _global_lock:
-        return next(_global_ids)
+    return _next_global_id()
 
 
 def reserve_temp_ids(count: int) -> int:
@@ -74,6 +78,19 @@ def reserved_temp_ids(base: int, count: int) -> Iterator[None]:
         _scoped_ids.reset(token)
     used = next(ids) - base
     assert used <= count, f"minted {used} temps in a block of {count}"
+
+
+@contextlib.contextmanager
+def recycled_temp_ids(ids: list[int]) -> Iterator[None]:
+    """Mint the temps of this context from ``ids`` — ids that no op
+    refers to any more — and then as the enclosing context mints them."""
+    outer = _scoped_ids.get()
+    rest = outer if outer is not None else iter(_next_global_id, None)
+    token = _scoped_ids.set(itertools.chain(ids, rest))
+    try:
+        yield
+    finally:
+        _scoped_ids.reset(token)
 
 
 @contextlib.contextmanager
@@ -225,11 +242,6 @@ class Op:
     @property
     def has_side_effect(self) -> bool:
         return False
-
-    @property
-    def is_pure(self) -> bool:
-        """Pure ops may be removed when dead and deduplicated by CSE."""
-        return not self.has_side_effect
 
 
 @dataclass(eq=False, slots=True)
@@ -403,13 +415,15 @@ class MoveOp(Op):
 
 @dataclass(eq=False, slots=True)
 class LoopRegion(Op):
-    """A counted loop over a re-rolled run of identical firings.
+    """A counted loop: ``body`` executed ``trips`` times.
 
-    The re-roll pass (:mod:`repro.opt.reroll`) collapses ``trips``
-    structurally identical firing instances into one ``body`` executed
-    ``trips`` times.  ``index`` is the trip counter (INT, 0-based) defined
-    afresh each trip; token accesses inside the body are plain
-    base+stride expressions of ``index`` — never modulo — so arrays stay
+    The lowering (:mod:`repro.lir.lower`) forms one from a run of
+    firings that replayed one firing template: the body is the
+    template's loop unit — a copy of a firing's unrolled loop, a whole
+    firing, or several — replayed once over trip-indexed values.
+    ``index`` is the trip counter (INT, 0-based) defined afresh each
+    trip; token accesses inside the body are plain base+stride
+    expressions of ``index`` — never modulo — so arrays stay
     scalar-replaceable and autovectorizable.
 
     Values crossing the region boundary travel one of three ways:
@@ -434,42 +448,38 @@ class LoopRegion(Op):
     carry_nexts: list[Value] = field(default_factory=list)
     parallel: bool = False
 
-    def inner_temp_ids(self) -> set[int]:
-        """Ids defined per-trip: index, carry params, body results."""
-        inner = {self.index.id}
-        inner.update(p.id for p in self.carry_params)
-        for op in self.body:
-            if op.result is not None:
-                inner.add(op.result.id)
-        return inner
-
     def operands(self) -> Iterator[Value]:
         """All *external* uses: carries plus body references to outer
         values.  Per-trip temps (index, carry params, body results) are
-        internal and never yielded."""
-        inner = self.inner_temp_ids()
+        internal and never yielded; a body op reads only results of the
+        ops before it."""
         yield from self.carry_inits
+        inner = {self.index.id}
+        inner.update(param.id for param in self.carry_params)
         for op in self.body:
             for value in op.operands():
-                if isinstance(value, Temp) and value.id in inner:
-                    continue
-                yield value
+                if value.__class__ is not Temp or value.id not in inner:
+                    yield value
+            if op.result is not None:
+                inner.add(op.result.id)
         for value in self.carry_nexts:
-            if isinstance(value, Temp) and value.id in inner:
-                continue
-            yield value
+            if value.__class__ is not Temp or value.id not in inner:
+                yield value
 
     def map_operands(self, fn: Callable[[Value], Value]) -> None:
-        inner = self.inner_temp_ids()
+        inner = {self.index.id}
+        inner.update(param.id for param in self.carry_params)
 
         def outer(value: Value) -> Value:
-            if isinstance(value, Temp) and value.id in inner:
+            if value.__class__ is Temp and value.id in inner:
                 return value
             return fn(value)
 
-        self.carry_inits = [outer(v) for v in self.carry_inits]
+        self.carry_inits = [fn(v) for v in self.carry_inits]
         for op in self.body:
             op.map_operands(outer)
+            if op.result is not None:
+                inner.add(op.result.id)
         self.carry_nexts = [outer(v) for v in self.carry_nexts]
 
     @property

@@ -54,7 +54,7 @@ class Program:
 
     @property
     def steady_op_count_expanded(self) -> int:
-        """Steady ops *as executed*: a re-rolled :class:`LoopRegion`
+        """Steady ops *as executed*: a :class:`LoopRegion`
         counts ``trips * len(body)`` instead of 1.  Equals
         ``steady_op_count`` for fully-unrolled programs."""
         total = 0

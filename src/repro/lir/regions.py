@@ -1,22 +1,20 @@
-"""Loop-region assembly, shared by the lowering and the re-roll pass.
+"""Loop-region assembly for the lowering.
 
 A :class:`~repro.lir.ops.LoopRegion` replaces ``trips`` repetitions of
-the same ops.  Whoever finds the repetition — the lowering, which knows
-it from the schedule's runs of one firing template (:mod:`repro.lir.lower`),
-or the re-roll pass, which fingerprints straight-line ops for it
-(:mod:`repro.opt.reroll`) — describes each operand column (one value per
-trip) and each result column, and :class:`RegionAssembly` builds the
-region the same way:
+the same ops.  The lowering (:mod:`repro.lir.lower`) knows the
+repetition from the firing templates, and describes what the body reads
+in each trip as a *column* (one value per trip) and which of its results
+later code reads; :class:`RegionAssembly` builds the region from them:
 
+* a column that is the same value every trip is that value;
 * an **affine** column of int constants becomes ``base + stride * trip``
   in the body's prelude (bit-exact under i32 wraparound);
-* a **gathered** column is *chained* when its values are constant-index
+* any other column is *chained* when its values are constant-index
   loads of one array in arithmetic progression (an upstream region's
-  scatter array, say): the body loads that array at ``base + stride *
-  trip`` and nothing is copied.  Otherwise it is packed into a gather
-  array indexed ``trip + offset``, stored before the region; columns
-  whose values overlap (the windows of a peeking filter) share one
-  array;
+  scatter array): the body loads that array at ``base + stride * trip``
+  and nothing is copied.  Otherwise it is packed into a gather array
+  indexed ``trip + offset``, stored before the region; columns whose
+  values overlap (the windows of a peeking filter) share one array;
 * a **scattered** result is stored by the body to a fresh array at
   ``trip``, and constant-index loads after the region rebind the temps
   that later code reads, so that code and the program's carry lists stay
@@ -34,7 +32,7 @@ from typing import Callable
 from repro.frontend.types import INT
 from repro.lir.ops import (BinOp, CallOp, Const, LoadOp, LoopRegion, Op,
                            PrintOp, Provenance, StateSlot, StoreOp, Temp,
-                           Value, const_int)
+                           Value, const_int, wrap_i32)
 from repro.lir.program import Program
 
 
@@ -64,26 +62,6 @@ def profitable(length: int, trips: int, outside: int, body: int,
     return static < length and executed <= budget
 
 
-def strided_loads(values: list[Value], def_of: Callable[[int], Op | None]
-                  ) -> tuple[StateSlot, int, int] | None:
-    """``(slot, base, stride)`` when ``values[trip]`` is each a load of
-    ``slot[base + stride * trip]``, as ``def_of`` tells."""
-    slot = base = stride = None
-    for trip, value in enumerate(values):
-        load = def_of(value.id) if value.__class__ is Temp else None
-        if load.__class__ is not LoadOp \
-                or load.index.__class__ is not Const:
-            return None
-        if trip == 0:
-            slot, base = load.slot, load.index.value
-        elif trip == 1:
-            stride = load.index.value - base
-        if load.slot is not slot \
-                or load.index.value != base + (stride or 0) * trip:
-            return None
-    return slot, base, stride
-
-
 class SlotAllocator:
     """Names and registers a program's gather and scatter arrays."""
 
@@ -103,11 +81,13 @@ class SlotAllocator:
         self.program.state_slots.append(slot)
         return slot
 
-    def rollback(self, mark: int) -> None:
-        """Unregister the arrays made since ``mark`` slots existed."""
-        for slot in self.program.state_slots[mark:]:
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Unregister the arrays made since ``mark`` — how many slots
+        there were, and the name counter — and reuse their names."""
+        slots, self.counter = mark
+        for slot in self.program.state_slots[slots:]:
             self.names.discard(slot.name)
-        del self.program.state_slots[mark:]
+        del self.program.state_slots[slots:]
 
 
 @dataclass
@@ -177,22 +157,19 @@ class _GatherArray:
 class RegionAssembly:
     """One loop region under construction.
 
-    ``def_of(temp_id)`` returns the op defining a temp, where chaining
-    may look (``None`` elsewhere); ``may_chain(slot, values)`` says
-    whether the body may load ``slot`` in place of those values, i.e.
-    nothing stores to it between their loads and the region.
+    ``def_of(temp_id)`` returns the op defining a temp where chaining
+    may look, else ``None``: loads of arrays nothing stores to between
+    them and the region.
     """
 
     def __init__(self, slots: SlotAllocator, trips: int,
                  prov: tuple[Provenance, ...],
-                 def_of: Callable[[int], Op | None],
-                 may_chain: Callable[[StateSlot, list[Value]], bool]):
+                 def_of: Callable[[int], Op | None]):
         self.slots = slots
         self.trips = trips
         self.prov = prov
         self.def_of = def_of
-        self.may_chain = may_chain
-        self.mark = len(slots.program.state_slots)
+        self.mark = (len(slots.program.state_slots), slots.counter)
         self.index = Temp(INT, hint="trip")
         self.prelude: list[Op] = []
         self.scatter_stores: list[Op] = []
@@ -200,6 +177,25 @@ class RegionAssembly:
         self._affine: dict[tuple[int, int], Value] = {}
         self._chains: dict[tuple[str, int, int], Temp] = {}
         self._arrays: list[_GatherArray] = []
+
+    def column(self, values: list[Value]) -> Value:
+        """The body value that takes ``values[trip]`` in each trip."""
+        head = values[0]
+        # A temp is equal only to itself; equal constants may be
+        # distinct objects.
+        if head.__class__ is Temp:
+            if all(value is head for value in values):
+                return head
+        elif all(value.__class__ is Const for value in values):
+            key = value_key(head)
+            if all(value_key(value) == key for value in values):
+                return head
+            if head.ty == INT:
+                stride = wrap_i32(values[1].value - head.value)
+                if all(value.value == wrap_i32(head.value + stride * trip)
+                       for trip, value in enumerate(values)):
+                    return self.affine(head.value, stride)
+        return self._gather(values)
 
     def affine(self, base: int, stride: int) -> Value:
         """The body value ``base + stride * trip``."""
@@ -224,7 +220,7 @@ class RegionAssembly:
         self._affine[key] = value
         return value
 
-    def gather(self, values: list[Value]) -> Temp:
+    def _gather(self, values: list[Value]) -> Temp:
         """The body value that is ``values[trip]``: chained, or packed."""
         chained = self._chain(values)
         if chained is not None:
@@ -243,11 +239,24 @@ class RegionAssembly:
         return array.load(0, ty)
 
     def _chain(self, values: list[Value]) -> Temp | None:
-        """Load an existing array directly instead of copying it."""
-        source = strided_loads(values, self.def_of)
-        if source is None or not self.may_chain(source[0], values):
+        """Load an existing array directly instead of copying it, when
+        ``values[trip]`` is each a load of ``slot[base + stride * trip]``
+        for one ``slot``."""
+        loads = [self.def_of(value.id) if value.__class__ is Temp
+                 else None for value in values]
+        first = loads[0]
+        if first.__class__ is not LoadOp \
+                or first.index.__class__ is not Const:
             return None
-        slot, base, stride = source
+        slot, base = first.slot, first.index.value
+        stride = loads[1].index.value - base \
+            if loads[1].__class__ is LoadOp \
+            and loads[1].index.__class__ is Const else 0
+        if not all(load.__class__ is LoadOp and load.slot is slot
+                   and load.index.__class__ is Const
+                   and load.index.value == base + stride * trip
+                   for trip, load in enumerate(loads)):
+            return None
         key = (slot.name, base, stride)
         if key in self._chains:
             return self._chains[key]
@@ -270,13 +279,14 @@ class RegionAssembly:
                                              index=const_int(trip)))
 
     def finish(self, ops: list[Op], length: int,
-               carries: tuple[list[Temp], list[Value], list[Value]]
-               = ([], [], []), free: int = 0) -> list[Op] | None:
-        """The region with ``ops`` as its per-trip work, wrapped in its
-        gather stores and scatter loads — or ``None``, releasing its
-        arrays, when it does not pay for the ``length`` ops it replaces.
-        ``free`` of ``ops`` are left out of the cost: ops the optimizer
-        will remove anyway."""
+               carries: list[tuple[Temp, Value, Value]],
+               free: int) -> list[Op] | None:
+        """The region with ``ops`` as its per-trip work and ``carries``
+        as its (param, init, next) triples, wrapped in its gather stores
+        and scatter loads — or ``None``, releasing its arrays, when it
+        does not pay for the ``length`` ops it replaces.  ``free`` of
+        ``ops`` are left out of the cost: ops the optimizer will remove
+        anyway."""
         gather_stores: list[Op] = []
         for array in self._arrays:
             slot = self.slots.fresh("g", array.values[0].ty,
@@ -290,10 +300,9 @@ class RegionAssembly:
                     LoadOp(result=temp, prov=self.prov, slot=slot,
                            index=self.affine(offset, 1)))
         body = self.prelude + ops + self.scatter_stores
-        params, inits, nexts = carries
         outside = len(gather_stores) + len(self.scatter_loads)
         if not profitable(length, self.trips, outside, len(body) - free,
-                          len(params)):
+                          len(carries)):
             self.slots.rollback(self.mark)
             return None
         effects = any(isinstance(op, (StoreOp, PrintOp))
@@ -301,8 +310,8 @@ class RegionAssembly:
                       for op in ops)
         region = LoopRegion(result=None, prov=self.prov, trips=self.trips,
                             index=self.index, body=body,
-                            carry_params=list(params),
-                            carry_inits=list(inits),
-                            carry_nexts=list(nexts),
-                            parallel=not effects and not params)
+                            carry_params=[param for param, _, _ in carries],
+                            carry_inits=[init for _, init, _ in carries],
+                            carry_nexts=[nxt for _, _, nxt in carries],
+                            parallel=not effects and not carries)
         return gather_stores + [region] + self.scatter_loads

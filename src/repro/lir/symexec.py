@@ -26,14 +26,13 @@ from repro.frontend import ast_nodes as ast
 from repro.faults.limits import ResourceExhausted
 from repro.frontend.errors import LoweringError, RateError, SourceLocation
 from repro.frontend.intrinsics import INTRINSICS, result_type
-from repro.frontend.types import (ArrayType, BOOLEAN, FLOAT, INT, ScalarType,
-                                  Type, VOID)
+from repro.frontend.types import (BOOLEAN, FLOAT, INT, ScalarType, Type,
+                                  VOID)
 from repro.graph.builder import apply_binary
 from repro.graph.nodes import FilterNode
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, Op, PrintOp,
                            Provenance, SelectOp, StateSlot, StoreOp, Temp,
-                           UnOp, Value, const_bool, const_float, const_int,
-                           wrap_i32)
+                           UnOp, Value, const_bool, const_float, const_int)
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _INT_ONLY_OPS = ("%", "&", "|", "^", "<<", ">>")
@@ -405,9 +404,12 @@ class BodyExecutor:
         self.path_conditions: list[Value] = []
         # Inlined-helper invocation frames, innermost last.
         self.helper_frames: list[_HelperFrame] = []
-        # Set once a control decision depended on a non-constant value
-        # (if-conversion, a dynamic ?:, && or ||, a predicated return):
-        # such a body cannot be recorded as a firing template.
+        # The non-constant values control decisions were taken on
+        # (if-conversion and ?: conditions, the left side of a dynamic &&
+        # or ||): a template replays this body's path only while these
+        # stay non-constant.  A predicated return sets ``data_dependent``
+        # instead, and such a body is not templated at all.
+        self.decisions: list[Value] = []
         self.data_dependent = False
 
     # -- entry points -------------------------------------------------------------
@@ -468,6 +470,16 @@ class BodyExecutor:
             if not cell.dims:
                 cell.cached = None
 
+    def load_fields(self) -> None:
+        """Load each scalar field not cached yet (before the filter's
+        first firing in a section), so that a firing finds them all
+        cached whichever it is."""
+        for fld in self.node.decl.fields:
+            cell = self.fields[fld.name]
+            if not cell.dims and cell.cached is None:
+                self.emitter.set_line(fld.loc.line)
+                cell.cached = self.emitter.load(cell.slot, None)
+
     # -- statements ----------------------------------------------------------------
 
     def _const_int(self, value: Value, loc: SourceLocation,
@@ -491,8 +503,9 @@ class BodyExecutor:
                        "of the body unrolls: a non-terminating loop, or "
                        "a very long static one; the total size stays "
                        "bounded by op_limit and max_unrolled_ops, and "
-                       "long steady states are re-rolled downstream "
-                       "(--reroll, on by default), so raising "
+                       "the lowering rolls repeated firings and loop "
+                       "bodies back into counted loops (--reroll, on by "
+                       "default), so raising "
                        "LoweringOptions.unroll_limit is usually safe",
                 loc=loc, source=self.source)
 
@@ -727,7 +740,7 @@ class BodyExecutor:
     def _if_convert(self, stmt: ast.IfStmt, cond: Value, env: Env) -> None:
         """Execute both branches speculatively and merge with selects."""
         assert stmt.then is not None
-        self.data_dependent = True
+        self.decisions.append(cond)
         before = env.snapshot()
         saved = [(cell, self._cell_state(cell)) for _, _, cell in before]
 
@@ -958,7 +971,7 @@ class BodyExecutor:
             # Dynamic: evaluate both (the RHS must be pure anyway) and
             # combine; C backends emit && / || whose RHS is re-evaluated,
             # which is safe for pure expressions.
-            self.data_dependent = True
+            self.decisions.append(left)
             right = self._eval(expr.right, env)
             return self.emitter.binop("&" if expr.op == "&&" else "|",
                                       self._bool_to_int(left),
@@ -980,7 +993,7 @@ class BodyExecutor:
         if isinstance(cond, Const):
             return self._eval(expr.then if cond.value else expr.otherwise,
                               env)
-        self.data_dependent = True
+        self.decisions.append(cond)
         then = self._eval(expr.then, env)
         otherwise = self._eval(expr.otherwise, env)
         return self.emitter.select(cond, then, otherwise)

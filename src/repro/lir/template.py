@@ -9,8 +9,9 @@ are the same.
 
 :func:`record` runs the body once through the ordinary
 :class:`~repro.lir.symexec.BodyExecutor`, with an opaque placeholder
-temp for every token position it reads and for every scalar field whose
-value is cached at entry, and keeps what it emitted.
+temp for every token position it reads and for every scalar field (the
+lowering loads them before a filter's first firing in a section), and
+keeps what it emitted.
 :meth:`FiringTemplate.replay` re-issues those ops through the real
 :class:`~repro.lir.symexec.Emitter` with the placeholders renamed to the
 firing's queue tokens and field values.  An op whose operands are now
@@ -21,9 +22,13 @@ the same order as per-firing execution mints them: the output is
 identical, not merely equivalent.
 
 A body is not templated (the caller falls back to per-firing execution)
-when its recording took a data-dependent control path or raised a
-:class:`~repro.frontend.errors.LoweringError` — a loop bound or peek
-offset computed from a token, for instance.
+when its recording raised a :class:`~repro.frontend.errors.LoweringError`
+— a loop bound or peek offset computed from a token, for instance — or
+took a predicated return.  An if-converted body is templated: its
+selects are steps like any other, and the template keeps the conditions
+its path was decided on.  A firing whose inputs would fold one of those
+to a constant would take another path, so it falls back
+(:meth:`FiringTemplate.fold_profile`).
 
 A template is *deferrable* when replaying it has no effect and cannot
 raise: no store, print or call, no division, remainder or shift, and
@@ -33,6 +38,10 @@ computes, or skip it (docs/LOWERING.md §2c).  Whether such a replay
 folds a step depends only on which of its inputs are constants, not on
 their values, so :meth:`FiringTemplate.fold_profile` can tell without
 replaying how many temps the replay will mint.
+
+A template whose steps are copies of one shorter unit — an unrolled
+loop — knows that unit (:class:`LoopUnit`), so the lowering can roll
+its firings back into a loop of unit trips (docs/LOWERING.md §4b).
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError, SourceLocation
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, PrintOp,
-                           StateSlot, StoreOp, Temp, UnOp, Value,
+                           SelectOp, StateSlot, StoreOp, Temp, UnOp, Value,
                            fresh_temp_ids)
 from repro.lir.regions import value_key
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks,
@@ -52,7 +61,8 @@ from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks,
 
 # Step kinds: one per op class, casts split by the emitter method that
 # made them.
-_BINOP, _UNOP, _COERCE, _CAST, _CALL, _LOAD, _STORE, _PRINT = range(8)
+_BINOP, _UNOP, _COERCE, _CAST, _CALL, _LOAD, _STORE, _PRINT, _SELECT = \
+    range(9)
 
 # Binary operators whose constant fold can raise: a zero divisor, a
 # negative shift count.
@@ -104,7 +114,7 @@ class FiringTemplate:
     """One filter body's ops over placeholder inputs.
 
     Values live in numbered slots: the ``tokens`` input positions read,
-    then the cached field values (``fields``, by name), then the
+    then the scalar fields' values (``fields``, by name), then the
     template's constants, then one slot per op result in emission order.
     """
 
@@ -117,12 +127,11 @@ class FiringTemplate:
     exits: list[tuple[str, int | None]]
     end_line: int | None
     deferrable: bool = False
-    # Whether a replay stores to filter state (a written field, an
-    # array element).
-    stores: bool = False
-    # Whether the steps are a loop: copies of one shorter unit (see
-    # _repeats_unit).
-    loops: bool = False
+    # The value slots of the conditions the recorded path was decided on.
+    decisions: tuple[int, ...] = ()
+    # The loop unit a region replays per trip (see _loop_unit); None
+    # when the steps store to a filter array.
+    unit: LoopUnit | None = None
     # fold_profile's answers, by constant-input mask.
     _profiles: dict = field(default_factory=dict, repr=False)
 
@@ -134,33 +143,39 @@ class FiringTemplate:
         return self.steps[-1][1] if self.steps else None
 
     def fold_profile(self, const_inputs: tuple[bool, ...]
-                     ) -> tuple[int, tuple[bool, ...]]:
-        """For a deferrable template whose inputs flagged in
-        ``const_inputs`` are constants: the number of temps a replay
-        mints, and which outputs (the pushes, then the exits) it
-        computes as constants.  Exact, since a step folds exactly when
-        its operands are constants (a cast to ``boolean`` never does)."""
-        profile = self._profiles.get(const_inputs)
-        if profile is not None:
-            return profile
+                     ) -> tuple[int, tuple[bool, ...]] | None:
+        """For a replay whose inputs flagged in ``const_inputs`` are
+        constants: the number of temps it mints, and which outputs (the
+        pushes, then the exits) it computes as constants — or ``None``
+        when those inputs fold a decision, so that the firing would take
+        another path.  Exact, since a step folds exactly when its
+        operands are constants (a cast to ``boolean`` never does, nor a
+        load, and a select's condition is a decision)."""
+        if const_inputs in self._profiles:
+            return self._profiles[const_inputs]
         const = list(const_inputs) + [True] * len(self.consts)
         minted = 0
         for step in self.steps:
             kind = step[0]
             if kind == _BINOP:
                 folds = const[step[3]] and const[step[4]]
-            elif kind == _LOAD:
-                folds = False
+            elif kind in (_UNOP, _COERCE):
+                folds = const[step[3]]
             elif kind == _CAST:
                 folds = const[step[3]] and step[2] != BOOLEAN
+            elif kind == _CALL:
+                folds = step[5] and all(const[arg] for arg in step[3])
+            elif kind in (_STORE, _PRINT):
+                continue
             else:
-                assert kind in (_UNOP, _COERCE), kind
-                folds = const[step[3]]
+                folds = False
             minted += not folds
             const.append(folds)
-        profile = (minted, tuple(const[slot] for slot in self.pushes)
-                   + tuple(slot is not None and const[slot]
-                           for _, slot in self.exits))
+        profile = None
+        if not any(const[slot] for slot in self.decisions):
+            profile = (minted, tuple(const[slot] for slot in self.pushes)
+                       + tuple(slot is not None and const[slot]
+                               for _, slot in self.exits))
         self._profiles[const_inputs] = profile
         return profile
 
@@ -203,6 +218,10 @@ class FiringTemplate:
             elif kind == _PRINT:
                 emit(PrintOp(result=None, value=values[step[3]],
                              newline=step[2]))
+                continue
+            elif kind == _SELECT:
+                append(emitter.select(values[step[3]], values[step[4]],
+                                      values[step[5]]))
                 continue
             elif kind == _CALL:
                 args = [values[i] for i in step[3]]
@@ -247,7 +266,7 @@ def _deferrable(op, note: object) -> bool:
         return _bounds_loc(op.index, note) is None
     if isinstance(op, CastOp):  # int() of an infinite or NaN constant
         return not (op.result.ty == INT and op.operand.ty == FLOAT)
-    return isinstance(op, UnOp)
+    return isinstance(op, (UnOp, SelectOp))
 
 
 def _step_shape(step: tuple) -> tuple[tuple, tuple]:
@@ -266,43 +285,138 @@ def _step_shape(step: tuple) -> tuple[tuple, tuple]:
         return (kind, id(step[2])), (step[3],)
     if kind == _STORE:
         return (kind, id(step[2])), (step[3], step[5])
+    if kind == _SELECT:
+        return (kind, step[2]), (step[3], step[4], step[5])
     return (kind, step[2]), (step[3],)
 
 
-def _repeats_unit(steps: list[tuple], inputs: int,
-                  consts: list[Value]) -> bool:
-    """Whether ``steps`` are two or more copies of one unit, each copy
-    reading the same inputs and constant values as the one before, or
-    its own results where the one before read its own.  Such a firing
-    is itself a loop, and the repetition re-roll finds inside it is
-    finer than one firing per trip.  ``inputs`` counts the value slots
-    before the constants."""
+def _with_reads(step: tuple, reads: list[int | None]) -> tuple:
+    """``step`` reading the value slots ``reads``, in the order
+    :func:`_step_shape` lists them."""
+    kind = step[0]
+    if kind in (_BINOP, _SELECT):
+        return step[:3] + tuple(reads) + step[3 + len(reads):]
+    if kind == _CALL:
+        return step[:3] + (tuple(reads),) + step[4:]
+    if kind == _STORE:
+        return step[:3] + (reads[0],) + step[4:5] + (reads[1],)
+    return step[:3] + (reads[0],) + step[4:]
+
+
+# What one copy of a unit reads at an operand: a firing input, a
+# constant, or a result of the copy before.
+IN, CONST, PREV = "in", "const", "prev"
+
+
+@dataclass
+class LoopUnit:
+    """A template's steps as ``copies`` copies of one unit.
+
+    ``template`` replays one copy.  Its inputs are the ``columns``: for
+    each, what every copy reads there — ``(IN, p)`` the firing's input
+    ``p``, ``(CONST, c)`` the constant ``c``, ``(PREV, r)`` the previous
+    copy's ``r``-th result — and its replay pushes every result of the
+    copy, in order.  ``outputs`` places each of the firing's outputs
+    (its pushes, then its exits): ``(copy, r)`` when a copy computes
+    it.  After the copies come ``tail`` steps that store the scalar
+    fields the firing wrote; they store its exits.
+    """
+
+    template: FiringTemplate
+    copies: int
+    columns: list[tuple[tuple[str, object], ...]]
+    outputs: list[tuple[int, int] | None]
+    tail: int
+
+
+def _loop_unit(steps: list[tuple], inputs: int, consts: list[Value],
+               outputs: list[int | None]) -> LoopUnit | None:
+    """The shortest unit ``steps`` are copies of (the whole body when
+    nothing shorter is), or ``None`` when they store to a filter array.
+    ``inputs`` counts the value slots before the constants; ``outputs``
+    are the slots of the firing's pushes and exits."""
+    tail = 0
+    while tail < len(steps) and steps[-1 - tail][0] == _STORE \
+            and steps[-1 - tail][3] is None:
+        tail += 1
+    body = steps[:len(steps) - tail]
+    if not body or any(step[0] == _STORE for step in body):
+        return None
+    shapes = [_step_shape(step) for step in body]
+    keys = [shape for shape, _ in shapes]
+    for length in range(1, len(body) + 1):
+        if len(body) % length == 0 and keys[length:] == keys[:-length]:
+            unit = _unit_of(body, [reads for _, reads in shapes], length,
+                            inputs, consts, outputs, tail)
+            if unit is not None:
+                return unit
+    return None
+
+
+def _unit_of(body: list[tuple], reads: list[tuple], length: int,
+             inputs: int, consts: list[Value], outputs: list[int | None],
+             tail: int) -> LoopUnit | None:
+    """``body`` as copies of its first ``length`` steps, or ``None`` when
+    a copy reads a result older than the previous copy's, or indexes a
+    filter array by copy (promotion turns a constant-index load into
+    the element's value, which a loop cannot)."""
+    copies = len(body) // length
+    results = sum(step[0] not in (_STORE, _PRINT)
+                  for step in body[:length])
     base = inputs + len(consts)
 
-    def key(slot: int | None) -> tuple | None:
-        if slot is None or slot < inputs:
-            return ("in", slot)
+    def entry(copy: int, slot: int) -> tuple:
+        if slot < inputs:
+            return (IN, slot)
         if slot < base:
-            return ("const", value_key(consts[slot - inputs]))
-        return ("result", slot - base)
+            return (CONST, consts[slot - inputs])
+        made, r = divmod(slot - base, results)
+        return ("res" if made == copy else PREV if made == copy - 1
+                else None, r)
 
-    shapes = []
-    for step in steps:
-        shape, reads = _step_shape(step)
-        shapes.append((shape, [key(slot) for slot in reads]))
-    for unit in range(1, len(steps) // 2 + 1):
-        if len(steps) % unit:
-            continue
-        shift = sum(step[0] not in (_STORE, _PRINT)
-                    for step in steps[:unit])
-        if all(shapes[k][0] == shapes[k - unit][0]
-               and all(read == (prior if prior[0] != "result"
-                                else ("result", prior[1] + shift))
-                       for read, prior in zip(shapes[k][1],
-                                              shapes[k - unit][1]))
-               for k in range(unit, len(steps))):
-            return True
-    return False
+    # A read every copy makes of the same constant or of its own
+    # result keeps its slot; any other read is a column.
+    columns: dict[tuple, tuple[int, tuple]] = {}
+    plans: list[list] = []
+    for j in range(length):
+        plan: list = []
+        for i, slot in enumerate(reads[j]):
+            if slot is None:
+                plan.append(None)
+                continue
+            entries = tuple(entry(copy, reads[copy * length + j][i])
+                            for copy in range(copies))
+            kinds = {kind for kind, _ in entries}
+            if None in kinds or ("res" in kinds and len(set(entries)) > 1):
+                return None
+            key = tuple((kind, value_key(x)) if kind == CONST else (kind, x)
+                        for kind, x in entries)
+            if kinds == {"res"} or (kinds == {CONST} and len(set(key)) == 1):
+                plan.append(("slot", slot))
+            elif body[j][0] == _LOAD and kinds == {CONST}:
+                return None
+            else:
+                plan.append(("col", columns.setdefault(
+                    key, (len(columns), entries))[0]))
+        plans.append(plan)
+    # The unit's value slots: its columns, the template's constants, the
+    # copy's results.
+    shift = len(columns) - inputs
+    template = FiringTemplate(
+        steps=[_with_reads(body[j], [
+            None if read is None else read[1] if read[0] == "col"
+            else read[1] + shift for read in plans[j]])
+            for j in range(length)],
+        tokens=len(columns), pops=0, fields=(), consts=consts,
+        pushes=[base + shift + r for r in range(results)], exits=[],
+        end_line=None)
+    return LoopUnit(
+        template=template, copies=copies,
+        columns=[entries for _, entries in columns.values()],
+        outputs=[divmod(slot - base, results)
+                 if slot is not None and slot >= base else None
+                 for slot in outputs],
+        tail=tail)
 
 
 def record(executor: BodyExecutor, block: ast.Block,
@@ -327,9 +441,9 @@ def record(executor: BodyExecutor, block: ast.Block,
         fields: dict[str, FieldCell] = {}
         cached: list[tuple[str, Temp]] = []
         for name, cell in executor.fields.items():
-            assert not cell.dirty
+            assert not cell.dirty and (cell.dims or cell.cached is not None)
             copy = FieldCell(slot=cell.slot, dims=cell.dims)
-            if not cell.dims and cell.cached is not None:
+            if not cell.dims:
                 copy.cached = Temp(cell.slot.ty)
                 cached.append((name, copy.cached))
             fields[name] = copy
@@ -401,20 +515,26 @@ def record(executor: BodyExecutor, block: ast.Block,
                     _bounds_loc(op.index, note), slot(op.value))
         elif isinstance(op, PrintOp):
             step = (_PRINT, line, op.newline, slot(op.value))
-        else:  # only data-dependent control emits other kinds
+        elif isinstance(op, SelectOp):
+            step = (_SELECT, line, ty, slot(op.cond), slot(op.then),
+                    slot(op.otherwise))
+        else:  # a body emits no other kind
             return None
         steps.append(step)
         if op.result is not None:
             slots[op.result.id] = next_slot
             next_slot += 1
 
+    pushes = [slot(value) for value in hooks.pushed]
+    exits = [(name, slot(value)) for name, value in exit_values]
     return FiringTemplate(
         steps=steps, tokens=len(hooks.tokens), pops=hooks.pops,
         fields=tuple(name for name, _ in cached), consts=consts,
-        pushes=[slot(value) for value in hooks.pushed],  # type: ignore
-        exits=[(name, slot(value)) for name, value in exit_values],
+        pushes=pushes, exits=exits,  # type: ignore[arg-type]
         end_line=recorder._line if block.stmts else None,
         deferrable=deferrable,
-        stores=any(step[0] == _STORE for step in steps),
-        loops=_repeats_unit(steps, len(hooks.tokens) + len(cached),
-                            consts))
+        decisions=tuple(sorted({slots[value.id]
+                                for value in body.decisions
+                                if isinstance(value, Temp)})),
+        unit=_loop_unit(steps, len(hooks.tokens) + len(cached), consts,
+                        pushes + [slot for _, slot in exits]))

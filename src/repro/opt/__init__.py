@@ -8,7 +8,6 @@ from repro.opt.passes import (common_subexpression_elimination,
 from repro.opt.pipeline import (OptOptions, OptStats, PassManager, PassStat,
                                 optimize, parse_pipeline)
 from repro.opt.promote import PromoteOptions, promote_state
-from repro.opt.reroll import reroll_steady
 from repro.opt.schedule_ops import schedule_for_pressure
 
 __all__ = [
@@ -16,6 +15,6 @@ __all__ = [
     "PromoteOptions", "common_subexpression_elimination",
     "constant_folding", "copy_propagation", "dead_code_elimination",
     "eliminate_dead_carries", "optimize", "parse_pipeline",
-    "promote_state", "reroll_steady", "schedule_for_pressure",
+    "promote_state", "schedule_for_pressure",
     "specialize_constant_carries",
 ]

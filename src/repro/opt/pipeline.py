@@ -3,8 +3,12 @@
 ``optimize`` builds a :class:`PassManager` and runs the configured
 pipeline.  The default order matches the classic sequence::
 
-    copy-prop → promote (mem2reg/SROA) → re-roll (counted loop regions)
+    copy-prop → promote (mem2reg/SROA)
     → {const-fold, carries, CSE, DCE}* → pressure scheduling
+
+Counted loop regions are formed before any of it, by the lowering: the
+pipeline's ``reroll`` entry runs no pass, it tells the lowering to form
+them (:meth:`OptOptions.lowering_flags`).
 
 The bracketed group repeats until a round changes nothing.  Each pass in
 it is one linear sweep over the program (see ``repro.opt.passes``) that
@@ -35,7 +39,6 @@ from repro.opt.passes import (common_subexpression_elimination,
                               constant_folding, copy_propagation,
                               dead_code_elimination)
 from repro.opt.promote import PromoteOptions, promote_state
-from repro.opt.reroll import reroll_steady
 from repro.opt.schedule_ops import schedule_for_pressure
 
 _FIXPOINT_ROUNDS = 64
@@ -81,7 +84,6 @@ _GROUP_PASSES = {
 _AGGREGATE_FIELD = {
     "copy_propagation": "moves_propagated",
     "promote_state": "slots_promoted",
-    "reroll_steady": "regions_rerolled",
     "constant_folding": "ops_folded",
     "specialize_constant_carries": "carries_specialized",
     "eliminate_dead_carries": "carries_specialized",
@@ -131,9 +133,10 @@ def as_pipeline(value: object) -> tuple[str, ...]:
 class OptOptions:
     copy_propagation: bool = True
     promote_state: bool = True
-    # Re-roll repeated firing runs in the unrolled steady section into
-    # counted LoopRegions (see repro.opt.reroll); ``reroll_min_repeat``
-    # is the smallest repeat count worth collapsing.
+    # Roll repeated firings, and the repeated units of a firing's
+    # unrolled loop, into counted LoopRegions as the program is lowered
+    # (see repro.lir.lower); ``reroll_min_repeat`` is the fewest trips
+    # worth a region.
     reroll: bool = True
     reroll_min_repeat: int = 4
     constant_folding: bool = True
@@ -186,7 +189,8 @@ class OptOptions:
         ``demand``: lower demand-driven when the dead-code pre-prune
         would delete what that leaves out.  ``region_min_repeat``: form
         loop regions from the schedule's firing runs when the pipeline
-        re-rolls, with re-roll's minimum repeat count (else ``None``).
+        has its ``reroll`` entry, with ``reroll_min_repeat`` trips at
+        least (else ``None``).
         """
         rerolls = "reroll_steady" in self.resolved_pipeline()
         return {"demand": self.prunes_dead_code(),
@@ -237,9 +241,7 @@ class OptStats:
     ops_after: dict[str, int] = field(default_factory=dict)
     moves_propagated: int = 0
     slots_promoted: int = 0
-    # Loop regions formed: those the program arrived with (the lowering
-    # forms them from the schedule's firing runs) plus the re-roll
-    # pass's.
+    # Loop regions the program arrived with: the lowering forms them.
     regions_rerolled: int = 0
     ops_folded: int = 0
     carries_specialized: int = 0
@@ -339,14 +341,6 @@ class PassManager:
         obs_metrics.counter("opt.promote_state.slots").inc(promoted)
         self._record("promote_state", promoted)
 
-    def _step_reroll(self) -> None:
-        with trace.span("opt.reroll_steady") as span:
-            regions = reroll_steady(
-                self.program, self.options.reroll_min_repeat)
-            span.annotate(regions=regions)
-        obs_metrics.counter("opt.reroll_steady.regions").inc(regions)
-        self._record("reroll_steady", regions)
-
     def _step_schedule(self) -> None:
         with trace.span("opt.schedule_for_pressure"):
             schedule_for_pressure(self.program)
@@ -355,7 +349,6 @@ class PassManager:
     _STEPS = {
         "copy_propagation": _step_copy_propagation,
         "promote_state": _step_promote_state,
-        "reroll_steady": _step_reroll,
         "schedule_for_pressure": _step_schedule,
     }
 
@@ -368,8 +361,8 @@ class PassManager:
                 and steps[0] != "dead_code_elimination" \
                 and self.options.round_cap() > 0:
             # Prune dead ops before the first folding and CSE sweeps:
-            # promotion and re-roll leave dead loads, stores and gathers
-            # behind, and folding or keying them first is wasted work.
+            # promotion leaves dead loads and stores behind, and folding
+            # or keying them first is wasted work.
             self._run_step("dead_code_elimination")
         for round_index in range(self.options.round_cap()):
             faults_limits.check_deadline("optimizer fixpoint round")
@@ -407,7 +400,8 @@ class PassManager:
                 self._run_fixpoint(group)
                 saw_fixpoint_group = True
             else:
-                self._STEPS[step](self)
+                if step != "reroll_steady":  # the lowering's to act on
+                    self._STEPS[step](self)
                 position += 1
         if not saw_fixpoint_group:
             # Preserve the seed pipeline's accounting: the round loop

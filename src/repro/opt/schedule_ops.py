@@ -36,8 +36,10 @@ def _is_effect(op: Op) -> bool:
     return op.has_side_effect
 
 
-def _build_dependences(ops: list[Op]) -> list[set[int]]:
-    """preds[i] = indices that must execute before op i."""
+def _build_dependences(ops: list[Op],
+                       reads: list[list[int]]) -> list[set[int]]:
+    """preds[i] = indices that must execute before op i, which reads the
+    temp ids ``reads[i]``."""
     preds: list[set[int]] = [set() for _ in ops]
     last_def: dict[int, int] = {}
     last_effect: int | None = None
@@ -45,9 +47,9 @@ def _build_dependences(ops: list[Op]) -> list[set[int]]:
     loads_since_store: dict[str, list[int]] = defaultdict(list)
 
     for index, op in enumerate(ops):
-        for operand in op.operands():
-            if isinstance(operand, Temp) and operand.id in last_def:
-                preds[index].add(last_def[operand.id])
+        for temp_id in reads[index]:
+            if temp_id in last_def:
+                preds[index].add(last_def[temp_id])
         if isinstance(op, LoopRegion):
             # A region reads and writes whatever its body touches: treat
             # it as a load of every body-loaded slot and a store to every
@@ -91,7 +93,12 @@ def _schedule_section(ops: list[Op], live_out: set[int]) -> list[Op]:
     count = len(ops)
     if count < 3:
         return ops
-    preds = _build_dependences(ops)
+    # The temp ids each op reads, in full and once each: collected once,
+    # as a region's operands walk its whole body.
+    operand_ids = [[operand.id for operand in op.operands()
+                    if operand.__class__ is Temp] for op in ops]
+    reads = [list(dict.fromkeys(ids)) for ids in operand_ids]
+    preds = _build_dependences(ops, reads)
     succs: list[list[int]] = [[] for _ in ops]
     indegree = [0] * count
     for index, pred_set in enumerate(preds):
@@ -101,24 +108,16 @@ def _schedule_section(ops: list[Op], live_out: set[int]) -> list[Op]:
 
     # remaining uses per temp id (including live-out as a permanent use)
     uses_left: dict[int, int] = defaultdict(int)
-    for op in ops:
-        for operand in op.operands():
-            if isinstance(operand, Temp):
-                uses_left[operand.id] += 1
+    for ids in operand_ids:
+        for temp_id in ids:
+            uses_left[temp_id] += 1
     for temp_id in live_out:
         uses_left[temp_id] += 1
 
     def pressure_delta(index: int) -> int:
-        op = ops[index]
-        delta = 1 if op.result is not None else 0
-        killed = 0
-        seen: set[int] = set()
-        for operand in op.operands():
-            if isinstance(operand, Temp) and operand.id not in seen:
-                seen.add(operand.id)
-                if uses_left[operand.id] == 1:
-                    killed += 1
-        return delta - killed
+        delta = 1 if ops[index].result is not None else 0
+        return delta - sum(uses_left[temp_id] == 1
+                           for temp_id in reads[index])
 
     ready: list[tuple[int, int]] = []  # (pressure delta, original index)
     for index in range(count):
@@ -137,11 +136,9 @@ def _schedule_section(ops: list[Op], live_out: set[int]) -> list[Op]:
             heapq.heappush(ready, (current, index))
             continue
         emitted[index] = True
-        op = ops[index]
-        result.append(op)
-        for operand in op.operands():
-            if isinstance(operand, Temp):
-                uses_left[operand.id] -= 1
+        result.append(ops[index])
+        for temp_id in operand_ids[index]:
+            uses_left[temp_id] -= 1
         for succ in succs[index]:
             indegree[succ] -= 1
             if indegree[succ] == 0:

@@ -1,11 +1,11 @@
 """Loop regions formed at lowering from the schedule's firing runs.
 
-With ``region_min_repeat`` set, the lowering collapses each run of that
-many or more firings that replayed one firing template into a
-:class:`LoopRegion`; the re-roll pass then sees only what is left.
-Covers when a region forms, how the pipeline turns it on, what re-roll
-still rolls, the promotion of coefficient tables a body reads, and that
-every route stays bit-exact.
+With ``region_min_repeat`` set, the lowering collapses each run of
+firings that replayed one firing template into a :class:`LoopRegion`
+when the template's loop unit repeats that many times or more.  Covers
+when a region forms, how the pipeline turns it on, which filters of the
+suite it rolls, the promotion of coefficient tables a body reads, and
+that every route stays bit-exact.
 """
 
 import pytest
@@ -138,20 +138,34 @@ class TestWiring:
             spec_options({"reroll_min_repeat": -5})
 
 
-class TestRerollRemainder:
+class TestRolledAtLowering:
     @pytest.mark.parametrize("name,filter_name", [
         ("fft", "FFTSource"), ("dct", "BlockSource"),
-        ("matrixmult", "MatrixSource"), ("tde", "PulseSource"),
-        ("channel_vocoder", "Rectifier"),
+        ("matrixmult", "MatrixSource"), ("matrixmult", "MultiplyTransposed"),
+        ("matrixmult", "FloatPrinter"), ("tde", "PulseSource"),
+        ("beamformer", "ChannelSource"), ("channel_vocoder", "Rectifier"),
+        ("rate_convert", "AudioSource"),
     ])
-    def test_rolled_by_reroll_only(self, name, filter_name):
-        # Single-firing bodies repeat inside the firing, and Rectifier's
-        # body branches on its input, so it has no template: the
-        # schedule states neither repetition.
-        stream = load_benchmark(name)
-        lowered = _lowered(stream, **OptOptions().lowering_flags())
-        assert filter_name not in _filters(_regions(lowered))
-        assert filter_name in _filters(_regions(stream.lower().program))
+    def test_in_a_region_after_lowering(self, name, filter_name):
+        # A single firing's unrolled loop becomes unit trips (the
+        # sources; MultiplyTransposed's peek rows are trip columns),
+        # FloatPrinter chains onto the array MultiplyTransposed's region
+        # scatters to, Rectifier's body is if-converted, and
+        # AudioSource's phase is carried from trip to trip.
+        program = _lowered(load_benchmark(name), region_min_repeat=4)
+        assert filter_name in _filters(_regions(program))
+
+    @pytest.mark.parametrize("name,regions", [
+        ("autocor", 1), ("beamformer", 14), ("channel_vocoder", 17),
+        ("dct", 3), ("fft", 1), ("filterbank", 12), ("fm_radio", 3),
+        ("matrixmult", 3), ("rate_convert", 1), ("tde", 1),
+        ("tea_cipher", 2)])
+    def test_no_fewer_regions_than_a_separate_pass_formed(self, name,
+                                                          regions):
+        # The counts a re-roll pass after the optimizer's promotion
+        # reached, before the lowering formed every region itself.
+        program = load_benchmark(name).lower().program
+        assert len(_regions(program)) >= regions
 
 
 class TestPromotion:

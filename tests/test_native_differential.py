@@ -153,13 +153,15 @@ SANITIZE_CFLAGS = ("-O1", "-fwrapv", "-std=gnu11", "-fopenmp-simd",
 @pytest.mark.parametrize("name", ["filterbank", "beamformer", "dct",
                                   "fm_radio", "fft", "matrixmult",
                                   "channel_vocoder", "rate_convert",
-                                  "lattice"])
+                                  "lattice", "tde"])
 def test_loop_region_arrays_sanitizer_clean(name, tmp_path):
     """Loop regions index gather and scatter arrays by the trip count:
     AddressSanitizer traps an index past an array's end, and
     UndefinedBehaviorSanitizer the arithmetic around it.  Together the
     programs cover every suite program whose run-once prologue is not
-    empty."""
+    empty, and every shape of region: unit trips of a firing's loop
+    (tde, fft, matrixmult), if-converted bodies (channel_vocoder) and
+    carried fields (rate_convert)."""
     from repro.backend.runner import compile_c, run_binary
     from repro.suite import load_benchmark
     stream = load_benchmark(name)

@@ -614,7 +614,7 @@ class TestPassManagerConfig:
         assert {stat.name: stat.runs for stat in second.pass_stats} == {
             name: 1 for name in (
                 "dead_code_elimination", "copy_propagation",
-                "promote_state", "reroll_steady", "constant_folding",
+                "promote_state", "constant_folding",
                 "specialize_constant_carries", "eliminate_dead_carries",
                 "common_subexpression_elimination",
                 "schedule_for_pressure")}

@@ -1,11 +1,12 @@
-"""The re-roll pass: collapsing unrolled firing runs into LoopRegions.
+"""Loop regions over unrolled firings: rolled as the program is lowered.
 
-Covers period detection, the operand classifications (invariant,
-internal, carried, affine, gather/scatter), interaction with the pass
-manager and its def-use index, both interpreters, per-filter
-attribution, and the C backend's counted-loop emission.  The property
-the whole file leans on: a re-rolled program is bit-exact with its
-fully-unrolled twin on every route.
+Covers the shapes the lowering rolls (runs of firings, a firing's own
+unrolled loop, a field carried from trip to trip, an if-converted
+body), the operand classifications (invariant, internal, carried,
+affine, gather/scatter), interaction with the pass manager, both
+interpreters, per-filter attribution, and the C backend's counted-loop
+emission.  The property the whole file leans on: a program with
+regions is bit-exact with its fully-unrolled twin on every route.
 """
 
 import pytest
@@ -13,17 +14,19 @@ import pytest
 from repro import compile_source
 from repro.backend.laminar_c import generate_laminar_c
 from repro.lir import lower
+from repro.lir.lower import Lowerer
 from repro.lir.ops import LoopRegion
-from repro.opt import OptOptions, optimize, reroll_steady
+from repro.opt import OptOptions, optimize
 from repro.suite import load_benchmark
 
 from .conftest import requires_cc
 
 # A peek-window filter fired 8x per steady iteration (Src pushes 8,
 # Snk pops 8): the runs are long, the bodies are meaty, and the gather
-# columns chain onto the peek buffer's state slot — the shape the pass
-# profits on.  (Thin bodies whose gather/scatter overhead would match
-# the body size are correctly rejected by the profitability guard.)
+# columns chain onto the array Src's region scatters to — the shape
+# regions profit on.  (Thin bodies whose gather/scatter overhead would
+# match the body size are correctly rejected by the profitability
+# guard.)
 REPEAT_SOURCE = """
 void->float filter Src() {
   float t;
@@ -44,7 +47,7 @@ float->void filter Snk() {
 void->void pipeline P { add Src(); add Fir(); add Snk(); }
 """
 
-# An accumulator across firings: re-rolling must thread it as a
+# An accumulator across firings: the region must thread it as a
 # loop-carried value, not a gather.
 CARRY_SOURCE = """
 void->float filter Src() {
@@ -64,9 +67,28 @@ void->void pipeline P { add Src(); add Acc(); add Snk(); }
 """
 
 
+# CARRY_SOURCE's accumulator with a body that pays for a region there:
+# one add per firing does not, as each trip's token is gathered in and
+# its sum scattered out.
+ACCUMULATE_SOURCE = """
+void->float filter Src() { work push 1 { push(randf()); } }
+float->float filter Acc {
+  float acc;
+  init { acc = 0.0; }
+  work push 1 pop 1 {
+    float x = pop();
+    acc = acc * 0.5 + x * 0.25 + x * x;
+    push(acc);
+  }
+}
+float->void filter Snk() {
+  work pop 16 { for (int i = 0; i < 16; i++) println(pop()); }
+}
+void->void pipeline P { add Src(); add Acc(); add Snk(); }
+"""
+
 # A field written through a select whose condition reads a table: the
-# body has no template (the condition is not a constant when lowered),
-# so re-roll rolls it with the field as a carry.
+# if-converted body is templated, and its region carries the field.
 HOLD_SOURCE = """
 void->float filter Src() { work push 1 { push(randf()); } }
 float->float filter Hold() {
@@ -91,10 +113,16 @@ def _regions(program) -> list[LoopRegion]:
             if isinstance(op, LoopRegion)]
 
 
+def _lower(stream, opt: OptOptions | None = None):
+    """``stream`` lowered as ``opt``'s pipeline lowers it."""
+    return lower(stream.schedule, stream.source,
+                 **(opt or OptOptions()).lowering_flags())
+
+
 class TestRegionFormation:
     def test_repeat_run_rerolled(self):
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
+        program = _lower(stream)
         stats = optimize(program)
         assert stats.regions_rerolled >= 1
         regions = _regions(program)
@@ -103,23 +131,24 @@ class TestRegionFormation:
 
     def test_reroll_off_leaves_unrolled(self):
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
-        stats = optimize(program, OptOptions(reroll=False))
+        opt = OptOptions(reroll=False)
+        program = _lower(stream, opt)
+        stats = optimize(program, opt)
         assert stats.regions_rerolled == 0
         assert not _regions(program)
 
     def test_min_repeat_threshold_respected(self):
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
-        # No run repeats 100 times; nothing may re-roll.
-        stats = optimize(program, OptOptions(reroll_min_repeat=100))
+        opt = OptOptions(reroll_min_repeat=100)
+        # No run repeats 100 times; nothing may roll.
+        stats = optimize(_lower(stream, opt), opt)
         assert stats.regions_rerolled == 0
 
     def test_trips_times_body_matches_expanded_count(self):
         stream = compile_source(REPEAT_SOURCE)
-        unrolled = lower(stream.schedule, stream.source)
+        unrolled = _lower(stream, OptOptions(reroll=False))
         optimize(unrolled, OptOptions(reroll=False))
-        rerolled = lower(stream.schedule, stream.source)
+        rerolled = _lower(stream)
         optimize(rerolled)
         # The structural count shrinks; the expanded count is what the
         # interpreter executes (gather/scatter may add a bounded
@@ -146,46 +175,59 @@ class TestRegionFormation:
         laminar = stream.run_laminar(4)
         assert fifo.outputs == laminar.outputs
 
-    def test_standalone_pass_returns_region_count(self):
+    def test_lowering_returns_region_count(self):
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
-        # Run the prerequisite cleanups the default pipeline would.
-        optimize(program, OptOptions(
-            pipeline=("copy_propagation", "promote_state")))
-        formed = reroll_steady(program)
-        assert formed == len(_regions(program))
-        assert formed >= 1
+        lowerer = Lowerer(stream.schedule, stream.source,
+                          **OptOptions().lowering_flags())
+        program = lowerer.lower()
+        assert lowerer.regions_formed == len(_regions(program))
+        assert lowerer.regions_formed >= 1
+
+    @pytest.mark.parametrize("source,filter_name", [
+        (ACCUMULATE_SOURCE, "Acc"), (HOLD_SOURCE, "Hold")],
+        ids=["accumulate", "hold"])
+    def test_field_becomes_a_carry(self, source, filter_name):
+        stream = compile_source(source)
+        program = _lower(stream)
+        carried = [region for region in _regions(program)
+                   if region.prov[0].filter == filter_name
+                   and region.carry_params]
+        assert carried
+        optimize(program)
+        assert stream.run_laminar(16).outputs == \
+            stream.run_laminar(16, opt=OptOptions(reroll=False)).outputs \
+            == stream.run_fifo(16).outputs
 
 
 class TestPassManagerIntegration:
     def test_index_valid_with_regions(self):
         from repro.lir.verify import verify
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
+        program = _lower(stream)
         stats = optimize(program)
         assert stats.regions_rerolled >= 1
         verify(program)
 
     def test_worklist_passes_converge_with_regions(self):
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
+        program = _lower(stream)
         stats = optimize(program)
         assert stats.converged
 
     def test_verifier_accepts_optimized_program(self):
         from repro.lir.verify import verify
         stream = compile_source(CARRY_SOURCE)
-        program = lower(stream.schedule, stream.source)
+        program = _lower(stream)
         optimize(program)
         verify(program)  # raises on any malformed region
 
     def test_folded_carry_next_is_rewritten(self):
         # The carried field's next value is a select that folds only
-        # after re-roll (its condition reads a promoted table): folding
-        # must rewrite the region's carry list, not just the body.
+        # after promotion (its condition reads a table): folding must
+        # rewrite the region's carry list, not just the body.
         from repro.lir.verify import verify
         stream = compile_source(HOLD_SOURCE)
-        program = lower(stream.schedule, stream.source)
+        program = _lower(stream)
         optimize(program)
         verify(program)
         assert any(region.carry_params for region in _regions(program))
@@ -210,7 +252,7 @@ class TestPassManagerIntegration:
 
     def test_all_sections_eligible(self):
         # filterbank's init schedule dwarfs its steady section; the
-        # pass must collapse both, not just the steady state.
+        # lowering must collapse both, not just the steady state.
         stream = load_benchmark("filterbank")
         program = stream.lower().program
         assert any(isinstance(op, LoopRegion) for op in program.init)
@@ -234,7 +276,7 @@ class TestCodegen:
 
     def test_lir_dump_prints_regions(self):
         stream = compile_source(REPEAT_SOURCE)
-        program = lower(stream.schedule, stream.source)
+        program = _lower(stream)
         optimize(program)
         text = program.dump()
         assert "loop " in text

@@ -107,7 +107,10 @@ float->void filter Snk() { work pop 1 { println(pop()); } }
 int->void filter ISnk() { work pop 1 { println(pop()); } }
 """
 
-FALLBACKS = {
+# Data-dependent control whose decisions stay non-constant: Src's
+# tokens are random, so every firing takes the recorded if-converted
+# path, and the template replays it.
+SELECTS = {
     "if-conversion":
         "float->float filter F() { work push 1 pop 1 { float v = pop(); "
         "float r = 0; if (v > 0.5) r = v; push(r); } }"
@@ -124,6 +127,27 @@ FALLBACKS = {
         "float->float filter F() { work push 1 pop 1 { float v = pop(); "
         "boolean b = v < 0.25 || v > 0.75; push(b ? v : 0.0); } }"
         "void->void pipeline P { add Src(); add F(); add Snk(); }",
+}
+
+# The same decisions on Const3's tokens fold when a template replays
+# them: per-firing execution takes one branch only, so F falls back.
+FALLBACKS = {
+    "if-conversion":
+        "int->int filter F() { work push 1 pop 1 { int v = pop(); "
+        "int r = 0; if (v > 1) r = v; push(r); } }"
+        "void->void pipeline P { add Const3(); add F(); add ISnk(); }",
+    "dynamic ?:":
+        "int->int filter F() { work push 1 pop 1 { int v = pop(); "
+        "push(v > 1 ? v : 0); } }"
+        "void->void pipeline P { add Const3(); add F(); add ISnk(); }",
+    "dynamic &&":
+        "int->int filter F() { work push 1 pop 1 { int v = pop(); "
+        "boolean b = v > 1 && v < 5; push(b ? v : 0); } }"
+        "void->void pipeline P { add Const3(); add F(); add ISnk(); }",
+    "dynamic ||":
+        "int->int filter F() { work push 1 pop 1 { int v = pop(); "
+        "boolean b = v < 1 || v > 5; push(b ? v : 0); } }"
+        "void->void pipeline P { add Const3(); add F(); add ISnk(); }",
     "predicated return":
         "float->float filter F() { "
         "float clamp(float x) { if (x > 0.5) return 0.5; return x; } "
@@ -138,6 +162,16 @@ FALLBACKS = {
         "push(peek(peek(0))); for (int i = 0; i < 4; i++) pop(); } }"
         "void->void pipeline P { add Const3(); add F(); add ISnk(); }",
 }
+
+
+class TestSelectTemplates:
+    @pytest.mark.parametrize("shape", sorted(SELECTS))
+    def test_if_converted_body_is_templated(self, shape, monkeypatch):
+        stream = compile_source(PREAMBLE + SELECTS[shape])
+        lowerer = _assert_same(stream, LoweringOptions(steady_multiplier=3),
+                               monkeypatch, with_c=True)
+        assert lowerer.firings_fallback == 0
+        assert lowerer.program.filter_firings["F"] == 3
 
 
 class TestFallback:
@@ -160,7 +194,7 @@ class TestFallback:
             return record(*args, **kwargs)
 
         monkeypatch.setattr(firing_template, "record", counting)
-        stream = compile_source(PREAMBLE + FALLBACKS["if-conversion"])
+        stream = compile_source(PREAMBLE + FALLBACKS["predicated return"])
         with fresh_temp_ids():
             Lowerer(stream.schedule, stream.source,
                     LoweringOptions(steady_multiplier=4)).lower()
