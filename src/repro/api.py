@@ -34,7 +34,6 @@ from repro.interp import FifoInterpreter, LaminarInterpreter, RunResult
 from repro.lir import LoweringOptions, Program, lower, verify
 from repro.lir.ops import fresh_temp_ids
 from repro.machine.metrics import CommunicationReport, communication_report
-from repro.obs import bus
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.opt import OptOptions, OptStats, optimize
@@ -220,7 +219,7 @@ def compile_source(source: str,
     one (see ``docs/ROBUSTNESS.md``).
     """
     with faults_limits.compile_budget(), \
-            trace.span("compile", file=filename):
+            trace.span("compile", file=filename) as span:
         with trace.span("parse"):
             ast = parse_and_check(source, filename)
         faults_limits.check_deadline("elaborate")
@@ -231,12 +230,11 @@ def compile_source(source: str,
             graph = flatten(root)
         # build_schedule opens its own "schedule" span with sub-stages.
         schedule = build_schedule(graph)
+        stream = CompiledStream(source=source, ast=ast, root=root,
+                                graph=graph, schedule=schedule)
+        span.annotate(stream=stream.name, spec_hash=stream.source_hash,
+                      filters=len(graph.vertices))
     obs_metrics.gauge("compile.source_bytes").set(len(source))
-    stream = CompiledStream(source=source, ast=ast, root=root, graph=graph,
-                            schedule=schedule)
-    bus.emit_event("compile.done", stream=stream.name, file=filename,
-                   spec_hash=stream.source_hash,
-                   filters=len(graph.vertices))
     return stream
 
 

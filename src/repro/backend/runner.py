@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.faults import plan as fault_plan
-from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
@@ -507,7 +506,7 @@ def run_binary(binary: Path, iterations: int,
     timeout = DEFAULT_RUN_TIMEOUT
     injected = False
     with trace.span("native.run", name=binary.name, iterations=iterations,
-                    mode=mode):
+                    mode=mode) as span:
         if plan.should_fire("bin-timeout"):
             raise NativeRunError(
                 f"native run timed out after {timeout:g}s "
@@ -546,8 +545,7 @@ def run_binary(binary: Path, iterations: int,
             result = _supervise(cmd, timeout, env=env,
                                 stall_timeout=stall_timeout)
             if result.killed == "stall":
-                raise _stalled(binary.name, stall_timeout, result,
-                               injected)
+                raise _stalled(span, stall_timeout, result, injected)
             if result.killed:
                 raise NativeRunError(
                     f"native run timed out after {timeout:g}s")
@@ -559,18 +557,17 @@ def run_binary(binary: Path, iterations: int,
                             injected=injected)
 
 
-def _stalled(name: str, stall_timeout: float, result: _Supervised,
+def _stalled(span, stall_timeout: float, result: _Supervised,
              injected: bool) -> NativeStallError:
-    """Record a watchdog kill and describe it by its last heartbeat."""
+    """Record a watchdog kill on the ``native.run`` span and describe it
+    by its last heartbeat."""
     beats = [beat for beat in map(parse_heartbeat,
                                   result.stderr.splitlines()) if beat]
     beat = beats[-1] if beats else {}
     last_filter = hot_filter(beat)
     obs_metrics.counter("native.stall").inc()
-    obs_bus.emit_event(
-        "native.stall", binary=name, stall_timeout=stall_timeout,
-        beats=len(beats), last_iter=beat.get("iter"),
-        last_filter=last_filter, injected=injected)
+    span.annotate(beats=len(beats), last_iter=beat.get("iter"),
+                  last_filter=last_filter, injected=injected)
     where = f" in filter {last_filter!r}" if last_filter else ""
     return NativeStallError(
         f"no heartbeat within {stall_timeout:g}s "

@@ -27,7 +27,6 @@ from repro.backend import fifo_c as fifo_backend
 from repro.backend import laminar_c as laminar_backend
 from repro.backend import runner
 from repro.cache.store import ArtifactCache, CacheEntry, artifact_key
-from repro.obs import bus as obs_bus
 from repro.obs import trace
 
 BACKENDS = ("laminar-c", "fifo-c")
@@ -106,9 +105,6 @@ def build_native(stream, key: str, components: dict, *,
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
         span.annotate(build_seconds=entry.meta.get("build_seconds"))
-    obs_bus.emit_event("cache.build", key=key, backend=backend,
-                       stream=stream.name,
-                       seconds=entry.meta.get("build_seconds"))
     return entry
 
 

@@ -31,8 +31,7 @@ MiB, ``REPRO_CACHE_MAX_BYTES``) is enforced at publish time by evicting
 least-recently-used entries; ``python -m repro cache {stats,gc,clear}``
 manages the store from the command line.  Hits, misses, evictions,
 publishes and quarantines are counted in the metrics registry
-(``cache.*`` — scrapeable via the serve daemon's ``/metrics``) and
-surfaced as telemetry-bus events.
+(``cache.*`` — scrapeable via the serve daemon's ``/metrics``).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 
 CACHE_ENV = "REPRO_CACHE_DIR"
@@ -156,7 +154,6 @@ class ArtifactCache:
         path = self.entry_path(key)
         if not path.is_dir():
             obs_metrics.counter("cache.miss").inc()
-            obs_bus.emit_event("cache.miss", key=key)
             return None
         entry = self._load_entry(key, path)
         if entry is None:
@@ -166,14 +163,11 @@ class ArtifactCache:
                 # a live daemon) removed it.  A plain miss, not
                 # corruption — the builder will simply republish.
                 obs_metrics.counter("cache.miss").inc()
-                obs_bus.emit_event("cache.miss", key=key, evicted=True)
                 return None
             self._quarantine(key, path)
             obs_metrics.counter("cache.miss").inc()
-            obs_bus.emit_event("cache.miss", key=key, corrupt=True)
             return None
         obs_metrics.counter("cache.hit").inc()
-        obs_bus.emit_event("cache.hit", key=key)
         self._touch(path)
         return entry
 
@@ -202,10 +196,7 @@ class ArtifactCache:
             os.rename(path, target)
         except OSError:
             shutil.rmtree(path, ignore_errors=True)
-            target = None
         obs_metrics.counter("cache.corrupt").inc()
-        obs_bus.emit_event("cache.quarantine", key=key,
-                           moved_to=str(target) if target else None)
 
     # -- publish --------------------------------------------------------------
 
@@ -267,9 +258,6 @@ class ArtifactCache:
             raise
         _fsync_path(path.parent)
         obs_metrics.counter("cache.publish").inc()
-        obs_bus.emit_event("cache.publish", key=key,
-                           backend=components.get("backend"),
-                           bytes=_dir_bytes(path))
         if self.max_bytes:
             self.gc(self.max_bytes, protect=key)
         return CacheEntry(key=key, path=path, meta=full_meta)
@@ -347,7 +335,6 @@ class ArtifactCache:
             total -= size
             evicted += 1
             obs_metrics.counter("cache.evict").inc()
-            obs_bus.emit_event("cache.evict", key=key, bytes=size)
         return {"evicted": evicted, "bytes": total,
                 "entries": len(entries) - evicted}
 
@@ -375,9 +362,6 @@ class ArtifactCache:
             if self._load_entry(key, path) is None and path.is_dir():
                 self._quarantine(key, path)
                 corrupt += 1
-        if stale or corrupt:
-            obs_bus.emit_event("cache.scrub", stale_tmp=stale,
-                               quarantined=corrupt)
         return {"stale_tmp": stale, "quarantined": corrupt}
 
     def clear(self) -> int:

@@ -52,10 +52,10 @@ Commands
     ``--self-check`` round-trips one ``/run``, then scrapes ``/metrics``
     and prints the OpenMetrics exposition.
 ``tail [LOG] [--follow] [--route SUBSTR] [--min-ms MS]``
-    Render the daemon's access log (or an ``--event-log`` JSONL file)
-    as aligned per-request lines — request id, route, status, latency,
-    cache hit/dedup/degraded flags — highlighting slow requests;
-    ``--follow`` streams new records live.
+    Render the daemon's access log as aligned per-request lines —
+    request id, route, status, latency, cache hit/dedup/degraded flags
+    — highlighting slow requests; ``--follow`` streams new records
+    live.
 ``chaos [--seed N] [--requests N] [--kill-rate R] [--duration S]``
     Seeded chaos campaign: stand up a real daemon, hammer it with
     concurrent clients while pool workers are killed/hung (and any
@@ -67,10 +67,10 @@ Commands
     List the benchmark suite.
 
 ``run``, ``report``, ``profile`` and ``fuzz`` accept ``--event-log
-PATH`` to stream structured telemetry (events, closed spans, a final
-metrics snapshot) to a JSONL file; ``profile --native`` accepts
-``--heartbeat MS`` for live native heartbeats and, with it,
-``--stall-timeout S`` for the stall watchdog (see
+PATH``: tracing is on for the command, and every closed span plus a
+final metrics snapshot is appended to a JSONL file.  ``profile
+--native`` accepts ``--heartbeat MS`` for live native heartbeats and,
+with it, ``--stall-timeout S`` for the stall watchdog (see
 ``docs/OBSERVABILITY.md``).
 
 ``run`` and ``report`` also accept ``--trace`` to print the span tree
@@ -112,25 +112,27 @@ from repro.evaluation import evaluate_stream, format_table
 from repro.faults import (FaultPlan, ResourceExhausted, ResourceLimits,
                           active_limits, inject, use_limits)
 from repro.frontend.errors import CompileError
-from repro.knobs import KNOBS, Knob, compile_options
+from repro.knobs import KNOBS, Knob, compile_options, ledger_fields
 from repro.lir import LoweringOptions
 from repro.machine import PLATFORMS
-from repro.obs import bus as obs_bus
 from repro.obs import export as obs_export
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.sinks import JsonlEventSink, OPENMETRICS_CONTENT_TYPE
+from repro.obs.sinks import JsonlAppender, OPENMETRICS_CONTENT_TYPE
 from repro.opt import OptOptions
 from repro.suite import BENCHMARKS, benchmark_names, load_benchmark
+
+
+def _knob_values(args: argparse.Namespace) -> dict[str, object]:
+    return {knob.key: getattr(args, knob.key, None) for knob in KNOBS}
 
 
 def _options(args: argparse.Namespace) -> tuple[LoweringOptions,
                                                 OptOptions]:
     # An explicit --opt-pipeline wins over the boolean switches
     # (including --no-opt): exactly those passes run, in that order.
-    lowering, opt = compile_options(
-        {knob.key: getattr(args, knob.key, None) for knob in KNOBS})
+    lowering, opt = compile_options(_knob_values(args))
     max_rounds = getattr(args, "opt_max_rounds", None)
     if max_rounds is not None:
         opt.max_rounds = max_rounds
@@ -216,17 +218,8 @@ def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--event-log", metavar="PATH",
-        help="append structured telemetry (events, closed spans, a final "
-             "metrics snapshot) to PATH as JSONL")
-
-
-def _pipeline_name(args: argparse.Namespace) -> str | None:
-    pipeline = getattr(args, "pipeline", None)
-    if pipeline:
-        return ",".join(pipeline)
-    if getattr(args, "no_opt", False):
-        return "none"
-    return "default"
+        help="append every closed span and a final metrics snapshot to "
+             "PATH as JSONL (turns tracing on for the command)")
 
 
 def _ledger_note(kind: str, target: str, args: argparse.Namespace, *,
@@ -234,25 +227,23 @@ def _ledger_note(kind: str, target: str, args: argparse.Namespace, *,
                  checksum: int | None = None, seconds: float | None = None,
                  metrics: dict | None = None) -> dict | None:
     """Best-effort ledger append; a full disk must not fail the command."""
-    flags = {}
-    for key in ("no_opt", "no_elim", "native", "attribution", "shrink"):
+    pipeline, flags = ledger_fields(
+        _knob_values(args), getattr(args, "opt_max_rounds", None))
+    for key in ("native", "attribution", "shrink"):
         if getattr(args, key, False):
             flags[key] = True
     body = obs_ledger.make_body(
         kind, target, spec_hash=spec_hash, backend=backend,
-        pipeline=_pipeline_name(args),
+        pipeline=pipeline,
         iterations=getattr(args, "iterations", None), flags=flags,
         checksum=f"{checksum:016x}" if checksum is not None else None,
         seconds=seconds, metrics=metrics)
     try:
-        envelope = obs_ledger.append(body)
+        return obs_ledger.append(body)
     except OSError as error:
         print(f"warning: could not append to run ledger: {error}",
               file=sys.stderr)
         return None
-    obs_bus.emit_event("ledger.append", record_id=envelope["record_id"],
-                       seq=envelope["seq"], kind=kind, target=target)
-    return envelope
 
 
 def _install_robustness(args: argparse.Namespace,
@@ -831,21 +822,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _tail_record(raw: str) -> dict | None:
-    """The access record on one JSONL line, or ``None``.
-
-    Understands both the daemon's access log (``type: access``) and the
-    ``serve.request`` events of a ``--event-log`` JSONL file, whose
-    attrs are the same access record.  Raises ``json.JSONDecodeError``
-    on an unparseable line (a torn write) so the caller can warn
-    instead of silently dropping it.
+    """The access record on one JSONL line (``type: access``), or
+    ``None`` for any other line.  Raises ``json.JSONDecodeError`` on an
+    unparseable line (a torn write) so the caller can warn instead of
+    silently dropping it.
     """
     record = json.loads(raw)
-    if not isinstance(record, dict):
-        return None
-    if record.get("type") == "event" \
-            and record.get("name") == "serve.request":
-        return record.get("attrs", {})
-    return record if record.get("type") == "access" else None
+    if isinstance(record, dict) and record.get("type") == "access":
+        return record
+    return None
 
 
 def _render_tail_line(record: dict, use_color: bool,
@@ -881,7 +866,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     path = Path(args.log)
     if not path.exists() and not args.follow:
         print(f"error: no such log: {path} (start the daemon with an "
-              "access log, or pass a --event-log file)", file=sys.stderr)
+              "access log)", file=sys.stderr)
         return 2
     use_color = args.color == "always" or \
         (args.color == "auto" and sys.stdout.isatty())
@@ -1070,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--stall-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="with --native --heartbeat: kill the "
-                              "instrumented binary and record a "
-                              "native.stall event when no heartbeat "
+                              "instrumented binary (counted as "
+                              "native.stall) when no heartbeat "
                               "arrives for SECONDS")
     _add_opt_arguments(profile)
     _add_robustness_arguments(profile)
@@ -1239,11 +1224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tail = sub.add_parser(
         "tail",
-        help="render a serve access log (or --event-log JSONL) as "
-             "aligned per-request lines")
+        help="render a serve access log as aligned per-request lines")
     tail.add_argument("log", nargs="?",
                       default=str(Path(".repro") / "serve-access.jsonl"),
-                      help="JSONL log to read (default "
+                      help="access log to read (default "
                            ".repro/serve-access.jsonl)")
     tail.add_argument("-f", "--follow", action="store_true",
                       help="keep the log open and print records as "
@@ -1274,20 +1258,41 @@ def _print_trace(file) -> None:
           file=file)
 
 
+@contextlib.contextmanager
+def _event_log(path: str | Path):
+    """``--event-log PATH`` for the block: tracing is on, every closed
+    span is appended to PATH as a flat ``{"type": "span", ...}`` line,
+    and a final ``{"type": "metrics", ...}`` snapshot follows; the
+    previous tracing state is restored."""
+    log = JsonlAppender(path)
+    obs_trace.set_span_hook(lambda span: log.write(
+        {"type": "span", **obs_export.span_to_dict(span, nested=False)}))
+    try:
+        with obs_trace.tracing():
+            yield
+    finally:
+        obs_trace.set_span_hook(None)
+        log.write({"type": "metrics",
+                   "metrics": obs_metrics.registry().as_dict()})
+        log.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "reroll"):  # a command taking the compile knobs
+        try:
+            _options(args)
+        except ValueError as error:
+            parser.error(str(error))
     want_trace = getattr(args, "trace", False)
     was_enabled = obs_trace.is_enabled()
     if want_trace:
         obs_trace.enable()
-    event_sink = None
-    event_log = getattr(args, "event_log", None)
-    if event_log:
-        event_sink = obs_bus.get_bus().add_sink(
-            JsonlEventSink(Path(event_log)))
     try:
         with contextlib.ExitStack() as stack:
+            if getattr(args, "event_log", None):
+                stack.enter_context(_event_log(args.event_log))
             try:
                 _install_robustness(args, stack)
             except ValueError as error:
@@ -1324,11 +1329,6 @@ def main(argv: list[str] | None = None) -> int:
         # stdout closed early (e.g. piped into `head`); exit quietly.
         return 0
     finally:
-        if event_sink is not None:
-            bus = obs_bus.get_bus()
-            bus.flush(obs_metrics.registry().as_dict())
-            bus.remove_sink(event_sink)
-            event_sink.close()
         if want_trace and not was_enabled:
             obs_trace.disable()
 

@@ -7,8 +7,8 @@ Three formats:
   ``python -m repro profile``);
 * :func:`to_json` — a plain-dict form (span forest + metric snapshot)
   for machine consumption, built on :func:`span_to_dict`, the one span
-  serializer (the serve daemon's ``/debug/*`` endpoints and the JSONL
-  event log use it too);
+  serializer (the serve daemon's ``/debug/*`` endpoints and the CLI's
+  ``--event-log`` use it too);
 * :func:`to_chrome_trace` — the Chrome trace-event format, loadable in
   ``chrome://tracing`` and https://ui.perfetto.dev (complete ``"X"``
   events in microseconds plus ``"M"`` metadata records).
@@ -20,8 +20,13 @@ import json
 import os
 from pathlib import Path
 
-from repro.obs.bus import _jsonable
 from repro.obs.trace import Span
+
+
+def _jsonable(value: object) -> object:
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return str(value)
 
 
 def _fmt_duration(seconds: float) -> str:

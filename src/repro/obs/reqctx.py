@@ -11,10 +11,9 @@ its own island:
   with the request and trace ids.  The daemon opens one
   ``serve.request`` root span on it, and that span is the request's
   one record: :func:`note` annotates it with access-log facts (backend,
-  cache hit, dedup, degraded, ...), and the daemon projects it into the
-  access log, the flight recorder and the ``serve.request`` event.
-  The global bus stamps every event emitted under a context with the
-  request/trace ids; metrics always go to the process-wide registry;
+  cache hit, dedup, degraded, error, ...), and the daemon projects it
+  into the access log and the flight recorder.  Metrics always go to
+  the process-wide registry;
 * the context travels via a :mod:`contextvars` variable, so it follows
   the request through nested calls without threading a parameter through
   every layer — and the **ambient default is preserved**: with no
@@ -90,8 +89,8 @@ class RequestContext:
     it becomes the ``parent-id`` of the outgoing :attr:`traceparent` and
     the key of ``GET /debug/trace/<request-id>``.  ``trace_id`` is
     either continued from a valid incoming ``traceparent`` or freshly
-    minted, so every record of the request — spans, events, access log,
-    ledger — carries the id the *client* can correlate on.
+    minted, so every record of the request — spans, access log, ledger
+    — carries the id the *client* can correlate on.
     """
 
     __slots__ = ("request_id", "trace_id", "parent_id", "flags",

@@ -1,23 +1,18 @@
-"""Concrete telemetry outputs: JSONL event log, access log, OpenMetrics.
+"""Concrete telemetry outputs: JSONL files and OpenMetrics text.
 
-* :class:`JsonlEventSink` — a :class:`repro.obs.bus.TelemetrySink`
-  (the CLI's ``--event-log`` flag attaches one) that appends one JSON
-  object per line: every published event (``{"type": "event", ...}``),
-  every closed span (``{"type": "span", ...}``, flat: the
-  :func:`repro.obs.export.span_to_dict` fields without ``children``)
-  and a final metrics snapshot (``{"type": "metrics", ...}``) at flush.
-* :class:`JsonlAccessLog` — the serve daemon's structured request log:
-  one access record per request.
+* :class:`JsonlAppender` — an append-only JSONL file.  The serve
+  daemon's access log is one (an access record per request), and so is
+  the CLI's ``--event-log`` (every closed span as a flat
+  ``{"type": "span", ...}`` line, then a final
+  ``{"type": "metrics", ...}`` snapshot).  It opens on the first write,
+  and every line is written under one lock and flushed at once, so
+  ``repro tail --follow`` and CI greps see it the moment it lands, and a
+  process killed without a clean shutdown loses nothing it wrote.
 * :func:`to_openmetrics` — the metrics registry rendered as
   Prometheus/OpenMetrics text exposition (``repro_``-prefixed families;
   counters as ``_total``, histograms as summaries with ``quantile``
   labels, terminated by ``# EOF``); the serve daemon's ``GET /metrics``
   serves it.
-
-Both JSONL files are a :class:`JsonlAppender`: opened on the first
-write, and every line is written under one lock and flushed at once, so
-``repro tail --follow`` and CI greps see it the moment it lands, and a
-process killed without a clean shutdown loses nothing it wrote.
 """
 
 from __future__ import annotations
@@ -28,8 +23,6 @@ import threading
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.bus import Event, TelemetrySink
-from repro.obs.export import span_to_dict
 
 OPENMETRICS_CONTENT_TYPE = \
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -57,23 +50,6 @@ class JsonlAppender:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-
-
-class JsonlAccessLog(JsonlAppender):
-    """The serve daemon's request log: one access record per line."""
-
-
-class JsonlEventSink(JsonlAppender, TelemetrySink):
-    """JSONL log of events, closed spans and metric snapshots."""
-
-    def on_event(self, event: Event) -> None:
-        self.write({"type": "event", **event.to_dict()})
-
-    def on_span(self, span) -> None:
-        self.write({"type": "span", **span_to_dict(span, nested=False)})
-
-    def on_metrics(self, snapshot: dict) -> None:
-        self.write({"type": "metrics", "metrics": snapshot})
 
 
 # -- OpenMetrics text exposition ----------------------------------------------

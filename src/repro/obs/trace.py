@@ -19,9 +19,9 @@ with the ``REPRO_TRACE`` environment variable (any value other than
 
 The tracer is thread-safe: every thread keeps its own span stack, and
 spans opened on a thread with no enclosing span become additional roots.
-Exporters for the collected tree live in :mod:`repro.obs.export`; closed
-spans are additionally forwarded to the telemetry bus
-(:mod:`repro.obs.bus`) whenever a sink is attached.
+Exporters for the collected tree live in :mod:`repro.obs.export`; a
+closed-span hook (:func:`set_span_hook`) lets the CLI's ``--event-log``
+write each span out as it closes.
 
 Tracing is also **context-local**: while a
 :class:`repro.obs.reqctx.RequestContext` is active (the serve daemon
@@ -180,8 +180,8 @@ def _env_enabled() -> bool:
 _TRACER = Tracer()
 _enabled = _env_enabled()
 
-# Installed by the telemetry bus while at least one sink is attached:
-# called with every closed span so sinks can stream them out live.
+# Installed by the CLI's --event-log for the command's lifetime: called
+# with every closed span so it is written out as it closes.
 _span_hook = None
 
 
@@ -222,7 +222,7 @@ def _reset_all() -> None:
 
 def reset() -> None:
     """Drop all collected spans and metrics without changing
-    enablement (attached sinks stay attached)."""
+    enablement (an installed span hook stays installed)."""
     _reset_all()
 
 

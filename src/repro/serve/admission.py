@@ -33,7 +33,6 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["AdmissionQueue", "CircuitBreaker", "CircuitOpenError",
@@ -152,9 +151,6 @@ class AdmissionQueue:
     def _shed(self, reason: str, estimated_wait: float) -> None:
         self.shed_total += 1
         obs_metrics.counter("serve.shed", reason=reason).inc()
-        obs_bus.emit_event("serve.shed", reason=reason,
-                           estimated_wait=round(estimated_wait, 3),
-                           waiting=self._waiting, active=self._active)
         raise ShedRequest(
             f"overloaded ({reason}): {self._active} running, "
             f"{self._waiting} queued, estimated wait "
@@ -207,7 +203,6 @@ class CircuitBreaker:
             if elapsed >= self.cooldown and not circuit.probing:
                 circuit.probing = True
                 obs_metrics.counter("serve.breaker.probe").inc()
-                obs_bus.emit_event("serve.breaker.probe", key=key)
                 return
             obs_metrics.counter("serve.breaker.fastfail").inc()
             raise CircuitOpenError(
@@ -221,7 +216,6 @@ class CircuitBreaker:
             circuit = self._circuits.pop(key, None)
             if circuit is not None and circuit.opened_at is not None:
                 obs_metrics.counter("serve.breaker.close").inc()
-                obs_bus.emit_event("serve.breaker.close", key=key)
 
     def failure(self, key: str, error: str) -> None:
         """A build for ``key`` failed: count it, maybe (re)open."""
@@ -235,8 +229,6 @@ class CircuitBreaker:
                 circuit.probing = False
                 if not was_open:
                     obs_metrics.counter("serve.breaker.open").inc()
-                    obs_bus.emit_event("serve.breaker.open", key=key,
-                                       failures=circuit.failures)
 
     def state(self, key: str) -> str:
         """``closed`` / ``open`` / ``half-open`` (diagnostics only)."""

@@ -32,14 +32,14 @@ That span is the request's one record: the handlers annotate it
 (:func:`repro.obs.reqctx.note`), and :func:`access_record` projects it,
 plus the context's ids, into the access record.  That record is the
 access-log line (one flushed JSONL line, see ``repro tail``), the
-flight recorder's ``record``, the attrs of the ``serve.request`` bus
-event, and the source of the serve ledger record's ids.  The flight
-recorder keeps the root span itself and serializes it only when
-``/debug/*`` is read.  Metrics go straight to the process-wide
+flight recorder's ``record``, and the source of the serve ledger
+record's ids; an error response's record names the error ``kind``.
+The flight recorder keeps the root span itself and serializes it only
+when ``/debug/*`` is read.  Metrics go straight to the process-wide
 registry.  A valid W3C ``traceparent`` header is honoured — its trace
-id flows through every span, event, cache hit/miss, ledger record and
-the access log, and the response carries ``X-Request-Id`` plus the
-outgoing ``traceparent``.
+id flows through every span, the ledger record and the access log, and
+the response carries ``X-Request-Id`` plus the outgoing
+``traceparent``.
 
 Concurrent compilations of the *same* cache key are deduplicated: one
 request builds, the rest wait and read the published entry
@@ -80,13 +80,13 @@ from repro.backend import runner
 from repro.cache import (ArtifactCache, BACKENDS, build_native, native_key)
 from repro.faults import (ResourceExhausted, ResourceLimits, use_limits)
 from repro.frontend.errors import CompileError
-from repro.obs import bus as obs_bus
+from repro.knobs import ledger_fields
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import reqctx
 from repro.obs import trace as obs_trace
 from repro.obs.export import span_to_dict
-from repro.obs.sinks import (JsonlAccessLog, OPENMETRICS_CONTENT_TYPE,
+from repro.obs.sinks import (JsonlAppender, OPENMETRICS_CONTENT_TYPE,
                              to_openmetrics)
 from repro.serve import pool as pool_mod
 from repro.serve.admission import (AdmissionQueue, CircuitBreaker,
@@ -180,7 +180,7 @@ class ServeServer:
         self._draining = False
         self._stopped = False
         self.started_at = time.time()
-        self.access_log = JsonlAccessLog(access_log) \
+        self.access_log = JsonlAppender(access_log) \
             if access_log else None
         # (access record, root span) pairs, oldest first.
         self._recorder: collections.deque = collections.deque(
@@ -232,8 +232,6 @@ class ServeServer:
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         name="repro-serve", daemon=True)
         self._thread.start()
-        obs_bus.emit_event("serve.start", url=self.url,
-                           cache_root=str(self.cache.root))
         return self
 
     def stop(self) -> None:
@@ -268,8 +266,6 @@ class ServeServer:
         this).
         """
         self._draining = True
-        obs_bus.emit_event("serve.drain.start", inflight=self.inflight(),
-                           timeout=timeout)
         if self._thread is not None:
             self._server.shutdown()
             self._thread.join(timeout=5)
@@ -281,8 +277,6 @@ class ServeServer:
         while self.inflight() > 0 and time.monotonic() < deadline:
             time.sleep(0.02)
         drained = self.inflight() == 0
-        obs_bus.emit_event("serve.drain.done", drained=drained,
-                           inflight=self.inflight())
         self.stop()
         return drained
 
@@ -303,8 +297,7 @@ class ServeServer:
         — the extra headers carry ``X-Request-Id`` and the outgoing
         ``traceparent``.  On completion the labeled latency histogram
         observes the request, and its access record lands in the flight
-        recorder, the access log (if configured) and the
-        ``serve.request`` event.
+        recorder and the access log (if configured).
         """
         lowered = {key.lower(): value
                    for key, value in (headers or {}).items()}
@@ -368,11 +361,10 @@ class ServeServer:
                          retry_after=error.retry_after))
         except ResourceExhausted as error:
             obs_metrics.counter("serve.admission.rejected").inc()
-            payload = ApiError(429, "resource-exhausted", 3,
-                               error.message).payload()
-            payload.update(resource=error.resource, limit=error.limit,
-                           actual=error.actual, where=error.where)
-            return self._json(429, payload)
+            return self._error(
+                ApiError(429, "resource-exhausted", 3, error.message),
+                resource=error.resource, limit=error.limit,
+                actual=error.actual, where=error.where)
         except CompileError as error:
             return self._error(
                 ApiError(422, "compile-error", 1, error.format()))
@@ -419,7 +411,6 @@ class ServeServer:
                 self.access_log.write(record)
             except OSError:
                 pass  # a full disk must not fail the request
-        obs_bus.emit_event("serve.request", **record)
 
     # -- introspection endpoints ----------------------------------------------
 
@@ -466,17 +457,20 @@ class ServeServer:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         return status, "application/json", body, dict(headers or {})
 
-    def _error(self, error: ApiError) -> tuple[int, str, bytes, dict]:
+    def _error(self, error: ApiError, **detail: object
+               ) -> tuple[int, str, bytes, dict]:
+        """The error response, with ``detail`` merged into its payload;
+        the access record names the error ``kind``."""
         if error.status >= 500:
             obs_metrics.counter("serve.errors").inc()
-        obs_bus.emit_event("serve.error", kind=error.kind,
-                           status=error.status, message=str(error)[:200])
+        reqctx.note(error=error.kind)
         headers = {}
         if error.retry_after is not None:
             # RFC 9110 allows only integer seconds; never hint zero.
             headers["Retry-After"] = str(max(1, int(error.retry_after
                                                     + 0.999)))
-        return self._json(error.status, error.payload(), headers)
+        return self._json(error.status, {**error.payload(), **detail},
+                          headers)
 
     # -- endpoints ------------------------------------------------------------
 
@@ -572,6 +566,7 @@ class ServeServer:
             lowering, opt = pool_mod.spec_options(request)
         except ValueError as error:
             raise _usage(str(error)) from None
+        pipeline, knob_flags = ledger_fields(request)
         limits = None
         if request.get("limits"):
             try:
@@ -587,8 +582,7 @@ class ServeServer:
         return {"source": source, "benchmark": benchmark,
                 "backend": backend, "opt": opt, "lowering": lowering,
                 "limits": limits, "deadline": deadline,
-                "pipeline": ",".join(opt.pipeline) if opt.pipeline
-                else ("none" if request.get("no_opt") else "default")}
+                "pipeline": pipeline, "knob_flags": knob_flags}
 
     def _effective_limits(self, parsed: dict) -> ResourceLimits:
         effective = self.limits or ResourceLimits()
@@ -665,7 +659,6 @@ class ServeServer:
                     break
             obs_metrics.counter("serve.inflight.coalesced").inc()
             reqctx.note(dedup=True)
-            obs_bus.emit_event("serve.dedup", key=key)
             event.wait()
             entry = self.cache.lookup(key)
             if entry is not None:
@@ -701,7 +694,7 @@ class ServeServer:
             else "interp",
             pipeline=parsed["pipeline"],
             iterations=result["iterations"],
-            flags={"route": result["route"],
+            flags={**parsed["knob_flags"], "route": result["route"],
                    "cache_hit": bool(result.get("cache_hit")),
                    "degraded": result["degraded"]},
             checksum=result["checksum"], seconds=result["seconds"],
@@ -709,20 +702,15 @@ class ServeServer:
                      "wall_seconds": result["wall_seconds"]},
             request_id=record["request_id"], trace_id=record["trace_id"])
         try:
-            envelope = obs_ledger.append(body)
+            obs_ledger.append(body)
         except OSError:
-            return
-        obs_bus.emit_event("ledger.append",
-                           record_id=envelope["record_id"],
-                           seq=envelope["seq"], kind="serve",
-                           target=stream.name)
+            pass
 
 
 def access_record(ctx: reqctx.RequestContext) -> dict:
     """Project a request's ``serve.request`` root span, plus the
     context's ids, into its access record: the one record the access
-    log, the flight recorder, the ``serve.request`` event and the serve
-    ledger all read."""
+    log, the flight recorder and the serve ledger all read."""
     root = ctx.tracer.roots[0]
     facts = root.attrs
     return {
@@ -740,6 +728,7 @@ def access_record(ctx: reqctx.RequestContext) -> dict:
         "cache_hit": facts.get("cache_hit"),
         "dedup": bool(facts.get("dedup", False)),
         "degraded": bool(facts.get("degraded", False)),
+        "error": facts.get("error"),
         "run_route": facts.get("run_route"),
         "stream": facts.get("stream"),
         "duration_ms": (root.duration_ns or 0) / 1e6,

@@ -52,7 +52,6 @@ from repro.faults import plan as fault_plan
 from repro.frontend.errors import CompileError
 from repro.knobs import KNOBS, compile_options
 from repro.lir import LoweringOptions
-from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 from repro.opt import OptOptions
 from repro.suite import load_benchmark
@@ -313,7 +312,6 @@ class WorkerPool:
             elif plan.should_fire("worker-hang"):
                 dispatch["inject"] = "hang"
             worker = self._checkout()
-            pid = worker.pid
             try:
                 reply = worker.call(dispatch, self.job_timeout)
             except WorkerCrashed as error:
@@ -321,18 +319,11 @@ class WorkerPool:
                 self.crashes += 1
                 last_error = error
                 obs_metrics.counter("serve.pool.crash").inc()
-                obs_bus.emit_event("pool.worker.crash", pid=pid,
-                                   exit_code=error.exit_code,
-                                   attempt=attempt,
-                                   injected="inject" in dispatch)
             except WorkerHung as error:
                 self._discard(worker)
                 self.hangs += 1
                 last_error = error
                 obs_metrics.counter("serve.pool.hang").inc()
-                obs_bus.emit_event("pool.worker.hang", pid=pid,
-                                   attempt=attempt,
-                                   injected="inject" in dispatch)
             else:
                 self._checkin(worker)
                 obs_metrics.counter("serve.pool.jobs").inc()

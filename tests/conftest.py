@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import pytest
 
 from repro import compile_source
 from repro.backend.runner import find_compiler
-from repro.obs import bus
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -146,38 +144,3 @@ def function_text(code: str, name: str) -> str:
     brace (only a function's own closing brace sits in column 0)."""
     start = code.index(f"static void {name}(void)")
     return code[start:code.index("\n}\n", start) + 2]
-
-
-class ListSink(bus.TelemetrySink):
-    """An in-memory telemetry sink that keeps everything it is sent."""
-
-    def __init__(self):
-        self.events = []
-        self.spans = []
-        self.snapshots = []
-        self.flushes = 0
-
-    def on_event(self, event):
-        self.events.append(event)
-
-    def on_span(self, span):
-        self.spans.append(span)
-
-    def on_metrics(self, snapshot):
-        self.snapshots.append(snapshot)
-
-    def flush(self):
-        self.flushes += 1
-
-    def named(self, name):
-        return [event for event in self.events if event.name == name]
-
-
-@contextlib.contextmanager
-def captured_telemetry():
-    """A :class:`ListSink` attached to the global bus for the block."""
-    sink = bus.get_bus().add_sink(ListSink())
-    try:
-        yield sink
-    finally:
-        bus.get_bus().remove_sink(sink)

@@ -63,6 +63,26 @@ class TestRun:
         assert "optimize" in err
         assert "metrics:" in err
 
+    def test_event_log_without_trace(self, tiny_file, tmp_path, capsys):
+        from repro.obs import trace
+
+        log = tmp_path / "events.jsonl"
+        assert main(["run", tiny_file, "-n", "2", "--quiet",
+                     "--event-log", str(log)]) == 0
+        assert not trace.is_enabled()
+        assert "pipeline trace" not in capsys.readouterr().err
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert {line["type"] for line in lines} == {"span", "metrics"}
+        spans = {line["name"]: line for line in lines
+                 if line["type"] == "span"}
+        assert {"compile", "lower", "optimize"} <= set(spans)
+        compiled = spans["compile"]["attrs"]
+        assert compiled["stream"] == "Tiny"
+        assert len(compiled["spec_hash"]) == 64
+        assert compiled["filters"] == 3
+        assert lines[-1]["type"] == "metrics"
+        assert lines[-1]["metrics"]
+
 
 class TestEmit:
     def test_emit_lir(self, tiny_file, capsys):
@@ -297,6 +317,39 @@ class TestOptPipelineFlags:
         assert "0 fixpoint round(s), gave up" in captured.out
 
 
+class TestKnobs:
+    @pytest.mark.parametrize("flags,message", [
+        (["--opt-pipeline", "cp,promote,reroll,fold,cse,dce",
+          "--no-reroll"], "'reroll' cannot be combined with 'pipeline'"),
+        (["--opt-pipeline", "cp,fold", "--reroll-min-repeat", "8"],
+         "'reroll_min_repeat' is set but no loop regions form"),
+        (["--no-reroll", "--reroll-min-repeat", "8"],
+         "'reroll_min_repeat' is set but no loop regions form"),
+    ], ids=["reroll-with-pipeline", "min-repeat-without-reroll-entry",
+            "min-repeat-with-no-reroll"])
+    def test_contradictory_knobs_are_usage_errors(self, tiny_file, flags,
+                                                  message, capsys):
+        # The daemon answers 400 with the same messages
+        # (test_serve.test_contradictory_spec_options_are_400).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", tiny_file, "-n", "2", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_ledger_records_no_reroll(self, monkeypatch, tmp_path):
+        from repro.obs import ledger
+
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
+        assert main(["report", "lattice", "-n", "2"]) == 0
+        assert main(["report", "lattice", "-n", "2", "--no-reroll",
+                     "--opt-max-rounds", "8"]) == 0
+        default, unrolled = [record["body"] for record
+                             in ledger.load_records(target="lattice")]
+        assert (default["pipeline"], default["flags"]) == ("default", {})
+        assert unrolled["pipeline"] == "default"
+        assert unrolled["flags"] == {"reroll": False, "max_rounds": 8}
+
+
 class TestExitCodes:
     """Every ``except`` branch in ``main`` maps to a documented exit code
     (docs/ROBUSTNESS.md), checked end to end through a real subprocess so
@@ -481,7 +534,7 @@ class TestTail:
                   "request_id": "deadbeefcafe0001", "method": "POST",
                   "path": "/run", "route": "/run", "status": 200,
                   "backend": "laminar-c", "cache_hit": True,
-                  "dedup": False, "degraded": False,
+                  "dedup": False, "degraded": False, "error": None,
                   "run_route": "interp", "stream": "CountingTail",
                   "duration_ms": 12.5, "bytes_out": 128}
         record.update(overrides)
@@ -521,18 +574,19 @@ class TestTail:
         assert "b" * 16 in lines[0]
 
     def test_skips_garbage_and_reads_event_logs(self, tmp_path, capsys):
-        log = tmp_path / "events.jsonl"
+        # Only access lines render: garbage, the span and metrics lines
+        # of an --event-log, and any other record type are skipped.
+        log = tmp_path / "mixed.jsonl"
         with log.open("w", encoding="utf-8") as handle:
             handle.write("not json at all\n")
-            handle.write(json.dumps({"type": "metrics",
-                                     "metrics": {}}) + "\n")
-            handle.write(json.dumps({
-                "type": "event", "name": "serve.request",
-                "wall_time": 1700000000.0,
-                "attrs": {"request_id": "feedface00000001",
-                          "route": "/run", "status": 200,
-                          "backend": "laminar-c",
-                          "duration_ms": 3.25}}) + "\n")
+        self._write(log,
+                    {"type": "span", "name": "serve.request",
+                     "duration_s": 1.0, "attrs": {"route": "/run"}},
+                    {"type": "metrics", "metrics": {}},
+                    {"type": "event", "name": "serve.request",
+                     "attrs": self._access(request_id="0" * 16)},
+                    self._access(request_id="feedface00000001",
+                                 duration_ms=3.25))
         assert main(["tail", str(log)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1

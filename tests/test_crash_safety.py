@@ -326,6 +326,9 @@ class TestServeUnderFaults:
         body = response.json
         assert body["kind"] == "worker-crashed"
         assert body["exit_code"] == 4
+        record = client.debug_trace(response.request_id).json["record"]
+        assert record["status"] == 503
+        assert record["error"] == "worker-crashed"
         # The daemon survives and serves the next request normally.
         ok = client.run(source=COUNTER_PROGRAM, route="interp",
                         iterations=6)

@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.faults.plan import FaultPlan, inject
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-from tests.conftest import captured_telemetry, requires_cc
+from tests.conftest import requires_cc
 
 
 @pytest.fixture(autouse=True)
@@ -98,24 +98,25 @@ class TestWatchdogInjection:
 
     def test_bin_hang_trips_the_watchdog(self, tmp_path):
         trace.enable()
-        obs_metrics.registry().reset()
         binary = tmp_path / "prog"
         binary.write_text("")
-        with captured_telemetry() as sink, \
-                inject(FaultPlan.parse("bin-hang:1")):
+        with inject(FaultPlan.parse("bin-hang:1")):
             with pytest.raises(runner.NativeStallError,
                                match="injected-hang") as info:
                 runner.run_binary(binary, 4, heartbeat_ms=0,
                                   stall_timeout=0.3)
         assert info.value.injected
         assert info.value.stage == "stall"
-        # The stall fired well before the hard run timeout and recorded
-        # the event + counter with the last-known filter.
-        events = sink.named("native.stall")
-        assert len(events) == 1
-        assert events[0].attrs["last_filter"] == "injected-hang"
-        assert events[0].attrs["beats"] == 1
-        assert events[0].attrs["injected"] is True
+        # The stall fired well before the hard run timeout; the message,
+        # the native.run span and the counter record the last beat.
+        assert "iteration 1 in filter 'injected-hang', 1 beat(s)" \
+            in str(info.value)
+        (run,) = [span for span in trace.get_trace()
+                  if span.name == "native.run"]
+        assert {key: run.attrs[key] for key in
+                ("beats", "last_iter", "last_filter", "injected")} == {
+            "beats": 1, "last_iter": 1, "last_filter": "injected-hang",
+            "injected": True}
         snapshot = obs_metrics.registry().as_dict()
         assert snapshot["native.stall"] == 1
         assert snapshot["native.heartbeat.count"] == 1

@@ -6,8 +6,9 @@ import threading
 import pytest
 
 from repro import compile_source
-from repro.obs import bus, export, metrics, reqctx, sinks, trace
-from tests.conftest import TINY_PROGRAM, ListSink, captured_telemetry
+from repro.cli import _event_log
+from repro.obs import export, metrics, reqctx, sinks, trace
+from tests.conftest import TINY_PROGRAM
 
 
 @pytest.fixture(autouse=True)
@@ -272,6 +273,16 @@ class TestExporters:
         assert "parse" in children
         assert parsed["metrics"]["schedule.steady_firings"] >= 1
 
+    def test_span_to_dict_coerces_exotic_attrs(self):
+        trace.enable()
+        with trace.span("e", path=object(), ok=True, n=1) as span:
+            pass
+        payload = export.span_to_dict(span, nested=False)
+        assert isinstance(payload["attrs"]["path"], str)
+        assert payload["attrs"]["ok"] is True
+        assert payload["attrs"]["n"] == 1
+        json.dumps(payload)  # fully serializable
+
     def test_chrome_trace_is_structurally_valid(self):
         roots, _ = _traced_pipeline()
         payload = export.to_chrome_trace(roots)
@@ -374,95 +385,39 @@ class TestHistogramPercentiles:
         assert abs(a.percentile(50) - n / 2) <= a._stride * 2
 
 
-class TestTelemetryBus:
-    def setup_method(self):
-        self.bus = bus.TelemetryBus()
+class TestEventLog:
+    """The CLI's ``--event-log`` writer: closed spans as they close,
+    then one metrics snapshot."""
 
-    def test_events_delivered_without_tracing(self):
-        assert not trace.is_enabled()
-        sink = self.bus.add_sink(ListSink())
-        event = self.bus.emit("native.stall", binary="prog", beats=2)
-        assert event.wall_time > 0
-        assert event.monotonic_ns > 0
-        assert [e.name for e in sink.events] == ["native.stall"]
-        assert sink.events[0].attrs == {"binary": "prog", "beats": 2}
-
-    def test_events_fan_out_to_sinks(self):
-        sink = self.bus.add_sink(ListSink())
-        self.bus.emit("compile.done", filters=3)
-        assert [e.name for e in sink.events] == ["compile.done"]
-
-    def test_flush_pushes_metrics_snapshot(self):
-        sink = self.bus.add_sink(ListSink())
-        self.bus.flush({"x": 1})
-        assert sink.snapshots == [{"x": 1}]
-        assert sink.flushes == 1
-        self.bus.flush()  # no snapshot -> flush only
-        assert sink.snapshots == [{"x": 1}]
-        assert sink.flushes == 2
-
-    def test_span_hook_installed_only_while_sinks_attached(self):
-        sink = ListSink()
-        self.bus.add_sink(sink)
-        trace.enable()
-        # The global bus owns the real hook; drive this bus's hook
-        # directly through a span close.
-        trace.set_span_hook(self.bus._span_closed)
-        with trace.span("watched"):
-            pass
-        assert [s.name for s in sink.spans] == ["watched"]
-        self.bus.remove_sink(sink)
-        assert self.bus.sinks() == []
-
-    def test_event_to_dict_coerces_exotic_attrs(self):
-        event = self.bus.emit("e", path=object(), ok=True, n=1)
-        payload = event.to_dict()
-        assert isinstance(payload["attrs"]["path"], str)
-        assert payload["attrs"]["ok"] is True
-        json.dumps(payload)  # fully serializable
-
-    def test_global_bus_helpers(self):
-        with captured_telemetry() as sink:
-            bus.emit_event("global.check", k="v")
-        events = sink.named("global.check")
-        assert events and events[-1].attrs == {"k": "v"}
-
-
-class TestJsonlEventSink:
-    def test_writes_events_spans_and_metrics(self, tmp_path):
+    def test_writes_spans_and_metrics(self, tmp_path):
         path = tmp_path / "log" / "events.jsonl"
-        local = bus.TelemetryBus()
-        sink = local.add_sink(sinks.JsonlEventSink(path))
-        local.emit("native.stall", binary="prog")
-        trace.enable()
-        with trace.span("spanned", file="x.str") as span:
-            pass
-        sink.on_span(span)
-        local.flush({"hits": 3})
-        local.remove_sink(sink)  # clears the global span hook
-        sink.close()
+        assert not trace.is_enabled()
+        with _event_log(path):
+            assert trace.is_enabled()
+            with trace.span("spanned", file="x.str"):
+                metrics.counter("hits").inc(3)
+        assert not trace.is_enabled()
+        with trace.tracing():
+            with trace.span("after"):  # the hook is gone
+                pass
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
-        by_type = {}
-        for line in lines:
-            by_type.setdefault(line["type"], []).append(line)
-        assert [e["name"] for e in by_type["event"]] == ["native.stall"]
-        assert by_type["event"][0]["attrs"] == {"binary": "prog"}
-        span_line = by_type["span"][0]
+        assert [line["type"] for line in lines] == ["span", "metrics"]
+        span_line = lines[0]
         assert span_line["name"] == "spanned"
         assert span_line["duration_s"] >= 0
         assert span_line["attrs"] == {"file": "x.str"}
-        assert by_type["metrics"][0]["metrics"] == {"hits": 3}
+        assert "children" not in span_line
+        assert lines[1]["metrics"] == {"hits": 3}
 
     def test_append_only_across_reopen(self, tmp_path):
         path = tmp_path / "events.jsonl"
         for round_no in range(2):
-            sink = sinks.JsonlEventSink(path)
-            sink.on_event(bus.Event(name=f"round{round_no}"))
-            sink.close()
-        names = [json.loads(line)["name"]
+            with _event_log(path), trace.span(f"round{round_no}"):
+                pass
+        names = [json.loads(line).get("name")
                  for line in path.read_text().splitlines()]
-        assert names == ["round0", "round1"]
+        assert names == ["round0", None, "round1", None]
 
 
 class TestOpenMetrics:
@@ -620,20 +575,6 @@ class TestRequestContext:
         # The ambient tracer saw only the span opened outside.
         assert [span.name for span in trace.get_trace()] == ["outside"]
         assert "request_id" not in trace.get_trace()[0].attrs
-
-    def test_bus_events_stamped_and_collected(self):
-        ctx = reqctx.RequestContext()
-        with captured_telemetry() as sink, reqctx.activate(ctx):
-            event = bus.emit_event("ctx.fact", foo=1)
-        assert event.attrs == {"foo": 1,
-                               "request_id": ctx.request_id,
-                               "trace_id": ctx.trace_id}
-        # Delivered, stamped, to the global bus's sinks too.
-        assert sink.named("ctx.fact") == [event]
-
-    def test_events_outside_context_are_unstamped(self):
-        event = bus.emit_event("ambient.fact")
-        assert "request_id" not in event.attrs
 
     def test_note_updates_active_context_only(self):
         ctx = reqctx.RequestContext()

@@ -38,6 +38,11 @@ def _program(tag: str, start: int = 0) -> str:
     return COUNTER_PROGRAM_TEMPLATE % {"tag": tag, "start": start}
 
 
+def _record(client, response) -> dict:
+    """The access record the daemon kept for ``response``."""
+    return client.debug_trace(response.request_id).json["record"]
+
+
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve")
@@ -65,6 +70,7 @@ class TestPlumbing:
         response = client.request("GET", "/nope")
         assert response.status == 404
         assert response.json["exit_code"] == 2
+        assert _record(client, response)["error"] == "usage"
 
     def test_metrics_exposition(self, client):
         text = client.metrics()
@@ -171,6 +177,7 @@ class TestAdmission:
         body = response.json
         assert body["exit_code"] == 3
         assert body["resource"] == "max_unrolled_ops"
+        assert _record(client, response)["error"] == "resource-exhausted"
 
     def test_bad_limits_spec_is_usage(self, client):
         response = client.run(benchmark="autocor", iterations=4,
@@ -197,6 +204,19 @@ class TestInterpRoute:
         assert second["stream_cached"] is True
         assert first["checksum"] == second["checksum"]
 
+    def test_ledger_records_knob_flags(self, client):
+        from repro.obs import ledger as obs_ledger
+
+        for options in ({}, {"reroll": False}, {"no_elim": True}):
+            assert client.run(source=_program("Knobs"), iterations=4,
+                              route="interp", **options).ok
+        bodies = [record["body"] for record
+                  in obs_ledger.load_records(target="CountingKnobs")]
+        assert [(body["pipeline"], body["flags"].get("reroll"),
+                 body["flags"].get("no_elim")) for body in bodies] == [
+            ("default", None, None), ("default", False, None),
+            ("default", None, True)]
+
 
 @requires_cc
 class TestNativeRoute:
@@ -205,8 +225,10 @@ class TestNativeRoute:
         cold = client.compile(source=source)
         assert cold.ok, cold.text
         assert cold.json["cache_hit"] is False
+        assert _record(client, cold)["cache_hit"] is False
         hot = client.compile(source=source)
         assert hot.json["cache_hit"] is True
+        assert _record(client, hot)["cache_hit"] is True
         assert hot.json["key"] == cold.json["key"]
         assert hot.json["components"]["backend"] == "laminar-c"
 
@@ -248,7 +270,7 @@ class TestNativeRoute:
             # One connection per thread; all fire together at a cold key.
             mine = ServeClient(socket_path=server.socket_path)
             barrier.wait()
-            results.append(mine.compile(source=source).json)
+            results.append(mine.compile(source=source))
 
         threads = [threading.Thread(target=spin) for _ in range(4)]
         for thread in threads:
@@ -256,9 +278,18 @@ class TestNativeRoute:
         for thread in threads:
             thread.join()
         assert len(results) == 4
-        assert len({body["key"] for body in results}) == 1
-        misses = [body for body in results if not body["cache_hit"]]
+        assert len({response.json["key"] for response in results}) == 1
+        misses = [response for response in results
+                  if not response.json["cache_hit"]]
         assert len(misses) == 1, "single-flight dedup built more than once"
+        # The access records say the same: one miss that built, and the
+        # requests that waited on its build (the build runs cc, far
+        # longer than the others take to arrive) marked dedup.
+        records = [_record(client, response) for response in results]
+        assert [record["cache_hit"] for record in records] == \
+            [response.json["cache_hit"] for response in results]
+        assert not _record(client, misses[0])["dedup"]
+        assert any(record["dedup"] for record in records)
 
     def test_fifo_backend_round_trip(self, client):
         response = client.run(source=_program("Fifo"), iterations=8,
@@ -284,6 +315,23 @@ def test_spec_options_bit_exact_on_both_routes(client, demo_stream,
     assert response.json["route"] == route
     assert response.json["checksum"] == \
         f"{checksum_outputs(outputs):016x}"
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"pipeline": "cp,promote,reroll,fold,cse,dce", "reroll": False},
+     "'reroll' cannot be combined with 'pipeline'"),
+    ({"pipeline": "cp,fold", "reroll_min_repeat": 8},
+     "'reroll_min_repeat' is set but no loop regions form"),
+    ({"reroll": False, "reroll_min_repeat": 8},
+     "'reroll_min_repeat' is set but no loop regions form"),
+], ids=["reroll-with-pipeline", "min-repeat-without-reroll-entry",
+        "min-repeat-with-no-reroll"])
+def test_contradictory_spec_options_are_400(client, options, message):
+    """The same contradictions the CLI exits 2 on, with its message."""
+    response = client.run(source=DEMO_PROGRAM, iterations=4, **options)
+    assert response.status == 400
+    assert response.json["exit_code"] == 2
+    assert message in response.json["error"]
 
 
 class TestCliSurface:
@@ -414,12 +462,8 @@ class TestObservability:
 
     def test_access_log_written_and_flushed(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.obs import bus as obs_bus
-        from repro.obs.sinks import JsonlEventSink
 
         log_path = tmp_path / "access.jsonl"
-        event_path = tmp_path / "events.jsonl"
-        sink = obs_bus.get_bus().add_sink(JsonlEventSink(event_path))
         instance = ServeServer(socket_path=tmp_path / "a.sock",
                                cache=ArtifactCache(tmp_path / "cache"),
                                access_log=log_path).start()
@@ -437,8 +481,6 @@ class TestObservability:
             recent = handle.debug_requests()
         finally:
             instance.stop()
-            obs_bus.get_bus().remove_sink(sink)
-            sink.close()
         runs = [record for record in lines if record["route"] == "/run"]
         assert len(runs) == 1
         record = runs[0]
@@ -450,15 +492,9 @@ class TestObservability:
         assert record["duration_ms"] >= 0
         assert record["bytes_out"] > 0
         assert record["traceparent"] == response.headers["traceparent"]
-        # One record: the access-log line, the flight recorder's record
-        # and the serve.request event's attrs are the same dict...
-        events = [json.loads(line) for line
-                  in event_path.read_text().splitlines()]
-        served = [event["attrs"] for event in events
-                  if event["type"] == "event"
-                  and event["name"] == "serve.request"
-                  and event["attrs"]["request_id"] == response.request_id]
-        assert served == [record]
+        assert record["error"] is None
+        # One record: the access-log line and the flight recorder's
+        # record are the same dict...
         assert traced["record"] == record
         # ...the flight recorder still serves its span tree...
         mine = [entry for entry in recent
@@ -466,13 +502,10 @@ class TestObservability:
         assert [set(entry) for entry in mine] == [{"record", "spans"}]
         assert [root["name"] for root in mine[0]["spans"]] == \
             ["serve.request"]
-        # ...and `repro tail` renders it alike from either log.
+        # ...and `repro tail` renders it.
         capsys.readouterr()
         assert main(["tail", str(log_path), "--route", "/run"]) == 0
-        from_access_log = capsys.readouterr().out
-        assert response.request_id in from_access_log
-        assert main(["tail", str(event_path), "--route", "/run"]) == 0
-        assert capsys.readouterr().out == from_access_log
+        assert response.request_id in capsys.readouterr().out
 
     def test_run_ledger_record_carries_request_ids(self, client):
         from repro.obs import ledger as obs_ledger
