@@ -44,6 +44,7 @@ from repro.lir import lower
 from repro.lir.ops import fresh_temp_ids
 from repro.machine import I7_2600K
 from repro.opt import OptOptions, optimize
+from repro.opt.pipeline import DEFAULT_PIPELINE
 from repro.suite import load_benchmark
 
 SWEEP_NAMES = ("fft", "bitonic_sort", "matrixmult", "autocor", "filterbank")
@@ -163,11 +164,12 @@ def traced_peak_mib(name: str, scale: int) -> float:
 
 
 def codegen_size_ratio(name: str, scale: int) -> float:
-    """Emitted laminar C bytes, fully unrolled over re-rolled."""
-    from repro.opt import OptOptions
+    """Emitted laminar C bytes, fully unrolled (the default pass list
+    without its reroll entry) over re-rolled."""
     stream = load_benchmark(name, scale=scale)
     rerolled = len(stream.laminar_c())
-    unrolled = len(stream.laminar_c(opt=OptOptions(reroll=False)))
+    unrolled = len(stream.laminar_c(opt=OptOptions(pipeline=tuple(
+        step for step in DEFAULT_PIPELINE if step != "reroll_steady"))))
     return unrolled / rerolled
 
 

@@ -30,6 +30,7 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.opt import OptOptions
+from repro.opt.pipeline import DEFAULT_PIPELINE
 from repro.suite import benchmark_names, load_benchmark
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -46,9 +47,10 @@ def evaluation(name: str, static_input: bool = False,
                promote: bool = True) -> BenchmarkEvaluation:
     lowering = LoweringOptions(eliminate_splitjoin=eliminate_splitjoin)
     if not optimize:
-        opt = OptOptions.none()
+        opt = OptOptions(pipeline=())
     elif not promote:
-        opt = OptOptions(promote_state=False)
+        opt = OptOptions(pipeline=tuple(
+            step for step in DEFAULT_PIPELINE if step != "promote_state"))
     else:
         opt = OptOptions()
     with trace.span("bench.evaluation", benchmark=name,

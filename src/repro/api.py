@@ -40,42 +40,22 @@ from repro.opt import OptOptions, OptStats, optimize
 from repro.scheduling import Schedule, build_schedule
 
 
-def _options_key(options: object) -> object:
-    """A hashable cache key from an options object's *field values*.
-
-    ``repr`` is not a safe key: dataclasses may exclude fields from their
-    repr (``field(repr=False)``) or override ``__repr__`` entirely, so
-    distinct nested ``PromoteOptions`` can collide.  Recursing over
-    ``dataclasses.fields`` keys on what actually changes behavior.
-
-    Container field values are normalized recursively — lists/tuples to
-    tuples, dicts to sorted item tuples, sets to sorted tuples — so a
-    field like ``OptOptions.pipeline`` holding a list is a valid key
-    component instead of raising ``TypeError: unhashable type``.
-    """
-    if dataclasses.is_dataclass(options) and not isinstance(options, type):
-        return (type(options).__qualname__,) + tuple(
-            (f.name, _options_key(getattr(options, f.name)))
-            for f in dataclasses.fields(options))
-    if isinstance(options, (list, tuple)):
-        return tuple(_options_key(item) for item in options)
-    if isinstance(options, dict):
-        return tuple(sorted(
-            (key, _options_key(value)) for key, value in options.items()))
-    if isinstance(options, (set, frozenset)):
-        return tuple(sorted((_options_key(item) for item in options),
-                            key=repr))
-    return options
+def _options_key(options: "LoweringOptions | OptOptions") -> tuple:
+    """A hashable cache key: the options' field values.  Every field is
+    flat, and ``OptOptions`` holds its pass list canonical, so equal
+    settings give equal keys however they were spelled."""
+    return tuple(getattr(options, f.name)
+                 for f in dataclasses.fields(options))
 
 
 def options_fingerprint(lowering: "LoweringOptions | None" = None,
                         opt: "OptOptions | None" = None) -> str:
-    """Deterministic text form of the normalized options key.
+    """Deterministic text form of the options key.
 
     This is the persistent artifact cache's options component (see
-    :mod:`repro.cache`): the same normalization that keys the in-process
-    ``CompiledStream.lower`` memo, rendered via ``repr`` of nested plain
-    tuples so equal options always produce equal strings.
+    :mod:`repro.cache`): the key of the in-process
+    ``CompiledStream.lower`` memo, rendered via ``repr`` of plain tuples
+    so equal options always produce equal strings.
     """
     return repr((_options_key(lowering if lowering is not None
                               else LoweringOptions()),
@@ -130,7 +110,7 @@ class CompiledStream:
         """Lower to LaminarIR and optimize.  Results are cached per options.
 
         ``opt`` configures the pass manager: ``OptOptions.pipeline``
-        selects an explicit pass ordering and ``max_rounds`` caps the
+        is the pass list and ``max_rounds`` caps the
         fixpoint (see ``docs/OPTIMIZER.md``); the returned
         :class:`LoweredResult` carries the per-pass ``OptStats``.
         """

@@ -345,7 +345,8 @@ class ArtifactCache:
         process that died mid-publish; entry directories that fail
         validation are torn writes that landed before their fsync.
         Both are moved aside so the store starts clean — the serve
-        daemon runs this before accepting its first request.  Returns
+        daemon runs this before accepting its first request — and
+        counted (``cache.stale_tmp``, ``cache.corrupt``).  Returns
         ``{"stale_tmp": n, "quarantined": n}``.
         """
         stale = 0
@@ -356,6 +357,7 @@ class ArtifactCache:
                 os.rename(leftover, target)
             except OSError:
                 shutil.rmtree(leftover, ignore_errors=True)
+            obs_metrics.counter("cache.stale_tmp").inc()
             stale += 1
         corrupt = 0
         for _stamp, key, path, _size in self._entries():

@@ -75,9 +75,11 @@ with it, ``--stall-timeout S`` for the stall watchdog (see
 
 ``run`` and ``report`` also accept ``--trace`` to print the span tree
 to stderr after the normal output.  ``run``, ``emit``, ``report`` and
-``profile`` accept ``--opt-pipeline cp,promote,fold,cse,dce`` (an
-explicit pass ordering) and ``--opt-max-rounds N`` (the fixpoint round
-cap); see ``docs/OPTIMIZER.md``.
+``profile`` accept ``--opt-pipeline cp,promote,fold,cse,dce`` (the
+pass list, the one way to choose the optimizer; ``--no-opt`` is the
+empty list, and the two together are a usage error) and
+``--opt-max-rounds N`` (the fixpoint round cap); see
+``docs/OPTIMIZER.md``.
 
 Robustness flags (see ``docs/ROBUSTNESS.md``): every compiling command
 accepts ``--limits ops=200000,tokens=4096,solver=200,seconds=30``
@@ -130,8 +132,6 @@ def _knob_values(args: argparse.Namespace) -> dict[str, object]:
 
 def _options(args: argparse.Namespace) -> tuple[LoweringOptions,
                                                 OptOptions]:
-    # An explicit --opt-pipeline wins over the boolean switches
-    # (including --no-opt): exactly those passes run, in that order.
     lowering, opt = compile_options(_knob_values(args))
     max_rounds = getattr(args, "opt_max_rounds", None)
     if max_rounds is not None:
@@ -154,20 +154,14 @@ def _add_opt_arguments(parser: argparse.ArgumentParser,
     """The compile knobs as flags; ``switches=False`` leaves out
     ``--no-opt`` and ``--no-elim``."""
     for knob in KNOBS:
-        if len(knob.flags) == 2:
-            on, off = knob.flags
-            parser.add_argument(on, dest=knob.key, action="store_true",
-                                default=None, help=knob.help[0])
-            parser.add_argument(off, dest=knob.key, action="store_false",
-                                help=knob.help[1])
-        elif knob.text is None:
+        if knob.text is None:
             if switches:
-                parser.add_argument(*knob.flags, dest=knob.key,
-                                    action="store_true", help=knob.help[0])
+                parser.add_argument(knob.flag, dest=knob.key,
+                                    action="store_true", help=knob.help)
         else:
-            parser.add_argument(*knob.flags, dest=knob.key,
+            parser.add_argument(knob.flag, dest=knob.key,
                                 type=_knob_type(knob),
-                                metavar=knob.metavar, help=knob.help[0])
+                                metavar=knob.metavar, help=knob.help)
     parser.add_argument(
         "--opt-max-rounds", type=int, metavar="N",
         help="cap the optimizer's fixpoint rounds (default 64)")
@@ -461,7 +455,7 @@ def _attribution_table(stream: CompiledStream, lowering: LoweringOptions,
     from repro.lir import attribute_program, steady_share
 
     before_rows = attribute_program(
-        stream.lower(lowering, OptOptions.none()).program)
+        stream.lower(lowering, OptOptions(pipeline=())).program)
     after_rows = attribute_program(stream.lower(lowering, opt).program)
     before_by = {row.name: row for row in before_rows}
     share = steady_share(after_rows)
@@ -1280,7 +1274,7 @@ def _event_log(path: str | Path):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "reroll"):  # a command taking the compile knobs
+    if hasattr(args, "pipeline"):  # a command taking the compile knobs
         try:
             _options(args)
         except ValueError as error:

@@ -156,7 +156,7 @@ def _run_routes(stream, iterations: int, native: bool, span,
         routes = (
             ("laminar-interp",
              lambda: stream.run_laminar(iterations, LoweringOptions(),
-                                        OptOptions.none())),
+                                        OptOptions(pipeline=()))),
             ("laminar-opt",
              lambda: stream.run_laminar(iterations, LoweringOptions(),
                                         OptOptions())),

@@ -39,7 +39,6 @@ from itertools import islice
 from typing import Iterator
 
 from repro.faults import limits as faults_limits
-from repro.faults.limits import ResourceExhausted
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError, SourceLocation
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
@@ -59,9 +58,16 @@ from repro.obs import trace
 from repro.scheduling.schedule import Firing, Schedule
 
 
+# The fewest trips worth a loop region: repeats of a firing, or of one
+# unit of its unrolled loop.
+REGION_MIN_REPEAT = 4
+
+
 @dataclass
 class LoweringOptions:
-    """Tunables for the lowering (the ablation switches of experiment E7).
+    """What the lowering builds: ``eliminate_splitjoin`` (off for the
+    E7 ablation: each routed token costs a ``move``) and
+    ``steady_multiplier``.
 
     ``steady_multiplier`` unrolls that many steady-state iterations into
     one LaminarIR body (execution scaling): the schedule returns channel
@@ -73,8 +79,6 @@ class LoweringOptions:
 
     eliminate_splitjoin: bool = True
     steady_multiplier: int = 1
-    op_limit: int = 4_000_000
-    unroll_limit: int = 4_000_000
 
     def __post_init__(self) -> None:
         if self.steady_multiplier < 1:
@@ -272,12 +276,9 @@ class Lowerer:
         self.graph: FlatGraph = schedule.graph
         self.source = source
         self.options = options or LoweringOptions()
-        # Ambient resource guardrails (docs/ROBUSTNESS.md): the op cap is
-        # checked per firing so the diagnostic can name the filter whose
-        # unroll blew the budget, with structured ResourceExhausted
-        # typing (the Emitter's own op_limit stays a LoweringError).
-        self.limits = faults_limits.active_limits()
-        self.emitter = Emitter(op_limit=self.options.op_limit)
+        # The ambient op cap (docs/ROBUSTNESS.md): the emitter checks it
+        # on every op and names the filter whose unroll blew it.
+        self.emitter = Emitter(faults_limits.active_limits().max_unrolled_ops)
         self.program = Program(name=self.graph.name)
         self.queues: dict[str, deque[Value]] = {}
         self.executors: dict[FilterVertex, BodyExecutor] = {}
@@ -343,14 +344,14 @@ class Lowerer:
         for vertex in self.graph.topological_order():
             if isinstance(vertex, FilterVertex):
                 self._setup_filter(vertex)
-                self._check_budget(vertex, "setup")
+                self._check_deadline(vertex, "setup")
 
         for executor in self.executors.values():
             executor.invalidate_field_caches()
         self._begin_section("init", self.program.init)
         for firing in self.schedule.init:
             self._fire(firing)
-            self._check_budget(firing.vertex, "init")
+            self._check_deadline(firing.vertex, "init")
         self._capture_carries()
         self._end_section()
 
@@ -361,7 +362,7 @@ class Lowerer:
         for _ in range(self.options.steady_multiplier):
             for firing in self.schedule.steady:
                 self._fire(firing)
-                self._check_budget(firing.vertex, "steady")
+                self._check_deadline(firing.vertex, "steady")
         self._counting = False
         self._capture_nexts()
         self._end_section()
@@ -429,7 +430,7 @@ class Lowerer:
         """Collapse each run of adjacent firings of one template whose
         loop unit repeats ``region_min_repeat`` or more times in all
         into a loop region, in place in ``block``."""
-        min_repeat = max(2, self.region_min_repeat)
+        min_repeat = self.region_min_repeat
         # Where each firing output is last read; the carry lists read
         # after the block.  Nothing else a firing computes is read
         # outside it.
@@ -691,8 +692,7 @@ class Lowerer:
         prefix = _sanitize(node.name)
         for name, ty in node.field_types.items():
             fields[name] = self._make_field(f"{prefix}_{name}", ty)
-        executor = BodyExecutor(self.emitter, node, fields, self.source,
-                                unroll_limit=self.options.unroll_limit)
+        executor = BodyExecutor(self.emitter, node, fields, self.source)
         self.executors[vertex] = executor
         executor.run_field_initializers()
         if node.decl.init is not None:
@@ -715,12 +715,7 @@ class Lowerer:
 
     # -- firings ---------------------------------------------------------------------
 
-    def _check_budget(self, vertex: Vertex, phase: str) -> None:
-        cap = self.limits.max_unrolled_ops
-        if cap is not None and self.emitter.emitted > cap:
-            raise ResourceExhausted(
-                "max_unrolled_ops", cap, self.emitter.emitted,
-                where=f"filter {vertex.name!r} ({phase} phase)")
+    def _check_deadline(self, vertex: Vertex, phase: str) -> None:
         faults_limits.check_deadline(
             f"lowering {vertex.name} ({phase} phase)")
 

@@ -37,6 +37,10 @@ from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, Op, PrintOp,
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _INT_ONLY_OPS = ("%", "&", "|", "^", "<<", ">>")
 _MAX_CALL_DEPTH = 64
+# Ops one lowering may emit when ``ResourceLimits.max_unrolled_ops`` is
+# unset, and statements one execution of a body may unroll.
+MAX_OPS = 4_000_000
+UNROLL_LIMIT = 4_000_000
 
 
 class _Break(Exception):
@@ -105,9 +109,10 @@ class Emitter:
     (actor, kind, line, phase) so a large unrolled schedule shares them.
     """
 
-    def __init__(self, op_limit: int = 4_000_000):
+    def __init__(self, max_ops: int | None = None):
         self.block: list[Op] = []
-        self.op_limit = op_limit
+        # The op cap: ``ResourceLimits.max_unrolled_ops``, or MAX_OPS.
+        self.max_ops = MAX_OPS if max_ops is None else max_ops
         self.emitted = 0
         self._actor = ""
         self._actor_kind = "filter"
@@ -169,10 +174,11 @@ class Emitter:
 
     def emit(self, op: Op) -> None:
         self.emitted += 1
-        if self.emitted > self.op_limit:
-            raise LoweringError(
-                f"lowering exceeded {self.op_limit} ops; "
-                "the unrolled schedule is too large")
+        if self.emitted > self.max_ops:
+            raise ResourceExhausted(
+                "max_unrolled_ops", self.max_ops, self.emitted,
+                where=f"{self._actor_kind} {self._actor!r} "
+                      f"({self._phase} phase)")
         op.prov = self._prov
         self.block.append(op)
 
@@ -385,8 +391,7 @@ class BodyExecutor:
     """Executes one filter body symbolically, emitting LaminarIR ops."""
 
     def __init__(self, emitter: Emitter, node: FilterNode,
-                 fields: dict[str, FieldCell], source: str,
-                 unroll_limit: int = 4_000_000):
+                 fields: dict[str, FieldCell], source: str):
         self.emitter = emitter
         self.node = node
         self.fields = fields
@@ -396,7 +401,6 @@ class BodyExecutor:
         self.pops = 0
         self.pushes = 0
         self.steps = 0
-        self.unroll_limit = unroll_limit
         self.call_depth = 0
         # > 0 while executing a speculative (if-converted) branch.
         self.speculative = 0
@@ -492,21 +496,16 @@ class BodyExecutor:
 
     def _step(self, loc: SourceLocation) -> None:
         self.steps += 1
-        if self.steps > self.unroll_limit:
+        if self.steps > UNROLL_LIMIT:
             # Routed through the fault taxonomy (CLI exit code 3) so a
             # runaway unroll reports *which* filter blew the budget
             # rather than a bare lowering failure.
             raise ResourceExhausted(
-                "unroll_limit", self.unroll_limit, self.steps,
+                "unroll_limit", UNROLL_LIMIT, self.steps,
                 where=f"filter {self.node.name!r} work body",
                 detail="the limit counts the statements one execution "
                        "of the body unrolls: a non-terminating loop, or "
-                       "a very long static one; the total size stays "
-                       "bounded by op_limit and max_unrolled_ops, and "
-                       "the lowering rolls repeated firings and loop "
-                       "bodies back into counted loops (--reroll, on by "
-                       "default), so raising "
-                       "LoweringOptions.unroll_limit is usually safe",
+                       "a very long static one",
                 loc=loc, source=self.source)
 
     def _exec_block(self, block: ast.Block, env: Env) -> None:

@@ -75,8 +75,12 @@ class _Recorder(Emitter):
     indexed access, and whether a cast came from ``cast`` or ``coerce``
     (they fold constants differently)."""
 
-    def __init__(self, op_limit: int):
-        super().__init__(op_limit)
+    def __init__(self, emitter: Emitter):
+        # The lowering's op cap; a recording past it names the filter
+        # and phase being recorded.
+        super().__init__(emitter.max_ops)
+        self.set_actor(emitter._actor, emitter._actor_kind)
+        self.set_phase(emitter._phase)
         self.notes: list[tuple[int, object]] = []
         self._loc: SourceLocation | None = None
         self._casting = False
@@ -436,7 +440,7 @@ def record(executor: BodyExecutor, block: ast.Block,
     Returns ``None`` when the body cannot be templated.
     ``ResourceExhausted`` propagates.
     """
-    recorder = _Recorder(executor.emitter.op_limit)
+    recorder = _Recorder(executor.emitter)
     with fresh_temp_ids():
         fields: dict[str, FieldCell] = {}
         cached: list[tuple[str, Temp]] = []
@@ -447,8 +451,7 @@ def record(executor: BodyExecutor, block: ast.Block,
                 copy.cached = Temp(cell.slot.ty)
                 cached.append((name, copy.cached))
             fields[name] = copy
-        body = BodyExecutor(recorder, executor.node, fields, executor.source,
-                            unroll_limit=executor.unroll_limit)
+        body = BodyExecutor(recorder, executor.node, fields, executor.source)
         hooks = make_hooks(recorder)
         try:
             body.run_body(block, hooks)

@@ -16,9 +16,8 @@ resolves its own cascades — carry specialization included, which
 substitutes a whole chain of invariant carries in one call — so the
 group typically converges in one to three rounds.  Every pass is
 idempotent, so a pass is skipped when no pass has changed the program
-since it last ran.  ``OptOptions.pipeline`` accepts a custom pass
-ordering (the CLI's ``--opt-pipeline``); each switch can still be
-disabled individually for the E7 ablation benchmarks.
+since it last ran.  ``OptOptions.pipeline`` is the pass list (the
+CLI's ``--opt-pipeline``): the E7 ablations drop entries from it.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.faults import limits as faults_limits
 from repro.faults import plan as fault_plan
+from repro.lir.lower import REGION_MIN_REPEAT
 from repro.lir.ops import LoopRegion
 from repro.lir.program import Program
 from repro.obs import metrics as obs_metrics
@@ -38,7 +38,7 @@ from repro.opt.carries import (eliminate_dead_carries,
 from repro.opt.passes import (common_subexpression_elimination,
                               constant_folding, copy_propagation,
                               dead_code_elimination)
-from repro.opt.promote import PromoteOptions, promote_state
+from repro.opt.promote import promote_state
 from repro.opt.schedule_ops import schedule_for_pressure
 
 _FIXPOINT_ROUNDS = 64
@@ -79,18 +79,6 @@ _GROUP_PASSES = {
         ("dead_code_elimination", dead_code_elimination),),
 }
 
-# Which OptStats aggregate each pass feeds (kept for backward compat
-# with the seed pipeline's reporting).
-_AGGREGATE_FIELD = {
-    "copy_propagation": "moves_propagated",
-    "promote_state": "slots_promoted",
-    "constant_folding": "ops_folded",
-    "specialize_constant_carries": "carries_specialized",
-    "eliminate_dead_carries": "carries_specialized",
-    "common_subexpression_elimination": "ops_deduplicated",
-    "dead_code_elimination": "ops_removed_dead",
-}
-
 
 def parse_pipeline(spec: str) -> tuple[str, ...]:
     """Parse a ``--opt-pipeline`` spec like ``cp,promote,fold,cse,dce``.
@@ -129,45 +117,34 @@ def as_pipeline(value: object) -> tuple[str, ...]:
     return parse_pipeline(spec)
 
 
+# The classic order; the ``reroll_steady`` entry runs no pass, it tells
+# the lowering to form loop regions (:meth:`OptOptions.lowering_flags`).
+DEFAULT_PIPELINE = (
+    "copy_propagation", "promote_state", "reroll_steady",
+    "constant_folding", "carries", "common_subexpression_elimination",
+    "dead_code_elimination", "schedule_for_pressure")
+
+
 @dataclass
 class OptOptions:
-    copy_propagation: bool = True
-    promote_state: bool = True
-    # Roll repeated firings, and the repeated units of a firing's
-    # unrolled loop, into counted LoopRegions as the program is lowered
-    # (see repro.lir.lower); ``reroll_min_repeat`` is the fewest trips
-    # worth a region.
-    reroll: bool = True
-    reroll_min_repeat: int = 4
-    constant_folding: bool = True
-    carry_specialization: bool = True
-    cse: bool = True
-    dce: bool = True
-    schedule_pressure: bool = True
-    promote: PromoteOptions = field(default_factory=PromoteOptions)
+    """The pass list and the fixpoint round cap: all that configures the
+    optimizer.  ``OptOptions(pipeline=())`` runs no pass."""
+
+    # Pass ordering: canonical names or aliases, as a spec string or an
+    # iterable; stored as canonical names.
+    pipeline: tuple[str, ...] = DEFAULT_PIPELINE
     # Fixpoint round cap; None means the module default (_FIXPOINT_ROUNDS).
     max_rounds: int | None = None
-    # Explicit pass ordering (canonical names or aliases).  None derives
-    # the classic order from the boolean switches above; when set, the
-    # switches are ignored and exactly these passes run.
-    pipeline: tuple[str, ...] | None = None
 
     def __setattr__(self, name: str, value: object) -> None:
         # Every pipeline assignment path — the constructor included —
         # coerces to a canonical tuple[str, ...] and validates pass names
         # up front, so API users get the same error the CLI's
-        # --opt-pipeline type raises instead of a late TypeError deep in
-        # the lowering cache.
-        if name == "pipeline" and value is not None:
+        # --opt-pipeline type raises, and equal pass lists compare (and
+        # key caches) equal however they are spelled.
+        if name == "pipeline":
             value = as_pipeline(value)
         super().__setattr__(name, value)
-
-    @classmethod
-    def none(cls) -> "OptOptions":
-        return cls(copy_propagation=False, promote_state=False,
-                   reroll=False, constant_folding=False,
-                   carry_specialization=False, cse=False, dce=False,
-                   schedule_pressure=False)
 
     def round_cap(self) -> int:
         """The fixpoint round cap in effect."""
@@ -180,7 +157,7 @@ class OptOptions:
         Demand-driven lowering omits exactly code that pass deletes, so
         :meth:`lowering_flags` asks this before lowering that way.
         """
-        return "dead_code_elimination" in self.resolved_pipeline() \
+        return "dead_code_elimination" in self.pipeline \
             and self.round_cap() > 0
 
     def lowering_flags(self) -> dict[str, object]:
@@ -188,42 +165,13 @@ class OptOptions:
 
         ``demand``: lower demand-driven when the dead-code pre-prune
         would delete what that leaves out.  ``region_min_repeat``: form
-        loop regions from the schedule's firing runs when the pipeline
-        has its ``reroll`` entry, with ``reroll_min_repeat`` trips at
-        least (else ``None``).
+        loop regions of :data:`~repro.lir.lower.REGION_MIN_REPEAT` trips
+        or more when the pipeline has its ``reroll`` entry (else
+        ``None``).
         """
-        rerolls = "reroll_steady" in self.resolved_pipeline()
         return {"demand": self.prunes_dead_code(),
-                "region_min_repeat":
-                    max(2, self.reroll_min_repeat) if rerolls else None}
-
-    def resolved_pipeline(self) -> tuple[str, ...]:
-        if self.pipeline is not None:
-            resolved = []
-            for name in self.pipeline:
-                canonical = _PASS_ALIASES.get(name)
-                if canonical is None:
-                    raise ValueError(f"unknown optimizer pass {name!r}")
-                resolved.append(canonical)
-            return tuple(resolved)
-        steps = []
-        if self.copy_propagation:
-            steps.append("copy_propagation")
-        if self.promote_state:
-            steps.append("promote_state")
-        if self.reroll:
-            steps.append("reroll_steady")
-        if self.constant_folding:
-            steps.append("constant_folding")
-        if self.carry_specialization:
-            steps.append("carries")
-        if self.cse:
-            steps.append("common_subexpression_elimination")
-        if self.dce:
-            steps.append("dead_code_elimination")
-        if self.schedule_pressure:
-            steps.append("schedule_for_pressure")
-        return tuple(steps)
+                "region_min_repeat": REGION_MIN_REPEAT
+                if "reroll_steady" in self.pipeline else None}
 
 
 @dataclass
@@ -239,14 +187,8 @@ class PassStat:
 class OptStats:
     ops_before: dict[str, int] = field(default_factory=dict)
     ops_after: dict[str, int] = field(default_factory=dict)
-    moves_propagated: int = 0
-    slots_promoted: int = 0
     # Loop regions the program arrived with: the lowering forms them.
     regions_rerolled: int = 0
-    ops_folded: int = 0
-    carries_specialized: int = 0
-    ops_deduplicated: int = 0
-    ops_removed_dead: int = 0
     # Fixpoint diagnostics: number of rounds actually run, and whether a
     # round with zero changes was reached within the round cap
     # (``False`` means the pipeline gave up while still making progress).
@@ -306,10 +248,6 @@ class PassManager:
         stat.runs += 1
         stat.changes += delta
         self._changes += delta
-        aggregate = _AGGREGATE_FIELD.get(name)
-        if aggregate is not None:
-            setattr(self.stats, aggregate,
-                    getattr(self.stats, aggregate) + delta)
 
     def _run_pass(self, name: str, fn,
                   round_index: int | None = None) -> int:
@@ -336,7 +274,7 @@ class PassManager:
 
     def _step_promote_state(self) -> None:
         with trace.span("opt.promote_state") as span:
-            promoted = promote_state(self.program, self.options.promote)
+            promoted = promote_state(self.program)
             span.annotate(slots=promoted)
         obs_metrics.counter("opt.promote_state.slots").inc(promoted)
         self._record("promote_state", promoted)
@@ -379,7 +317,7 @@ class PassManager:
     def run(self) -> OptStats:
         started = time.perf_counter()
         faults_limits.check_deadline("optimizer pipeline")
-        pipeline = self.options.resolved_pipeline()
+        pipeline = self.options.pipeline
         if self.options.prunes_dead_code():
             # Drop transitively dead ops before any pass walks (promote)
             # or keys (fold/CSE) them.  Unreferenced dataflow

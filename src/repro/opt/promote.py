@@ -23,21 +23,17 @@ makes the effect measurable in interpreter op counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.frontend.types import FLOAT, INT
 from repro.lir.ops import (Const, LoadOp, LoopRegion, Op, StateSlot, StoreOp,
                            Temp, Value, const_bool, const_float, const_int)
 from repro.lir.program import Program
 
 
-@dataclass
-class PromoteOptions:
-    # Arrays larger than this are never promoted.
-    max_array_elements: int = 4096
-    # Arrays written during steady become per-element loop carries; cap the
-    # carry blow-up separately (hot delay lines are typically small).
-    max_carried_elements: int = 256
+# Arrays larger than this are never promoted.
+MAX_ARRAY_ELEMENTS = 4096
+# Arrays written during steady become per-element loop carries; cap the
+# carry blow-up separately (hot delay lines are typically small).
+MAX_CARRIED_ELEMENTS = 256
 
 
 def _zero(slot: StateSlot) -> Const:
@@ -48,12 +44,11 @@ def _zero(slot: StateSlot) -> Const:
     return const_bool(False)
 
 
-def _classify(program: Program,
-              options: PromoteOptions) -> tuple[set[str], set[str]]:
+def _classify(program: Program) -> tuple[set[str], set[str]]:
     """(promotable slot names, slot names stored during steady)."""
     promotable = {slot.name for slot in program.state_slots
                   if not slot.is_array
-                  or (slot.size or 0) <= options.max_array_elements}
+                  or (slot.size or 0) <= MAX_ARRAY_ELEMENTS}
     steady_stored: set[str] = set()
     for title, ops in program.sections():
         for op in ops:
@@ -80,16 +75,14 @@ def _classify(program: Program,
                 steady_stored.add(slot.name)
     for slot in program.state_slots:
         if slot.name in steady_stored and slot.is_array \
-                and (slot.size or 0) > options.max_carried_elements:
+                and (slot.size or 0) > MAX_CARRIED_ELEMENTS:
             promotable.discard(slot.name)
     return promotable, steady_stored
 
 
-def promote_state(program: Program,
-                  options: PromoteOptions | None = None) -> int:
+def promote_state(program: Program) -> int:
     """Promote eligible state slots to SSA values.  Returns #slots."""
-    options = options or PromoteOptions()
-    promotable, steady_stored = _classify(program, options)
+    promotable, steady_stored = _classify(program)
     if not promotable:
         return 0
 

@@ -5,7 +5,8 @@ persistent artifact cache (:mod:`repro.cache`):
 
 * ``POST /compile`` — ensure a native artifact exists for a spec
   (``{"source": ...}`` or ``{"benchmark": "filterbank"}``, optional
-  ``backend``/``pipeline``/``no_opt``/``no_elim``/``limits``); returns
+  ``backend``/``pipeline``/``no_opt``/``no_elim``/``limits``/
+  ``deadline_ms``; a field neither endpoint reads is a 400); returns
   the cache key and whether it was a hit.
 * ``POST /run`` — execute a spec (same fields plus ``iterations`` and
   ``route``: ``"native"`` runs the cached prebuilt binary, ``"interp"``
@@ -145,6 +146,12 @@ def _usage(message: str) -> ApiError:
     return ApiError(400, "usage", 2, message)
 
 
+# Every request field /compile or /run reads; any other is a 400, so a
+# client sending a field the daemon dropped is told, not ignored.
+SPEC_FIELDS = frozenset(pool_mod.SPEC_FIELDS) | {
+    "backend", "limits", "deadline_ms", "iterations", "route"}
+
+
 class ServeServer:
     """The daemon: request parsing, dedup, admission, cache, ledger."""
 
@@ -162,6 +169,12 @@ class ServeServer:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache if cache is not None else ArtifactCache()
+        # /metrics serves the metrics registry; instruments are gated on
+        # tracing, so a serving process keeps it enabled — from before
+        # the scrub, whose counters it serves too.
+        self._trace_was_enabled = obs_trace.is_enabled()
+        if not self._trace_was_enabled:
+            obs_trace.enable(reset=False)
         # A crash mid-publish leaves stage dirs behind; quarantine them
         # before serving so lookups never see partial entries.
         try:
@@ -192,11 +205,6 @@ class ServeServer:
         self._inflight: dict[str, threading.Event] = {}
         self._flight_lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        # /metrics serves the metrics registry; instruments are gated on
-        # tracing, so a serving process keeps it enabled.
-        self._trace_was_enabled = obs_trace.is_enabled()
-        if not self._trace_was_enabled:
-            obs_trace.enable(reset=False)
         self.socket_path: str | None = None
         if socket_path is not None:
             self.socket_path = str(socket_path)
@@ -551,6 +559,10 @@ class ServeServer:
     def _parse_common(self, request: dict) -> dict:
         if not isinstance(request, dict):
             raise _usage("request body must be a JSON object")
+        unknown = sorted(set(request) - SPEC_FIELDS)
+        if unknown:
+            raise _usage(f"unknown spec field(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(sorted(SPEC_FIELDS))}")
         source = request.get("source")
         benchmark = request.get("benchmark")
         if (source is None) == (benchmark is None):

@@ -38,34 +38,21 @@ class TestCompiledStream:
         # ...and None means "defaults", hitting the same entry.
         assert demo_stream.lower() is first
 
-    def test_lower_cache_distinguishes_nested_promote_options(
-            self, demo_stream):
-        from repro.opt import PromoteOptions
-        default = demo_stream.lower()
-        tweaked = demo_stream.lower(None, OptOptions(
-            promote=PromoteOptions(max_array_elements=0)))
-        assert tweaked is not default
-        assert tweaked.opt_stats.slots_promoted <= \
-            default.opt_stats.slots_promoted
-
     def test_lower_cache_survives_repr_collisions(self, demo_stream):
-        # A nested options object whose repr hides its fields must not
-        # alias distinct configurations (the old repr()-based key did).
+        # Options whose repr hides their fields must not alias distinct
+        # configurations: the key is the field values, not the repr.
         import dataclasses
 
-        from repro.opt import PromoteOptions
-
         @dataclasses.dataclass(repr=False)
-        class StealthPromote(PromoteOptions):
+        class StealthOptions(OptOptions):
             def __repr__(self):
-                return "PromoteOptions()"
+                return "OptOptions()"
 
-        small = StealthPromote(max_array_elements=0)
-        large = StealthPromote(max_array_elements=4096)
-        assert repr(small) == repr(large)
-        lowered_small = demo_stream.lower(None, OptOptions(promote=small))
-        lowered_large = demo_stream.lower(None, OptOptions(promote=large))
-        assert lowered_small is not lowered_large
+        folded = StealthOptions(pipeline="fold")
+        bare = StealthOptions(pipeline=())
+        assert repr(folded) == repr(bare)
+        assert demo_stream.lower(None, folded) is not \
+            demo_stream.lower(None, bare)
 
     def test_lower_cache_accepts_container_valued_options(
             self, demo_stream):
@@ -77,13 +64,23 @@ class TestCompiledStream:
             pipeline=("constant_folding", "cse")))
         assert listed is tupled
 
-    def test_options_key_normalizes_dicts_and_sets(self):
-        from repro.api import _options_key
+    @pytest.mark.parametrize("spelling", [
+        "cp,promote,reroll,fold,carry,cse,dce,schedule",
+        ["cp", "promote", "reroll", "fold", "carry", "cse", "dce",
+         "schedule"],
+        ("copy_propagation", "promote_state", "reroll_steady",
+         "constant_folding", "carries", "common_subexpression_elimination",
+         "dead_code_elimination", "schedule_for_pressure"),
+    ], ids=["aliases-string", "aliases-list", "canonical-tuple"])
+    def test_one_key_per_pass_list(self, demo_stream, spelling):
+        """Alias and canonical spellings of one pass list, as a string,
+        a list or a tuple, share one lowering-cache entry and one
+        artifact-cache fingerprint: the default's."""
+        from repro.api import options_fingerprint
 
-        assert _options_key({"b": [1, 2], "a": {3}}) == \
-            _options_key({"a": {3}, "b": (1, 2)})
-        assert _options_key({"a": 1}) != _options_key({"a": 2})
-        hash(_options_key({"a": [1, {2}], "b": {"c": [3]}}))
+        opt = OptOptions(pipeline=spelling)
+        assert options_fingerprint(None, opt) == options_fingerprint()
+        assert demo_stream.lower(None, opt) is demo_stream.lower()
 
     def test_options_fingerprint_is_stable_and_distinct(self):
         from repro.api import options_fingerprint

@@ -45,7 +45,7 @@ class TestKeys:
         default = options_fingerprint()
         explicit = options_fingerprint(
             None, OptOptions(pipeline=("constant_folding", "cse")))
-        none = options_fingerprint(None, OptOptions.none())
+        none = options_fingerprint(None, OptOptions(pipeline=()))
         assert len({default, explicit, none}) == 3
 
     def test_options_fingerprint_accepts_list_pipeline(self):
@@ -291,7 +291,7 @@ class TestService:
         cache = ArtifactCache(tmp_path)
         stream = compile_source(TINY_PROGRAM, "tiny.str")
         ensure_native(stream, cache=cache)
-        entry2, hit2 = ensure_native(stream, opt=OptOptions.none(),
+        entry2, hit2 = ensure_native(stream, opt=OptOptions(pipeline=()),
                                      cache=cache)
         assert hit2 is False
         assert cache.stats()["entries"] == 2

@@ -319,14 +319,9 @@ class TestOptPipelineFlags:
 
 class TestKnobs:
     @pytest.mark.parametrize("flags,message", [
-        (["--opt-pipeline", "cp,promote,reroll,fold,cse,dce",
-          "--no-reroll"], "'reroll' cannot be combined with 'pipeline'"),
-        (["--opt-pipeline", "cp,fold", "--reroll-min-repeat", "8"],
-         "'reroll_min_repeat' is set but no loop regions form"),
-        (["--no-reroll", "--reroll-min-repeat", "8"],
-         "'reroll_min_repeat' is set but no loop regions form"),
-    ], ids=["reroll-with-pipeline", "min-repeat-without-reroll-entry",
-            "min-repeat-with-no-reroll"])
+        (["--no-opt", "--opt-pipeline", "fold"],
+         "'no_opt' cannot be combined with 'pipeline'"),
+    ], ids=["no-opt-with-pipeline"])
     def test_contradictory_knobs_are_usage_errors(self, tiny_file, flags,
                                                   message, capsys):
         # The daemon answers 400 with the same messages
@@ -340,14 +335,18 @@ class TestKnobs:
         from repro.obs import ledger
 
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
+        unrolled = "cp,promote,fold,carry,cse,dce,schedule"
         assert main(["report", "lattice", "-n", "2"]) == 0
-        assert main(["report", "lattice", "-n", "2", "--no-reroll",
-                     "--opt-max-rounds", "8"]) == 0
-        default, unrolled = [record["body"] for record
+        assert main(["report", "lattice", "-n", "2", "--opt-pipeline",
+                     unrolled, "--opt-max-rounds", "8"]) == 0
+        default, explicit = [record["body"] for record
                              in ledger.load_records(target="lattice")]
         assert (default["pipeline"], default["flags"]) == ("default", {})
-        assert unrolled["pipeline"] == "default"
-        assert unrolled["flags"] == {"reroll": False, "max_rounds": 8}
+        assert explicit["pipeline"] == (
+            "copy_propagation,promote_state,constant_folding,carries,"
+            "common_subexpression_elimination,dead_code_elimination,"
+            "schedule_for_pressure")
+        assert explicit["flags"] == {"max_rounds": 8}
 
 
 class TestExitCodes:

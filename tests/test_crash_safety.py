@@ -539,6 +539,29 @@ class TestCacheCrashSafety:
         assert report["quarantined"] == 1
         assert not entry.exists()
 
+    def test_daemon_start_counts_what_its_scrub_moves(self, tmp_path):
+        """The daemon's start-up scrub shows on /metrics: tracing is on
+        before it runs, and stale staging dirs have a counter too."""
+        from repro.obs import metrics as obs_metrics
+
+        cache = ArtifactCache(tmp_path / "cache")
+        (cache.tmp_dir / "stage-x").mkdir(parents=True)
+        entry = cache.entry_path("ab" * 32)
+        entry.mkdir(parents=True)
+        (entry / "meta.json").write_text('{"artifacts": ["missing.bin"]')
+        obs_metrics.registry().reset()
+        server = ServeServer(socket_path=tmp_path / "d.sock", cache=cache,
+                             workers=1, ledger=False).start()
+        try:
+            handle = ServeClient(socket_path=server.socket_path)
+            assert handle.wait_ready()
+            lines = handle.metrics().splitlines()
+        finally:
+            server.stop()
+        assert "repro_cache_corrupt_total 1" in lines
+        assert "repro_cache_stale_tmp_total 1" in lines
+        assert len(list(cache.quarantine_dir.iterdir())) == 2
+
     def test_lookup_tolerates_concurrent_eviction(self, tmp_path):
         import shutil
 

@@ -94,7 +94,7 @@ class TestOracle:
         # Without dead-code elimination nothing would delete the dead
         # firings, so the unoptimized program keeps every op.
         stream = load_benchmark("filterbank")
-        unoptimized = stream.lower(opt=OptOptions.none()).program
+        unoptimized = stream.lower(opt=OptOptions(pipeline=())).program
         with fresh_temp_ids():
             eager = lower(stream.schedule, stream.source)
         assert unoptimized.dump() == eager.dump()
@@ -102,8 +102,10 @@ class TestOracle:
     def test_demand_follows_the_pre_prune(self):
         assert OptOptions().prunes_dead_code()
         assert OptOptions(pipeline="cp,fold,dce").prunes_dead_code()
-        assert not OptOptions.none().prunes_dead_code()
-        assert not OptOptions(dce=False).prunes_dead_code()
+        assert not OptOptions(pipeline=()).prunes_dead_code()
+        assert not OptOptions(
+            pipeline="cp,promote,reroll,fold,carry,cse,schedule"
+        ).prunes_dead_code()
         assert not OptOptions(pipeline="fold,cse").prunes_dead_code()
         assert not OptOptions(max_rounds=0).prunes_dead_code()
 
@@ -123,8 +125,11 @@ class TestOpCounts:
         # has longer runs to collapse.
         stream = load_benchmark("rate_convert")
         lowered = [sum(stream.lower(opt=opt).opt_stats.ops_before.values())
-                   for opt in (OptOptions(reroll=False),
-                               OptOptions(dce=False, reroll=False))]
+                   for opt in (
+                       OptOptions(pipeline="cp,promote,fold,carry,cse,dce,"
+                                           "schedule"),
+                       OptOptions(pipeline="cp,promote,fold,carry,cse,"
+                                           "schedule"))]
         assert lowered[0] < lowered[1]
 
 

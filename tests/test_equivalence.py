@@ -145,10 +145,10 @@ class TestConstructs:
 
 class TestOptionMatrix:
     @pytest.mark.parametrize("opt", [
-        OptOptions.none(),
-        OptOptions(promote_state=False),
-        OptOptions(cse=False),
-        OptOptions(constant_folding=False),
+        OptOptions(pipeline=()),
+        OptOptions(pipeline="cp,reroll,fold,carry,cse,dce,schedule"),
+        OptOptions(pipeline="cp,promote,reroll,fold,carry,dce,schedule"),
+        OptOptions(pipeline="cp,promote,reroll,carry,cse,dce,schedule"),
         OptOptions(),
     ], ids=["none", "no-promote", "no-cse", "no-fold", "all"])
     def test_demo_under_opt_options(self, demo_stream, opt):

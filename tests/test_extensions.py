@@ -147,7 +147,8 @@ class TestCarrySpecialization:
             "void->void pipeline P { add Src(); add D(); add Snk(); }")
         with_spec = stream.run_laminar(8, opt=OptOptions())
         without = stream.run_laminar(
-            8, opt=OptOptions(carry_specialization=False))
+            8,
+            opt=OptOptions(pipeline="cp,promote,reroll,fold,cse,dce,schedule"))
         assert with_spec.outputs == without.outputs
 
     def test_zero_safe(self):

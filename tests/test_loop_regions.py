@@ -12,12 +12,11 @@ import pytest
 
 from repro import LoweringOptions, compile_source
 from repro.backend import checksum_outputs
-from repro.cli import main
 from repro.interp import LaminarInterpreter
 from repro.lir import lower, verify
+from repro.lir.lower import REGION_MIN_REPEAT
 from repro.lir.ops import BinOp, Const, LoadOp, LoopRegion, fresh_temp_ids
 from repro.opt import OptOptions, optimize, promote_state
-from repro.serve.pool import spec_options
 from repro.suite import benchmark_names, load_benchmark
 from tests.conftest import function_text
 
@@ -116,26 +115,18 @@ class TestFormation:
 class TestWiring:
     def test_default_pipeline_flags(self):
         assert OptOptions().lowering_flags() == {
-            "demand": True, "region_min_repeat": 4}
-        assert OptOptions(reroll_min_repeat=6).lowering_flags()[
-            "region_min_repeat"] == 6
+            "demand": True, "region_min_repeat": REGION_MIN_REPEAT}
+        assert REGION_MIN_REPEAT == 4
 
-    @pytest.mark.parametrize("opt", [
-        OptOptions(reroll=False), OptOptions(reroll_min_repeat=100),
-        OptOptions(pipeline="cp,promote,fold,cse,dce"),
+    @pytest.mark.parametrize("flags", [
+        OptOptions(pipeline="cp,promote,fold,carry,cse,dce,schedule")
+        .lowering_flags(),
+        {"demand": True, "region_min_repeat": 100},
+        OptOptions(pipeline="cp,promote,fold,cse,dce").lowering_flags(),
     ], ids=["no-reroll", "min-repeat-100", "pipeline-without-reroll"])
-    def test_no_regions_at_lowering(self, opt):
+    def test_no_regions_at_lowering(self, flags):
         stream = load_benchmark("filterbank")
-        assert not _regions(_lowered(stream, **opt.lowering_flags()))
-
-    def test_cli_rejects_min_repeat_below_two(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["report", "fft", "--reroll-min-repeat", "-5"])
-        assert exit_info.value.code == 2
-        message = "'reroll_min_repeat' must be an integer >= 2"
-        assert message in capsys.readouterr().err
-        with pytest.raises(ValueError, match=message):
-            spec_options({"reroll_min_repeat": -5})
+        assert not _regions(_lowered(stream, **flags))
 
 
 class TestRolledAtLowering:

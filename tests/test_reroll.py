@@ -21,6 +21,9 @@ from repro.suite import load_benchmark
 
 from .conftest import requires_cc
 
+# The default pass list without its reroll entry: the unrolled build.
+UNROLLED = OptOptions(pipeline="cp,promote,fold,carry,cse,dce,schedule")
+
 # A peek-window filter fired 8x per steady iteration (Src pushes 8,
 # Snk pops 8): the runs are long, the bodies are meaty, and the gather
 # columns chain onto the array Src's region scatters to — the shape
@@ -131,23 +134,22 @@ class TestRegionFormation:
 
     def test_reroll_off_leaves_unrolled(self):
         stream = compile_source(REPEAT_SOURCE)
-        opt = OptOptions(reroll=False)
-        program = _lower(stream, opt)
-        stats = optimize(program, opt)
+        program = _lower(stream, UNROLLED)
+        stats = optimize(program, UNROLLED)
         assert stats.regions_rerolled == 0
         assert not _regions(program)
 
     def test_min_repeat_threshold_respected(self):
         stream = compile_source(REPEAT_SOURCE)
-        opt = OptOptions(reroll_min_repeat=100)
         # No run repeats 100 times; nothing may roll.
-        stats = optimize(_lower(stream, opt), opt)
-        assert stats.regions_rerolled == 0
+        program = lower(stream.schedule, stream.source, demand=True,
+                        region_min_repeat=100)
+        assert optimize(program).regions_rerolled == 0
 
     def test_trips_times_body_matches_expanded_count(self):
         stream = compile_source(REPEAT_SOURCE)
-        unrolled = _lower(stream, OptOptions(reroll=False))
-        optimize(unrolled, OptOptions(reroll=False))
+        unrolled = _lower(stream, UNROLLED)
+        optimize(unrolled, UNROLLED)
         rerolled = _lower(stream)
         optimize(rerolled)
         # The structural count shrinks; the expanded count is what the
@@ -160,13 +162,13 @@ class TestRegionFormation:
     def test_regions_execute_directly_bit_exact(self):
         stream = compile_source(REPEAT_SOURCE)
         on = stream.run_laminar(5)
-        off = stream.run_laminar(5, opt=OptOptions(reroll=False))
+        off = stream.run_laminar(5, opt=UNROLLED)
         assert on.outputs == off.outputs
 
     def test_carried_accumulator_bit_exact(self):
         stream = compile_source(CARRY_SOURCE)
         on = stream.run_laminar(5)
-        off = stream.run_laminar(5, opt=OptOptions(reroll=False))
+        off = stream.run_laminar(5, opt=UNROLLED)
         assert on.outputs == off.outputs
 
     def test_fifo_route_agrees(self):
@@ -195,7 +197,7 @@ class TestRegionFormation:
         assert carried
         optimize(program)
         assert stream.run_laminar(16).outputs == \
-            stream.run_laminar(16, opt=OptOptions(reroll=False)).outputs \
+            stream.run_laminar(16, opt=UNROLLED).outputs \
             == stream.run_fifo(16).outputs
 
 
@@ -271,7 +273,7 @@ class TestCodegen:
         stream = load_benchmark("filterbank")
         rerolled = generate_laminar_c(stream.lower().program)
         unrolled = generate_laminar_c(
-            stream.lower(opt=OptOptions(reroll=False)).program)
+            stream.lower(opt=UNROLLED).program)
         assert len(rerolled) < len(unrolled)
 
     def test_lir_dump_prints_regions(self):
@@ -289,7 +291,7 @@ class TestCodegen:
             generate_laminar_c(stream.lower().program), iterations=4)
         off = compile_and_run(
             generate_laminar_c(
-                stream.lower(opt=OptOptions(reroll=False)).program),
+                stream.lower(opt=UNROLLED).program),
             iterations=4)
         assert on.checksum == off.checksum
         assert on.output_count == off.output_count

@@ -207,15 +207,17 @@ class TestInterpRoute:
     def test_ledger_records_knob_flags(self, client):
         from repro.obs import ledger as obs_ledger
 
-        for options in ({}, {"reroll": False}, {"no_elim": True}):
+        for options in ({}, {"pipeline": "fold,dce"}, {"no_elim": True},
+                        {"no_opt": True}):
             assert client.run(source=_program("Knobs"), iterations=4,
                               route="interp", **options).ok
         bodies = [record["body"] for record
                   in obs_ledger.load_records(target="CountingKnobs")]
-        assert [(body["pipeline"], body["flags"].get("reroll"),
+        assert [(body["pipeline"], body["flags"].get("no_opt"),
                  body["flags"].get("no_elim")) for body in bodies] == [
-            ("default", None, None), ("default", False, None),
-            ("default", None, True)]
+            ("default", None, None),
+            ("constant_folding,dead_code_elimination", None, None),
+            ("default", None, True), ("none", True, None)]
 
 
 @requires_cc
@@ -301,8 +303,8 @@ class TestNativeRoute:
 @requires_cc
 @pytest.mark.parametrize("options", [
     {"no_opt": True}, {"no_elim": True}, {"pipeline": "cp,fold,dce"},
-    {"reroll": False}, {"reroll_min_repeat": 8},
-], ids=lambda options: next(iter(options)))
+    {"pipeline": "cp,promote,fold,carry,cse,dce,schedule"},
+], ids=["no_opt", "no_elim", "pipeline", "unrolled"])
 @pytest.mark.parametrize("route", ["native", "interp"])
 def test_spec_options_bit_exact_on_both_routes(client, demo_stream,
                                                route, options):
@@ -318,20 +320,27 @@ def test_spec_options_bit_exact_on_both_routes(client, demo_stream,
 
 
 @pytest.mark.parametrize("options,message", [
-    ({"pipeline": "cp,promote,reroll,fold,cse,dce", "reroll": False},
-     "'reroll' cannot be combined with 'pipeline'"),
-    ({"pipeline": "cp,fold", "reroll_min_repeat": 8},
-     "'reroll_min_repeat' is set but no loop regions form"),
-    ({"reroll": False, "reroll_min_repeat": 8},
-     "'reroll_min_repeat' is set but no loop regions form"),
-], ids=["reroll-with-pipeline", "min-repeat-without-reroll-entry",
-        "min-repeat-with-no-reroll"])
+    ({"no_opt": True, "pipeline": "fold"},
+     "'no_opt' cannot be combined with 'pipeline'"),
+], ids=["no-opt-with-pipeline"])
 def test_contradictory_spec_options_are_400(client, options, message):
     """The same contradictions the CLI exits 2 on, with its message."""
     response = client.run(source=DEMO_PROGRAM, iterations=4, **options)
     assert response.status == 400
     assert response.json["exit_code"] == 2
     assert message in response.json["error"]
+
+
+@pytest.mark.parametrize("field", ["reroll", "reroll_min_repeat"])
+@pytest.mark.parametrize("endpoint", ["compile", "run"])
+def test_unknown_spec_fields_are_400(client, endpoint, field):
+    """A field neither endpoint reads is refused by name, not ignored:
+    a client still sending a removed knob learns it has no effect."""
+    response = getattr(client, endpoint)(source=DEMO_PROGRAM,
+                                         iterations=4, **{field: 8})
+    assert response.status == 400
+    assert response.json["exit_code"] == 2
+    assert f"unknown spec field(s) {field};" in response.json["error"]
 
 
 class TestCliSurface:

@@ -4,8 +4,8 @@ peek windows, and heavy repetition vectors."""
 import pytest
 
 from repro import check_equivalence, compile_source
-from repro.frontend.errors import LoweringError
-from repro.lir import LoweringOptions, lower, verify
+from repro.faults import ResourceExhausted, ResourceLimits, use_limits
+from repro.lir import lower, verify
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -94,9 +94,12 @@ class TestLimits:
             "float s = pop(); for (int i = 0; i < 500; i++) "
             "s = s * 1.0001 + i; push(s); } }"
             "void->void pipeline P { add Src(); add Heavy(); add Snk(); }")
-        with pytest.raises(LoweringError, match="ops"):
-            lower(stream.schedule, stream.source,
-                  LoweringOptions(op_limit=100))
+        with use_limits(ResourceLimits(max_unrolled_ops=100)), \
+                pytest.raises(ResourceExhausted) as info:
+            lower(stream.schedule, stream.source)
+        assert info.value.resource == "max_unrolled_ops"
+        assert info.value.limit == 100
+        assert "filter 'Heavy'" in info.value.where
 
     def test_graph_size_guard(self):
         from repro.frontend import parse_and_check

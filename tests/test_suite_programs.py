@@ -123,7 +123,8 @@ class TestBehaviour:
     def test_lattice_state_promoted(self):
         stream = load_benchmark("lattice")
         lowered = stream.lower()
-        assert lowered.opt_stats.slots_promoted >= 10
+        assert sum(stat.changes for stat in lowered.opt_stats.pass_stats
+                   if stat.name == "promote_state") >= 10
         assert lowered.program.state_slots == []
 
     def test_matrixmult_against_reference(self):

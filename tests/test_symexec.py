@@ -7,6 +7,7 @@ from repro import compile_source
 from repro.frontend.errors import LoweringError
 from repro.lir import (BinOp, CallOp, LoweringOptions, PrintOp, SelectOp,
                        lower)
+from repro.lir import symexec
 from repro.lir.ops import CastOp, LoadOp, StoreOp
 
 PREAMBLE = """
@@ -96,26 +97,25 @@ class TestLoops:
         laminar = stream.run_laminar(3)
         assert fifo.outputs == laminar.outputs
 
-    def test_runaway_loop_detected(self):
+    def test_runaway_loop_detected(self, monkeypatch):
         from repro.faults.limits import ResourceExhausted
+        monkeypatch.setattr(symexec, "UNROLL_LIMIT", 1000)
         with pytest.raises(ResourceExhausted) as info:
             steady_of(
                 "float->float filter F() { work push 1 pop 1 { "
                 "int i = 0; while (i >= 0) { i = i + 1; } "
                 "push(pop()); } }"
-                "void->void pipeline P { add Src(); add F(); add Snk(); }",
-                LoweringOptions(unroll_limit=1000))
+                "void->void pipeline P { add Src(); add F(); add Snk(); }")
         error = info.value
         assert error.resource == "unroll_limit"
         assert error.limit == 1000
         assert "filter 'F'" in error.where
-        assert "--reroll" in str(error)
         # Still a CompileError subclass, so existing except clauses and
         # the CLI's exit-code mapping keep working.
         from repro.frontend.errors import CompileError
         assert isinstance(error, CompileError)
 
-    def test_unroll_limit_counts_one_body(self):
+    def test_unroll_limit_counts_one_body(self, monkeypatch):
         # F's body unrolls ~600 statements and fires 10x per iteration:
         # the limit bounds one execution of the body, not their sum.
         from repro.faults.limits import ResourceExhausted
@@ -125,10 +125,12 @@ class TestLoops:
             "float->void filter Snk10() { work pop 10 { "
             "for (int i = 0; i < 10; i++) println(pop()); } }"
             "void->void pipeline P { add Src(); add F(); add Snk10(); }")
-        steady = steady_of(body, LoweringOptions(unroll_limit=1000))
+        monkeypatch.setattr(symexec, "UNROLL_LIMIT", 1000)
+        steady = steady_of(body)
         assert sum(isinstance(op, PrintOp) for op in steady) == 10
+        monkeypatch.setattr(symexec, "UNROLL_LIMIT", 300)
         with pytest.raises(ResourceExhausted):
-            steady_of(body, LoweringOptions(unroll_limit=300))
+            steady_of(body)
 
 
 class TestIfConversion:
@@ -409,7 +411,7 @@ class TestFieldCaching:
             "work push 1 pop 1 { s = s + pop(); push(s); } }"
             "void->void pipeline P { add Src(); add Acc(); add Snk(); }")
         from repro import OptOptions
-        unopt = stream.run_laminar(6, opt=OptOptions.none())
+        unopt = stream.run_laminar(6, opt=OptOptions(pipeline=()))
         fifo = stream.run_fifo(6)
         assert unopt.outputs == fifo.outputs
 

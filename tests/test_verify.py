@@ -86,8 +86,9 @@ class TestVerifier:
 
     def test_verifier_runs_after_every_opt_config(self, demo_stream):
         from repro.opt import OptOptions
-        for opt in (OptOptions.none(), OptOptions(),
-                    OptOptions(promote_state=False)):
+        for opt in (OptOptions(pipeline=()), OptOptions(),
+                    OptOptions(pipeline="cp,reroll,fold,carry,cse,dce,"
+                                        "schedule")):
             verify(demo_stream.lower(opt=opt).program)
 
 
