@@ -3,8 +3,9 @@
 Regenerates the paper's headline speedup figure: LaminarIR over the FIFO
 baseline on the four modeled platforms (Intel i7-2600K, AMD Opteron 6378,
 Intel Xeon Phi 3120A, ARM Cortex-A15), plus a measured host column when a
-C compiler is available (both generated C programs compiled -O3 and
-timed).
+C compiler is available: both generated C programs of all 12 benchmarks
+compiled -O3 and timed in interleaved runs, reported as the median
+speedup with its min-max spread.
 
 Paper headline: platform-specific average speedups between 3.73x and
 4.98x over StreamIt.
@@ -13,34 +14,67 @@ Paper headline: platform-specific average speedups between 3.73x and
 from pathlib import Path
 
 import os
+import statistics
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.common import all_names, compiled, emit, evaluation
-from repro.backend import compile_and_run, find_compiler
+from repro.backend import compile_c, find_compiler, run_binary
 from repro.evaluation import format_table, geometric_mean
 from repro.machine import PLATFORMS
 
-# Native timing is the expensive part; use a subset at high iteration
-# counts so per-run noise stays small.
-NATIVE_NAMES = ("fm_radio", "dct", "filterbank", "lattice")
-NATIVE_ITERATIONS = 200_000
+# Each binary runs NATIVE_RUNS times, the FIFO-C and LaminarIR-C binaries
+# of all programs interleaved, so a burst of host noise hits both sides
+# of some pairs rather than one program's every run.  Schedule iterations
+# per timed run: each LaminarIR-C steady loop takes ~0.1 s on a 2-core
+# x86-64 host with gcc 12 -O3, and the FIFO-C binary runs the same count.
+NATIVE_RUNS = 5
+NATIVE_ITERATIONS = {
+    "autocor": 800_000, "beamformer": 300_000, "bitonic_sort": 1_200_000,
+    "channel_vocoder": 260_000, "dct": 240_000, "fft": 800_000,
+    "filterbank": 140_000, "fm_radio": 140_000, "lattice": 12_000_000,
+    "matrixmult": 800_000, "rate_convert": 1_800_000, "tde": 600_000,
+}
 
 
-def native_speedup(name: str, workdir: Path) -> float:
-    stream = compiled(name)
-    fifo = compile_and_run(stream.fifo_c(), NATIVE_ITERATIONS,
-                           workdir=workdir, name=f"{name}_fifo")
-    laminar = compile_and_run(stream.laminar_c(), NATIVE_ITERATIONS,
-                              workdir=workdir, name=f"{name}_laminar")
-    assert fifo.checksum == laminar.checksum, f"{name}: native outputs differ"
-    return fifo.seconds / max(laminar.seconds, 1e-9)
+def native_speedups(workdir: Path, names=None, runs: int = NATIVE_RUNS
+                    ) -> dict[str, list[float]]:
+    """Per program, the FIFO-C over LaminarIR-C time of each run pair.
+
+    Every run's checksum must equal every other run's of that program,
+    both backends included.
+    """
+    names = list(names or NATIVE_ITERATIONS)
+    binaries = {}
+    for name in names:
+        stream = compiled(name)
+        binaries[name] = (
+            compile_c(stream.fifo_c(), workdir, name=f"{name}_fifo"),
+            compile_c(stream.laminar_c(), workdir, name=f"{name}_laminar"))
+    checksums: dict[str, set[int]] = {name: set() for name in names}
+    ratios: dict[str, list[float]] = {name: [] for name in names}
+    for _ in range(runs):
+        for name in names:
+            fifo, laminar = (run_binary(binary, NATIVE_ITERATIONS[name])
+                             for binary in binaries[name])
+            checksums[name].update((fifo.checksum, laminar.checksum))
+            assert len(checksums[name]) == 1, \
+                f"{name}: native checksums differ"
+            ratios[name].append(fifo.seconds / max(laminar.seconds, 1e-9))
+    return ratios
 
 
-def build_report(native: dict[str, float] | None = None
+def host_cell(ratios: list[float]) -> str:
+    return (f"{statistics.median(ratios):.2f}x "
+            f"({min(ratios):.2f}-{max(ratios):.2f})")
+
+
+def build_report(ratios: dict[str, list[float]] | None = None
                  ) -> tuple[str, dict[str, float]]:
-    native = native or {}
+    ratios = ratios or {}
+    native = {name: statistics.median(values)
+              for name, values in ratios.items()}
     platform_keys = list(PLATFORMS)
     rows = []
     per_platform: dict[str, list[float]] = {key: [] for key in platform_keys}
@@ -51,7 +85,7 @@ def build_report(native: dict[str, float] | None = None
             speedup = record.speedup(PLATFORMS[key])
             per_platform[key].append(speedup)
             row.append(f"{speedup:.2f}x")
-        row.append(f"{native[name]:.2f}x" if name in native else "-")
+        row.append(host_cell(ratios[name]) if name in ratios else "-")
         rows.append(row)
     geo_row = ["geomean"]
     data: dict[str, float] = {}
@@ -59,17 +93,21 @@ def build_report(native: dict[str, float] | None = None
         geo = geometric_mean(per_platform[key])
         data[f"speedup_geomean.{key}"] = geo
         geo_row.append(f"{geo:.2f}x")
-    native_values = [v for v in native.values()]
-    if native_values:
-        data["speedup_geomean.host"] = geometric_mean(native_values)
+    # The host geomean is taken per run (the i-th pair of every
+    # program), and its median and spread reported like a program's.
+    run_geomeans = [geometric_mean(list(pairs))
+                    for pairs in zip(*ratios.values())]
+    if run_geomeans:
+        data["speedup_geomean.host"] = statistics.median(run_geomeans)
         for name, value in native.items():
             data[f"speedup_host.{name}"] = value
-    geo_row.append(f"{geometric_mean(native_values):.2f}x"
-                   if native_values else "-")
+            data[f"speedup_host_min.{name}"] = min(ratios[name])
+            data[f"speedup_host_max.{name}"] = max(ratios[name])
+    geo_row.append(host_cell(run_geomeans) if run_geomeans else "-")
     rows.append(geo_row)
     table = format_table(
         ["benchmark"] + [PLATFORMS[k].name for k in platform_keys]
-        + ["host (measured)"],
+        + [f"host (median of {NATIVE_RUNS}, min-max)"],
         rows,
         title="Figure: LaminarIR speedup over the FIFO baseline "
               "(paper: 3.73x-4.98x platform averages)")
@@ -94,21 +132,19 @@ def test_native_speedups(benchmark, tmp_path):
     if find_compiler() is None:
         import pytest
         pytest.skip("no C compiler on PATH")
-    native = {name: native_speedup(name, tmp_path)
-              for name in NATIVE_NAMES}
-    benchmark(lambda: native_speedup("lattice", tmp_path))
-    table, data = build_report(native)
+    ratios = native_speedups(tmp_path)
+    benchmark(lambda: native_speedups(tmp_path, ("lattice",), runs=1))
+    table, data = build_report(ratios)
     emit("fig_speedup", table, data=data)
     # every native benchmark must at least not regress
-    for name, value in native.items():
-        assert value > 0.9, (name, value)
+    for name, values in ratios.items():
+        assert statistics.median(values) > 0.9, (name, values)
 
 
 if __name__ == "__main__":
     import tempfile
-    native = {}
+    ratios = {}
     if find_compiler() is not None:
         with tempfile.TemporaryDirectory() as tmp:
-            native = {name: native_speedup(name, Path(tmp))
-                      for name in NATIVE_NAMES}
-    print(build_report(native)[0])
+            ratios = native_speedups(Path(tmp))
+    print(build_report(ratios)[0])

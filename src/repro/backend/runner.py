@@ -50,6 +50,18 @@ from repro.obs import trace
 # correct).
 DEFAULT_CFLAGS = ("-O3", "-fwrapv", "-std=gnu11", "-fopenmp-simd")
 
+# The same build unoptimized, and sanitized: AddressSanitizer traps an
+# index past an array's end, UndefinedBehaviorSanitizer the arithmetic
+# around it, and either aborts the run.  The sanitized build is -O0 too:
+# an optimizer can trim an out-of-bounds access away before it is
+# instrumented (gcc -O1 shortens a memmove whose tail is stored over
+# next), and gcc compiles the suite's largest programs sanitized faster
+# at -O0 than at -O1.  -fwrapv and the rest are the default build's, so
+# all three must print the same bits.
+O0_CFLAGS = ("-O0",) + DEFAULT_CFLAGS[1:]
+SANITIZE_CFLAGS = O0_CFLAGS + ("-fsanitize=address,undefined",
+                               "-fno-sanitize-recover=all")
+
 # Wall-clock budgets per subprocess step, read at call time (tests
 # shrink them).  Compiling one generated translation unit takes seconds;
 # a minute-plus compile means a wedged toolchain, not a slow one.
@@ -665,14 +677,16 @@ def compile_and_run(code: str, iterations: int,
                     name: str = "prog",
                     keep_artifacts: bool | None = None,
                     heartbeat_ms: int | None = None,
-                    stall_timeout: float | None = None) -> NativeRun:
+                    stall_timeout: float | None = None,
+                    cflags: tuple[str, ...] = DEFAULT_CFLAGS) -> NativeRun:
     """Compile and run with full temp-dir lifecycle management.
 
     Auto-created workdirs are deleted on success, kept on real failures
     (the path is appended to the diagnostic) and deleted on injected
     ones; ``keep_artifacts`` (or ``REPRO_KEEP_ARTIFACTS=1``) keeps them
     unconditionally.  Caller-supplied ``workdir``s are never removed.
-    ``heartbeat_ms``/``stall_timeout`` are :func:`run_binary`'s.
+    ``heartbeat_ms``/``stall_timeout`` are :func:`run_binary`'s, and
+    ``cflags`` is :func:`compile_c`'s.
     """
     _check_watchdog(heartbeat_ms, stall_timeout)
     keep = keep_artifacts if keep_artifacts is not None \
@@ -680,8 +694,8 @@ def compile_and_run(code: str, iterations: int,
     owned = workdir is None
     with trace.span("native", name=name) as span:
         # compile_c applies the failure policy for the dir it creates.
-        binary = compile_c(code, workdir=workdir, name=name,
-                           keep_artifacts=keep)
+        binary = compile_c(code, workdir=workdir, cflags=cflags,
+                           name=name, keep_artifacts=keep)
         workdir = binary.parent
         try:
             run = run_binary(binary, iterations,

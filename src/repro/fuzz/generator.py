@@ -18,11 +18,13 @@ program is well-typed and schedulable by construction:
   ``NaN`` cannot appear.
 
 Covered surface: pipelines, splitjoins (duplicate and weighted
-round-robin including weight-0 ports), feedbackloops, peeking filters,
-prework (with rates different from steady rates), int/float/array
-state, the ``randf``/``randi`` intrinsics, and work bodies that push
-from a static ``for`` loop (peeking at offsets affine in its index),
-which the lowering rolls back into loop regions.
+round-robin including weight-0 ports), feedbackloops, peeking filters
+(some with windows 12-40 tokens wider than their pop rate, which the C
+backend carries as shifted arrays), prework (with rates different from
+steady rates), int/float/array state, the ``randf``/``randi``
+intrinsics, and work bodies that push from a static ``for`` loop
+(peeking at offsets affine in its index), which the lowering rolls back
+into loop regions.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ __all__ = ["BodySpec", "FeedbackSpec", "FilterSpec", "GeneratorOptions",
            "random_spec", "render"]
 
 INT, FLOAT = "int", "float"
+
+# How much wider than its pop rate a wide peek window is: wide enough
+# that the C backend carries the window as an array shifted once per
+# iteration (``repro.backend.laminar_c.WINDOW_MIN_KEPT``).
+WIDE_PEEK = (12, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +266,13 @@ class _Gen:
         stmts: list[str] = []
         # Peek reads come first (offsets measured before any pop moves
         # the read pointer), then the pops.
-        if in_ty is not None and peek > pop and rng.random() < 0.9:
+        # A wide window's first peek reads its last token and its first
+        # push adds it, so every carried token of the window stays live.
+        wide = in_ty is not None and peek - pop >= WIDE_PEEK[0]
+        if in_ty is not None and peek > pop and (wide or rng.random() < 0.9):
             for k in range(rng.randint(1, 2)):
-                offset = rng.randint(0, peek - 1)
+                offset = peek - 1 if wide and k == 0 \
+                    else rng.randint(0, peek - 1)
                 stmts.append(f"{in_ty} pk{k} = peek({offset});")
                 (ints if in_ty == INT else floats).append(f"pk{k}")
                 self.features.add("peek")
@@ -284,6 +295,8 @@ class _Gen:
             for _ in range(push):
                 push_exprs.append(exprs.gen(out_ty, self.rng.randint(1, 2),
                                             True))
+            if wide and push and out_ty == in_ty:
+                push_exprs[0] = f"({push_exprs[0]}) + pk0"
         return BodySpec(push=push, pop=pop, peek=peek, stmts=stmts,
                         push_exprs=push_exprs, prints=prints)
 
@@ -353,7 +366,11 @@ class _Gen:
         push = self._rate() if push is None else push
         peek = pop
         if allow_peek and pop > 0 and rng.random() < 0.35:
-            peek = pop + rng.randint(1, 2)
+            if rng.random() < 0.3:
+                peek = pop + rng.randint(*WIDE_PEEK)
+                self.features.add("wide-peek")
+            else:
+                peek = pop + rng.randint(1, 2)
             self.features.add("peeking-filter")
         fields: list[tuple[str, str, int | None]] = []
         init_stmts: list[str] = []

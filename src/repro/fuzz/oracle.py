@@ -6,7 +6,10 @@ Routes (in order):
 2. **laminar-interp** — LaminarIR lowering, optimizer off.
 3. **laminar-opt** — LaminarIR lowering, full optimizer.
 4. **fifo-c** / **laminar-c** — both native backends, compiled and run
-   when a C compiler is on PATH (``native=True``).
+   when a C compiler is on PATH (``native=True``), each built three
+   ways: at the default flags, at ``-O0`` (routes ``*-O0``) and with
+   AddressSanitizer and UndefinedBehaviorSanitizer (routes
+   ``*-sanitize``), where a sanitizer report is a ``native-error``.
 
 Outputs are compared token-by-token and bit-exactly (floats by their
 IEEE-754 pattern, so an identical NaN cannot raise a false alarm), and
@@ -21,7 +24,8 @@ import struct
 from dataclasses import dataclass
 
 from repro.api import compile_source
-from repro.backend.runner import (NativeCompileError, NativeToolchainError,
+from repro.backend.runner import (DEFAULT_CFLAGS, O0_CFLAGS, SANITIZE_CFLAGS,
+                                  NativeCompileError, NativeToolchainError,
                                   compile_and_run, find_compiler)
 from repro.faults import degrade
 from repro.faults.limits import ResourceExhausted
@@ -35,6 +39,11 @@ __all__ = ["Divergence", "OracleReport", "run_source"]
 # Programs whose steady schedule explodes (unlucky rate combinations)
 # are skipped rather than fuzzed slowly.
 MAX_STEADY_FIRINGS = 600
+
+# Every native route's builds, by route-name suffix: each one's outputs
+# are diffed against the FIFO interpreter's.
+NATIVE_BUILDS = (("", DEFAULT_CFLAGS), ("-O0", O0_CFLAGS),
+                 ("-sanitize", SANITIZE_CFLAGS))
 
 
 @dataclass
@@ -203,11 +212,15 @@ def _run_routes(stream, iterations: int, native: bool, span,
         if native and find_compiler() is not None:
             reference = [int(v) if isinstance(v, bool) else v
                          for v in fifo.outputs]
-            for name, code in (("fifo-c", stream.fifo_c()),
-                               ("laminar-c", stream.laminar_c())):
+            builds = [(backend + suffix, code, cflags)
+                      for backend, code in (("fifo-c", stream.fifo_c()),
+                                            ("laminar-c", stream.laminar_c()))
+                      for suffix, cflags in NATIVE_BUILDS]
+            for name, code, cflags in builds:
                 try:
                     run = compile_and_run(code, iterations,
-                                          print_outputs=True, name="fuzz")
+                                          print_outputs=True, name="fuzz",
+                                          cflags=cflags)
                 except NativeCompileError as error:
                     # A broken toolchain is an environment fault, not a
                     # finding: degrade to the interpreter-only verdict
@@ -218,9 +231,9 @@ def _run_routes(stream, iterations: int, native: bool, span,
                     span.annotate(degraded=name)
                     break
                 except NativeToolchainError as error:
-                    # The *binary* misbehaved (crash, timeout, protocol
-                    # violation): that is a finding about the generated
-                    # code, reported as a divergence.
+                    # The *binary* misbehaved (crash, sanitizer report,
+                    # timeout, protocol violation): that is a finding
+                    # about the generated code, reported as a divergence.
                     divergence = Divergence(
                         kind="native-error", route=name,
                         detail=f"{type(error).__name__}: {error}")

@@ -1,14 +1,16 @@
 """Unit tests for the C code generators (text-level, no compiler needed)."""
 
 import hashlib
+import re
 
 import pytest
 
 from repro import LoweringOptions, compile_source
 from repro.backend.fifo_c import FifoCodegenOptions
 from repro.backend.laminar_c import generate_laminar_c
+from repro.lir.verify import steady_constant_elements
 from repro.suite import benchmark_names, load_benchmark
-from tests.conftest import function_text
+from tests.conftest import function_text, requires_cc
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -205,13 +207,13 @@ class TestLaminarCodegen:
 # CODEGEN_VERSION with it).
 STEADY_DIGESTS = {
     ("autocor", 1): "0e4084bfa3bdfefc",
-    ("beamformer", 1): "d457600cb7a68ebc",
+    ("beamformer", 1): "a8407b8c719a2033",
     ("bitonic_sort", 1): "2fb905f1dd9dddb2",
-    ("channel_vocoder", 1): "04d54c90cdc1e677",
+    ("channel_vocoder", 1): "640ad9cbafbb274b",
     ("dct", 1): "36f4d0bd21beaa09",
     ("fft", 1): "5de9f8fc5f3699fd",
-    ("filterbank", 1): "d8a1f283e1eacf5b",
-    ("fm_radio", 1): "9bb2a27d30bff6c8",
+    ("filterbank", 1): "8dcfe1e0ab64d572",
+    ("fm_radio", 1): "d9f59ba4651deaf6",
     ("histogram", 1): "8381692afb1a1ab2",
     ("lattice", 1): "1f0b85f1cef4b08e",
     ("matrixmult", 1): "e62bfb45b3ba1366",
@@ -221,7 +223,7 @@ STEADY_DIGESTS = {
     ("autocor", 4): "8ce2f5c56efbf56e",
     ("bitonic_sort", 4): "7779839484da5749",
     ("fft", 4): "91da69cb22ae34c8",
-    ("filterbank", 4): "665c014810b28867",
+    ("filterbank", 4): "5b6ffa0a5c2fd4c4",
     ("matrixmult", 4): "c4fbb659bfd45073",
 }
 
@@ -231,13 +233,13 @@ STEADY_DIGESTS = {
 # to 42 kB), which the digest alone reports only as "changed".
 C_SIZE_CEILINGS = {
     ("autocor", 1): 17_141,
-    ("beamformer", 1): 87_545,
+    ("beamformer", 1): 78_522,
     ("bitonic_sort", 1): 14_170,
-    ("channel_vocoder", 1): 72_506,
+    ("channel_vocoder", 1): 62_356,
     ("dct", 1): 17_916,
     ("fft", 1): 14_375,
-    ("filterbank", 1): 153_002,
-    ("fm_radio", 1): 96_444,
+    ("filterbank", 1): 141_280,
+    ("fm_radio", 1): 70_381,
     ("histogram", 1): 21_585,
     ("lattice", 1): 5_471,
     ("matrixmult", 1): 6_199,
@@ -247,7 +249,7 @@ C_SIZE_CEILINGS = {
     ("autocor", 4): 65_396,
     ("bitonic_sort", 4): 96_036,
     ("fft", 4): 70_994,
-    ("filterbank", 4): 429_402,
+    ("filterbank", 4): 359_844,
     ("matrixmult", 4): 10_599,
 }
 
@@ -265,3 +267,152 @@ def test_steady_text_is_pinned(name, scale):
     assert hashlib.sha256(steady.encode()).hexdigest()[:16] == \
         STEADY_DIGESTS[name, scale]
     assert len(code) <= C_SIZE_CEILINGS[name, scale]
+
+
+# -- carried peek windows and constant elements ---------------------------
+
+def _two_windows(size: int = 14):
+    """Two carried windows, each shifting by one per iteration, whose
+    fresh tokens read each other: A's is B's element ``b5``, which B's
+    shift overwrites, and B's is ``a0 + 0.5``.  Each iteration prints
+    ``a0`` and ``b0``."""
+    from repro.frontend.types import FLOAT
+    from repro.lir import BinOp, PrintOp, Program, Temp, const_float
+    program = Program(name="windows")
+    a = [Temp(FLOAT) for _ in range(size)]
+    b = [Temp(FLOAT) for _ in range(size)]
+    fresh = Temp(FLOAT)
+    program.steady = [
+        PrintOp(result=None, value=a[0]),
+        PrintOp(result=None, value=b[0]),
+        BinOp(result=fresh, op="+", lhs=a[0], rhs=const_float(0.5)),
+    ]
+    program.carry_params = a + b
+    program.carry_inits = [const_float(k + 1.0) for k in range(size)] + \
+        [const_float(-k - 1.0) for k in range(size)]
+    program.carry_nexts = a[1:] + [b[5]] + b[1:] + [fresh]
+    program.prints_per_iteration = 2
+    return program
+
+
+def _stores(values):
+    """Steady stores of ``values`` into one array element, each followed
+    by a load of it that is printed."""
+    from repro.frontend.types import FLOAT
+    from repro.lir import (LoadOp, PrintOp, Program, StateSlot, StoreOp,
+                           Temp, const_int)
+    slot = StateSlot("g", FLOAT, 2)
+    program = Program(name="stores", state_slots=[slot])
+    for value in values:
+        loaded = Temp(FLOAT)
+        program.steady += [
+            StoreOp(result=None, slot=slot, index=const_int(1),
+                    value=value),
+            LoadOp(result=loaded, slot=slot, index=const_int(1)),
+            PrintOp(result=None, value=loaded)]
+    program.prints_per_iteration = len(values)
+    return program
+
+
+class TestCarriedWindows:
+    def test_fm_radio_shifts_each_window_once(self):
+        from repro.backend.laminar_c import carry_windows
+        program = load_benchmark("fm_radio").lower().program
+        windows = carry_windows(program.carry_params, program.carry_nexts)
+        assert {(size, shift) for _, size, shift in windows} == \
+            {(27, 5), (31, 1)}
+        steady = function_text(generate_laminar_c(program), "repro_steady")
+        assert steady.count("memmove(") == len(windows)
+        for number, (start, size, shift) in enumerate(windows):
+            assert steady.count(f"memmove(cw{number}, ") == 1
+            for index in range(start, start + size - shift):
+                assert f" n{index} = " not in steady
+            for index in range(start + size - shift, start + size):
+                assert f"    cw{number}[{index - start}] = n{index};" \
+                    in steady
+
+    def test_rate_convert_keeps_scalar_carries(self):
+        program = load_benchmark("rate_convert").lower().program
+        code = generate_laminar_c(program)
+        assert "memmove(" not in code and "cw0" not in code
+        steady = function_text(code, "repro_steady")
+        for index, param in enumerate(program.carry_params):
+            assert f" n{index} = " in steady
+            assert f"    t{param.id} = n{index};" in steady
+
+    def test_fresh_token_read_from_another_window(self):
+        code = generate_laminar_c(_two_windows())
+        steady = function_text(code, "repro_steady")
+        assert "static f64 cw0[14];" in code and "static f64 cw1[14];" in code
+        # Both fresh tokens are captured before either window shifts.
+        assert steady.index("f64 n13 = cw1[5];") \
+            < steady.index("memmove(cw0, ")
+        assert steady.index("f64 n27 = ") < steady.index("memmove(cw1, ")
+
+    def test_short_window_stays_scalar(self):
+        code = generate_laminar_c(_two_windows(size=12))
+        assert "memmove(" not in code and "cw0" not in code
+
+
+class TestConstantElements:
+    def test_filterbank_stores_gather_constants_once(self):
+        code = load_benchmark("filterbank").laminar_c()
+        constant_store = re.compile(
+            r"^\s+rr\d+_g\[\d+\] = \(?-?[\d.e+-]+\)?;$", re.M)
+        assert not constant_store.search(function_text(code,
+                                                       "repro_steady"))
+        assert len(constant_store.findall(
+            function_text(code, "repro_setup"))) == 272
+
+    def test_one_constant_moves_to_setup(self):
+        from repro.lir import const_float
+        code = generate_laminar_c(_stores([const_float(2.5)]))
+        assert "g[1] = 2.5;" in function_text(code, "repro_setup")
+        assert "g[1] = " not in function_text(code, "repro_steady")
+
+    def test_two_constants_stay_in_steady(self):
+        from repro.lir import const_float
+        program = _stores([const_float(2.5), const_float(-0.5)])
+        assert steady_constant_elements(program) == set()
+        steady = function_text(generate_laminar_c(program), "repro_steady")
+        assert "g[1] = 2.5;" in steady and "g[1] = -0.5;" in steady
+
+    def test_zero_and_negative_zero_are_two_constants(self):
+        from repro.lir import const_float
+        program = _stores([const_float(0.0), const_float(-0.0)])
+        assert steady_constant_elements(program) == set()
+
+    def test_read_before_the_store_keeps_it_in_steady(self):
+        from repro.frontend.types import FLOAT
+        from repro.lir import LoadOp, PrintOp, Temp, const_float, const_int
+        program = _stores([const_float(2.5)])
+        early = Temp(FLOAT)
+        program.steady[:0] = [
+            LoadOp(result=early, slot=program.state_slots[0],
+                   index=const_int(1)),
+            PrintOp(result=None, value=early)]
+        assert steady_constant_elements(program) == set()
+
+
+@requires_cc
+class TestWindowsNative:
+    def test_rotation_order_is_bit_exact(self, tmp_path):
+        from repro.backend import checksum_outputs, compile_and_run
+        from repro.interp import LaminarInterpreter
+        program = _two_windows()
+        iterations = 40
+        expected = LaminarInterpreter(program).run(iterations).outputs
+        assert expected[:4] == [1.0, -1.0, 2.0, -2.0]
+        native = compile_and_run(generate_laminar_c(program), iterations,
+                                 workdir=tmp_path)
+        assert native.checksum == checksum_outputs(expected)
+
+    def test_profile_build_is_bit_exact(self, tmp_path):
+        from repro.backend import checksum_outputs, compile_and_run
+        stream = load_benchmark("beamformer")
+        iterations = 3
+        code = generate_laminar_c(stream.lower().program, profile=True)
+        assert "memmove(cw0, " in code
+        native = compile_and_run(code, iterations, workdir=tmp_path)
+        assert native.checksum == \
+            checksum_outputs(stream.run_fifo(iterations).outputs)

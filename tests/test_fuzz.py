@@ -39,7 +39,7 @@ class TestGenerator:
         assert {"feedbackloop", "weight0-split", "weight0-join",
                 "prework", "peeking-filter", "randi", "randf",
                 "int-div", "array", "duplicate",
-                "roundrobin-splitjoin", "push-loop"} <= features
+                "roundrobin-splitjoin", "push-loop", "wide-peek"} <= features
 
     def test_options_gate_composites(self):
         options = GeneratorOptions(allow_feedback=False,
