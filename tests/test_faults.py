@@ -52,6 +52,18 @@ def metrics():
         obs_trace.disable()
 
 
+@pytest.fixture(autouse=True)
+def private_tempdir(tmp_path, monkeypatch):
+    """Give each test its own temp root, so the leak checks see only the
+    build dirs this test made, not ones other processes left behind."""
+    import tempfile
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setenv("TMPDIR", str(root))
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
 def no_leaked_dirs() -> bool:
     import tempfile
     return not glob.glob(f"{tempfile.gettempdir()}/repro_native_*")
