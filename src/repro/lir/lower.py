@@ -12,30 +12,29 @@ token costs an explicit ``move``).
 Tokens still buffered when one steady iteration ends become loop-carried
 values (see :mod:`repro.lir.program`).
 
-Lowered *demand-driven* (``lower(..., demand=True)``), a firing whose
-template is pure is not replayed when it fires: its outputs enter the
-queues as pending values, and it is replayed — into the position it
-fired at — only once code that is emitted reads one of them.  The
-queues tell at compile time which tokens nobody reads, so the firings
-that only compute those emit nothing (docs/LOWERING.md §2c).
-
-Lowered with loop regions (``lower(..., region_min_repeat=K)``), each
-run of consecutive firings that replayed one firing template — and
-emitted code — becomes one counted :class:`~repro.lir.ops.LoopRegion`
-when its section ends, if it makes ``K`` trips or more: the template's
-loop unit (one copy of the firing's unrolled loop, or the whole body)
-replayed once per unit of a trip over trip-indexed inputs, with what a
-trip hands the next as carries (docs/LOWERING.md §4b).
+A firing of a firing template is recorded where it fires, and its
+outputs enter the queues as pending values; each section's live
+firings are built when it ends, in schedule order (docs/LOWERING.md
+§2c).  Lowered *demand-driven* (``lower(..., demand=True)``), a firing
+of a pure template is live only if a live firing, per-firing code or a
+carry reads it, so the firings that compute only tokens nobody reads
+emit nothing.  With loop regions (``lower(..., region_min_repeat=K)``),
+each run of adjacent live firings of one template becomes one counted
+:class:`~repro.lir.ops.LoopRegion` of ``K`` trips or more when that
+pays: the template's loop unit replayed once per unit of a trip over
+trip-indexed inputs (docs/LOWERING.md §4b).  Any other firing is
+replayed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 from repro.faults import limits as faults_limits
@@ -46,13 +45,14 @@ from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
 from repro.lir import template as firing_template
 from repro.lir.ops import (Const, LoadOp, LoopRegion, MoveOp, Op, PrintOp,
-                           StateSlot, StoreOp, Temp, Value, const_bool,
-                           const_float, const_int, recycled_temp_ids,
-                           reserve_temp_ids, reserved_temp_ids)
+                           Provenance, StateSlot, StoreOp, Temp, Value,
+                           const_bool, const_float, const_int,
+                           recycled_temp_ids, reserve_temp_ids,
+                           reserved_temp_ids)
 from repro.lir.program import Program
 from repro.lir.regions import RegionAssembly, SlotAllocator, value_key
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks)
-from repro.lir.template import IN, PREV, FiringTemplate, LoopUnit
+from repro.lir.template import IN, PREV, FiringTemplate, Fold, LoopUnit
 from repro.frontend.types import ArrayType, Type
 from repro.obs import trace
 from repro.scheduling.schedule import Firing, Schedule
@@ -95,70 +95,38 @@ def _const_token(value: object, ty: ScalarType) -> Const:
     raise LoweringError(f"unsupported channel type {ty}")
 
 
-class _Deferred:
-    """A pure firing that was recorded instead of replayed.
+class _Record:
+    """A templated firing: what its replay needs (template, inputs, the
+    actor and phase its ops are stamped with, and the ``fold`` telling
+    what the replay does), the temp ids it reserved when it fired, from
+    ``base``, its place among the section's firings (``seq``) and among
+    its other ops (``position``), and whether it is ``live``.  Replayed,
+    it holds its outputs (the pushes, then the exits) and ops; built
+    into a loop region, its outputs alone."""
 
-    It keeps what a replay needs (its template and inputs, the actor and
-    phase its ops are stamped with), the position in its section it
-    fired at, and the block of temp ids its replay will mint.  Forced,
-    it holds the replay's ops and outputs (and, when the lowering forms
-    loop regions, keeps its template and resolved inputs); dropped at
-    the end of its section unforced, it holds neither.
-    """
+    __slots__ = ("template", "inputs", "actor", "phase", "fold", "seq",
+                 "position", "base", "live", "outputs", "ops")
 
-    __slots__ = ("template", "inputs", "actor", "phase", "position",
-                 "base", "temps", "outputs", "ops")
-
-    def __init__(self, template: FiringTemplate, inputs: list,
-                 actor: str, phase: str, position: int, temps: int):
-        self.template: FiringTemplate | None = template
-        self.inputs: list | None = inputs
-        self.actor = actor
-        self.phase = phase
-        self.position = position
-        self.base = reserve_temp_ids(temps)
-        self.temps = temps
+    def __init__(self, template: FiringTemplate, inputs: list, actor: str,
+                 phase: str, fold: Fold, seq: int, position: int,
+                 live: bool):
+        self.template, self.inputs = template, inputs
+        self.actor, self.phase, self.fold = actor, phase, fold
+        self.seq, self.position, self.live = seq, position, live
+        self.base = reserve_temp_ids(fold.temps)
         self.outputs: list[Value | None] | None = None
         self.ops: list[Op] | None = None
 
 
-class _Replayed:
-    """A firing replayed where it fired, noted so that its section's end
-    can collapse it into a loop region: its template, its inputs and
-    outputs (the pushes, then the exits) and its ops' place in the
-    section's block."""
-
-    __slots__ = ("template", "inputs", "actor", "outputs", "position",
-                 "count")
-
-    def __init__(self, template: FiringTemplate, inputs: list, actor: str,
-                 outputs: list, position: int, count: int):
-        self.template: FiringTemplate | None = template
-        self.inputs: list | None = inputs
-        self.actor = actor
-        self.outputs = outputs
-        self.position = position
-        self.count = count
-
-
 class _Pending:
     """Output ``index`` (a push, or a field's value at exit) of a
-    deferred firing; ``const`` when its replay will compute a constant."""
+    recorded firing; ``id`` is that of the temp its replay computes it
+    in, as for a temp, and ``None`` when it computes a constant."""
 
-    __slots__ = ("firing", "index", "const")
+    __slots__ = ("record", "index", "id")
 
-    def __init__(self, firing: _Deferred, index: int, const: bool):
-        self.firing = firing
-        self.index = index
-        self.const = const
-
-
-def _promotable(op: Op) -> bool:
-    """A load of a scalar or of an array element at a constant index,
-    or a store to a scalar: state promotion removes these."""
-    if op.__class__ is LoadOp:
-        return op.index is None or op.index.__class__ is Const
-    return op.__class__ is StoreOp and op.index is None
+    def __init__(self, record: _Record, index: int, ident: int | None):
+        self.record, self.index, self.id = record, index, ident
 
 
 def _sanitize(name: str) -> str:
@@ -300,13 +268,11 @@ class Lowerer:
         self.templates_built = 0
         self.firings_replayed = 0
         self.firings_fallback = 0
-        # Demand-driven replay: pure firings are deferred, and the
-        # section's deferred firings spliced in at its end.
+        # Demand-driven: a firing of a deferrable template is built only
+        # if something live reads it.
         self.demand = demand
         self._phase = "setup"
-        # The section's deferred firings, and with regions on also the
-        # ones replayed in place, in the order they fired.
-        self._fired: list[_Deferred | _Replayed] = []
+        self._fired: list[_Record] = []  # the section's, in firing order
         self.firings_deferred = 0
         self.firings_dropped = 0
         # Loop regions from runs of one template's firings.
@@ -322,10 +288,10 @@ class Lowerer:
         """The value itself, or a pending one's, forcing its firing."""
         if value.__class__ is not _Pending:
             return value  # type: ignore[return-value]
-        firing = value.firing  # type: ignore[union-attr]
-        if firing.outputs is None:
-            self._force(firing)
-        return firing.outputs[value.index]  # type: ignore
+        record = value.record  # type: ignore[union-attr]
+        if record.outputs is None:
+            self._force(record)
+        return record.outputs[value.index]  # type: ignore
 
     def note_tokens(self, vertex_name: str, amount: int) -> None:
         if self._counting and amount:
@@ -339,33 +305,16 @@ class Lowerer:
             self.queues[channel.name] = deque(
                 _const_token(v, channel.ty) for v in channel.initial)
 
-        self.emitter.set_phase("setup")
         self.emitter.set_block(self.program.setup)
         for vertex in self.graph.topological_order():
             if isinstance(vertex, FilterVertex):
                 self._setup_filter(vertex)
                 self._check_deadline(vertex, "setup")
-
-        for executor in self.executors.values():
-            executor.invalidate_field_caches()
-        self._begin_section("init", self.program.init)
-        for firing in self.schedule.init:
-            self._fire(firing)
-            self._check_deadline(firing.vertex, "init")
-        self._capture_carries()
-        self._end_section()
-
-        for executor in self.executors.values():
-            executor.invalidate_field_caches()
-        self._begin_section("steady", self.program.steady)
+        self._section("init", self.program.init, self.schedule.init)
         self._counting = True
-        for _ in range(self.options.steady_multiplier):
-            for firing in self.schedule.steady:
-                self._fire(firing)
-                self._check_deadline(firing.vertex, "steady")
+        self._section("steady", self.program.steady, list(
+            self.schedule.steady) * self.options.steady_multiplier)
         self._counting = False
-        self._capture_nexts()
-        self._end_section()
 
         self.program.prints_per_iteration = sum(
             op.trips * sum(isinstance(inner, PrintOp) for inner in op.body)
@@ -380,183 +329,257 @@ class Lowerer:
             regions=self.regions_formed)
         return self.program
 
-    # -- demand-driven replay ----------------------------------------------
+    # -- recorded firings ---------------------------------------------------
 
-    def _begin_section(self, phase: str, block: list[Op]) -> None:
+    def _section(self, phase: str, block: list[Op],
+                 firings: list[Firing]) -> None:
+        """Lower one section into ``block``: fire ``firings``, take the
+        carries, and build the live firings."""
+        for executor in self.executors.values():
+            executor.invalidate_field_caches()
         self._phase = phase
         self.emitter.set_phase(phase)
         self.emitter.set_block(block)
+        try:
+            for firing in firings:
+                self._fire(firing)
+                self._check_deadline(firing.vertex, phase)
+            self._capture(nexts=phase == "steady")
+        except Exception:
+            # Report the first error in schedule order: the firings
+            # recorded earlier whose replay may raise replay first.
+            for record in self._fired:
+                if record.outputs is None and record.fold.raises:
+                    self._force(record)
+            raise
+        self._end_section()
+
+    @staticmethod
+    def _outputs(template: FiringTemplate, inputs: list, result) -> list:
+        """A firing's outputs (the pushes, then the exits) over
+        ``inputs``; ``result(index, r)`` is output ``index`` when the
+        ``r``-th step result computes it."""
+        known = len(inputs)
+        base = known + len(template.consts)
+        return [None if slot is None else inputs[slot] if slot < known
+                else template.consts[slot - known] if slot < base
+                else result(index, slot - base)
+                for index, slot in enumerate(
+                    template.pushes + [slot for _, slot in template.exits])]
+
+    def _force(self, record: _Record) -> None:
+        """Replay ``record`` into its own ops, and first the firings whose
+        pending outputs it reads.  An explicit stack: a long chain of
+        pure stages must not hit Python's recursion limit."""
+        stack = [record]
+        while stack:
+            top = stack[-1]
+            if top.outputs is not None:
+                stack.pop()
+                continue
+            waiting = [value.record for value in top.inputs
+                       if value.__class__ is _Pending
+                       and value.record.outputs is None]
+            if waiting:
+                stack.extend(waiting)
+                continue
+            stack.pop()
+            top.inputs = [self.resolve(value) for value in top.inputs]
+            top.ops = []
+            with self.emitter.redirected(top.ops, top.actor, "filter",
+                                         top.phase), \
+                    reserved_temp_ids(top.base, top.fold.temps):
+                pushed, exits = top.template.replay(
+                    self.emitter, top.inputs, self.source)
+            self.firings_replayed += 1
+            top.outputs = pushed + exits
+            top.live = True
 
     def _end_section(self) -> None:
-        """Splice the forced firings' ops in where they fired; the
-        others are dropped.  Then collapse runs of firings into loop
-        regions.  Nothing reads a value of this section's firings later:
-        the carries took the queues' tokens, and the field caches are
-        invalidated at the boundary."""
-        block = self.emitter.block
-        spliced: list[Op] = []
-        # (firing, start, end) of each firing that emitted ops, in the
-        # spliced block.
-        spans: list[tuple[_Deferred | _Replayed, int, int]] = []
-        start = 0
-        for firing in self._fired:
-            if firing.__class__ is _Replayed:
-                ops = block[firing.position:firing.position + firing.count]
-                end = firing.position + firing.count
-            elif firing.ops is None:
-                self.firings_dropped += 1
-                continue
+        """Build the section's live firings in the order they fired, each
+        where it fired among the section's other ops: a run of them as
+        one loop region when that pays, any other by replaying it.  The
+        rest are dropped.  Nothing reads a value of this section's
+        firings later: the carries took the queues' tokens, and the
+        field caches are invalidated at the boundary."""
+        fired, self._fired = self._fired, []
+        block, program = self.emitter.block, self.program
+        carried = program.carry_inits + program.carry_nexts
+        regions = self.region_min_repeat is not None
+        # Walking back, mark live what the carries and live firings read.
+        # With regions, note for each temp (or pending value, by the id
+        # it will have) the seq of the last firing whose ops read it:
+        # past them all for the section's other ops and the carries.
+        reads = {getattr(value, "id", None): len(fired) for value in
+                 carried + ([value for op in block for value in op.operands()]
+                            if regions else [])}
+        for value in carried:
+            if value.__class__ is _Pending:
+                value.record.live = True  # type: ignore[union-attr]
+        for record in reversed(fired):
+            if record.live:
+                for value in record.inputs:
+                    if value.__class__ is _Pending:
+                        value.record.live = True
+                for slot in record.template.reads if regions else ():
+                    reads.setdefault(getattr(record.inputs[slot], "id",
+                                             None), record.seq)
+        live = [record for record in fired if record.live]
+        self.firings_dropped += len(fired) - len(live)
+        out: list[Op] = []
+        scatter_defs: dict[int, Op] = {}  # the regions' scatter loads
+        start = first = 0
+        while first < len(live):
+            # A run: adjacent firings of one template that emit ops.
+            head, run, last = live[first], [], first + 1
+            for index in range(first, len(live) if head.fold.ops else 0):
+                record = live[index]
+                if record.fold.ops:
+                    if record.template is not head.template \
+                            or record.position != head.position:
+                        break
+                    run.append(record)
+                    last = index + 1
+            out.extend(block[start:head.position])
+            start = head.position
+            region = self._collapse(run, live[first:last], reads,
+                                    scatter_defs) if run else None
+            if region is not None:
+                out.extend(region)
+                self.regions_formed += 1
+                scatter_defs.update((op.result.id, op) for op in region
+                                    if op.__class__ is LoadOp)
             else:
-                ops, end = firing.ops, firing.position
-            spliced.extend(block[start:firing.position])
-            start = end
-            if ops:
-                spans.append((firing, len(spliced),
-                              len(spliced) + len(ops)))
-                spliced.extend(ops)
-        if self._fired:
-            spliced.extend(block[start:])
-            block[:] = spliced
-        if spans and self.region_min_repeat is not None:
-            self._form_regions(block, spans)
-        for firing in self._fired:
-            if firing.__class__ is _Deferred:
-                firing.template = firing.inputs = firing.ops = None
-        self._fired = []
+                for record in live[first:last]:
+                    if record.outputs is None:
+                        self._force(record)
+                    out.extend(record.ops)  # type: ignore[arg-type]
+            first = last
+        block[:] = out + block[start:]
+        program.carry_inits = [self.resolve(v) for v in program.carry_inits]
+        program.carry_nexts = [self.resolve(v) for v in program.carry_nexts]
 
     # -- loop regions -----------------------------------------------------
 
-    def _form_regions(self, block: list[Op], spans: list) -> None:
-        """Collapse each run of adjacent firings of one template whose
-        loop unit repeats ``region_min_repeat`` or more times in all
-        into a loop region, in place in ``block``."""
-        min_repeat = self.region_min_repeat
-        # Where each firing output is last read; the carry lists read
-        # after the block.  Nothing else a firing computes is read
-        # outside it.
-        last_read = {value.id: -1 for firing, _, _ in spans
-                     for value in firing.outputs if value.__class__ is Temp}
-        for position, op in enumerate(block):
-            for operand in op.operands():
-                if operand.__class__ is Temp and operand.id in last_read:
-                    last_read[operand.id] = position
-        for value in self.program.carry_inits + self.program.carry_nexts:
-            if value.__class__ is Temp and value.id in last_read:
-                last_read[value.id] = len(block)
-        # Scatter loads of this section's regions, which later regions
-        # chain onto.
-        scatter_defs: dict[int, Op] = {}
-        out: list[Op] = []
-        cursor = 0
-        first = 0
-        while first < len(spans):
-            template = spans[first][0].template
-            last = first + 1
-            while last < len(spans) \
-                    and spans[last][0].template is template \
-                    and spans[last][1] == spans[last - 1][2]:
-                last += 1
-            run = spans[first:last]
-            first = last
-            unit = template.unit
-            if unit is None or len(run) * unit.copies < min_repeat:
-                continue
-            replacement = self._collapse(block, run, unit, min_repeat,
-                                         last_read, scatter_defs)
-            if replacement is None:
-                continue
-            out.extend(block[cursor:run[0][1]])
-            out.extend(replacement)
-            cursor = run[-1][2]
-            self.regions_formed += 1
-            for op in replacement:
-                if op.__class__ is LoadOp:
-                    scatter_defs[op.result.id] = op
-        if cursor:
-            out.extend(block[cursor:])
-            block[:] = out
-
-    def _collapse(self, block: list[Op], run: list, unit: LoopUnit,
-                  min_repeat: int, last_read: dict[int, int],
+    def _collapse(self, run: list[_Record], span: list[_Record],
+                  reads: dict[int, int],
                   scatter_defs: dict[int, Op]) -> list[Op] | None:
-        """The ops replacing ``run`` — gather stores, the region, scatter
-        loads, then the last firing's field stores — or ``None`` when no
-        region over it pays.  Tries, fewest first, each divisor of a
-        firing's units per trip, then 2, 4, 8, ... whole firings."""
-        firings = [firing for firing, _, _ in run]
-        start, end = run[0][1], run[-1][2]
-        # Loads and scalar stores of a filter's own state leave with
-        # promotion, so they are not counted against the region.
-        defined: set[int] = set()
-        length = 0
-        for op in block[start:end]:
-            length += not _promotable(op)
-            if op.result is not None:
-                defined.add(op.result.id)
-        # The outputs the run computes that are read after it escape,
-        # and so do the values the last firing's field stores store:
-        # those stores follow the region.
-        tail = block[end - unit.tail:end]
-        escaping = {value.id for firing in firings
-                    for value in firing.outputs
-                    if value.__class__ is Temp and value.id in defined
-                    and last_read[value.id] >= end}
-        escaping.update(op.value.id for op in tail
-                        if op.value.__class__ is Temp
-                        and op.value.id in defined)
+        """The ops standing for ``run`` — gather stores, the region,
+        scatter loads, then the last firing's field stores — or ``None``
+        when no region over it pays.  ``span`` adds the live firings
+        between the run's, which emit no ops.  Tries, fewest first, each
+        divisor of a firing's units per trip, then 2, 4, 8, ... whole
+        firings; builds the first whose trial pays."""
+        template = run[0].template
+        unit, min_repeat = template.unit, self.region_min_repeat
+        if min_repeat is None or unit is None \
+                or len(run) * unit.copies < min_repeat:
+            return None
+        # A region stands for its firings' ops, not for the errors their
+        # replays raise or the constants they compute: replay those, and
+        # the firings between that emit nothing.
+        for record in span:
+            if record.outputs is None and (not record.fold.ops
+                                           or record.fold.raises
+                                           or record.fold.consts):
+                self._force(record)
+        fresh = [record for record in run if record.outputs is None]
+        inputs = []
+        for record in run:
+            inputs.append([self.resolve(value) for value in record.inputs])
+            if record.outputs is None:
+                # What its replay would return, with the temps it mints.
+                temps: dict[int, Temp] = {}
+                record.outputs = self._outputs(
+                    template, inputs[-1], lambda index, at, record=record,
+                    temps=temps: temps.setdefault(at, Temp(
+                        record.fold.results[at][1],
+                        id=record.base + record.fold.results[at][0])))
+        defined = {ident for record in run
+                   for ident in range(record.base,
+                                      record.base + record.fold.temps)}
         # The unit (numbered across the run) and result computing each
-        # output the run defines.
+        # output the run defines.  Those read after the run escape, and
+        # so do the values the last firing's field stores store: those
+        # stores follow the region.
+        copies = unit.copies
         made: dict[int, tuple[int, int]] = {}
-        for index, firing in enumerate(firings):
-            for value, at in zip(firing.outputs, unit.outputs):
+        escaping: set[int] = set()
+        for index, record in enumerate(run):
+            for value, at in zip(record.outputs,  # type: ignore
+                                 unit.outputs):
                 if at is not None and value.__class__ is Temp \
                         and value.id in defined:
-                    made[value.id] = (index * unit.copies + at[0], at[1])
+                    made[value.id] = (index * copies + at[0], at[1])
+                    if reads.get(value.id, -1) > run[-1].seq:
+                        escaping.add(value.id)
+        exits = dict(zip(template.pushes + [s for _, s in template.exits],
+                         run[-1].outputs))  # type: ignore[arg-type]
+        tail: list[Op] = []
+        for step in template.steps[len(template.steps) - unit.tail:]:
+            value = exits[step[5]]
+            if value.__class__ is Temp and value.id in defined:
+                escaping.add(value.id)
+            tail.append(StoreOp(result=None, prov=(Provenance(
+                run[-1].actor, "filter", step[1], run[-1].phase),),
+                slot=step[2], index=None, value=value))
         # A unit that reads its previous copy starts a trip only where a
         # firing starts, unless the run is one firing.
-        copies = unit.copies
-        units = len(firings) * copies
-        sizes = [] if len(firings) > 1 and any(
+        units = len(run) * copies
+        sizes = [] if len(run) > 1 and any(
             kind == PREV for column in unit.columns for kind, _ in column) \
             else [size for size in range(1, copies) if copies % size == 0]
         size = copies
         while units % size == 0:
             sizes.append(size)
             size *= 2
-        # The region's temps take the ids of the run's temps it drops.
-        with recycled_temp_ids(sorted(
-                op.result.id for op in block[start:end]
-                if op.result is not None
-                and op.result.id not in escaping)):
+        args = (run, inputs, unit, (Provenance(
+            run[0].actor, "filter", run[0].fold.line, run[0].phase),),
+            sum(record.fold.cost for record in run), escaping, made,
+            scatter_defs)
+        # The region's temps take the ids of the run's temps it drops.  A
+        # trial mints negative ids, which no other temp has, counting
+        # them: a size that does not pay takes the ids its build would.
+        with recycled_temp_ids(sorted(defined - escaping)):
             for per_trip in sizes:
                 if units // per_trip < min_repeat:
                     break
-                built = self._build_region(firings, unit, per_trip,
-                                           block[start], length, escaping,
-                                           defined, made, scatter_defs)
-                if built is not None:
+                ids = count(-1, -1)
+                with recycled_temp_ids(ids):
+                    pays = self._build_region(per_trip, *args, trial=True)
+                if pays is not None:
+                    built = self._build_region(per_trip, *args, trial=False)
+                    assert built is not None
                     return built + tail
+                reserve_temp_ids(-next(ids) - 1)
+        for record in fresh:
+            record.outputs = None
         return None
 
-    def _build_region(self, firings: list, unit: LoopUnit, per_trip: int,
-                      first: Op, length: int, escaping: set[int],
-                      defined: set[int], made: dict[int, tuple[int, int]],
-                      scatter_defs: dict[int, Op]) -> list[Op] | None:
-        """A region doing ``per_trip`` units of ``firings`` per trip, or
+    def _build_region(self, per_trip: int, run: list[_Record],
+                      inputs: list[list[Value]], unit: LoopUnit,
+                      prov: tuple, length: int, escaping: set[int],
+                      made: dict[int, tuple[int, int]],
+                      scatter_defs: dict[int, Op], trial: bool
+                      ) -> list[Op] | None:
+        """A region doing ``per_trip`` units of ``run`` per trip, or
         ``None`` when a column does not fit a loop or the region does
         not pay.  A column's value in a trip is a value from before the
         run, or the unit before's result: within the trip that is an
-        operand of the body, across trips a carry."""
+        operand of the body, across trips a carry.  A ``trial`` replays
+        nothing, costs the body from the unit's folds, mints what the
+        build mints, and returns ``[]`` when the region pays."""
         copies = unit.copies
-        trips = len(firings) * copies // per_trip
-        assembly = RegionAssembly(self._slots, trips, (first.prov[0],),
+        trips = len(run) * copies // per_trip
+        assembly = RegionAssembly(self._slots, trips, prov,
                                   scatter_defs.get)
         body: list[Op] = []
+        cost = 0
         results: list[list[Value]] = []
         # (result, initial value key) -> (param, initial value, result)
         carries: dict[tuple, tuple[Temp, Value, int]] = {}
         for j in range(per_trip):
-            inputs: list[Value] = []
+            operands: list[Value] = []
             for column in unit.columns:
                 # A value, or the int r for the unit before's result r.
                 values: list = []
@@ -565,31 +588,41 @@ class Lowerer:
                     kind, what = column[index % copies]
                     if kind != PREV:
                         if kind == IN:
-                            what = firings[index // copies].inputs[what]
-                        if what.__class__ is Temp and what.id in defined:
-                            at = made.get(what.id)
-                            if at is None or at[0] != index - 1:
+                            what = inputs[index // copies][what]
+                        at = made.get(what.id) \
+                            if what.__class__ is Temp else None
+                        if at is not None:
+                            if at[0] != index - 1:
                                 return None
                             what = at[1]
                     values.append(what)
                 prior = [value for value in values if value.__class__ is int]
                 if not prior:
-                    inputs.append(assembly.column(values))
+                    operands.append(assembly.column(values))
                 elif len(set(prior)) != 1 \
                         or len(prior) != (trips if j else trips - 1):
                     return None
                 elif j:
-                    inputs.append(results[j - 1][prior[0]])
+                    operands.append(results[j - 1][prior[0]])
                 else:
                     key = (prior[0], value_key(values[0]))
                     if key not in carries:
                         carries[key] = (Temp(values[0].ty, hint="rc"),
                                         values[0], prior[0])
-                    inputs.append(carries[key][0])
-            with self.emitter.redirected(body, firings[0].actor, "filter",
+                    operands.append(carries[key][0])
+            fold = unit.template.fold_profile(tuple(
+                value.__class__ is Const for value in operands))
+            assert fold is not None
+            cost += fold.cost
+            if trial:
+                results.append([Const(ty) if offset is None else Temp(ty)
+                                for offset, ty in fold.results])
+                continue
+            with self.emitter.redirected(body, run[0].actor, "filter",
                                          self._phase):
-                pushed, _ = unit.template.replay(self.emitter, inputs,
+                pushed, _ = unit.template.replay(self.emitter, operands,
                                                  self.source)
+            self.firings_replayed += 1
             results.append(pushed)
         carried = [(param, init, results[-1][r])
                    for param, init, r in carries.values()]
@@ -597,91 +630,20 @@ class Lowerer:
             return None
         rebinds: dict[tuple[int, int], list[tuple[int, Temp]]] = {}
         rebound: set[int] = set()
-        for index, firing in enumerate(firings):
-            for value, at in zip(firing.outputs, unit.outputs):
+        for index, record in enumerate(run):
+            for value, at in zip(record.outputs,  # type: ignore
+                                 unit.outputs):
                 if at is not None and value.__class__ is Temp \
                         and value.id in escaping and value.id not in rebound:
                     rebound.add(value.id)
                     trip, j = divmod(index * copies + at[0], per_trip)
                     rebinds.setdefault((j, at[1]), []).append((trip, value))
+        if any(results[j][r].__class__ is not Temp for j, r in rebinds):
+            return None
         for j, r in sorted(rebinds):
-            if results[j][r].__class__ is not Temp:
-                return None
             assembly.scatter(results[j][r], rebinds[j, r])
-        return assembly.finish(body, length, carried,
-                               sum(_promotable(op) for op in body))
-
-    def _defer(self, vertex: FilterVertex, template: FiringTemplate,
-               inputs: list, profile: tuple[int, tuple[bool, ...]]
-               ) -> list:
-        """Record a pure firing whose replay ``template.fold_profile``
-        describes; returns its outputs (the pushes, then the exits) as
-        they will be: inputs and constants passed through stay
-        themselves, the rest are pending.  A template without ops only
-        passes values through, which is its whole replay."""
-        temps, const_outputs = profile
-        firing = None
-        if template.steps:
-            firing = _Deferred(template, inputs, vertex.filter.name,
-                               self._phase, len(self.emitter.block), temps)
-            self._fired.append(firing)
-            self.firings_deferred += 1
-        else:
-            self.firings_replayed += 1
-        # Leave the emitter where a replay would have left it.
-        line = template.exit_line
-        if line is not None:
-            self.emitter.set_line(line)
-        known = len(inputs)
-        consts = template.consts
-        outputs: list = []
-        for index, slot in enumerate(
-                template.pushes + [slot for _, slot in template.exits]):
-            if slot is None:
-                outputs.append(None)
-            elif slot < known:
-                outputs.append(inputs[slot])
-            elif slot < known + len(consts):
-                outputs.append(consts[slot - known])
-            else:
-                assert firing is not None
-                outputs.append(_Pending(firing, index,
-                                        const_outputs[index]))
-        return outputs
-
-    def _force(self, firing: _Deferred) -> None:
-        """Replay ``firing``, and first the deferred firings whose
-        pending outputs it reads.  An explicit stack: a long chain of
-        pure stages must not hit Python's recursion limit."""
-        stack = [firing]
-        while stack:
-            top = stack[-1]
-            if top.outputs is not None:
-                stack.pop()
-                continue
-            assert top.inputs is not None, "forced a dropped firing"
-            waiting = [value.firing for value in top.inputs
-                       if value.__class__ is _Pending
-                       and value.firing.outputs is None]
-            if waiting:
-                stack.extend(waiting)
-                continue
-            stack.pop()
-            inputs = [self.resolve(value) for value in top.inputs]
-            ops: list[Op] = []
-            assert top.template is not None
-            with self.emitter.redirected(ops, top.actor, "filter",
-                                         top.phase), \
-                    reserved_temp_ids(top.base, top.temps):
-                pushed, exits = top.template.replay(
-                    self.emitter, inputs, self.source)
-            self.firings_replayed += 1
-            top.outputs = pushed + exits
-            top.ops = ops
-            if self.region_min_repeat is None:
-                top.template = top.inputs = None
-            else:
-                top.inputs = inputs
+        return assembly.finish(None if trial else body, length, carried,
+                               cost)
 
     # -- filters ------------------------------------------------------------------
 
@@ -701,11 +663,7 @@ class Lowerer:
     def _make_field(self, slot_name: str, ty: Type) -> FieldCell:
         if isinstance(ty, ArrayType):
             dims = [d for d in ty.dims() if d is not None]
-            size = 1
-            for d in dims:
-                size *= d
-            base = ty.base
-            slot = StateSlot(name=slot_name, ty=base, size=size)
+            slot = StateSlot(name=slot_name, ty=ty.base, size=math.prod(dims))
         else:
             assert isinstance(ty, ScalarType)
             slot = StateSlot(name=slot_name, ty=ty, size=None)
@@ -756,11 +714,11 @@ class Lowerer:
 
     def _replay(self, vertex: FilterVertex, prework: bool, peek_rate: int,
                 block: ast.Block, executor: BodyExecutor) -> bool:
-        """Fire by replaying the body's template, recording it first if
-        needed.  False when the body has no template, when the input
-        queue is too short (per-firing execution then reports it), or
-        when the firing's inputs would fold a condition the template's
-        path was decided on."""
+        """Fire by recording a firing of the body's template, recording
+        the template first if needed.  False when the body has no
+        template, when the input queue is too short (per-firing
+        execution then reports it), or when the firing's inputs would
+        fold a condition the template's path was decided on."""
         body_key = (id(vertex.filter.decl), prework)
         if body_key in self._untemplated:
             return False
@@ -783,31 +741,35 @@ class Lowerer:
             tokens = list(islice(in_queue, template.tokens))
         fields = executor.fields
         inputs = tokens + [fields[name].cached for name in template.fields]
-        deferred = self.demand and template.deferrable
-        if deferred or template.decisions:
-            profile = template.fold_profile(tuple(
-                value.__class__ is Const
-                or (value.__class__ is _Pending and value.const)
-                for value in inputs))
-            if profile is None:
-                return False
+        fold = template.fold_profile(tuple(
+            value.__class__ is Const
+            or (value.__class__ is _Pending and value.id is None)
+            for value in inputs))
+        if fold is None:
+            return False
         for _ in range(template.pops):
             in_queue.popleft()
-        if deferred:
-            outputs = self._defer(vertex, template, inputs, profile)
-            pushed = outputs[:len(template.pushes)]
-            exits = outputs[len(template.pushes):]
+        # A template without ops only passes values through, which is
+        # its whole replay.
+        record = None
+        if template.steps:
+            required = not (self.demand and template.deferrable)
+            record = _Record(template, inputs, vertex.filter.name,
+                             self._phase, fold, len(self._fired),
+                             len(self.emitter.block), required)
+            self._fired.append(record)
+            self.firings_deferred += not required
         else:
-            resolved = [self.resolve(value) for value in inputs]
-            position = len(self.emitter.block)
-            pushed, exits = template.replay(self.emitter, resolved,
-                                            self.source)
             self.firings_replayed += 1
-            if self.region_min_repeat is not None:
-                self._fired.append(_Replayed(
-                    template, resolved, vertex.filter.name, pushed + exits,
-                    position, len(self.emitter.block) - position))
-        for (name, _), value in zip(template.exits, exits):
+        # Leave the emitter where a replay would have left it.
+        if template.exit_line is not None:
+            self.emitter.set_line(template.exit_line)
+        outputs = self._outputs(template, inputs, lambda index, at: _Pending(
+            record, index, None if fold.results[at][0] is None  # type: ignore
+            else record.base + fold.results[at][0]))  # type: ignore
+        pushed = outputs[:len(template.pushes)]
+        for (name, _), value in zip(template.exits,
+                                    outputs[len(template.pushes):]):
             fields[name].cached = value
         if pushed:
             self.note_tokens(vertex.name, len(pushed))
@@ -856,34 +818,29 @@ class Lowerer:
 
     # -- loop-carried tokens ------------------------------------------------------
 
-    def _carry_channels(self) -> list[Channel]:
-        return [ch for ch in self.graph.channels
-                if self.schedule.post_init_tokens[ch.name] > 0]
-
-    def _capture_carries(self) -> None:
-        for channel in self._carry_channels():
-            queue = self.queues[channel.name]
+    def _capture(self, nexts: bool) -> None:
+        """Take the tokens the queues keep across steady iterations: as
+        the carries' next values, or after init as their initial values,
+        putting the carry params in their place."""
+        values: list[Value] = []
+        for channel in self.graph.channels:
             expected = self.schedule.post_init_tokens[channel.name]
+            if not expected:
+                continue
+            queue = self.queues[channel.name]
             assert len(queue) == expected, (
-                f"queue {channel.name}: {len(queue)} tokens after init, "
-                f"schedule predicted {expected}")
-            for position in range(expected):
+                f"queue {channel.name}: {len(queue)} tokens after "
+                f"{'steady iteration' if nexts else 'init'}, schedule "
+                f"predicted {expected}")
+            values.extend(queue)
+            for position in range(0 if nexts else expected):
                 param = Temp(channel.ty, hint=f"carry{channel.uid}_")
                 self.program.carry_params.append(param)
-                self.program.carry_inits.append(
-                    self.resolve(queue[position]))
                 queue[position] = param
-
-    def _capture_nexts(self) -> None:
-        nexts: list[Value] = []
-        for channel in self._carry_channels():
-            queue = self.queues[channel.name]
-            expected = self.schedule.post_init_tokens[channel.name]
-            assert len(queue) == expected, (
-                f"queue {channel.name}: {len(queue)} tokens after steady "
-                f"iteration, schedule predicted {expected}")
-            nexts.extend(self.resolve(value) for value in queue)
-        self.program.carry_nexts = nexts
+        if nexts:
+            self.program.carry_nexts = values
+        else:
+            self.program.carry_inits.extend(values)
 
 
 _collector_lock = threading.Lock()
@@ -923,14 +880,15 @@ def lower(schedule: Schedule, source: str = "",
           region_min_repeat: int | None = None) -> Program:
     """Lower a scheduled flat graph to a LaminarIR program.
 
-    ``demand=True`` leaves out the pure firings whose outputs no emitted
-    code reads: the program is the eager one minus ops that dead-code
-    elimination deletes, so use it only when that pass runs after.
-    ``region_min_repeat=K`` collapses runs of firings of one template
-    into loop regions of ``K`` trips or more, whose coefficient-table
-    loads only state promotion turns back into constants.
-    :meth:`repro.opt.OptOptions.lowering_flags` gives both for a
-    pipeline.
+    Each templated firing is recorded and built once, when its section
+    ends.  ``demand=True`` leaves out the pure firings whose outputs no
+    emitted code reads: the program is the eager one minus ops that
+    dead-code elimination deletes, so use it only when that pass runs
+    after.  ``region_min_repeat=K`` builds each run of firings of one
+    template as a loop region of ``K`` trips or more when that pays,
+    whose coefficient-table loads only state promotion turns back into
+    constants.  :meth:`repro.opt.OptOptions.lowering_flags` gives both
+    for a pipeline.
     """
     with _collector_paused():
         return Lowerer(schedule, source, options, demand=demand,

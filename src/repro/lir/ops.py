@@ -19,7 +19,7 @@ import itertools
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 
@@ -81,7 +81,7 @@ def reserved_temp_ids(base: int, count: int) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def recycled_temp_ids(ids: list[int]) -> Iterator[None]:
+def recycled_temp_ids(ids: Iterable[int]) -> Iterator[None]:
     """Mint the temps of this context from ``ids`` — ids that no op
     refers to any more — and then as the enclosing context mints them."""
     outer = _scoped_ids.get()

@@ -30,14 +30,14 @@ its path was decided on.  A firing whose inputs would fold one of those
 to a constant would take another path, so it falls back
 (:meth:`FiringTemplate.fold_profile`).
 
-A template is *deferrable* when replaying it has no effect and cannot
-raise: no store, print or call, no division, remainder or shift, and
-no bounds-checked index.  Its replay is then a pure function of its
-inputs, so the lowering may postpone it until something reads what it
-computes, or skip it (docs/LOWERING.md §2c).  Whether such a replay
-folds a step depends only on which of its inputs are constants, not on
-their values, so :meth:`FiringTemplate.fold_profile` can tell without
-replaying how many temps the replay will mint.
+Whether a replay folds a step depends only on which of its inputs are
+constants, not on their values, so :meth:`FiringTemplate.fold_profile`
+tells without replaying what a firing's replay will do (a
+:class:`Fold`), and the lowering builds the firing only when its
+section ends (docs/LOWERING.md §2c).  A template is *deferrable*, so
+that a firing of it may be dropped, when replaying it has no effect
+and cannot raise: no store, print or call, no division, remainder or
+shift, no float-to-int cast and no bounds-checked index.
 
 A template whose steps are copies of one shorter unit — an unrolled
 loop — knows that unit (:class:`LoopUnit`), so the lowering can roll
@@ -47,7 +47,7 @@ its firings back into a loop of unit trips (docs/LOWERING.md §4b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError, SourceLocation
@@ -113,6 +113,21 @@ class _Recorder(Emitter):
         super().store(slot, index, value, loc)
 
 
+class Fold(NamedTuple):
+    """What replaying a template does, given which of its inputs are
+    constants."""
+
+    temps: int  # temps it mints
+    ops: int  # ops it emits
+    cost: int  # those of its ops that state promotion does not remove
+    line: int | None  # the source line of its first op
+    raises: bool  # whether a step it folds or checks may raise
+    consts: bool  # whether a step computes one of its outputs as a constant
+    # Per step result, in slot order: the index of its temp among those
+    # the replay mints (None when it folds to a constant), and its type.
+    results: tuple[tuple[int | None, ScalarType], ...]
+
+
 @dataclass
 class FiringTemplate:
     """One filter body's ops over placeholder inputs.
@@ -130,7 +145,11 @@ class FiringTemplate:
     pushes: list[int]
     exits: list[tuple[str, int | None]]
     end_line: int | None
+    # Whether a firing of it may be dropped: its replay has no effect
+    # and cannot raise, so it is a pure function of its inputs.
     deferrable: bool = False
+    # The input slots its steps read.
+    reads: frozenset[int] = frozenset()
     # The value slots of the conditions the recorded path was decided on.
     decisions: tuple[int, ...] = ()
     # The loop unit a region replays per trip (see _loop_unit); None
@@ -146,19 +165,21 @@ class FiringTemplate:
             return self.end_line
         return self.steps[-1][1] if self.steps else None
 
-    def fold_profile(self, const_inputs: tuple[bool, ...]
-                     ) -> tuple[int, tuple[bool, ...]] | None:
-        """For a replay whose inputs flagged in ``const_inputs`` are
-        constants: the number of temps it mints, and which outputs (the
-        pushes, then the exits) it computes as constants — or ``None``
-        when those inputs fold a decision, so that the firing would take
-        another path.  Exact, since a step folds exactly when its
-        operands are constants (a cast to ``boolean`` never does, nor a
-        load, and a select's condition is a decision)."""
+    def fold_profile(self, const_inputs: tuple[bool, ...]) -> Fold | None:
+        """What a replay whose inputs flagged in ``const_inputs`` are
+        constants does, or ``None`` when those inputs fold a decision,
+        so that the firing would take another path.  Exact, since a step
+        folds exactly when its operands are constants (a cast to
+        ``boolean`` never does, nor a load, and a select's condition is
+        a decision)."""
         if const_inputs in self._profiles:
             return self._profiles[const_inputs]
         const = list(const_inputs) + [True] * len(self.consts)
-        minted = 0
+        base = len(const)
+        temps = ops = cost = 0
+        line = None
+        raises = False
+        results = []
         for step in self.steps:
             kind = step[0]
             if kind == _BINOP:
@@ -169,17 +190,31 @@ class FiringTemplate:
                 folds = const[step[3]] and step[2] != BOOLEAN
             elif kind == _CALL:
                 folds = step[5] and all(const[arg] for arg in step[3])
-            elif kind in (_STORE, _PRINT):
-                continue
             else:
                 folds = False
-            minted += not folds
+            indexed = kind in (_LOAD, _STORE) and step[3] is not None
+            # A bounds check, or a fold that raises on some constants.
+            raises = raises or (indexed and step[4] is not None
+                                and const[step[3]]) or folds and (
+                kind == _CALL or kind in (_CAST, _COERCE) and step[2] == INT
+                or kind == _BINOP and step[5] in _RAISING_BINOPS)
+            if not folds:
+                ops += 1
+                cost += not (kind == _LOAD and (not indexed or const[step[3]])
+                             or kind == _STORE and not indexed)
+                line = step[1] if line is None else line
+            if kind in (_STORE, _PRINT):
+                continue
+            results.append((None if folds else temps,
+                            step[2].ty if kind == _LOAD else step[2]))
+            temps += not folds
             const.append(folds)
         profile = None
         if not any(const[slot] for slot in self.decisions):
-            profile = (minted, tuple(const[slot] for slot in self.pushes)
-                       + tuple(slot is not None and const[slot]
-                               for _, slot in self.exits))
+            outputs = self.pushes + [slot for _, slot in self.exits]
+            profile = Fold(temps, ops, cost, line, raises, any(
+                slot is not None and slot >= base and const[slot]
+                for slot in outputs), tuple(results))
         self._profiles[const_inputs] = profile
         return profile
 
@@ -530,14 +565,18 @@ def record(executor: BodyExecutor, block: ast.Block,
 
     pushes = [slot(value) for value in hooks.pushed]
     exits = [(name, slot(value)) for name, value in exit_values]
+    inputs = len(hooks.tokens) + len(cached)
     return FiringTemplate(
         steps=steps, tokens=len(hooks.tokens), pops=hooks.pops,
         fields=tuple(name for name, _ in cached), consts=consts,
         pushes=pushes, exits=exits,  # type: ignore[arg-type]
         end_line=recorder._line if block.stmts else None,
         deferrable=deferrable,
+        reads=frozenset(slot for step in steps
+                        for slot in _step_shape(step)[1]
+                        if slot is not None and slot < inputs),
         decisions=tuple(sorted({slots[value.id]
                                 for value in body.decisions
                                 if isinstance(value, Temp)})),
-        unit=_loop_unit(steps, len(hooks.tokens) + len(cached), consts,
+        unit=_loop_unit(steps, inputs, consts,
                         pushes + [slot for _, slot in exits]))

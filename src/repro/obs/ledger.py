@@ -115,13 +115,7 @@ def append(body: dict, directory: Path | None = None) -> dict:
     seq = _next_seq(directory)
     while True:
         # The claim file is keyed by the sequence number *alone*, so two
-        # concurrent appends can never both own one seq.  (The legacy
-        # rid-suffixed naming only collided when two racing records
-        # shared a 12-hex record-id prefix, which is to say never — both
-        # writers then minted the same seq under different filenames.)
-        if any(directory.glob(f"{seq:06d}-*.json")):
-            seq += 1  # a legacy record already owns this seq
-            continue
+        # concurrent appends can never both own one seq.
         path = directory / f"{seq:06d}.json"
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)

@@ -22,8 +22,11 @@ from repro.frontend.errors import CompileError
 from repro.frontend.types import INT
 from repro.fuzz.generator import generate_program
 from repro.lir import LoweringOptions, lower
-from repro.lir.ops import (PrintOp, StoreOp, Temp, fresh_temp_ids,
-                           reserve_temp_ids, reserved_temp_ids)
+from repro.lir.lower import REGION_MIN_REPEAT, Lowerer
+from repro.lir.ops import (LoopRegion, PrintOp, StoreOp, Temp,
+                           fresh_temp_ids, reserve_temp_ids,
+                           reserved_temp_ids)
+from repro.lir.template import FiringTemplate
 from repro.opt import OptOptions, optimize
 from repro.suite import benchmark_names, load_benchmark
 
@@ -261,3 +264,118 @@ class TestForcing:
         for thread in threads:
             thread.join()
         assert [results[name] for name in names] == sequential
+
+
+# A templated firing whose replay raises, then a per-firing one that
+# raises when it fires: Bad's loop bound comes from a token, so its body
+# is not templated.
+ORDERED = """
+void->int filter Zero() {{ work push 1 {{ push(0); }} }}
+{templated}
+int->int filter Bad() {{ work push 1 pop 1 {{
+  int n = pop(); int s = 0;
+  for (int i = 0; i < n + 1; i++) s += 7 / n;
+  push(s); }} }}
+int->void filter Sink() {{ work pop 2 {{ println(pop() + pop()); }} }}
+void->void pipeline P {{
+  add Zero();
+  add splitjoin {{ split duplicate; add {name}(); add Bad();
+                  join roundrobin; }};
+  add Sink();
+}}
+"""
+
+RAISING = {
+    "Div": ("int->int filter Div() { work push 1 pop 1 {\n"
+            "  push(100 / pop()); } }", "division by zero"),
+    "Pick": ("int->int filter Pick() { int[4] t; work push 1 pop 1 {\n"
+             "  push(t[pop() + 9]); } }", "out of bounds"),
+}
+
+# A's eight firings form one region; F, lowered per firing, reads the
+# first one's token while the section is still firing.
+FORCED = """
+void->float filter Src() { float x; work push 8 {
+  for (int i = 0; i < 8; i++) { push(x); x = x + 0.25; } } }
+float->float filter A() { work push 1 pop 1 {
+  float v = pop(); float s = v;
+  for (int i = 0; i < 8; i++) s = s * 0.5 + v;
+  push(s); } }
+float->float filter F() {
+  float clamp(float x) { if (x > 0.5) return 0.5; return x; }
+  work push 1 pop 1 { push(clamp(pop())); } }
+float->float filter G() { work push 1 pop 1 { push(pop() + 1.0); } }
+float->void filter Show() { work pop 1 { println(pop()); } }
+void->void pipeline P {
+  add Src(); add A();
+  add splitjoin { split roundrobin(1, 7); add F(); add G();
+                  join roundrobin(1, 7); };
+  add Show();
+}
+"""
+
+# The steady section is one firing of sixteen unit copies.
+COUNT = """
+void->void filter Count() { int n; work {
+  for (int i = 0; i < 16; i++) { println(n); n = n + 3; } } }
+void->void pipeline P { add Count(); }
+"""
+
+
+def _lowerer(stream, demand=True):
+    with fresh_temp_ids():
+        lowerer = Lowerer(stream.schedule, stream.source, demand=demand,
+                          region_min_repeat=REGION_MIN_REPEAT)
+        lowerer.lower()
+    return lowerer
+
+
+def _regions(program):
+    return [(op.trips, len(op.body)) for op in program.steady
+            if isinstance(op, LoopRegion)]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RAISING))
+    @pytest.mark.parametrize("demand", [False, True])
+    @pytest.mark.parametrize("regions", [None, REGION_MIN_REPEAT])
+    def test_first_error_in_schedule_order(self, name, demand, regions):
+        # Div's (or Pick's) firing is replayed only when the section
+        # ends, yet its error, not Bad's, is the one reported.
+        templated, message = RAISING[name]
+        stream = compile_source(ORDERED.format(templated=templated,
+                                               name=name))
+        with pytest.raises(CompileError) as info:
+            with fresh_temp_ids():
+                lower(stream.schedule, stream.source, demand=demand,
+                      region_min_repeat=regions)
+        assert message in str(info.value)
+        assert info.value.loc.line == 4
+
+    def test_region_over_a_forced_firing(self):
+        stream = compile_source(FORCED)
+        lowerer = _lowerer(stream)
+        assert lowerer.firings_fallback == 1
+        assert lowerer.regions_formed == 1
+        assert _regions(lowerer.program) == [(8, 18)]
+        assert stream.run_laminar(8).outputs == stream.run_fifo(8).outputs
+
+    def test_region_run_is_built_once(self, monkeypatch):
+        replayed = []
+        replay = FiringTemplate.replay
+
+        def counting(template, *args):
+            replayed.append(template)
+            return replay(template, *args)
+
+        monkeypatch.setattr(FiringTemplate, "replay", counting)
+        stream = compile_source(COUNT)
+        lowerer = _lowerer(stream)
+        assert _regions(lowerer.program) == [(16, 3)]
+        # Only the unit is replayed, once, into the region's body.
+        template = lowerer._templates[stream.schedule.steady[0].vertex,
+                                      False]
+        assert replayed == [template.unit.template]
+        assert lowerer.firings_replayed == 1
+        monkeypatch.undo()
+        assert stream.run_laminar(4).outputs == stream.run_fifo(4).outputs
