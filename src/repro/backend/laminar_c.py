@@ -471,7 +471,9 @@ class LaminarCBackend:
 #    bodies, field carries), which changes the regions and names.
 # 6: carried peek windows are static arrays shifted by one memmove per
 #    iteration, and constant gather elements are stored once in setup.
-CODEGEN_VERSION = 6
+# 7: steady loop regions gather no constants (such runs stay unrolled and
+#    fold), and constant folding drops exact +-0.0 additions.
+CODEGEN_VERSION = 7
 
 
 def codegen_fingerprint() -> str:

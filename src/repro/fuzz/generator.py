@@ -204,8 +204,15 @@ class _Exprs:
         roll = self.rng.random()
         if roll < 0.40:
             op = self.rng.choice(_FLOAT_BIN)
-            return (f"({self._float(depth - 1, impure)} {op} "
-                    f"{self._float(depth - 1, impure)})")
+            operands = [self._float(depth - 1, impure),
+                        self._float(depth - 1, impure)]
+            # A literal signed zero added or subtracted: constant folding
+            # drops some of these, and only where the sign is kept.
+            if op != "*" and self.rng.random() < 0.2:
+                self.features.add("signed-zero")
+                operands[self.rng.randrange(2)] = self.rng.choice(
+                    ("0.0", "(- 0.0)"))
+            return f"({operands[0]} {op} {operands[1]})"
         if roll < 0.52:
             den = self._float(depth - 1, False)
             return (f"({self._float(depth - 1, impure)} / "

@@ -47,7 +47,7 @@ KNOBS = (
          bool),
     Knob("pipeline", "--opt-pipeline",
          "comma-separated pass list, e.g. 'cp,promote,fold,cse,dce' "
-         "(default: cp,promote,reroll,fold,carry,cse,dce,schedule)",
+         "(default: cp,promote,reroll,carry,fold,cse,dce,schedule)",
          _pipeline, text=str, metavar="PASSES"),
 )
 

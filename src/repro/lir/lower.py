@@ -493,8 +493,8 @@ class Lowerer:
                 record.outputs = self._outputs(
                     template, inputs[-1], lambda index, at, record=record,
                     temps=temps: temps.setdefault(at, Temp(
-                        record.fold.results[at][1],
-                        id=record.base + record.fold.results[at][0])))
+                        template.result_types[at],
+                        id=record.base + record.fold.offsets[at])))
         defined = {ident for record in run
                    for ident in range(record.base,
                                       record.base + record.fold.temps)}
@@ -576,6 +576,9 @@ class Lowerer:
         body: list[Op] = []
         cost = 0
         results: list[list[Value]] = []
+        # The steady section folds its constants instead of gathering
+        # them; init runs once and gathers (docs/LOWERING.md §4b).
+        gather_consts = self._phase != "steady"
         # (result, initial value key) -> (param, initial value, result)
         carries: dict[tuple, tuple[Temp, Value, int]] = {}
         for j in range(per_trip):
@@ -598,7 +601,10 @@ class Lowerer:
                     values.append(what)
                 prior = [value for value in values if value.__class__ is int]
                 if not prior:
-                    operands.append(assembly.column(values))
+                    operand = assembly.column(values, gather_consts)
+                    if operand is None:
+                        return None
+                    operands.append(operand)
                 elif len(set(prior)) != 1 \
                         or len(prior) != (trips if j else trips - 1):
                     return None
@@ -615,8 +621,10 @@ class Lowerer:
             assert fold is not None
             cost += fold.cost
             if trial:
-                results.append([Const(ty) if offset is None else Temp(ty)
-                                for offset, ty in fold.results])
+                results.append([
+                    Const(ty) if offset is None else Temp(ty)
+                    for offset, ty in zip(fold.offsets,
+                                          unit.template.result_types)])
                 continue
             with self.emitter.redirected(body, run[0].actor, "filter",
                                          self._phase):
@@ -765,8 +773,8 @@ class Lowerer:
         if template.exit_line is not None:
             self.emitter.set_line(template.exit_line)
         outputs = self._outputs(template, inputs, lambda index, at: _Pending(
-            record, index, None if fold.results[at][0] is None  # type: ignore
-            else record.base + fold.results[at][0]))  # type: ignore
+            record, index, None if fold.offsets[at] is None  # type: ignore
+            else record.base + fold.offsets[at]))  # type: ignore
         pushed = outputs[:len(template.pushes)]
         for (name, _), value in zip(template.exits,
                                     outputs[len(template.pushes):]):

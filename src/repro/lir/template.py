@@ -124,8 +124,9 @@ class Fold(NamedTuple):
     raises: bool  # whether a step it folds or checks may raise
     consts: bool  # whether a step computes one of its outputs as a constant
     # Per step result, in slot order: the index of its temp among those
-    # the replay mints (None when it folds to a constant), and its type.
-    results: tuple[tuple[int | None, ScalarType], ...]
+    # the replay mints, or None when it folds to a constant.  Its type is
+    # the template's ``result_types`` entry.
+    offsets: tuple[int | None, ...]
 
 
 @dataclass
@@ -155,8 +156,15 @@ class FiringTemplate:
     # The loop unit a region replays per trip (see _loop_unit); None
     # when the steps store to a filter array.
     unit: LoopUnit | None = None
+    # The type of each step result, in slot order.
+    result_types: tuple[ScalarType, ...] = field(init=False, repr=False)
     # fold_profile's answers, by constant-input mask.
     _profiles: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self.result_types = tuple(
+            step[2].ty if step[0] == _LOAD else step[2]
+            for step in self.steps if step[0] not in (_STORE, _PRINT))
 
     @property
     def exit_line(self) -> int | None:
@@ -179,7 +187,7 @@ class FiringTemplate:
         temps = ops = cost = 0
         line = None
         raises = False
-        results = []
+        offsets = []
         for step in self.steps:
             kind = step[0]
             if kind == _BINOP:
@@ -205,8 +213,7 @@ class FiringTemplate:
                 line = step[1] if line is None else line
             if kind in (_STORE, _PRINT):
                 continue
-            results.append((None if folds else temps,
-                            step[2].ty if kind == _LOAD else step[2]))
+            offsets.append(None if folds else temps)
             temps += not folds
             const.append(folds)
         profile = None
@@ -214,7 +221,7 @@ class FiringTemplate:
             outputs = self.pushes + [slot for _, slot in self.exits]
             profile = Fold(temps, ops, cost, line, raises, any(
                 slot is not None and slot >= base and const[slot]
-                for slot in outputs), tuple(results))
+                for slot in outputs), tuple(offsets))
         self._profiles[const_inputs] = profile
         return profile
 

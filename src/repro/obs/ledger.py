@@ -39,6 +39,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -107,6 +108,14 @@ def make_body(kind: str, target: str, *, spec_hash: str | None = None,
 _FILE_RE = re.compile(r"^(\d{6})(?:-([0-9a-f]{12}))?\.json$")
 
 
+# The next sequence number to try in each directory this process has
+# appended to, so that an append lists the directory only the first
+# time.  The O_EXCL claim keeps it safe: a seq another process took
+# collides, and the collision rescans.
+_next_seqs: dict[Path, int] = {}
+_next_seqs_lock = threading.Lock()
+
+
 def append(body: dict, directory: Path | None = None) -> dict:
     """Append one record to the ledger; returns the stored envelope."""
     directory = directory or ledger_dir()
@@ -120,8 +129,11 @@ def append(body: dict, directory: Path | None = None) -> dict:
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
         except FileExistsError:
-            seq += 1
+            seq = max(seq + 1, _highest_seq(directory) + 1)
             continue
+        with _next_seqs_lock:
+            _next_seqs[directory] = max(_next_seqs.get(directory, 0),
+                                        seq + 1)
         envelope = {"record_id": rid, "seq": seq,
                     "wall_time": time.time(), "body": body}
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -139,12 +151,23 @@ def append(body: dict, directory: Path | None = None) -> dict:
 
 
 def _next_seq(directory: Path) -> int:
+    """The seq after the last one this process claimed in ``directory``
+    while that record is still there; otherwise the seq after the
+    highest one in the directory."""
+    with _next_seqs_lock:
+        seq = _next_seqs.get(directory)
+    if seq is not None and (directory / f"{seq - 1:06d}.json").exists():
+        return seq
+    return _highest_seq(directory) + 1
+
+
+def _highest_seq(directory: Path) -> int:
     highest = 0
     for entry in directory.iterdir():
         match = _FILE_RE.match(entry.name)
         if match:
             highest = max(highest, int(match.group(1)))
-    return highest + 1
+    return highest
 
 
 def load_records(directory: Path | None = None,

@@ -4,7 +4,7 @@
 pipeline.  The default order matches the classic sequence::
 
     copy-prop → promote (mem2reg/SROA)
-    → {const-fold, carries, CSE, DCE}* → pressure scheduling
+    → {carries, const-fold, CSE, DCE}* → pressure scheduling
 
 Counted loop regions are formed before any of it, by the lowering: the
 pipeline's ``reroll`` entry runs no pass, it tells the lowering to form
@@ -121,7 +121,7 @@ def as_pipeline(value: object) -> tuple[str, ...]:
 # the lowering to form loop regions (:meth:`OptOptions.lowering_flags`).
 DEFAULT_PIPELINE = (
     "copy_propagation", "promote_state", "reroll_steady",
-    "constant_folding", "carries", "common_subexpression_elimination",
+    "carries", "constant_folding", "common_subexpression_elimination",
     "dead_code_elimination", "schedule_for_pressure")
 
 

@@ -65,11 +65,11 @@ class TestCompiledStream:
         assert listed is tupled
 
     @pytest.mark.parametrize("spelling", [
-        "cp,promote,reroll,fold,carry,cse,dce,schedule",
-        ["cp", "promote", "reroll", "fold", "carry", "cse", "dce",
+        "cp,promote,reroll,carry,fold,cse,dce,schedule",
+        ["cp", "promote", "reroll", "carry", "fold", "cse", "dce",
          "schedule"],
         ("copy_propagation", "promote_state", "reroll_steady",
-         "constant_folding", "carries", "common_subexpression_elimination",
+         "carries", "constant_folding", "common_subexpression_elimination",
          "dead_code_elimination", "schedule_for_pressure"),
     ], ids=["aliases-string", "aliases-list", "canonical-tuple"])
     def test_one_key_per_pass_list(self, demo_stream, spelling):

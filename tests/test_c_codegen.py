@@ -207,23 +207,23 @@ class TestLaminarCodegen:
 # CODEGEN_VERSION with it).
 STEADY_DIGESTS = {
     ("autocor", 1): "0e4084bfa3bdfefc",
-    ("beamformer", 1): "a8407b8c719a2033",
+    ("beamformer", 1): "ffb70e682e6d4da6",
     ("bitonic_sort", 1): "2fb905f1dd9dddb2",
     ("channel_vocoder", 1): "640ad9cbafbb274b",
     ("dct", 1): "36f4d0bd21beaa09",
     ("fft", 1): "5de9f8fc5f3699fd",
-    ("filterbank", 1): "8dcfe1e0ab64d572",
+    ("filterbank", 1): "60ae805a66ea2b3d",
     ("fm_radio", 1): "d9f59ba4651deaf6",
     ("histogram", 1): "8381692afb1a1ab2",
     ("lattice", 1): "1f0b85f1cef4b08e",
     ("matrixmult", 1): "e62bfb45b3ba1366",
-    ("rate_convert", 1): "26424197e88207ab",
+    ("rate_convert", 1): "c1f70a7139cc5d55",
     ("tde", 1): "4129c71a1df21a60",
     ("tea_cipher", 1): "ef8b3e62ff8b6b03",
     ("autocor", 4): "8ce2f5c56efbf56e",
     ("bitonic_sort", 4): "7779839484da5749",
     ("fft", 4): "91da69cb22ae34c8",
-    ("filterbank", 4): "5b6ffa0a5c2fd4c4",
+    ("filterbank", 4): "e9da018e63c223d5",
     ("matrixmult", 4): "c4fbb659bfd45073",
 }
 
@@ -231,25 +231,27 @@ STEADY_DIGESTS = {
 # Ceilings on the whole LaminarIR C file, in bytes: a program that loses
 # a loop region grows by the unrolled body (matrixmult x4 from 10.6 kB
 # to 42 kB), which the digest alone reports only as "changed".
+# filterbank x4's FIR runs stay unrolled, so that their upsampler zeros
+# fold; that costs 4.8 kB of C over the regions that gathered them.
 C_SIZE_CEILINGS = {
     ("autocor", 1): 17_141,
-    ("beamformer", 1): 78_522,
+    ("beamformer", 1): 78_493,
     ("bitonic_sort", 1): 14_170,
     ("channel_vocoder", 1): 62_356,
     ("dct", 1): 17_916,
     ("fft", 1): 14_375,
-    ("filterbank", 1): 141_280,
+    ("filterbank", 1): 140_302,
     ("fm_radio", 1): 70_381,
     ("histogram", 1): 21_585,
     ("lattice", 1): 5_471,
     ("matrixmult", 1): 6_199,
-    ("rate_convert", 1): 9_519,
+    ("rate_convert", 1): 7_818,
     ("tde", 1): 26_763,
     ("tea_cipher", 1): 5_603,
     ("autocor", 4): 65_396,
     ("bitonic_sort", 4): 96_036,
     ("fft", 4): 70_994,
-    ("filterbank", 4): 359_844,
+    ("filterbank", 4): 364_649,
     ("matrixmult", 4): 10_599,
 }
 
@@ -355,14 +357,18 @@ class TestCarriedWindows:
 
 
 class TestConstantElements:
-    def test_filterbank_stores_gather_constants_once(self):
-        code = load_benchmark("filterbank").laminar_c()
+    def test_carried_constants_are_stored_once(self):
+        # A steady region gathers no constant the lowering sees, but in
+        # seed 7's fuzz program 28 the tokens F5's region gathers are
+        # carries that the optimizer turns into constants afterwards.
+        from repro.fuzz.generator import random_spec, render
+        code = compile_source(render(random_spec("7:28"))).laminar_c()
         constant_store = re.compile(
             r"^\s+rr\d+_g\[\d+\] = \(?-?[\d.e+-]+\)?;$", re.M)
         assert not constant_store.search(function_text(code,
                                                        "repro_steady"))
         assert len(constant_store.findall(
-            function_text(code, "repro_setup"))) == 272
+            function_text(code, "repro_setup"))) == 3
 
     def test_one_constant_moves_to_setup(self):
         from repro.lir import const_float

@@ -39,7 +39,8 @@ class TestGenerator:
         assert {"feedbackloop", "weight0-split", "weight0-join",
                 "prework", "peeking-filter", "randi", "randf",
                 "int-div", "array", "duplicate",
-                "roundrobin-splitjoin", "push-loop", "wide-peek"} <= features
+                "roundrobin-splitjoin", "push-loop", "wide-peek",
+                "signed-zero"} <= features
 
     def test_options_gate_composites(self):
         options = GeneratorOptions(allow_feedback=False,

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +280,39 @@ class TestConcurrentAppend:
         # TARGET~N references stay stable across loads.
         assert ledger.resolve("tiny~1", tmp_path)["record_id"][0] == "a"
         assert ledger.resolve("tiny", tmp_path)["record_id"][0] == "b"
+
+
+class TestAppendWithoutScan:
+    """An append lists its directory only when it does not know the next
+    sequence number: the first time, and after a collision."""
+
+    def test_thousand_appends_list_the_directory_once(self, tmp_path,
+                                                      monkeypatch):
+        listings = []
+        original = Path.iterdir
+
+        def counting_iterdir(self):
+            listings.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Path, "iterdir", counting_iterdir)
+        for n in range(1000):
+            assert ledger.append(body(seconds=float(n)), tmp_path)["seq"] \
+                == n + 1
+        assert listings == [tmp_path]
+
+    def test_seq_taken_elsewhere_rescans(self, tmp_path):
+        ledger.append(body(seconds=1.0), tmp_path)
+        # Another process appends seqs 2 and 3 behind this one's back.
+        for seq in (2, 3):
+            (tmp_path / f"{seq:06d}.json").write_text(json.dumps(
+                {"record_id": "c" * 64, "seq": seq, "wall_time": 0.0,
+                 "body": body(seconds=2.0)}))
+        assert ledger.append(body(seconds=4.0), tmp_path)["seq"] == 4
+
+    def test_emptied_directory_starts_over(self, tmp_path):
+        for n in range(3):
+            ledger.append(body(seconds=float(n)), tmp_path)
+        for entry in tmp_path.iterdir():
+            entry.unlink()
+        assert ledger.append(body(seconds=9.0), tmp_path)["seq"] == 1
