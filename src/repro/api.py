@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.backend.common import checksum_outputs
 from repro.faults import limits as faults_limits
-from repro.backend.fifo_c import FifoCodegenOptions, generate_fifo_c
+from repro.backend.fifo_c import generate_fifo_c
 from repro.backend.laminar_c import generate_laminar_c
 from repro.frontend import parse_and_check
 from repro.frontend.ast_nodes import Program as AstProgram
@@ -177,10 +177,10 @@ class CompiledStream:
 
     # -- native code ---------------------------------------------------------------
 
-    def fifo_c(self, options: "FifoCodegenOptions | None" = None) -> str:
+    def fifo_c(self) -> str:
         """The baseline C program (run-time FIFO queues)."""
         with trace.span("codegen.fifo_c", stream=self.name):
-            return generate_fifo_c(self.schedule, self.source, options)
+            return generate_fifo_c(self.schedule, self.source)
 
     def laminar_c(self, lowering: LoweringOptions | None = None,
                   opt: OptOptions | None = None) -> str:

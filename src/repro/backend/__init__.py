@@ -1,7 +1,7 @@
 """Native backends: baseline FIFO C, LaminarIR C, and the gcc harness."""
 
 from repro.backend.common import checksum_outputs
-from repro.backend.fifo_c import FifoCodegenOptions, generate_fifo_c
+from repro.backend.fifo_c import generate_fifo_c
 from repro.backend.laminar_c import generate_laminar_c
 from repro.backend.runner import (NativeCompileError, NativeProtocolError,
                                   NativeRun, NativeRunError,
@@ -9,8 +9,8 @@ from repro.backend.runner import (NativeCompileError, NativeProtocolError,
                                   compile_c, find_compiler, run_binary)
 
 __all__ = [
-    "FifoCodegenOptions", "NativeCompileError", "NativeProtocolError",
-    "NativeRun", "NativeRunError", "NativeToolchainError",
+    "NativeCompileError", "NativeProtocolError", "NativeRun",
+    "NativeRunError", "NativeToolchainError",
     "checksum_outputs", "compile_and_run", "compile_c", "find_compiler",
     "generate_fifo_c", "generate_laminar_c", "run_binary",
 ]

@@ -27,11 +27,10 @@ def runtime_digest() -> str:
     Part of each backend's codegen fingerprint (see
     ``codegen_fingerprint`` in :mod:`repro.backend.laminar_c` /
     :mod:`repro.backend.fifo_c`): editing the prelude, the main harness
-    or the profile/heartbeat runtime changes the digest and therefore
-    invalidates every cached artifact built from the old runtime.
+    or the profile runtime changes the digest and therefore invalidates
+    every cached artifact built from the old runtime.
     """
-    payload = "\n".join((C_PRELUDE, C_MAIN, C_MAIN_PROFILE,
-                         str(C_PROFILE_BUCKETS), C_HEARTBEAT_RUNTIME))
+    payload = "\n".join((C_PRELUDE, C_MAIN, c_profile_runtime([])))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 C_PRELUDE = r"""
@@ -152,102 +151,7 @@ int main(int argc, char **argv) {
 }
 """
 
-# The profile-build main: identical protocol, plus the heartbeat side
-# channel (dormant unless REPRO_HEARTBEAT_MS is set in the environment).
-# A final heartbeat fires after the loop, so REPRO_HEARTBEAT_MS=0 yields
-# exactly iterations+1 beats — deterministic for tests.
-C_MAIN_PROFILE = r"""
-int main(int argc, char **argv) {
-    long long iterations = 1;
-    if (argc > 1) {
-        iterations = atoll(argv[1]);
-    }
-    if (argc > 2 && strcmp(argv[2], "print") == 0) {
-        repro_print_mode = 1;
-    }
-    repro_hb_init();
-    repro_setup();
-    repro_init_schedule();
-    double start = repro_now();
-    repro_hb_last = start;
-    for (long long it = 0; it < iterations; it++) {
-        repro_steady();
-        repro_hb_maybe(it + 1, start);
-    }
-    if (repro_hb_interval_ms >= 0) {
-        repro_hb_emit(iterations, start);
-    }
-    double elapsed = repro_now() - start;
-    fprintf(stderr, "checksum %016llx\n",
-            (unsigned long long)repro_checksum);
-    fprintf(stderr, "outputs %llu\n",
-            (unsigned long long)repro_output_count);
-    fprintf(stderr, "seconds %.9f\n", elapsed);
-    return 0;
-}
-"""
-
-
-def c_main(profile: bool = False) -> str:
-    """The main() for a generated program.
-
-    ``profile=False`` returns :data:`C_MAIN` verbatim — uninstrumented
-    output stays byte-identical to what the backends always produced.
-    ``profile=True`` returns the heartbeat-capable main (the heartbeat
-    runtime itself lives in :func:`c_profile_runtime`).
-    """
-    return C_MAIN_PROFILE if profile else C_MAIN
-
-
 C_PROFILE_BUCKETS = 64
-
-# Live progress side channel, compiled into profile builds only and
-# dormant unless REPRO_HEARTBEAT_MS is set (0 = every iteration, N > 0 =
-# at most every N milliseconds).  Each beat is one self-contained stderr
-# line: iterations done, outputs produced, elapsed ns, and the per-filter
-# ns accumulated so far — enough for the host-side watchdog
-# (repro.backend.runner) to publish native.heartbeat.* gauges and to name
-# the filter a stalled binary was last spending time in.  Uses the
-# repro_prof_* tables declared by c_profile_runtime() above it.
-C_HEARTBEAT_RUNTIME = r"""
-static long long repro_hb_interval_ms = -1;
-static double repro_hb_last;
-
-static void repro_hb_init(void) {
-    const char *env = getenv("REPRO_HEARTBEAT_MS");
-    if (env && *env) {
-        repro_hb_interval_ms = atoll(env);
-    }
-}
-
-static void repro_hb_emit(long long iter, double start) {
-    int i;
-    double now = repro_now();
-    fprintf(stderr, "heartbeat-json {\"iter\":%lld,\"outputs\":%llu,"
-            "\"ns\":%.0f,\"filters\":[",
-            iter, (unsigned long long)repro_output_count,
-            (now - start) * 1e9);
-    for (i = 0; i < REPRO_PROF_FILTERS; i++) {
-        fprintf(stderr, "%s{\"name\":\"%s\",\"ns\":%.0f}",
-                i ? "," : "", repro_prof_names[i], repro_prof_ns[i]);
-    }
-    fprintf(stderr, "]}\n");
-    fflush(stderr);
-    repro_hb_last = now;
-}
-
-static void repro_hb_maybe(long long iter, double start) {
-    double now;
-    if (repro_hb_interval_ms < 0) {
-        return;
-    }
-    now = repro_now();
-    if (repro_hb_interval_ms == 0 ||
-        (now - repro_hb_last) * 1e3 >= (double)repro_hb_interval_ms) {
-        repro_hb_emit(iter, start);
-    }
-}
-"""
 
 
 def _c_json_string(name: str) -> str:
@@ -272,9 +176,6 @@ def c_profile_runtime(names: list[str]) -> str:
     line on stderr, which :func:`repro.backend.runner.run_binary` parses
     back into :class:`NativeRun.profile`.  The names are emitted
     JSON-escaped so the dump can print them verbatim.
-
-    Also appends :data:`C_HEARTBEAT_RUNTIME` (the ``heartbeat-json``
-    side channel), which reads those same accumulator tables.
     """
     count = max(len(names), 1)
     quoted = ",\n    ".join(_c_json_string(n) for n in names) or '""'
@@ -323,7 +224,7 @@ static void repro_prof_dump(void) {{
     }}
     fprintf(stderr, "]}}\\n");
 }}
-""" + C_HEARTBEAT_RUNTIME
+"""
 
 
 def c_type(ty: ScalarType) -> str:

@@ -1,6 +1,8 @@
 """The FIFO baseline C backend — the code shape the StreamIt compiler emits.
 
-Every channel is a static circular buffer with masked read/write indices;
+Every channel is a static circular buffer of exactly its buffer bound,
+whose read/write indices wrap by ``%`` (the StreamIt compiler's buffer
+management, which the paper's motivating example criticizes);
 splitters and joiners are generated copy functions; each filter instance
 gets specialized work/init (and prework) functions; the schedule is driven
 by generated call sequences (runs of the same firing are compressed into
@@ -9,61 +11,25 @@ loops).  This is the baseline side of the native speedup experiment (E3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.backend.c_ast import CAstPrinter, helper_function
-from repro.backend.common import (C_PRELUDE, c_float_literal, c_int_literal,
-                                  c_main, c_profile_runtime, c_type,
-                                  sanitize_ident)
+from repro.backend.common import (C_MAIN, C_PRELUDE, c_float_literal,
+                                  c_int_literal, c_type, sanitize_ident)
 from repro.frontend.types import ArrayType, ScalarType
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
 from repro.scheduling.schedule import Firing, Schedule
 
 
-def _round_up_pow2(value: int) -> int:
-    size = 1
-    while size < value:
-        size <<= 1
-    return size
-
-
-@dataclass(frozen=True)
-class FifoCodegenOptions:
-    """Baseline fidelity knobs.
-
-    ``wraparound="modulo"`` reproduces the StreamIt compiler's buffer
-    management (index wrap by ``%`` on an exact-size buffer — the code the
-    paper's motivating example criticizes).  ``"mask"`` is the stronger
-    power-of-two-and-mask baseline, used by the E7 ablation to separate
-    "LaminarIR vs StreamIt" from "LaminarIR vs a hand-tuned FIFO".
-    """
-
-    wraparound: str = "modulo"  # "modulo" | "mask"
-
-
 class FifoCBackend:
-    def __init__(self, schedule: Schedule, source: str = "",
-                 options: FifoCodegenOptions | None = None,
-                 profile: bool = False):
+    def __init__(self, schedule: Schedule, source: str = ""):
         self.schedule = schedule
         self.graph: FlatGraph = schedule.graph
         self.source = source
-        self.options = options or FifoCodegenOptions()
-        self.profile = profile
         self.chunks: list[str] = []
         self._vertex_prefix: dict[Vertex, str] = {}
-        # Vertex name -> profiling row index, first-seen steady order.
-        self.prof_index: dict[str, int] = {}
 
     def generate(self) -> str:
         self.chunks = [C_PRELUDE]
-        if self.profile:
-            for firing in self.schedule.steady:
-                name = firing.vertex.name
-                if name not in self.prof_index:
-                    self.prof_index[name] = len(self.prof_index)
-            self.chunks.append(c_profile_runtime(list(self.prof_index)))
         self._name_vertices()
         for channel in self.graph.channels:
             self._emit_channel(channel)
@@ -77,9 +43,8 @@ class FifoCBackend:
                 self._emit_joiner(vertex)
         self._emit_setup()
         self._emit_sequence("repro_init_schedule", self.schedule.init)
-        self._emit_sequence("repro_steady", self.schedule.steady,
-                            profiled=self.profile)
-        self.chunks.append(c_main(self.profile))
+        self._emit_sequence("repro_steady", self.schedule.steady)
+        self.chunks.append(C_MAIN)
         return "\n".join(self.chunks)
 
     # -- naming -------------------------------------------------------------------
@@ -104,15 +69,7 @@ class FifoCBackend:
     def _emit_channel(self, channel: Channel) -> None:
         name = channel.name
         ty = c_type(channel.ty)
-        bound = max(self.schedule.buffer_bounds[name], 1)
-        if self.options.wraparound == "mask":
-            capacity = _round_up_pow2(bound)
-            advance = f"& {capacity - 1}"
-            peek_wrap = f"& {capacity - 1}"
-        else:
-            capacity = bound
-            advance = f"% {capacity}"
-            peek_wrap = f"% {capacity}"
+        capacity = max(self.schedule.buffer_bounds[name], 1)
         self.chunks.append(f"""
 /* {channel.src.name}[{channel.src_port}] -> \
 {channel.dst.name}[{channel.dst_port}] */
@@ -120,15 +77,15 @@ static {ty} {name}_buf[{capacity}];
 static int {name}_r = 0, {name}_w = 0;
 static inline void {name}_push({ty} v) {{
     {name}_buf[{name}_w] = v;
-    {name}_w = ({name}_w + 1) {advance};
+    {name}_w = ({name}_w + 1) % {capacity};
 }}
 static inline {ty} {name}_pop(void) {{
     {ty} v = {name}_buf[{name}_r];
-    {name}_r = ({name}_r + 1) {advance};
+    {name}_r = ({name}_r + 1) % {capacity};
     return v;
 }}
 static inline {ty} {name}_peek(int i) {{
-    return {name}_buf[({name}_r + i) {peek_wrap}];
+    return {name}_buf[({name}_r + i) % {capacity}];
 }}""")
 
     # -- filters --------------------------------------------------------------------
@@ -233,11 +190,8 @@ static inline {ty} {name}_peek(int i) {{
         lines.append("}")
         self.chunks.append("\n".join(lines))
 
-    def _emit_sequence(self, name: str, firings: list[Firing],
-                       profiled: bool = False) -> None:
+    def _emit_sequence(self, name: str, firings: list[Firing]) -> None:
         lines = [f"static void {name}(void)", "{"]
-        if profiled:
-            lines.append("    repro_prof_t_iter = repro_now();")
         index = 0
         while index < len(firings):
             firing = firings[index]
@@ -247,24 +201,12 @@ static inline {ty} {name}_peek(int i) {{
                 run += 1
             suffix = "prework" if firing.prework else "work"
             call = f"{self._prefix(firing.vertex)}_{suffix}();"
-            if profiled:
-                lines.append("    repro_prof_t0 = repro_now();")
             if run == 1:
                 lines.append(f"    {call}")
             else:
                 lines.append(f"    for (int i = 0; i < {run}; i++)")
                 lines.append(f"        {call}")
-            if profiled:
-                # The baseline has no static per-op counts — time and
-                # call counts only (a compressed run counts every call).
-                row = self.prof_index[firing.vertex.name]
-                lines.append(f"    repro_prof_ns[{row}] += "
-                             f"(repro_now() - repro_prof_t0) * 1e9;")
-                lines.append(f"    repro_prof_calls[{row}] += {run};")
             index += run
-        if profiled:
-            lines.append("    repro_prof_note_iter("
-                         "repro_now() - repro_prof_t_iter);")
         lines.append("}")
         self.chunks.append("\n".join(lines))
 
@@ -281,15 +223,6 @@ def codegen_fingerprint() -> str:
     return f"fifo-c/{CODEGEN_VERSION}+{runtime_digest()}"
 
 
-def generate_fifo_c(schedule: Schedule, source: str = "",
-                    options: FifoCodegenOptions | None = None,
-                    profile: bool = False) -> str:
-    """Generate the complete baseline C program.
-
-    ``profile=True`` times every steady-schedule call site per vertex and
-    dumps a ``profile-json`` stderr line at exit (see
-    :func:`repro.backend.common.c_profile_runtime`); ``profile=False``
-    output is unchanged.
-    """
-    return FifoCBackend(schedule, source, options,
-                        profile=profile).generate()
+def generate_fifo_c(schedule: Schedule, source: str = "") -> str:
+    """Generate the complete baseline C program."""
+    return FifoCBackend(schedule, source).generate()

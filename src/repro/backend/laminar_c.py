@@ -9,11 +9,6 @@ renamed two-phase.  This is the code whose dataflow is fully visible to
 the downstream C compiler — the paper's "enabling effect" measured
 natively in experiment E3.
 
-An array element that every steady iteration sets to the same constant,
-and that nothing else writes, is stored once in setup instead
-(:func:`repro.lir.verify.steady_constant_elements`): filterbank's
-upsampler zeros in its region gather arrays.
-
 Temps referenced outside their defining section (possible after state
 promotion, e.g. a coefficient computed during setup and used every
 iteration) are emitted as statics; everything else is a block-local.
@@ -26,15 +21,14 @@ its loop regions are plain counted loops.
 
 from __future__ import annotations
 
-from repro.backend.common import (C_PRELUDE, INTRINSIC_C_NAMES, c_float_literal,
-                                  c_int_literal, c_main, c_profile_runtime,
-                                  c_type)
+from repro.backend.common import (C_MAIN, C_PRELUDE, INTRINSIC_C_NAMES,
+                                  c_float_literal, c_int_literal,
+                                  c_profile_runtime, c_type)
 from repro.frontend.types import FLOAT, INT
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, PrintOp, SelectOp, StoreOp, Temp,
                            UnOp, Value)
 from repro.lir.program import Program
-from repro.lir.verify import steady_constant_elements
 
 _SECTION_NAMES = ("repro_setup", "repro_init_schedule", "repro_steady")
 
@@ -123,8 +117,6 @@ class LaminarCBackend:
         self._inline: dict[int, str] = {}
         # carry param id -> its element of a carried-window array.
         self._window_element: dict[int, str] = {}
-        # Steady stores of a constant element, emitted once in setup.
-        self._once: set[int] = set()
 
     # -- value naming ---------------------------------------------------------
 
@@ -218,7 +210,6 @@ class LaminarCBackend:
                     f"cw{number}[{k}]"
             shifted.update(range(start, start + size - shift))
 
-        setup_stores = self._hoist_constant_stores()
         statics = sorted(self.cross_section - self._window_element.keys())
         types: dict[int, str] = {}
         for param in self.program.carry_params:
@@ -255,8 +246,6 @@ class LaminarCBackend:
                     lines.append(f"    repro_prof_calls[{row}]++;")
             else:
                 lines.extend(self._emit_ops(ops, prologue=prologue))
-            if section == 0:
-                lines.extend(f"    {self._op(op)}" for op in setup_stores)
             if section == 1:
                 for param, value in zip(self.program.carry_params,
                                         self.program.carry_inits):
@@ -284,20 +273,8 @@ class LaminarCBackend:
             lines.append("}")
             chunks.append("\n".join(lines))
 
-        chunks.append(c_main(self.profile))
+        chunks.append(C_MAIN)
         return "\n".join(chunks)
-
-    def _hoist_constant_stores(self) -> list[StoreOp]:
-        """Drop the steady stores of constant elements from steady
-        emission, and return one store per element for setup."""
-        constant = steady_constant_elements(self.program)
-        first: dict[tuple[str, int], StoreOp] = {}
-        for op in self.program.steady:
-            if isinstance(op, StoreOp) and isinstance(op.index, Const) \
-                    and (op.slot.name, op.index.value) in constant:
-                first.setdefault((op.slot.name, op.index.value), op)
-                self._once.add(id(op))
-        return list(first.values())
 
     # -- op translation ----------------------------------------------------------------
 
@@ -307,7 +284,7 @@ class LaminarCBackend:
         for op in ops:
             if isinstance(op, LoopRegion):
                 lines.extend(self._region(op, indent, prologue))
-            elif id(op) not in self._once:
+            else:
                 lines.append(indent + self._op(op))
         return lines
 
@@ -473,7 +450,8 @@ class LaminarCBackend:
 #    iteration, and constant gather elements are stored once in setup.
 # 7: steady loop regions gather no constants (such runs stay unrolled and
 #    fold), and constant folding drops exact +-0.0 additions.
-CODEGEN_VERSION = 7
+# 8: steady stores of a constant element stay in steady (no setup hoist).
+CODEGEN_VERSION = 8
 
 
 def codegen_fingerprint() -> str:

@@ -5,11 +5,12 @@ the host-platform column of the speedup experiment (E3).
 
 Hardened against a hostile toolchain (see ``docs/ROBUSTNESS.md``):
 
-* ``cc`` and the binary both run under one supervision loop
-  (:func:`_supervise`) with a wall-clock timeout; a timed-out subprocess
-  is killed together with its whole process group (``cc`` forks
-  ``cc1``/``ld``; killing only the leader leaves orphans), and a
-  heartbeat run can arm a stall watchdog that names the hot filter;
+* ``cc`` and the binary each run under one wall-clock deadline
+  (:func:`_supervise`); a timed-out subprocess is killed together with
+  its whole process group (``cc`` forks ``cc1``/``ld``; killing only the
+  leader leaves orphans).  A generated binary runs a counted loop, so
+  its run time is fixed by its iteration count and one deadline is
+  enough;
 * transient compile failures (spawn errors, a compiler killed by a
   signal) are retried a bounded number of times with exponential
   backoff, while real diagnostics (nonzero exit with errors) fail fast;
@@ -30,14 +31,12 @@ from __future__ import annotations
 
 import json
 import os
-import selectors
 import shutil
 import signal
 import subprocess
-import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faults import plan as fault_plan
@@ -115,16 +114,6 @@ class NativeProtocolError(NativeRunError):
     a crashed-but-exit-0 binary look like a bit-exact match."""
 
     stage = "protocol"
-
-
-class NativeStallError(NativeRunError):
-    """The heartbeat watchdog killed a binary that stopped making
-    progress: no ``heartbeat-json`` line arrived within the stall
-    window.  Fires *before* the hard run timeout, and names the filter
-    the binary was last spending time in (from the final heartbeat's
-    per-filter accumulators)."""
-
-    stage = "stall"
 
 
 def find_compiler() -> str | None:
@@ -223,9 +212,6 @@ def _with_artifacts(error: NativeToolchainError,
 
 # -- subprocess supervision ---------------------------------------------------
 
-_READ_CHUNK = 65536
-
-
 def kill_process_group(proc: subprocess.Popen) -> None:
     """SIGKILL the process group ``proc`` leads (it runs in its own session).
 
@@ -248,72 +234,32 @@ class _Supervised:
     returncode: int
     stdout: str
     stderr: str
-    # "timeout" or "stall" when the child was killed at that deadline.
-    killed: str | None = None
+    # True when the child was killed at its deadline.
+    timed_out: bool = False
 
 
-def _supervise(cmd: list[str], timeout: float, *,
-               env: dict[str, str] | None = None,
-               stall_timeout: float | None = None) -> _Supervised:
-    """Run ``cmd`` to completion under supervision, in the calling thread.
+def _supervise(cmd: list[str], timeout: float) -> _Supervised:
+    """Run ``cmd`` to completion under one wall-clock deadline.
 
-    The child leads its own session.  One selector reads its stdout and
-    stderr to EOF, publishing each ``heartbeat-json`` stderr line as it
-    arrives (so the telemetry lands in the caller's request context).
-    The whole process group is killed at the hard ``timeout`` or, when
-    ``stall_timeout`` is armed, once no heartbeat has arrived for that
-    long.  Raises ``OSError`` only when the spawn itself fails.
+    The child leads its own session; once ``timeout`` seconds pass, the
+    whole process group is killed, whether the child is still writing
+    or has closed its pipes and only keeps running.  Raises ``OSError``
+    only when the spawn itself fails.
     """
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env,
-                            start_new_session=True)
-    out, err = bytearray(), bytearray()
-    scanned = 0  # err[:scanned] is whole lines, already scanned for beats
-    killed: str | None = None
-    last_beat = time.monotonic()
-    deadline = last_beat + timeout
-    try:
-        with selectors.DefaultSelector() as selector:
-            selector.register(proc.stdout, selectors.EVENT_READ, out)
-            selector.register(proc.stderr, selectors.EVENT_READ, err)
-            while selector.get_map():
-                wake = deadline if stall_timeout is None \
-                    else min(deadline, last_beat + stall_timeout)
-                now = time.monotonic()
-                if now >= wake:
-                    killed = "timeout" if now >= deadline else "stall"
-                    break
-                for key, _ in selector.select(wake - now):
-                    chunk = os.read(key.fd, _READ_CHUNK)
-                    if not chunk:
-                        selector.unregister(key.fileobj)
-                        continue
-                    key.data.extend(chunk)
-                    if key.data is not err:
-                        continue
-                    end = err.rfind(b"\n") + 1
-                    for line in err[scanned:end].split(b"\n"):
-                        beat = parse_heartbeat(
-                            line.decode("utf-8", "replace"))
-                        if beat is not None:
-                            last_beat = time.monotonic()
-                            _publish_heartbeat(beat)
-                    scanned = end
-        if killed is None:
-            # Both pipes are at EOF; a child that closed them early
-            # still answers to the hard deadline.
-            try:
-                proc.wait(max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                killed = "timeout"
-    finally:
-        if killed is not None or proc.returncode is None:
-            kill_process_group(proc)
-        proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            out = err = b""
+        finally:
+            timed_out = proc.returncode is None
+            if timed_out:
+                kill_process_group(proc)
+                proc.wait()
     return _Supervised(proc.returncode, out.decode("utf-8", "replace"),
-                       err.decode("utf-8", "replace"), killed)
+                       err.decode("utf-8", "replace"), timed_out)
 
 
 @dataclass
@@ -329,77 +275,6 @@ class NativeRun:
     # {"iterations": int, "filters": [{"name","ns","ops","calls"}...],
     #  "hist": [int, ...]} (log2-ns buckets of whole steady iterations).
     profile: dict | None = None
-    # Parsed ``heartbeat-json`` lines, in arrival order (profile builds
-    # run with heartbeat_ms set; empty otherwise).
-    heartbeats: list[dict] = field(default_factory=list)
-
-
-# -- heartbeat side channel ---------------------------------------------------
-
-HEARTBEAT_PREFIX = "heartbeat-json "
-
-
-def parse_heartbeat(line: str) -> dict | None:
-    """Parse one ``heartbeat-json`` stderr line; ``None`` if it isn't one.
-
-    Unparseable heartbeat lines are dropped rather than raised: a killed
-    binary can tear its final beat mid-line, and losing one progress
-    sample must not fail the run.
-    """
-    if not line.startswith(HEARTBEAT_PREFIX):
-        return None
-    try:
-        beat = json.loads(line[len(HEARTBEAT_PREFIX):])
-    except json.JSONDecodeError:
-        return None
-    return beat if isinstance(beat, dict) else None
-
-
-def hot_filter(beat: dict | None) -> str | None:
-    """The filter with the most accumulated ns in a heartbeat, if any."""
-    if not beat:
-        return None
-    filters = [entry for entry in beat.get("filters", [])
-               if isinstance(entry, dict) and "name" in entry]
-    if not filters:
-        return None
-    return max(filters, key=lambda entry: entry.get("ns", 0))["name"]
-
-
-def _publish_heartbeat(beat: dict) -> None:
-    """Mirror one live beat into the ``native.heartbeat.*`` metrics."""
-    obs_metrics.counter("native.heartbeat.count").inc()
-    if "iter" in beat:
-        obs_metrics.gauge("native.heartbeat.iterations").set(beat["iter"])
-    if "outputs" in beat:
-        obs_metrics.gauge("native.heartbeat.outputs").set(beat["outputs"])
-    if "ns" in beat:
-        obs_metrics.gauge("native.heartbeat.ns").set(beat["ns"])
-    for entry in beat.get("filters", []):
-        if isinstance(entry, dict) and "name" in entry:
-            obs_metrics.gauge(
-                f"native.heartbeat.filter.{entry['name']}.ns").set(
-                entry.get("ns", 0))
-
-
-def _check_watchdog(heartbeat_ms: int | None,
-                    stall_timeout: float | None) -> None:
-    if stall_timeout is not None and heartbeat_ms is None:
-        raise ValueError(
-            "stall_timeout arms the heartbeat watchdog and needs "
-            "heartbeat_ms; a binary without heartbeats is bounded by "
-            "DEFAULT_RUN_TIMEOUT alone")
-
-
-# A stand-in for a wedged binary (the bin-hang fault site): one valid
-# heartbeat, then no progress until the watchdog kills it.
-_HANG_SCRIPT = (
-    "import sys, time\n"
-    "sys.stderr.write('heartbeat-json {\"iter\":1,\"outputs\":0,"
-    "\"ns\":1000,\"filters\":[{\"name\":\"injected-hang\",\"ns\":1000}]}"
-    "\\n')\n"
-    "sys.stderr.flush()\n"
-    "time.sleep(600)\n")
 
 
 def compile_c(code: str, workdir: Path | None = None,
@@ -469,7 +344,7 @@ def _compile_into(code: str, workdir: Path, compiler: str,
                     last_error = NativeCompileError(
                         f"failed to spawn compiler: {error}")
                     continue
-                if result.killed:
+                if result.timed_out:
                     raise NativeCompileError(
                         f"C compilation timed out after {timeout:g}s")
             if result.returncode == 0:
@@ -496,40 +371,23 @@ def _compile_into(code: str, workdir: Path, compiler: str,
 
 
 def run_binary(binary: Path, iterations: int,
-               print_outputs: bool = False,
-               heartbeat_ms: int | None = None,
-               stall_timeout: float | None = None) -> NativeRun:
+               print_outputs: bool = False) -> NativeRun:
     """Run the compiled binary and strictly parse its output protocol.
 
-    ``heartbeat_ms`` sets ``REPRO_HEARTBEAT_MS`` in the child's
-    environment (profile builds then emit ``heartbeat-json`` progress
-    lines; 0 = every iteration), published live as ``native.heartbeat.*``
-    metrics and collected into :attr:`NativeRun.heartbeats`.
-    ``stall_timeout`` arms the watchdog and needs ``heartbeat_ms``
-    (``ValueError`` otherwise): when no heartbeat arrives within that
-    many seconds the process group is killed and
-    :class:`NativeStallError` raised, naming the hot filter.  Every run
-    is bounded by ``DEFAULT_RUN_TIMEOUT``.
+    The run is bounded by ``DEFAULT_RUN_TIMEOUT``; past it the process
+    group is killed and :class:`NativeRunError` raised.
     """
-    _check_watchdog(heartbeat_ms, stall_timeout)
     plan = fault_plan.current_plan()
     mode = "print" if print_outputs else "time"
     cmd = [str(binary), str(iterations), mode]
     timeout = DEFAULT_RUN_TIMEOUT
     injected = False
     with trace.span("native.run", name=binary.name, iterations=iterations,
-                    mode=mode) as span:
+                    mode=mode):
         if plan.should_fire("bin-timeout"):
             raise NativeRunError(
                 f"native run timed out after {timeout:g}s "
                 "(injected bin-timeout)", injected=True)
-        hang = plan.should_fire("bin-hang")
-        if hang and stall_timeout is None:
-            # Without a watchdog a hung binary only dies at the hard
-            # timeout; don't make injection campaigns wait for that.
-            raise NativeStallError(
-                "binary stopped making progress and no heartbeat "
-                "watchdog was armed (injected bin-hang)", injected=True)
         if plan.should_fire("bin-nonzero"):
             result = _Supervised(1, "", "injected fault: binary exited "
                                         "nonzero")
@@ -545,20 +403,8 @@ def run_binary(binary: Path, iterations: int,
             result = _Supervised(0, "", "checksum 00000000deadbeef\n")
             injected = True
         else:
-            if hang:
-                # Swap in a wedge that emits one beat then goes silent,
-                # so the real watchdog path runs end to end.
-                cmd = [sys.executable, "-c", _HANG_SCRIPT]
-                injected = True
-            env = None
-            if heartbeat_ms is not None:
-                env = {**os.environ,
-                       "REPRO_HEARTBEAT_MS": str(heartbeat_ms)}
-            result = _supervise(cmd, timeout, env=env,
-                                stall_timeout=stall_timeout)
-            if result.killed == "stall":
-                raise _stalled(span, stall_timeout, result, injected)
-            if result.killed:
+            result = _supervise(cmd, timeout)
+            if result.timed_out:
                 raise NativeRunError(
                     f"native run timed out after {timeout:g}s")
     if result.returncode != 0:
@@ -567,26 +413,6 @@ def run_binary(binary: Path, iterations: int,
             f"{result.stderr[:2000]}", injected=injected)
     return parse_run_output(result.stdout, result.stderr, print_outputs,
                             injected=injected)
-
-
-def _stalled(span, stall_timeout: float, result: _Supervised,
-             injected: bool) -> NativeStallError:
-    """Record a watchdog kill on the ``native.run`` span and describe it
-    by its last heartbeat."""
-    beats = [beat for beat in map(parse_heartbeat,
-                                  result.stderr.splitlines()) if beat]
-    beat = beats[-1] if beats else {}
-    last_filter = hot_filter(beat)
-    obs_metrics.counter("native.stall").inc()
-    span.annotate(beats=len(beats), last_iter=beat.get("iter"),
-                  last_filter=last_filter, injected=injected)
-    where = f" in filter {last_filter!r}" if last_filter else ""
-    return NativeStallError(
-        f"no heartbeat within {stall_timeout:g}s "
-        f"(last beat: iteration {beat.get('iter', 'none')}"
-        f"{where}, {len(beats)} beat(s) total)"
-        + (" (injected bin-hang)" if injected else ""),
-        injected=injected)
 
 
 def parse_run_output(stdout: str, stderr: str, print_outputs: bool,
@@ -602,13 +428,7 @@ def parse_run_output(stdout: str, stderr: str, print_outputs: bool,
                                   "seconds": []}
     profile: dict | None = None
     profile_lines = 0
-    heartbeats: list[dict] = []
     for line in stderr.splitlines():
-        if line.startswith(HEARTBEAT_PREFIX):
-            beat = parse_heartbeat(line)
-            if beat is not None:
-                heartbeats.append(beat)
-            continue
         if line.startswith("profile-json "):
             profile_lines += 1
             try:
@@ -657,8 +477,7 @@ def parse_run_output(stdout: str, stderr: str, print_outputs: bool,
                     f"unparseable output token {text!r}",
                     injected=injected) from None
     return NativeRun(checksum=checksum, output_count=count,
-                     seconds=seconds, outputs=outputs, profile=profile,
-                     heartbeats=heartbeats)
+                     seconds=seconds, outputs=outputs, profile=profile)
 
 
 def _is_int(text: str) -> bool:
@@ -676,8 +495,6 @@ def compile_and_run(code: str, iterations: int,
                     workdir: Path | None = None,
                     name: str = "prog",
                     keep_artifacts: bool | None = None,
-                    heartbeat_ms: int | None = None,
-                    stall_timeout: float | None = None,
                     cflags: tuple[str, ...] = DEFAULT_CFLAGS) -> NativeRun:
     """Compile and run with full temp-dir lifecycle management.
 
@@ -685,10 +502,8 @@ def compile_and_run(code: str, iterations: int,
     (the path is appended to the diagnostic) and deleted on injected
     ones; ``keep_artifacts`` (or ``REPRO_KEEP_ARTIFACTS=1``) keeps them
     unconditionally.  Caller-supplied ``workdir``s are never removed.
-    ``heartbeat_ms``/``stall_timeout`` are :func:`run_binary`'s, and
     ``cflags`` is :func:`compile_c`'s.
     """
-    _check_watchdog(heartbeat_ms, stall_timeout)
     keep = keep_artifacts if keep_artifacts is not None \
         else default_keep_artifacts()
     owned = workdir is None
@@ -699,9 +514,7 @@ def compile_and_run(code: str, iterations: int,
         workdir = binary.parent
         try:
             run = run_binary(binary, iterations,
-                             print_outputs=print_outputs,
-                             heartbeat_ms=heartbeat_ms,
-                             stall_timeout=stall_timeout)
+                             print_outputs=print_outputs)
         except NativeToolchainError as error:
             kept = _finish_workdir(workdir, owned, error, keep)
             raise _with_artifacts(error, kept) from error.__cause__

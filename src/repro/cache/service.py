@@ -1,4 +1,4 @@
-"""Compile-once helpers: build-or-reuse native artifacts via the cache.
+"""Compile-once helpers: key and build native artifacts for the cache.
 
 The glue between :class:`repro.api.CompiledStream`, the C backends, the
 hardened native runner and the persistent :class:`ArtifactCache`:
@@ -7,12 +7,11 @@ hardened native runner and the persistent :class:`ArtifactCache`:
   (stream, backend, options, toolchain) combination, plus its digest;
 * :func:`build_native` — unconditionally generate + compile and publish
   the artifact bundle (generated C, optimized LIR dump, schedule stats,
-  binary);
-* :func:`ensure_native` — lookup-or-build;
-* :func:`run_native_cached` — execute the (possibly cached) binary.
+  binary).
 
-The serve daemon layers in-flight deduplication on top of these; the
-CLI and benchmarks call them directly.
+Artifacts are built with :data:`repro.backend.runner.DEFAULT_CFLAGS`.
+The one lookup-or-build is the serve daemon's ``_ensure_entry``, which
+adds in-flight deduplication and a circuit breaker around these two.
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ def codegen_fingerprint(backend: str) -> str:
 
 
 def native_key(stream, *, backend: str = "laminar-c", lowering=None,
-               opt=None,
-               cflags: tuple[str, ...] = runner.DEFAULT_CFLAGS
-               ) -> tuple[str, dict]:
+               opt=None) -> tuple[str, dict]:
     """``(key digest, components)`` for one native artifact.
 
     The components are exactly what the module docstring of
@@ -63,7 +60,7 @@ def native_key(stream, *, backend: str = "laminar-c", lowering=None,
         "options": options_fingerprint(lowering, opt),
         "backend": backend,
         "compiler": runner.compiler_fingerprint() or "none",
-        "cflags": " ".join(cflags),
+        "cflags": " ".join(runner.DEFAULT_CFLAGS),
         "codegen": codegen_fingerprint(backend),
     }
     return artifact_key(components), components
@@ -71,7 +68,6 @@ def native_key(stream, *, backend: str = "laminar-c", lowering=None,
 
 def build_native(stream, key: str, components: dict, *,
                  backend: str = "laminar-c", lowering=None, opt=None,
-                 cflags: tuple[str, ...] = runner.DEFAULT_CFLAGS,
                  cache: ArtifactCache | None = None) -> CacheEntry:
     """Generate, compile and publish one artifact bundle (a cache miss).
 
@@ -93,7 +89,7 @@ def build_native(stream, key: str, components: dict, *,
         workdir = Path(tempfile.mkdtemp(prefix="repro_cache_build_"))
         try:
             binary = runner.compile_c(code, workdir=workdir,
-                                      cflags=cflags, name=BINARY_NAME)
+                                      name=BINARY_NAME)
             entry = cache.publish(
                 key, components,
                 artifacts={CODE_NAME: code, BINARY_NAME: binary,
@@ -106,38 +102,3 @@ def build_native(stream, key: str, components: dict, *,
             shutil.rmtree(workdir, ignore_errors=True)
         span.annotate(build_seconds=entry.meta.get("build_seconds"))
     return entry
-
-
-def ensure_native(stream, *, backend: str = "laminar-c", lowering=None,
-                  opt=None,
-                  cflags: tuple[str, ...] = runner.DEFAULT_CFLAGS,
-                  cache: ArtifactCache | None = None
-                  ) -> tuple[CacheEntry, bool]:
-    """Lookup-or-build; returns ``(entry, hit)``."""
-    cache = cache or ArtifactCache()
-    key, components = native_key(stream, backend=backend,
-                                 lowering=lowering, opt=opt, cflags=cflags)
-    entry = cache.lookup(key)
-    if entry is not None:
-        return entry, True
-    return build_native(stream, key, components, backend=backend,
-                        lowering=lowering, opt=opt, cflags=cflags,
-                        cache=cache), False
-
-
-def run_native_cached(stream, iterations: int, *,
-                      backend: str = "laminar-c", lowering=None, opt=None,
-                      print_outputs: bool = False,
-                      cflags: tuple[str, ...] = runner.DEFAULT_CFLAGS,
-                      cache: ArtifactCache | None = None
-                      ) -> tuple[runner.NativeRun, bool]:
-    """Run a (possibly cached) native binary; returns ``(run, hit)``.
-
-    The hot path touches no compiler and no codegen: one cache lookup,
-    then :func:`repro.backend.runner.run_binary` on the prebuilt binary.
-    """
-    entry, hit = ensure_native(stream, backend=backend, lowering=lowering,
-                               opt=opt, cflags=cflags, cache=cache)
-    run = runner.run_binary(entry.binary, iterations,
-                            print_outputs=print_outputs)
-    return run, hit

@@ -68,9 +68,7 @@ Commands
 
 ``run``, ``report``, ``profile`` and ``fuzz`` accept ``--event-log
 PATH``: tracing is on for the command, and every closed span plus a
-final metrics snapshot is appended to a JSONL file.  ``profile
---native`` accepts ``--heartbeat MS`` for live native heartbeats and,
-with it, ``--stall-timeout S`` for the stall watchdog (see
+final metrics snapshot is appended to a JSONL file (see
 ``docs/OBSERVABILITY.md``).
 
 ``run`` and ``report`` also accept ``--trace`` to print the span tree
@@ -492,10 +490,6 @@ def _load_target(target: str) -> CompiledStream | None:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    if args.stall_timeout is not None and args.heartbeat is None:
-        print("error: --stall-timeout needs --heartbeat: the watchdog "
-              "only watches heartbeats", file=sys.stderr)
-        return 2
     started = time.monotonic()
     was_enabled = obs_trace.is_enabled()
     obs_trace.enable()
@@ -512,9 +506,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         native_table = None
         if getattr(args, "native", False):
             native_table, native_code = _native_profile(
-                stream, lowering, opt, args.iterations,
-                heartbeat_ms=args.heartbeat,
-                stall_timeout=args.stall_timeout)
+                stream, lowering, opt, args.iterations)
             if native_code != 0:
                 return native_code
         roots = obs_trace.get_trace()
@@ -554,9 +546,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _native_profile(stream: CompiledStream, lowering: LoweringOptions,
-                    opt: OptOptions, iterations: int,
-                    heartbeat_ms: int | None = None,
-                    stall_timeout: float | None = None
+                    opt: OptOptions, iterations: int
                     ) -> tuple[str | None, int]:
     """Run the laminar C backend plain and instrumented.
 
@@ -564,13 +554,10 @@ def _native_profile(stream: CompiledStream, lowering: LoweringOptions,
     ``REPRO_PROFILE`` — asserts the outputs are bit-exact, publishes the
     parsed per-filter timings into the metrics registry (so they reach
     the text/JSON/Chrome-trace exporters), and renders the per-filter
-    native table.  ``heartbeat_ms``/``stall_timeout`` arm the
-    instrumented run's live progress side channel and stall watchdog
-    (``--heartbeat`` / ``--stall-timeout``).  Returns ``(table, 0)`` on
-    success, ``(None, 0)`` when the toolchain failed (graceful
-    degradation: the interpreter profile still prints), and ``(None, 1)``
-    when the instrumented build diverged or violated the profile
-    protocol.  A failure of the generated *binary* propagates as
+    native table.  Returns ``(table, 0)`` on success, ``(None, 0)``
+    when the toolchain failed (graceful degradation: the interpreter
+    profile still prints), and ``(None, 1)`` when the instrumented build
+    diverged or violated the profile protocol.  A failure of the generated *binary* propagates as
     :class:`NativeToolchainError`.
     """
     from repro.backend.laminar_c import generate_laminar_c
@@ -579,13 +566,9 @@ def _native_profile(stream: CompiledStream, lowering: LoweringOptions,
 
     program = stream.lower(lowering, opt).program
     try:
-        # Instrumented build first: it is the one with the heartbeat
-        # side channel, so an injected/real hang is caught by the live
-        # stall watchdog rather than the unwatched plain run.
         profiled = compile_and_run(
             generate_laminar_c(program, profile=True), iterations,
-            name="laminar_profiled", heartbeat_ms=heartbeat_ms,
-            stall_timeout=stall_timeout)
+            name="laminar_profiled")
         plain = compile_and_run(generate_laminar_c(program), iterations,
                                 name="laminar")
     except NativeCompileError as error:
@@ -603,9 +586,6 @@ def _native_profile(stream: CompiledStream, lowering: LoweringOptions,
         print("error: instrumented binary emitted no profile-json line",
               file=sys.stderr)
         return None, 1
-    if profiled.heartbeats:
-        print(f"# native: {len(profiled.heartbeats)} heartbeat(s) "
-              f"(REPRO_HEARTBEAT_MS={heartbeat_ms})", file=sys.stderr)
     iters = max(profiled.profile.get("iterations", iterations), 1)
     filters = profiled.profile.get("filters", [])
     total_ns = sum(entry["ns"] for entry in filters) or 1.0
@@ -1040,18 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also compile the laminar C backend with "
                               "REPRO_PROFILE instrumentation and report "
                               "per-filter native ns/iteration")
-    profile.add_argument("--heartbeat", type=int, default=None,
-                         metavar="MS",
-                         help="with --native: make the instrumented "
-                              "binary emit heartbeat-json progress "
-                              "lines every MS milliseconds (0 = every "
-                              "iteration)")
-    profile.add_argument("--stall-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="with --native --heartbeat: kill the "
-                              "instrumented binary (counted as "
-                              "native.stall) when no heartbeat "
-                              "arrives for SECONDS")
     _add_opt_arguments(profile)
     _add_robustness_arguments(profile)
     _add_telemetry_arguments(profile)

@@ -38,8 +38,6 @@ FAULT_SITES = {
     "cc-timeout": "the compiler subprocess wedges past its timeout",
     "bin-nonzero": "the generated binary exits nonzero",
     "bin-timeout": "the generated binary wedges past its timeout",
-    "bin-hang": "the generated binary emits one heartbeat then stops "
-                "making progress (caught by the heartbeat watchdog)",
     "bin-garbage": "the binary emits unparseable output "
                    "(duplicate/garbled protocol lines)",
     "malformed-stdout": "the binary exits 0 but omits required "

@@ -22,10 +22,6 @@ Checks the structural invariants every pass must preserve:
 
 The test suite runs the verifier after lowering and after every
 optimizer configuration; it is also handy when developing new passes.
-
-:func:`steady_constant_elements` proves a property the C backend relies
-on instead: which array elements hold the same constant in every steady
-iteration, so their stores can run once in setup.
 """
 
 from __future__ import annotations
@@ -257,68 +253,6 @@ def _check_provenance(program: Program) -> None:
     if stamped and missing is not None:
         _fail(f"provenance integrity: {missing} lost its provenance "
               f"while {stamped} op(s) kept theirs")
-
-
-def steady_constant_elements(program: Program) -> set[tuple[str, int]]:
-    """The array elements each steady iteration sets to one constant,
-    as ``(slot name, index)`` pairs: storing them once before the first
-    iteration leaves every read unchanged.
-
-    A pair qualifies when the only stores to it in the whole program are
-    top-level steady stores of one constant (bit for bit) at that
-    constant index, no other store can reach it (no region body stores
-    to the slot, setup and init do not store to it, and no steady store
-    indexes it dynamically), and no load can read it before its first
-    steady store: setup and init do not load the slot, and each steady
-    load of the element comes after the element's first store.
-    """
-    excluded: set[str] = set()
-    constants: dict[tuple[str, int], tuple | None] = {}
-    for title, ops in program.sections():
-        for op in ops:
-            if isinstance(op, LoopRegion):
-                excluded.update(slot.name for slot in op.body_slot_stores())
-                if title != "steady":
-                    excluded.update(slot.name
-                                    for slot in op.body_slot_loads())
-            elif isinstance(op, LoadOp) and title != "steady":
-                excluded.add(op.slot.name)
-            elif isinstance(op, StoreOp):
-                if title != "steady" or not isinstance(op.index, Const):
-                    excluded.add(op.slot.name)
-                    continue
-                key = (op.slot.name, op.index.value)
-                value = (op.value.ty, repr(op.value.value)) \
-                    if isinstance(op.value, Const) else None
-                if constants.setdefault(key, value) != value:
-                    constants[key] = None
-    pairs = {key for key, value in constants.items()
-             if value is not None and key[0] not in excluded}
-
-    # slot -> indices of its pairs not stored yet this iteration
-    unstored: dict[str, set[int]] = {}
-    for slot, index in pairs:
-        unstored.setdefault(slot, set()).add(index)
-
-    def read(slot: str, index: Value | None) -> None:
-        pending = unstored.get(slot)
-        if not pending:
-            return
-        early = set(pending) if not isinstance(index, Const) \
-            else pending & {index.value}
-        pending -= early
-        pairs.difference_update((slot, value) for value in early)
-
-    for op in program.steady:
-        if isinstance(op, LoopRegion):
-            for body_op in op.body:
-                if isinstance(body_op, LoadOp):
-                    read(body_op.slot.name, None)
-        elif isinstance(op, LoadOp):
-            read(op.slot.name, op.index)
-        elif isinstance(op, StoreOp) and op.slot.name in unstored:
-            unstored[op.slot.name].discard(op.index.value)  # type: ignore
-    return pairs
 
 
 def verify(program: Program) -> Program:

@@ -81,7 +81,7 @@ from repro.backend import runner
 from repro.cache import (ArtifactCache, BACKENDS, build_native, native_key)
 from repro.faults import (ResourceExhausted, ResourceLimits, use_limits)
 from repro.frontend.errors import CompileError
-from repro.knobs import ledger_fields
+from repro.knobs import compile_options, ledger_fields
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import reqctx
@@ -575,7 +575,7 @@ class ServeServer:
             raise _usage(f"unknown backend {backend!r}; expected one of "
                          f"{', '.join(BACKENDS)}")
         try:
-            lowering, opt = pool_mod.spec_options(request)
+            lowering, opt = compile_options(request)
         except ValueError as error:
             raise _usage(str(error)) from None
         pipeline, knob_flags = ledger_fields(request)
@@ -640,8 +640,7 @@ class ServeServer:
         if kind == "native":
             stage_cls = {"compile": runner.NativeCompileError,
                          "run": runner.NativeRunError,
-                         "protocol": runner.NativeProtocolError,
-                         "stall": runner.NativeStallError}
+                         "protocol": runner.NativeProtocolError}
             cls = stage_cls.get(str(reply.get("stage")),
                                 runner.NativeToolchainError)
             raise cls(message)

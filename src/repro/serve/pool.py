@@ -51,9 +51,7 @@ from repro.faults import ResourceExhausted, ResourceLimits, use_limits
 from repro.faults import plan as fault_plan
 from repro.frontend.errors import CompileError
 from repro.knobs import KNOBS, compile_options
-from repro.lir import LoweringOptions
 from repro.obs import metrics as obs_metrics
-from repro.opt import OptOptions
 from repro.suite import load_benchmark
 
 DEFAULT_WORKERS = 2
@@ -378,13 +376,6 @@ class WorkerPool:
 
 # -- spec parsing and the stream memo (daemon and worker) ---------------------
 
-def spec_options(spec: dict) -> tuple[LoweringOptions, OptOptions]:
-    """Build ``(LoweringOptions, OptOptions)`` from a serve spec's knob
-    fields (:data:`repro.knobs.KNOBS`).  Raises :class:`ValueError` on a
-    malformed field."""
-    return compile_options(spec)
-
-
 class StreamMemo:
     """Frontend-compiled streams keyed by benchmark name or source hash,
     least recently used evicted first, so the hot path touches neither
@@ -429,7 +420,7 @@ def _execute_job(job: dict, streams: StreamMemo) -> dict:
     if job["kind"] == "interp":
         started = time.monotonic()
         stream, _ = streams.get(job)
-        lowering, opt = spec_options(job)
+        lowering, opt = compile_options(job)
         outputs = stream.run_laminar(iterations, lowering, opt).outputs
         return {"ok": True,
                 "checksum": f"{checksum_outputs(outputs):016x}",

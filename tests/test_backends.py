@@ -7,9 +7,8 @@ compiler is available.
 import pytest
 
 from repro import LoweringOptions, compile_source
-from repro.backend import (FifoCodegenOptions, checksum_outputs,
-                           compile_and_run, find_compiler, generate_fifo_c,
-                           generate_laminar_c)
+from repro.backend import (checksum_outputs, compile_and_run, find_compiler,
+                           generate_fifo_c, generate_laminar_c)
 from repro.backend.common import (c_float_literal, c_int_literal,
                                   sanitize_ident)
 from tests.conftest import requires_cc
@@ -63,11 +62,7 @@ class TestGeneration:
         assert "repro_setup" in code
         assert "repro_steady" in code
         assert "_push(" in code
-        assert "% " in code  # modulo wraparound by default
-
-    def test_fifo_c_mask_option(self, demo_stream):
-        code = demo_stream.fifo_c(FifoCodegenOptions(wraparound="mask"))
-        assert "& " in code
+        assert "% " in code  # modulo wraparound
 
     def test_laminar_c_structure(self, demo_stream):
         code = demo_stream.laminar_c()

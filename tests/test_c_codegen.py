@@ -1,14 +1,12 @@
 """Unit tests for the C code generators (text-level, no compiler needed)."""
 
 import hashlib
-import re
 
 import pytest
 
 from repro import LoweringOptions, compile_source
-from repro.backend.fifo_c import FifoCodegenOptions
+from repro.backend.common import C_MAIN
 from repro.backend.laminar_c import generate_laminar_c
-from repro.lir.verify import steady_constant_elements
 from repro.suite import benchmark_names, load_benchmark
 from tests.conftest import function_text, requires_cc
 
@@ -18,8 +16,8 @@ float->void filter Snk() { work pop 1 { println(pop()); } }
 """
 
 
-def fifo_code(body, options=None):
-    return compile_source(PREAMBLE + body).fifo_c(options)
+def fifo_code(body):
+    return compile_source(PREAMBLE + body).fifo_c()
 
 
 def laminar_code(body, lowering=None):
@@ -71,17 +69,6 @@ class TestFifoCodegen:
             "{ push(pop()); pop(); pop(); pop(); } }" + PIPE)
         # Src fires 4x per steady iteration -> compressed into a loop
         assert "for (int i = 0; i < 4; i++)" in code
-
-    def test_modulo_vs_mask(self):
-        modulo = fifo_code(
-            "float->float filter F() { work push 1 pop 1 peek 3 "
-            "{ push(peek(2)); pop(); } }" + PIPE)
-        mask = compile_source(
-            PREAMBLE + "float->float filter F() { work push 1 pop 1 "
-            "peek 3 { push(peek(2)); pop(); } }" + PIPE).fifo_c(
-                FifoCodegenOptions(wraparound="mask"))
-        assert "% " in modulo
-        assert "& " in mask
 
     def test_prework_function(self):
         code = fifo_code(
@@ -297,25 +284,6 @@ def _two_windows(size: int = 14):
     return program
 
 
-def _stores(values):
-    """Steady stores of ``values`` into one array element, each followed
-    by a load of it that is printed."""
-    from repro.frontend.types import FLOAT
-    from repro.lir import (LoadOp, PrintOp, Program, StateSlot, StoreOp,
-                           Temp, const_int)
-    slot = StateSlot("g", FLOAT, 2)
-    program = Program(name="stores", state_slots=[slot])
-    for value in values:
-        loaded = Temp(FLOAT)
-        program.steady += [
-            StoreOp(result=None, slot=slot, index=const_int(1),
-                    value=value),
-            LoadOp(result=loaded, slot=slot, index=const_int(1)),
-            PrintOp(result=None, value=loaded)]
-    program.prints_per_iteration = len(values)
-    return program
-
-
 class TestCarriedWindows:
     def test_fm_radio_shifts_each_window_once(self):
         from repro.backend.laminar_c import carry_windows
@@ -356,48 +324,21 @@ class TestCarriedWindows:
         assert "memmove(" not in code and "cw0" not in code
 
 
-class TestConstantElements:
-    def test_carried_constants_are_stored_once(self):
-        # A steady region gathers no constant the lowering sees, but in
-        # seed 7's fuzz program 28 the tokens F5's region gathers are
-        # carries that the optimizer turns into constants afterwards.
-        from repro.fuzz.generator import random_spec, render
-        code = compile_source(render(random_spec("7:28"))).laminar_c()
-        constant_store = re.compile(
-            r"^\s+rr\d+_g\[\d+\] = \(?-?[\d.e+-]+\)?;$", re.M)
-        assert not constant_store.search(function_text(code,
-                                                       "repro_steady"))
-        assert len(constant_store.findall(
-            function_text(code, "repro_setup"))) == 3
+class TestMain:
+    def test_plain_main_is_the_seed_main(self, tiny_stream):
+        # Both backends end in the one seed main, and so does the
+        # profile build: profiling adds no code to main().
+        program = tiny_stream.lower().program
+        assert generate_laminar_c(program).endswith(C_MAIN)
+        assert generate_laminar_c(program, profile=True).endswith(C_MAIN)
+        assert tiny_stream.fifo_c().endswith(C_MAIN)
 
-    def test_one_constant_moves_to_setup(self):
-        from repro.lir import const_float
-        code = generate_laminar_c(_stores([const_float(2.5)]))
-        assert "g[1] = 2.5;" in function_text(code, "repro_setup")
-        assert "g[1] = " not in function_text(code, "repro_steady")
-
-    def test_two_constants_stay_in_steady(self):
-        from repro.lir import const_float
-        program = _stores([const_float(2.5), const_float(-0.5)])
-        assert steady_constant_elements(program) == set()
-        steady = function_text(generate_laminar_c(program), "repro_steady")
-        assert "g[1] = 2.5;" in steady and "g[1] = -0.5;" in steady
-
-    def test_zero_and_negative_zero_are_two_constants(self):
-        from repro.lir import const_float
-        program = _stores([const_float(0.0), const_float(-0.0)])
-        assert steady_constant_elements(program) == set()
-
-    def test_read_before_the_store_keeps_it_in_steady(self):
-        from repro.frontend.types import FLOAT
-        from repro.lir import LoadOp, PrintOp, Temp, const_float, const_int
-        program = _stores([const_float(2.5)])
-        early = Temp(FLOAT)
-        program.steady[:0] = [
-            LoadOp(result=early, slot=program.state_slots[0],
-                   index=const_int(1)),
-            PrintOp(result=None, value=early)]
-        assert steady_constant_elements(program) == set()
+    def test_profile_build_reads_no_environment(self, tiny_stream):
+        code = generate_laminar_c(tiny_stream.lower().program,
+                                  profile=True)
+        assert "profile-json" in code
+        assert "REPRO_HEARTBEAT_MS" not in code
+        assert "getenv(" not in code
 
 
 @requires_cc

@@ -11,9 +11,9 @@ import pytest
 
 from repro import OptOptions, compile_source
 from repro.api import options_fingerprint
-from repro.cache import (ArtifactCache, artifact_key, cache_dir,
-                         codegen_fingerprint, ensure_native, native_key,
-                         run_native_cached)
+from repro.backend import runner
+from repro.cache import (ArtifactCache, artifact_key, build_native,
+                         cache_dir, codegen_fingerprint, native_key)
 from repro.cache.store import LAST_USED_NAME, META_NAME
 from repro.lir import LoweringOptions
 
@@ -259,14 +259,30 @@ class TestStore:
         assert json.dumps(stats)  # JSON-serializable for the CLI
 
 
+def _lookup_or_build(stream, cache, **options):
+    """``(entry, hit)``: the serve daemon's lookup-or-build, without its
+    single flight and breaker."""
+    key, components = native_key(stream, **options)
+    entry = cache.lookup(key)
+    if entry is not None:
+        return entry, True
+    return build_native(stream, key, components, cache=cache,
+                        **options), False
+
+
+def _run_cached(stream, iterations, cache, **options):
+    entry, hit = _lookup_or_build(stream, cache, **options)
+    return runner.run_binary(entry.binary, iterations), hit
+
+
 @requires_cc
 class TestService:
     def test_build_then_hit_bit_exact(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         stream = compile_source(TINY_PROGRAM, "tiny.str")
-        run_cold, hit_cold = run_native_cached(stream, 16, cache=cache)
+        run_cold, hit_cold = _run_cached(stream, 16, cache)
         assert hit_cold is False
-        run_hot, hit_hot = run_native_cached(stream, 16, cache=cache)
+        run_hot, hit_hot = _run_cached(stream, 16, cache)
         assert hit_hot is True
         assert run_hot.checksum == run_cold.checksum
         assert run_hot.output_count == run_cold.output_count
@@ -278,7 +294,7 @@ class TestService:
     def test_entry_carries_full_bundle(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         stream = compile_source(TINY_PROGRAM, "tiny.str")
-        entry, hit = ensure_native(stream, cache=cache)
+        entry, hit = _lookup_or_build(stream, cache)
         assert hit is False
         assert entry.artifact("prog.c").is_file()
         assert entry.artifact("lir.txt").is_file()
@@ -290,27 +306,25 @@ class TestService:
     def test_distinct_options_distinct_entries(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         stream = compile_source(TINY_PROGRAM, "tiny.str")
-        ensure_native(stream, cache=cache)
-        entry2, hit2 = ensure_native(stream, opt=OptOptions(pipeline=()),
-                                     cache=cache)
+        _lookup_or_build(stream, cache)
+        entry2, hit2 = _lookup_or_build(stream, cache,
+                                        opt=OptOptions(pipeline=()))
         assert hit2 is False
         assert cache.stats()["entries"] == 2
 
     def test_fifo_backend_cached_too(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         stream = compile_source(TINY_PROGRAM, "tiny.str")
-        run_a, hit_a = run_native_cached(stream, 8, backend="fifo-c",
-                                         cache=cache)
-        run_b, hit_b = run_native_cached(stream, 8, backend="fifo-c",
-                                         cache=cache)
+        run_a, hit_a = _run_cached(stream, 8, cache, backend="fifo-c")
+        run_b, hit_b = _run_cached(stream, 8, cache, backend="fifo-c")
         assert (hit_a, hit_b) == (False, True)
         assert run_a.checksum == run_b.checksum
 
     def test_corrupted_binary_rebuilds(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         stream = compile_source(TINY_PROGRAM, "tiny.str")
-        entry, _hit = ensure_native(stream, cache=cache)
+        entry, _hit = _lookup_or_build(stream, cache)
         entry.binary.unlink()  # violates the meta manifest
-        entry2, hit2 = ensure_native(stream, cache=cache)
+        entry2, hit2 = _lookup_or_build(stream, cache)
         assert hit2 is False
         assert entry2.binary.is_file()

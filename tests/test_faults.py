@@ -178,8 +178,9 @@ class TestFaultPlan:
         assert FaultPlan.parse("cc-missing").rates == {"cc-missing": 1.0}
 
     def test_parse_rejects_unknown_site(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan.parse("cc-explode:1")
+        for spec in ("cc-explode:1", "bin-hang:1"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultPlan.parse(spec)
 
     def test_parse_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="rate"):
@@ -389,6 +390,21 @@ class TestRealTimeouts:
         assert not excinfo.value.injected
         # The backgrounded grandchild died with its group, not just the
         # shell that started it.
+        assert _process_gone(int(pidfile.read_text()))
+
+    def test_child_that_closed_its_pipes_still_dies_at_the_deadline(
+            self, tmp_path):
+        # Its pipes reach EOF at once, but the child keeps running: the
+        # deadline, not EOF, ends the wait, and the group dies with it.
+        pidfile = tmp_path / "child.pid"
+        script = tmp_path / "silent"
+        script.write_text("#!/bin/sh\nexec >&- 2>&-\n"
+                          f"sleep 60 &\necho $! > {pidfile}\nwait\n")
+        script.chmod(0o755)
+        started = time.monotonic()
+        result = runner._supervise([str(script)], 0.5)
+        assert 0.5 <= time.monotonic() - started < 10
+        assert result.timed_out
         assert _process_gone(int(pidfile.read_text()))
 
     def test_compiler_timeout(self, tmp_path, monkeypatch):

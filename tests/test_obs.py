@@ -424,7 +424,7 @@ class TestOpenMetrics:
     def filled_registry(self):
         registry = metrics.MetricsRegistry()
         registry.counter("native.fallback").inc(2)
-        registry.gauge("native.heartbeat.iterations").set(7)
+        registry.gauge("schedule.steady_firings").set(7)
         hist = registry.histogram("opt.pass_ns")
         for value in range(1, 11):
             hist.observe(float(value))
@@ -435,8 +435,8 @@ class TestOpenMetrics:
         assert text.endswith("# EOF\n")
         assert "# TYPE repro_native_fallback counter" in text
         assert "repro_native_fallback_total 2" in text
-        assert "# TYPE repro_native_heartbeat_iterations gauge" in text
-        assert "repro_native_heartbeat_iterations 7" in text
+        assert "# TYPE repro_schedule_steady_firings gauge" in text
+        assert "repro_schedule_steady_firings 7" in text
         assert "# TYPE repro_opt_pass_ns summary" in text
         assert 'repro_opt_pass_ns{quantile="0.5"} 5.0' in text
         assert 'repro_opt_pass_ns{quantile="0.99"} 10.0' in text

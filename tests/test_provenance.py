@@ -3,7 +3,6 @@
 import pytest
 
 from repro import compile_source
-from repro.backend.fifo_c import generate_fifo_c
 from repro.backend.laminar_c import generate_laminar_c
 from repro.backend.runner import compile_and_run
 from repro.frontend.types import FLOAT
@@ -189,11 +188,6 @@ class TestProfiledCodegen:
         assert generate_laminar_c(program) \
             == generate_laminar_c(program, profile=False)
         assert "REPRO_PROFILE" not in generate_laminar_c(program)
-        plain_fifo = generate_fifo_c(tiny_stream.schedule,
-                                     tiny_stream.source)
-        assert plain_fifo == generate_fifo_c(
-            tiny_stream.schedule, tiny_stream.source, profile=False)
-        assert "REPRO_PROFILE" not in plain_fifo
 
     def test_profiled_codegen_is_instrumented(self, tiny_stream):
         program = tiny_stream.lower().program
@@ -201,9 +195,6 @@ class TestProfiledCodegen:
         assert "REPRO_PROFILE" in code
         assert "repro_prof_dump" in code
         assert "repro_prof_note_iter" in code
-        fifo = generate_fifo_c(tiny_stream.schedule, tiny_stream.source,
-                               profile=True)
-        assert "REPRO_PROFILE" in fifo
 
     @requires_cc
     def test_native_profile_is_bit_exact(self, tiny_stream):
@@ -225,20 +216,6 @@ class TestProfiledCodegen:
             assert entry["ns"] >= 0
             assert entry["ops"] > 0
             assert entry["calls"] > 0
-
-    @requires_cc
-    def test_native_fifo_profile_is_bit_exact(self, tiny_stream):
-        plain = compile_and_run(
-            generate_fifo_c(tiny_stream.schedule, tiny_stream.source), 6,
-            name="fifo_plain")
-        profiled = compile_and_run(
-            generate_fifo_c(tiny_stream.schedule, tiny_stream.source,
-                            profile=True), 6, name="fifo_instr")
-        assert profiled.checksum == plain.checksum
-        assert profiled.profile is not None
-        assert profiled.profile["iterations"] == 6
-        names = {entry["name"] for entry in profiled.profile["filters"]}
-        assert {"Ramp", "Out"} <= names
 
 
 class TestHistogramPercentiles:
