@@ -142,9 +142,11 @@ def test_native_speedups(benchmark, tmp_path):
 
 
 if __name__ == "__main__":
+    # Writes fig_speedup.txt and BENCH_fig_speedup.json, as the pytest
+    # driver does; without a C compiler the host column reads "-".
     import tempfile
     ratios = {}
     if find_compiler() is not None:
         with tempfile.TemporaryDirectory() as tmp:
             ratios = native_speedups(Path(tmp))
-    print(build_report(ratios)[0])
+    emit("fig_speedup", *build_report(ratios))
