@@ -97,8 +97,8 @@ static uint64_t repro_checksum = 1469598103934665603ull; /* FNV offset */
 static uint64_t repro_output_count = 0;
 
 static inline void repro_hash_u64(uint64_t bits) {
-    repro_checksum ^= bits;
-    repro_checksum *= 1099511628211ull; /* FNV prime */
+    repro_checksum ^= bits ^ (bits >> 63);
+    repro_checksum *= 1099511628211ull;
 }
 
 static inline void repro_print_f64(f64 value) {
@@ -278,7 +278,11 @@ def checksum_outputs(outputs: list[object]) -> int:
 
     Floats hash their IEEE-754 bit pattern, ints their 32-bit pattern, so
     a Python interpreter run and a native run of the same program agree
-    bit-for-bit.
+    bit-for-bit.  Each pattern's sign bit is also xored into its bit 0
+    (``bits ^ (bits >> 63)``) before the xor and the multiply by the FNV
+    prime: a sign-only flip would otherwise change only bit 63 of the
+    accumulator, which the odd multiply leaves in place, and two such
+    flips would cancel.
     """
     acc = 1469598103934665603
     for value in outputs:
@@ -288,6 +292,6 @@ def checksum_outputs(outputs: list[object]) -> int:
             bits = value & 0xFFFFFFFF
         else:
             bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-        acc ^= bits
+        acc ^= bits ^ (bits >> 63)
         acc = (acc * 1099511628211) & 0xFFFFFFFFFFFFFFFF
     return acc

@@ -451,7 +451,9 @@ class LaminarCBackend:
 # 7: steady loop regions gather no constants (such runs stay unrolled and
 #    fold), and constant folding drops exact +-0.0 additions.
 # 8: steady stores of a constant element stay in steady (no setup hoist).
-CODEGEN_VERSION = 8
+# 9: the optimizer merges congruent carries, so the consumers of a
+#    duplicate splitter share one carried window (same pass-list key).
+CODEGEN_VERSION = 9
 
 
 def codegen_fingerprint() -> str:

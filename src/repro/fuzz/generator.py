@@ -20,7 +20,8 @@ program is well-typed and schedulable by construction:
 Covered surface: pipelines, splitjoins (duplicate and weighted
 round-robin including weight-0 ports), feedbackloops, peeking filters
 (some with windows 12-40 tokens wider than their pop rate, which the C
-backend carries as shifted arrays), prework (with rates different from
+backend carries as shifted arrays, and duplicate splitjoins whose
+branches share one window), prework (with rates different from
 steady rates), int/float/array state, the ``randf``/``randi``
 intrinsics, and work bodies that push from a static ``for`` loop
 (peeking at offsets affine in its index), which the lowering rolls back
@@ -367,18 +368,24 @@ class _Gen:
 
     def mid_filter(self, in_ty: str, out_ty: str, pop: int | None = None,
                    push: int | None = None, allow_prework: bool = True,
-                   allow_peek: bool = True) -> FilterSpec:
+                   allow_peek: bool = True,
+                   peek: int | None = None) -> FilterSpec:
+        """A filter with the given rates, drawn where ``None``; a given
+        ``peek`` is used as is."""
         rng = self.rng
         pop = self._rate() if pop is None else pop
         push = self._rate() if push is None else push
-        peek = pop
-        if allow_peek and pop > 0 and rng.random() < 0.35:
+        if peek is not None:
+            self.features.add("peeking-filter")
+        elif allow_peek and pop > 0 and rng.random() < 0.35:
             if rng.random() < 0.3:
                 peek = pop + rng.randint(*WIDE_PEEK)
                 self.features.add("wide-peek")
             else:
                 peek = pop + rng.randint(1, 2)
             self.features.add("peeking-filter")
+        else:
+            peek = pop
         fields: list[tuple[str, str, int | None]] = []
         init_stmts: list[str] = []
         atoms: list[tuple[str, str]] = []
@@ -467,6 +474,16 @@ class _Gen:
                                  # falls into two rate-independent halves
             if ok:
                 break
+        # A duplicate splitjoin whose branches pop the same tokens and
+        # peek the same distance past them carries one window per
+        # branch, all congruent: the optimizer keeps one of them.
+        shared: tuple[int, int] | None = None
+        if duplicate and rng.random() < 0.5:
+            m = rng.randint(1, 2)
+            past = rng.randint(*WIDE_PEEK) if rng.random() < 0.3 \
+                else rng.randint(1, 2)
+            shared = (m, m + past)
+        sharing = 0
         # The diamond is over-constrained: branch i's repetition ratio
         # implied by the split side (w_i / pop_i) times its push/join
         # ratio (push_i / v_i) must match across branches.  Tying the
@@ -483,6 +500,13 @@ class _Gen:
             elif j == 0:
                 branches.append([self.discard_filter(in_ty, out_ty)])
                 self.features.add("weight0-join")
+            elif shared is not None:
+                m, peek = shared
+                branches.append([self.mid_filter(in_ty, out_ty, pop=m,
+                                                 push=j * m,
+                                                 allow_prework=False,
+                                                 peek=peek)])
+                sharing += 1
             elif rng.random() < 0.3 and in_ty == out_ty:
                 m = rng.randint(1, 2)
                 mid = rng.randint(1, 3)
@@ -496,6 +520,8 @@ class _Gen:
                 branches.append([self.mid_filter(in_ty, out_ty, pop=s * m,
                                                  push=j * m,
                                                  allow_prework=False)])
+        if sharing >= 2:
+            self.features.add("shared-window")
         self.features.add("duplicate" if duplicate else
                           "roundrobin-splitjoin")
         return SplitJoinSpec(kind="duplicate" if duplicate else "roundrobin",

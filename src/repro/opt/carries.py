@@ -1,4 +1,5 @@
-"""Constant loop-carry specialization and dead-carry removal.
+"""Constant loop-carry specialization, dead-carry removal and the
+merging of congruent carries.
 
 A loop-carried token whose initial value is a constant and whose
 next-iteration value is (a) the same constant or (b) the carry itself is
@@ -17,12 +18,20 @@ optimizer round.
 
 Comparison is bit-exact (``-0.0`` is not ``0.0``; ``True`` is not ``1``)
 so the substitution never changes observable output.
+
+Consumers of a duplicate splitter read the producer's tokens by name,
+but each still carries its own copy of its peek window across the
+steady loop's back edge.  :func:`merge_congruent_carries` finds the
+carries that hold equal values on every iteration (congruence in the
+sense of Alpern, Wegman and Zadeck, POPL 1988) and keeps one of each
+kind, so CSE can merge the filters that read one window.
 """
 
 from __future__ import annotations
 
 from repro.lir.ops import Const, Temp, Value
 from repro.lir.program import Program
+from repro.lir.regions import value_key
 from repro.opt.passes import apply_subst, read_temp_ids, resolver
 
 
@@ -102,3 +111,51 @@ def eliminate_dead_carries(program: Program) -> int:
         return 0
     _keep_carries(program, [i for i, is_live in enumerate(live) if is_live])
     return len(params) - sum(live)
+
+
+def merge_congruent_carries(program: Program) -> int:
+    """Merge the carries that hold equal values on every iteration.
+
+    Two carries are congruent when their inits are the same value
+    (bit-exact, :func:`~repro.lir.regions.value_key`) and their nexts
+    are the same non-carry value or congruent carries.  The partition
+    starts from the groups of equal type and init and splits each group
+    by the group of its members' nexts until no group splits: the
+    coarsest stable partition, a greatest fixpoint.  So a zero-initialized
+    window whose shift chain differs from another's only deep down stays
+    apart, however long the chain is.  Each group's parameters are then
+    replaced by its first member.  Returns the number of carries removed.
+    """
+    params = program.carry_params
+    index_of = {param.id: i for i, param in enumerate(params)}
+    keys: dict[tuple, int] = {}
+    group = [keys.setdefault((str(param.ty), value_key(init)), len(keys))
+             for param, init in zip(params, program.carry_inits)]
+    nexts = [index_of.get(value.id) if isinstance(value, Temp) else None
+             for value in program.carry_nexts]
+    foreign = [value_key(value) for value in program.carry_nexts]
+    # Split until a round splits no group, or every carry stands alone.
+    count = 0
+    while count < len(keys) < len(params):
+        count = len(keys)
+        keys = {}
+        group = [keys.setdefault(
+            (group[i], foreign[i] if nexts[i] is None
+             else ("carry", group[nexts[i]])), len(keys))
+            for i in range(len(params))]
+    if len(keys) == len(params):
+        return 0
+    first: dict[int, Temp] = {}
+    subst: dict[int, Value] = {}
+    for param, number in zip(params, group):
+        kept = first.setdefault(number, param)
+        if kept is not param:
+            subst[param.id] = kept
+    # Only the steady section and the carry nexts read carry params.
+    resolve = resolver(subst)
+    for op in program.steady:
+        op.map_operands(resolve)
+    program.carry_nexts = [resolve(value) for value in program.carry_nexts]
+    _keep_carries(program, [i for i, param in enumerate(params)
+                            if param.id not in subst])
+    return len(subst)

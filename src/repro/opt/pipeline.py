@@ -34,6 +34,7 @@ from repro.lir.program import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.opt.carries import (eliminate_dead_carries,
+                               merge_congruent_carries,
                                specialize_constant_carries)
 from repro.opt.passes import (common_subexpression_elimination,
                               constant_folding, copy_propagation,
@@ -65,13 +66,14 @@ _PASS_ALIASES = {
 
 # Steps that may participate in a fixpoint group (contiguous runs of
 # these in the pipeline iterate together until quiescent), each with
-# the passes it runs as (span name, pass) pairs: the carries step is two
-# passes that keep their own spans.
+# the passes it runs as (span name, pass) pairs: the carries step is
+# three passes that keep their own spans.
 _GROUP_PASSES = {
     "constant_folding": (("constant_folding", constant_folding),),
     "carries": (
         ("specialize_constant_carries", specialize_constant_carries),
-        ("eliminate_dead_carries", eliminate_dead_carries)),
+        ("eliminate_dead_carries", eliminate_dead_carries),
+        ("merge_congruent_carries", merge_congruent_carries)),
     "common_subexpression_elimination": (
         ("common_subexpression_elimination",
          common_subexpression_elimination),),

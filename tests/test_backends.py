@@ -55,6 +55,16 @@ class TestChecksum:
         values = [0.5, -1.25, 3]
         assert checksum_outputs(values) == checksum_outputs(values)
 
+    @pytest.mark.parametrize("values,flipped", [
+        ([0.0, 1.5, 0.0], [-0.0, 1.5, -0.0]),
+        ([2.0, -3.0], [-2.0, 3.0]),
+        ([0.25, 0.25, 0.25, 0.25], [-0.25, 0.25, 0.25, -0.25]),
+    ])
+    def test_two_sign_flips_change_the_checksum(self, values, flipped):
+        # A sign-only flip must not toggle just bit 63 of the
+        # accumulator, where a second flip would cancel it.
+        assert checksum_outputs(values) != checksum_outputs(flipped)
+
 
 class TestGeneration:
     def test_fifo_c_structure(self, demo_stream):

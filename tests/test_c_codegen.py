@@ -196,11 +196,11 @@ STEADY_DIGESTS = {
     ("autocor", 1): "0e4084bfa3bdfefc",
     ("beamformer", 1): "ffb70e682e6d4da6",
     ("bitonic_sort", 1): "2fb905f1dd9dddb2",
-    ("channel_vocoder", 1): "640ad9cbafbb274b",
+    ("channel_vocoder", 1): "59b5d2b670a16317",
     ("dct", 1): "36f4d0bd21beaa09",
     ("fft", 1): "5de9f8fc5f3699fd",
-    ("filterbank", 1): "60ae805a66ea2b3d",
-    ("fm_radio", 1): "d9f59ba4651deaf6",
+    ("filterbank", 1): "124c0d755ede06a2",
+    ("fm_radio", 1): "01ff571d7ccf9b2d",
     ("histogram", 1): "8381692afb1a1ab2",
     ("lattice", 1): "1f0b85f1cef4b08e",
     ("matrixmult", 1): "e62bfb45b3ba1366",
@@ -210,7 +210,7 @@ STEADY_DIGESTS = {
     ("autocor", 4): "8ce2f5c56efbf56e",
     ("bitonic_sort", 4): "7779839484da5749",
     ("fft", 4): "91da69cb22ae34c8",
-    ("filterbank", 4): "e9da018e63c223d5",
+    ("filterbank", 4): "36215bc867749a7e",
     ("matrixmult", 4): "c4fbb659bfd45073",
 }
 
@@ -224,11 +224,11 @@ C_SIZE_CEILINGS = {
     ("autocor", 1): 17_141,
     ("beamformer", 1): 78_493,
     ("bitonic_sort", 1): 14_170,
-    ("channel_vocoder", 1): 62_356,
+    ("channel_vocoder", 1): 57_921,
     ("dct", 1): 17_916,
     ("fft", 1): 14_375,
-    ("filterbank", 1): 140_302,
-    ("fm_radio", 1): 70_381,
+    ("filterbank", 1): 131_463,
+    ("fm_radio", 1): 41_107,
     ("histogram", 1): 21_585,
     ("lattice", 1): 5_471,
     ("matrixmult", 1): 6_199,
@@ -238,7 +238,7 @@ C_SIZE_CEILINGS = {
     ("autocor", 4): 65_396,
     ("bitonic_sort", 4): 96_036,
     ("fft", 4): 70_994,
-    ("filterbank", 4): 364_649,
+    ("filterbank", 4): 340_698,
     ("matrixmult", 4): 10_599,
 }
 

@@ -40,7 +40,7 @@ class TestGenerator:
                 "prework", "peeking-filter", "randi", "randf",
                 "int-div", "array", "duplicate",
                 "roundrobin-splitjoin", "push-loop", "wide-peek",
-                "signed-zero"} <= features
+                "signed-zero", "shared-window"} <= features
 
     def test_options_gate_composites(self):
         options = GeneratorOptions(allow_feedback=False,

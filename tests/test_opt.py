@@ -223,8 +223,8 @@ class TestSignedZeroFolds:
         for value, (x, folds) in zip(printed, forms):
             assert (value is x) == folds
 
-    # Outputs compare by bit pattern: a checksum misses a sign flip of
-    # zero that happens an even number of times.
+    # Outputs compare by bit pattern, so a failure names the output
+    # whose sign or bits changed.
     def test_bit_exact_in_the_interpreter(self):
         before, _ = _signed_zero_program()
         after, _ = _signed_zero_program()
@@ -633,6 +633,122 @@ class TestCarryChains:
         assert stats.fixpoint_rounds <= 3
 
 
+class TestCongruentCarries:
+    """Carries with equal inits whose nexts stay equal merge into one;
+    equal inits alone, or nexts equal only near the front of a shift
+    chain, do not."""
+
+    DUPLICATE_FIRS = PREAMBLE + """
+    float->float filter FIR() {
+        work push 1 pop 1 peek 16 {
+            float s = 0;
+            for (int i = 0; i < 16; i++) s += peek(i) * (i + 0.5);
+            push(s); pop();
+        }
+    }
+    void->void pipeline P {
+        add Src();
+        add splitjoin { split duplicate; add FIR(); add FIR();
+                        join roundrobin; };
+        add Snk();
+    }"""
+
+    @staticmethod
+    def _carrying(inits, nexts_of):
+        """A program with one float carry per init, each printed every
+        iteration; ``nexts_of(params, fresh)`` gives the carry nexts,
+        where ``fresh[k]`` is ``params[k] + (k + 1)``."""
+        program = make_program()
+        params = [Temp(FLOAT) for _ in inits]
+        fresh = [Temp(FLOAT) for _ in inits]
+        program.steady = [PrintOp(result=None, value=p) for p in params]
+        program.steady += [BinOp(result=f, op="+", lhs=p,
+                                 rhs=const_float(k + 1.0))
+                           for k, (p, f) in enumerate(zip(params, fresh))]
+        program.carry_params = list(params)
+        program.carry_inits = [const_float(value) for value in inits]
+        program.carry_nexts = nexts_of(params, fresh)
+        program.prints_per_iteration = len(params)
+        return program
+
+    def test_duplicate_split_firs_share_one_window(self):
+        stream = compile_source(self.DUPLICATE_FIRS)
+        program = stream.lower().program
+        assert len(program.carry_params) == 15
+        multiplies = [op for op in program.steady
+                      if isinstance(op, BinOp) and op.op == "*"]
+        assert len(multiplies) == 16  # CSE merged the two FIRs
+        code = stream.laminar_c()
+        assert code.count("memmove(") == 1
+        assert code.count("static f64 cw") == 1
+        assert _bits(stream.run_laminar(8).outputs) == \
+            _bits(stream.run_fifo(8).outputs)
+
+    @requires_cc
+    def test_duplicate_split_firs_bit_exact_natively(self, tmp_path):
+        from repro.backend import checksum_outputs, compile_and_run
+        stream = compile_source(self.DUPLICATE_FIRS)
+        expected = stream.run_fifo(8).outputs
+        for name, code in (("fifo", stream.fifo_c()),
+                           ("laminar", stream.laminar_c())):
+            run = compile_and_run(code, 8, print_outputs=True,
+                                  workdir=tmp_path / name)
+            assert _bits(run.outputs) == _bits(expected), name
+            assert run.checksum == checksum_outputs(expected), name
+
+    def test_same_init_different_next_stays_apart(self):
+        from repro.opt import merge_congruent_carries
+        program = self._carrying(
+            [1.0, 1.0], lambda params, fresh: fresh)
+        assert merge_congruent_carries(program) == 0
+        assert len(program.carry_params) == 2
+
+    def test_signed_zero_inits_stay_apart(self):
+        from repro.opt import merge_congruent_carries
+        program = self._carrying(
+            [0.0, -0.0], lambda params, fresh: [fresh[0], fresh[0]])
+        assert merge_congruent_carries(program) == 0
+        assert len(program.carry_params) == 2
+
+    def test_windows_differing_deep_in_the_chain_stay_apart(self):
+        # a0 <- a1 <- a2 <- fresh0 and b0 <- b1 <- b2 <- fresh1, all
+        # zero-initialized: a0 and b0 first differ two shifts on.
+        from repro.opt import merge_congruent_carries
+        program = self._carrying(
+            [0.0] * 6,
+            lambda p, fresh: [p[1], p[2], fresh[0], p[4], p[5], fresh[3]])
+        assert merge_congruent_carries(program) == 0
+        assert len(program.carry_params) == 6
+
+    def test_invariant_carries_with_one_init_merge(self):
+        # Each carry's next is itself: only a partition that starts
+        # coarse and splits sees the two as equal.
+        from repro.opt import merge_congruent_carries
+        program = make_program()
+        seed = Temp(FLOAT)
+        params = [Temp(FLOAT), Temp(FLOAT)]
+        program.init = [BinOp(result=seed, op="+", lhs=const_float(1.0),
+                              rhs=const_float(2.0))]
+        program.steady = [PrintOp(result=None, value=p) for p in params]
+        program.carry_params = list(params)
+        program.carry_inits = [seed, seed]
+        program.carry_nexts = list(params)
+        assert merge_congruent_carries(program) == 1
+        assert program.carry_params == program.carry_nexts == params[:1]
+        assert [op.value for op in program.steady] == [params[0]] * 2
+
+    def test_equal_windows_merge_whole(self):
+        from repro.opt import merge_congruent_carries
+        program = self._carrying(
+            [0.0] * 6,
+            lambda p, fresh: [p[1], p[2], fresh[0], p[4], p[5], fresh[0]])
+        before = LaminarInterpreter(program).run(4).outputs
+        assert merge_congruent_carries(program) == 3
+        assert program.carry_nexts[:2] == program.carry_params[1:]
+        assert _bits(LaminarInterpreter(program).run(4).outputs) == \
+            _bits(before)
+
+
 class TestPassManagerConfig:
     """The pass-pipeline and round-cap knobs added with the pass manager."""
 
@@ -715,6 +831,7 @@ class TestPassManagerConfig:
                 "dead_code_elimination", "copy_propagation",
                 "promote_state", "constant_folding",
                 "specialize_constant_carries", "eliminate_dead_carries",
+                "merge_congruent_carries",
                 "common_subexpression_elimination",
                 "schedule_for_pressure")}
 
