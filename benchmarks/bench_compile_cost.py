@@ -54,9 +54,9 @@ STAGES = {"lower_s": "lowering", "optimize_s": "optimize"}
 
 # CI regression gate: fail --check when a stage's time exceeds this
 # multiple of the committed baseline (generous — CI machines are noisy;
-# losing the firing templates costs lowering ~2.5x, and specializing one
-# link of a carry chain per fixpoint round instead of whole chains costs
-# filterbank x4's optimize ~6x).
+# losing the firing templates costs lowering ~2.5x, and resolving one
+# link of a carry chain per fixpoint round instead of whole chains in
+# one call of the carries pass costs filterbank x4's optimize ~6x).
 CHECK_TOLERANCE = 2.0
 # Stages shorter than this are not gated: at a few milliseconds the
 # timer's and the host's noise exceed any regression worth reporting.
@@ -74,7 +74,8 @@ _CODEGEN_SIZE_BENCH = ("filterbank", 4)
 
 # Round gate: filterbank x4 must reach the optimizer's fixpoint within
 # this many rounds.  Its upsampler peek windows are 16-deep chains of
-# constant carries; resolving a chain one link per round took 17 rounds.
+# constant carries, which the carries pass resolves whole in one call;
+# resolving a chain one link per round took 17 rounds.
 MAX_FIXPOINT_ROUNDS = 3
 
 # Memory gate: filterbank x4's Python heap peak across lower plus

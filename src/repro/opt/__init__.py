@@ -1,8 +1,5 @@
 """Scalar optimizations over LaminarIR (the measurable "enabling effect")."""
 
-from repro.opt.carries import (eliminate_dead_carries,
-                               merge_congruent_carries,
-                               specialize_constant_carries)
 from repro.opt.passes import (common_subexpression_elimination,
                               constant_folding, copy_propagation,
                               dead_code_elimination)
@@ -15,8 +12,6 @@ __all__ = [
     "OptOptions", "OptStats", "PassManager", "PassStat",
     "common_subexpression_elimination",
     "constant_folding", "copy_propagation", "dead_code_elimination",
-    "eliminate_dead_carries", "merge_congruent_carries", "optimize",
-    "parse_pipeline",
+    "optimize", "parse_pipeline",
     "promote_state", "schedule_for_pressure",
-    "specialize_constant_carries",
 ]

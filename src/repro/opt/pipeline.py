@@ -12,9 +12,9 @@ them (:meth:`OptOptions.lowering_flags`).
 
 The bracketed group repeats until a round changes nothing.  Each pass in
 it is one linear sweep over the program (see ``repro.opt.passes``) that
-resolves its own cascades — carry specialization included, which
-substitutes a whole chain of invariant carries in one call — so the
-group typically converges in one to three rounds.  Every pass is
+resolves its own cascades — the carries pass included, which resolves
+a whole chain of invariant carries in one call — so the group
+typically converges in one to three rounds.  Every pass is
 idempotent, so a pass is skipped when no pass has changed the program
 since it last ran.  ``OptOptions.pipeline`` is the pass list (the
 CLI's ``--opt-pipeline``): the E7 ablations drop entries from it.
@@ -33,9 +33,7 @@ from repro.lir.ops import LoopRegion
 from repro.lir.program import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-from repro.opt.carries import (eliminate_dead_carries,
-                               merge_congruent_carries,
-                               specialize_constant_carries)
+from repro.opt.carries import carries
 from repro.opt.passes import (common_subexpression_elimination,
                               constant_folding, copy_propagation,
                               dead_code_elimination)
@@ -64,21 +62,13 @@ _PASS_ALIASES = {
     "schedule_for_pressure": "schedule_for_pressure",
 }
 
-# Steps that may participate in a fixpoint group (contiguous runs of
-# these in the pipeline iterate together until quiescent), each with
-# the passes it runs as (span name, pass) pairs: the carries step is
-# three passes that keep their own spans.
+# Passes that may participate in a fixpoint group (contiguous runs of
+# these in the pipeline iterate together until quiescent).
 _GROUP_PASSES = {
-    "constant_folding": (("constant_folding", constant_folding),),
-    "carries": (
-        ("specialize_constant_carries", specialize_constant_carries),
-        ("eliminate_dead_carries", eliminate_dead_carries),
-        ("merge_congruent_carries", merge_congruent_carries)),
-    "common_subexpression_elimination": (
-        ("common_subexpression_elimination",
-         common_subexpression_elimination),),
-    "dead_code_elimination": (
-        ("dead_code_elimination", dead_code_elimination),),
+    "constant_folding": constant_folding,
+    "carries": carries,
+    "common_subexpression_elimination": common_subexpression_elimination,
+    "dead_code_elimination": dead_code_elimination,
 }
 
 
@@ -264,8 +254,7 @@ class PassManager:
     def _run_step(self, step: str, round_index: int | None = None) -> int:
         if self._ran_at.get(step) == self._changes:
             return 0
-        changed = sum(self._run_pass(name, fn, round_index)
-                      for name, fn in _GROUP_PASSES[step])
+        changed = self._run_pass(step, _GROUP_PASSES[step], round_index)
         self._ran_at[step] = self._changes
         return changed
 

@@ -9,7 +9,7 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError
 from repro.frontend.parser import parse
 from repro.lir import verify
-from repro.opt.carries import specialize_constant_carries
+from repro.opt.carries import carries
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -153,32 +153,38 @@ class TestCarrySpecialization:
 
     def test_zero_safe(self):
         # -0.0 vs 0.0 must not be conflated
-        from repro.lir import Program, Temp, const_float
+        from repro.lir import PrintOp, Program, Temp, const_float
         from repro.frontend.types import FLOAT
         program = Program(name="t")
         param = Temp(FLOAT)
+        program.steady = [PrintOp(result=None, value=param)]
         program.carry_params = [param]
         program.carry_inits = [const_float(0.0)]
         program.carry_nexts = [const_float(-0.0)]
-        assert specialize_constant_carries(program) == 0
+        assert carries(program) == 0
+        assert program.carry_params == [param]
 
     def test_bool_vs_int_not_conflated(self):
-        from repro.lir import Program, Temp, Const
+        from repro.lir import Const, PrintOp, Program, Temp
         from repro.frontend.types import INT
         program = Program(name="t")
         param = Temp(INT)
+        program.steady = [PrintOp(result=None, value=param)]
         program.carry_params = [param]
         program.carry_inits = [Const(INT, True)]
         program.carry_nexts = [Const(INT, 1)]
-        assert specialize_constant_carries(program) == 0
+        assert carries(program) == 0
+        assert program.carry_params == [param]
 
     def test_param_identity_next(self):
-        from repro.lir import Program, Temp, const_int
+        from repro.lir import PrintOp, Program, Temp, const_int
         from repro.frontend.types import INT
         program = Program(name="t")
         param = Temp(INT)
+        program.steady = [PrintOp(result=None, value=param)]
         program.carry_params = [param]
         program.carry_inits = [const_int(7)]
         program.carry_nexts = [param]  # untouched across iterations
-        assert specialize_constant_carries(program) == 1
+        assert carries(program) == 1
         assert program.carry_params == []
+        assert program.steady[0].value == const_int(7)

@@ -13,6 +13,7 @@ from repro.lir import (BinOp, CallOp, LoadOp, MoveOp, PrintOp, Program,
 from repro.opt import (OptOptions, common_subexpression_elimination,
                        constant_folding, copy_propagation,
                        dead_code_elimination, optimize, promote_state)
+from repro.opt.carries import carries
 from tests.conftest import requires_cc
 
 PREAMBLE = """
@@ -545,7 +546,6 @@ class TestPressureScheduling:
 
 class TestDeadCarryElimination:
     def test_unused_history_removed(self):
-        from repro.opt.carries import eliminate_dead_carries
         stream = compile_source(
             PREAMBLE +
             "float->float filter Drop() { work push 1 pop 3 peek 5 { "
@@ -588,10 +588,25 @@ class TestDeadCarryElimination:
         assert len(program.carry_params) == 1
         assert stream.run_laminar(6).outputs == stream.run_fifo(6).outputs
 
+    def test_carry_read_only_by_a_dead_carry_dropped_in_one_call(self):
+        # b's next is a's parameter and nothing else reads a; no op
+        # reads b, so both go, and c, which a print reads, stays.
+        program = make_program()
+        a, b, c, fresh = (Temp(FLOAT) for _ in range(4))
+        program.steady = [PrintOp(result=None, value=c),
+                          BinOp(result=fresh, op="+", lhs=c,
+                                rhs=const_float(1.0))]
+        program.carry_params = [a, b, c]
+        program.carry_inits = [const_float(v) for v in (1.0, 2.0, 3.0)]
+        program.carry_nexts = [fresh, a, fresh]
+        assert carries(program) == 2
+        assert program.carry_params == [c]
+        assert program.carry_nexts == [fresh]
+
 
 class TestCarryChains:
-    """Carry specialization resolves a whole chain of invariant carries
-    in one call, so the fixpoint does not spend a round per link."""
+    """The carries pass resolves a whole chain of invariant carries in
+    one call, so the fixpoint does not spend a round per link."""
 
     DEPTH = 10
 
@@ -609,20 +624,31 @@ class TestCarryChains:
         return program
 
     def test_one_call_removes_the_whole_chain(self):
-        from repro.opt import specialize_constant_carries
         program = self._zero_window()
-        assert specialize_constant_carries(program) == self.DEPTH
+        assert carries(program) == self.DEPTH
         assert program.carry_params == []
         assert program.carry_inits == program.carry_nexts == []
         assert [op.value for op in program.steady] == \
             [const_float(0.0)] * self.DEPTH
 
+    def test_one_call_removes_a_ring_of_zeros(self):
+        # Each carry's next is the other: neither is invariant on its
+        # own, but both hold 0.0 on every iteration.
+        program = make_program()
+        params = [Temp(FLOAT), Temp(FLOAT)]
+        program.carry_params = list(params)
+        program.carry_inits = [const_float(0.0)] * 2
+        program.carry_nexts = params[::-1]
+        program.steady = [PrintOp(result=None, value=p) for p in params]
+        assert carries(program) == 2
+        assert program.carry_params == program.carry_nexts == []
+        assert [op.value for op in program.steady] == [const_float(0.0)] * 2
+
     def test_optimize_converges_in_two_rounds(self):
         program = self._zero_window()
         stats = optimize(program)
         assert stats.converged
-        assert _changes(stats, "specialize_constant_carries",
-                        "eliminate_dead_carries") == self.DEPTH
+        assert _changes(stats, "carries") == self.DEPTH
         assert stats.fixpoint_rounds <= 2
 
     @pytest.mark.parametrize("scale", [1, 4])
@@ -697,33 +723,29 @@ class TestCongruentCarries:
             assert run.checksum == checksum_outputs(expected), name
 
     def test_same_init_different_next_stays_apart(self):
-        from repro.opt import merge_congruent_carries
         program = self._carrying(
             [1.0, 1.0], lambda params, fresh: fresh)
-        assert merge_congruent_carries(program) == 0
+        assert carries(program) == 0
         assert len(program.carry_params) == 2
 
     def test_signed_zero_inits_stay_apart(self):
-        from repro.opt import merge_congruent_carries
         program = self._carrying(
             [0.0, -0.0], lambda params, fresh: [fresh[0], fresh[0]])
-        assert merge_congruent_carries(program) == 0
+        assert carries(program) == 0
         assert len(program.carry_params) == 2
 
     def test_windows_differing_deep_in_the_chain_stay_apart(self):
         # a0 <- a1 <- a2 <- fresh0 and b0 <- b1 <- b2 <- fresh1, all
         # zero-initialized: a0 and b0 first differ two shifts on.
-        from repro.opt import merge_congruent_carries
         program = self._carrying(
             [0.0] * 6,
             lambda p, fresh: [p[1], p[2], fresh[0], p[4], p[5], fresh[3]])
-        assert merge_congruent_carries(program) == 0
+        assert carries(program) == 0
         assert len(program.carry_params) == 6
 
     def test_invariant_carries_with_one_init_merge(self):
         # Each carry's next is itself: only a partition that starts
         # coarse and splits sees the two as equal.
-        from repro.opt import merge_congruent_carries
         program = make_program()
         seed = Temp(FLOAT)
         params = [Temp(FLOAT), Temp(FLOAT)]
@@ -733,17 +755,31 @@ class TestCongruentCarries:
         program.carry_params = list(params)
         program.carry_inits = [seed, seed]
         program.carry_nexts = list(params)
-        assert merge_congruent_carries(program) == 1
+        assert carries(program) == 1
         assert program.carry_params == program.carry_nexts == params[:1]
         assert [op.value for op in program.steady] == [params[0]] * 2
 
+    def test_dead_carry_is_not_the_one_kept(self):
+        # The two carries are congruent, but no op reads the first: it
+        # is dropped before the merge picks a group's first member.
+        program = make_program()
+        dead, live, fresh = Temp(FLOAT), Temp(FLOAT), Temp(FLOAT)
+        program.steady = [PrintOp(result=None, value=live),
+                          BinOp(result=fresh, op="+", lhs=live,
+                                rhs=const_float(1.0))]
+        program.carry_params = [dead, live]
+        program.carry_inits = [const_float(0.0)] * 2
+        program.carry_nexts = [fresh, fresh]
+        assert carries(program) == 1
+        assert program.carry_params == [live]
+        assert program.steady[0].value is live
+
     def test_equal_windows_merge_whole(self):
-        from repro.opt import merge_congruent_carries
         program = self._carrying(
             [0.0] * 6,
             lambda p, fresh: [p[1], p[2], fresh[0], p[4], p[5], fresh[0]])
         before = LaminarInterpreter(program).run(4).outputs
-        assert merge_congruent_carries(program) == 3
+        assert carries(program) == 3
         assert program.carry_nexts[:2] == program.carry_params[1:]
         assert _bits(LaminarInterpreter(program).run(4).outputs) == \
             _bits(before)
@@ -830,8 +866,7 @@ class TestPassManagerConfig:
             name: 1 for name in (
                 "dead_code_elimination", "copy_propagation",
                 "promote_state", "constant_folding",
-                "specialize_constant_carries", "eliminate_dead_carries",
-                "merge_congruent_carries",
+                "carries",
                 "common_subexpression_elimination",
                 "schedule_for_pressure")}
 

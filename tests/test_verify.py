@@ -84,6 +84,20 @@ class TestVerifier:
         with pytest.raises(VerificationError, match="undefined value"):
             verify(program)
 
+    def test_init_op_cannot_read_a_carry_parameter(self):
+        # Carry parameters are defined only in the steady section, so
+        # the carries pass rewrites their uses there and nowhere else.
+        program = Program(name="bad")
+        param = Temp(FLOAT)
+        program.init = [PrintOp(result=None, value=param)]
+        program.steady = [PrintOp(result=None, value=param)]
+        program.carry_params = [param]
+        program.carry_inits = [const_float(0.0)]
+        program.carry_nexts = [param]
+        with pytest.raises(VerificationError,
+                           match=r"init\[0\].*use of undefined value"):
+            verify(program)
+
     def test_verifier_runs_after_every_opt_config(self, demo_stream):
         from repro.opt import OptOptions
         for opt in (OptOptions(pipeline=()), OptOptions(),
