@@ -33,6 +33,16 @@ class Knob:
     metavar: str | None = None
 
 
+def _switch(key: str) -> Callable[[object], bool]:
+    """The check of an on/off knob: a JSON boolean, nothing truthy."""
+    def check(value: object) -> bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"'{key}' must be true or false, "
+                             f"got {value!r}")
+        return value
+    return check
+
+
 def _pipeline(value: object) -> tuple[str, ...]:
     try:
         return as_pipeline(value)
@@ -42,9 +52,9 @@ def _pipeline(value: object) -> tuple[str, ...]:
 
 KNOBS = (
     Knob("no_opt", "--no-opt", "disable the optimizer (the empty pass "
-         "list)", bool),
+         "list)", _switch("no_opt")),
     Knob("no_elim", "--no-elim", "disable splitter/joiner elimination",
-         bool),
+         _switch("no_elim")),
     Knob("pipeline", "--opt-pipeline",
          "comma-separated pass list, e.g. 'cp,promote,fold,cse,dce' "
          "(default: cp,promote,reroll,carry,fold,cse,dce,schedule)",

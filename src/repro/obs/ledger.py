@@ -39,7 +39,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -75,16 +74,8 @@ def make_body(kind: str, target: str, *, spec_hash: str | None = None,
               iterations: int | None = None,
               flags: dict | None = None, checksum: str | None = None,
               seconds: float | None = None,
-              metrics: dict | None = None,
-              request_id: str | None = None,
-              trace_id: str | None = None) -> dict:
-    """The content-addressed part of a record; ``None`` fields dropped.
-
-    ``request_id``/``trace_id`` tie a serve-daemon record back to the
-    HTTP request (and the client's ``traceparent``) that produced it —
-    note they make otherwise-identical runs distinct records, which is
-    the point: each request is its own trajectory entry.
-    """
+              metrics: dict | None = None) -> dict:
+    """The content-addressed part of a record; ``None`` fields dropped."""
     body = {
         "kind": kind,
         "target": target,
@@ -96,8 +87,6 @@ def make_body(kind: str, target: str, *, spec_hash: str | None = None,
         "checksum": checksum,
         "seconds": seconds,
         "metrics": metrics or {},
-        "request_id": request_id,
-        "trace_id": trace_id,
     }
     return {key: value for key, value in body.items() if value is not None}
 
@@ -108,20 +97,12 @@ def make_body(kind: str, target: str, *, spec_hash: str | None = None,
 _FILE_RE = re.compile(r"^(\d{6})(?:-([0-9a-f]{12}))?\.json$")
 
 
-# The next sequence number to try in each directory this process has
-# appended to, so that an append lists the directory only the first
-# time.  The O_EXCL claim keeps it safe: a seq another process took
-# collides, and the collision rescans.
-_next_seqs: dict[Path, int] = {}
-_next_seqs_lock = threading.Lock()
-
-
 def append(body: dict, directory: Path | None = None) -> dict:
     """Append one record to the ledger; returns the stored envelope."""
     directory = directory or ledger_dir()
     directory.mkdir(parents=True, exist_ok=True)
     rid = record_id(body)
-    seq = _next_seq(directory)
+    seq = _highest_seq(directory) + 1
     while True:
         # The claim file is keyed by the sequence number *alone*, so two
         # concurrent appends can never both own one seq.
@@ -131,9 +112,6 @@ def append(body: dict, directory: Path | None = None) -> dict:
         except FileExistsError:
             seq = max(seq + 1, _highest_seq(directory) + 1)
             continue
-        with _next_seqs_lock:
-            _next_seqs[directory] = max(_next_seqs.get(directory, 0),
-                                        seq + 1)
         envelope = {"record_id": rid, "seq": seq,
                     "wall_time": time.time(), "body": body}
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -148,17 +126,6 @@ def append(body: dict, directory: Path | None = None) -> dict:
             except OSError:
                 pass
         return envelope
-
-
-def _next_seq(directory: Path) -> int:
-    """The seq after the last one this process claimed in ``directory``
-    while that record is still there; otherwise the seq after the
-    highest one in the directory."""
-    with _next_seqs_lock:
-        seq = _next_seqs.get(directory)
-    if seq is not None and (directory / f"{seq - 1:06d}.json").exists():
-        return seq
-    return _highest_seq(directory) + 1
 
 
 def _highest_seq(directory: Path) -> int:

@@ -89,8 +89,8 @@ class RequestContext:
     it becomes the ``parent-id`` of the outgoing :attr:`traceparent` and
     the key of ``GET /debug/trace/<request-id>``.  ``trace_id`` is
     either continued from a valid incoming ``traceparent`` or freshly
-    minted, so every record of the request — spans, access log, ledger
-    — carries the id the *client* can correlate on.
+    minted, so the request's spans and its access record carry the id
+    the *client* can correlate on.
     """
 
     __slots__ = ("request_id", "trace_id", "parent_id", "flags",

@@ -191,7 +191,7 @@ def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
     # for milliseconds.
     server = ServeServer(socket_path=root / "chaos.sock",
                          cache=ArtifactCache(root / "cache"),
-                         ledger=False, workers=workers,
+                         workers=workers,
                          job_timeout=10.0).start()
     lock = threading.Lock()
     next_index = 0

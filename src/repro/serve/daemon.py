@@ -12,14 +12,13 @@ persistent artifact cache (:mod:`repro.cache`):
   ``route``: ``"native"`` runs the cached prebuilt binary, ``"interp"``
   the laminar interpreter, ``"auto"`` — the default — degrades from
   native to interpreter when the toolchain is missing); returns the
-  checksum, output count and timing.  Appends a ``serve`` record to the
-  run ledger.  Every execution runs in a :mod:`repro.serve.pool`
-  worker process, never in the daemon.
+  checksum, output count and timing.  Every execution runs in a
+  :mod:`repro.serve.pool` worker process, never in the daemon.
 * ``GET /metrics`` — the PR 6 OpenMetrics exposition (cache hit/miss/
   evict counters included, plus the labeled
   ``repro_serve_request_seconds{route,status,backend}`` histogram and
   ``repro_serve_inflight{route}`` gauge); ``GET /healthz`` (uptime,
-  in-flight count, cache entries/bytes, ledger reachability);
+  in-flight count, cache entries/bytes, pool, admission, breaker);
   ``GET /cache/stats``.
 * ``GET /debug/requests`` — the flight recorder: the last
   :data:`FLIGHT_RECORDER_SIZE` completed requests, each with its access
@@ -32,15 +31,15 @@ with a per-request id, and opens one ``serve.request`` root span on it.
 That span is the request's one record: the handlers annotate it
 (:func:`repro.obs.reqctx.note`), and :func:`access_record` projects it,
 plus the context's ids, into the access record.  That record is the
-access-log line (one flushed JSONL line, see ``repro tail``), the
-flight recorder's ``record``, and the source of the serve ledger
-record's ids; an error response's record names the error ``kind``.
-The flight recorder keeps the root span itself and serializes it only
-when ``/debug/*`` is read.  Metrics go straight to the process-wide
+request's only record: the access-log line (one flushed JSONL line,
+see ``repro tail``) and the flight recorder's ``record``; an error
+response's record names the error ``kind``.  A served request writes
+nothing to the run ledger and syncs nothing to disk.  The flight
+recorder keeps the root span itself and serializes it only when
+``/debug/*`` is read.  Metrics go straight to the process-wide
 registry.  A valid W3C ``traceparent`` header is honoured — its trace
-id flows through every span, the ledger record and the access log, and
-the response carries ``X-Request-Id`` plus the outgoing
-``traceparent``.
+id flows through every span and the access log, and the response
+carries ``X-Request-Id`` plus the outgoing ``traceparent``.
 
 Concurrent compilations of the *same* cache key are deduplicated: one
 request builds, the rest wait and read the published entry
@@ -69,7 +68,6 @@ from __future__ import annotations
 
 import collections
 import json
-import os
 import socketserver
 import threading
 import time
@@ -81,8 +79,7 @@ from repro.backend import runner
 from repro.cache import (ArtifactCache, BACKENDS, build_native, native_key)
 from repro.faults import (ResourceExhausted, ResourceLimits, use_limits)
 from repro.frontend.errors import CompileError
-from repro.knobs import compile_options, ledger_fields
-from repro.obs import ledger as obs_ledger
+from repro.knobs import compile_options
 from repro.obs import metrics as obs_metrics
 from repro.obs import reqctx
 from repro.obs import trace as obs_trace
@@ -153,14 +150,13 @@ SPEC_FIELDS = frozenset(pool_mod.SPEC_FIELDS) | {
 
 
 class ServeServer:
-    """The daemon: request parsing, dedup, admission, cache, ledger."""
+    """The daemon: request parsing, dedup, admission, cache."""
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  socket_path: "str | Path | None" = None,
                  cache: ArtifactCache | None = None,
                  limits: ResourceLimits | None = None,
                  max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                 ledger: bool = True,
                  access_log: "str | Path | None" = None,
                  workers: int = pool_mod.DEFAULT_WORKERS,
                  job_timeout: float = pool_mod.DEFAULT_JOB_TIMEOUT,
@@ -183,7 +179,6 @@ class ServeServer:
             pass
         self.limits = limits
         self.max_iterations = max_iterations
-        self.ledger = ledger
         # Every execution runs in a pool worker; workers spawn lazily on
         # the first job.
         self.pool = WorkerPool(workers, job_timeout=job_timeout)
@@ -424,7 +419,6 @@ class ServeServer:
 
     def _healthz(self) -> dict:
         entries, cache_bytes = self.cache.size()
-        ledger_path = obs_ledger.ledger_dir()
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_seconds": time.time() - self.started_at,
@@ -433,8 +427,6 @@ class ServeServer:
                 obs_metrics.registry().counter("serve.requests").value,
             "cache_root": str(self.cache.root),
             "cache": {"entries": entries, "bytes": cache_bytes},
-            "ledger": {"enabled": self.ledger, "dir": str(ledger_path),
-                       "reachable": _ledger_reachable(ledger_path)},
             "pool": self.pool.stats(),
             "admission": self.admission.stats(),
             "breaker": self.breaker.stats(),
@@ -505,7 +497,8 @@ class ServeServer:
     def _run(self, request: dict) -> dict:
         parsed = self._parse_common(request)
         iterations = request.get("iterations", 10)
-        if not isinstance(iterations, int) or iterations <= 0:
+        # ``type``, not ``isinstance``: a JSON ``true`` is no count.
+        if type(iterations) is not int or iterations <= 0:
             raise _usage(f"iterations must be a positive integer, "
                          f"got {iterations!r}")
         if iterations > self.max_iterations:
@@ -551,7 +544,6 @@ class ServeServer:
         reqctx.note(backend=parsed["backend"], cache_hit=hit,
                     degraded=degraded, run_route=result["route"],
                     stream=stream.name)
-        self._ledger_note(stream, parsed, result)
         return result
 
     # -- shared request machinery ---------------------------------------------
@@ -578,7 +570,6 @@ class ServeServer:
             lowering, opt = compile_options(request)
         except ValueError as error:
             raise _usage(str(error)) from None
-        pipeline, knob_flags = ledger_fields(request)
         limits = None
         if request.get("limits"):
             try:
@@ -593,8 +584,7 @@ class ServeServer:
             deadline = deadline / 1e3
         return {"source": source, "benchmark": benchmark,
                 "backend": backend, "opt": opt, "lowering": lowering,
-                "limits": limits, "deadline": deadline,
-                "pipeline": pipeline, "knob_flags": knob_flags}
+                "limits": limits, "deadline": deadline}
 
     def _effective_limits(self, parsed: dict) -> ResourceLimits:
         effective = self.limits or ResourceLimits()
@@ -691,37 +681,11 @@ class ServeServer:
                 self._inflight.pop(key, None)
             event.set()
 
-    def _ledger_note(self, stream: CompiledStream, parsed: dict,
-                     result: dict) -> None:
-        """Best-effort ledger record for one served run."""
-        if not self.ledger:
-            return
-        # The root span is still open here: only the record's ids are
-        # final, and they are all the ledger takes from it.
-        record = access_record(reqctx.current())
-        body = obs_ledger.make_body(
-            "serve", stream.name, spec_hash=stream.source_hash,
-            backend=parsed["backend"] if result["route"] == "native"
-            else "interp",
-            pipeline=parsed["pipeline"],
-            iterations=result["iterations"],
-            flags={**parsed["knob_flags"], "route": result["route"],
-                   "cache_hit": bool(result.get("cache_hit")),
-                   "degraded": result["degraded"]},
-            checksum=result["checksum"], seconds=result["seconds"],
-            metrics={"outputs": result["outputs"],
-                     "wall_seconds": result["wall_seconds"]},
-            request_id=record["request_id"], trace_id=record["trace_id"])
-        try:
-            obs_ledger.append(body)
-        except OSError:
-            pass
-
 
 def access_record(ctx: reqctx.RequestContext) -> dict:
     """Project a request's ``serve.request`` root span, plus the
-    context's ids, into its access record: the one record the access
-    log, the flight recorder and the serve ledger all read."""
+    context's ids, into its access record: the request's one record,
+    which the access log and the flight recorder both hold."""
     root = ctx.tracer.roots[0]
     facts = root.attrs
     return {
@@ -752,19 +716,6 @@ def _recorder_entry(record: dict, root: obs_trace.Span) -> dict:
     is serialized here, on read, with start times relative to the
     request's start."""
     return {"record": record, "spans": [span_to_dict(root, root.start)]}
-
-
-def _ledger_reachable(path: Path) -> bool:
-    """Whether a ledger append would plausibly succeed: the directory
-    (or its nearest existing ancestor) is writable.  No side effects —
-    this runs on every ``/healthz`` probe."""
-    probe = path
-    while not probe.exists():
-        parent = probe.parent
-        if parent == probe:
-            break
-        probe = parent
-    return os.access(probe, os.W_OK | os.X_OK)
 
 
 def _parse_body(body: bytes) -> dict:

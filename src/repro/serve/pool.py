@@ -97,9 +97,10 @@ class _Worker:
             [p for p in sys.path if p]
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                if p])
-        # The worker never appends ledger records (the daemon owns the
-        # request's record) and must not inherit a fault-injection spec:
-        # injection decisions are drawn once, in the daemon.
+        # The worker writes no record of its own (the daemon's access
+        # record is the request's one record) and must not inherit a
+        # fault-injection spec: injection decisions are drawn once, in
+        # the daemon.
         env.pop("REPRO_INJECT", None)
         # Not `-m repro.serve.pool`: runpy would import the package
         # (which itself imports this module) and then re-execute the

@@ -297,8 +297,7 @@ class TestServeUnderFaults:
     def server(self, tmp_path):
         instance = ServeServer(socket_path=tmp_path / "d.sock",
                                cache=ArtifactCache(tmp_path / "cache"),
-                               workers=1, job_timeout=20,
-                               ledger=False).start()
+                               workers=1, job_timeout=20).start()
         yield instance
         instance.stop()
 
@@ -409,8 +408,7 @@ class TestPoolOnly:
 
     def test_run_after_stop_is_503_draining(self, tmp_path):
         server = ServeServer(socket_path=tmp_path / "d.sock",
-                             cache=ArtifactCache(tmp_path / "cache"),
-                             ledger=False).start()
+                             cache=ArtifactCache(tmp_path / "cache")).start()
         server.stop()
         status, _, body, _ = server.handle(
             "POST", "/run", json.dumps({"source": COUNTER_PROGRAM,
@@ -431,8 +429,7 @@ class TestDrain:
     def test_drain_waits_for_inflight(self, tmp_path):
         server = ServeServer(socket_path=tmp_path / "d.sock",
                              cache=ArtifactCache(tmp_path / "cache"),
-                             workers=1, ledger=False,
-                             max_iterations=SLOW_ITERATIONS).start()
+                             workers=1, max_iterations=SLOW_ITERATIONS).start()
         client = ServeClient(socket_path=server.socket_path)
         assert client.wait_ready()
         result = {}
@@ -551,7 +548,7 @@ class TestCacheCrashSafety:
         (entry / "meta.json").write_text('{"artifacts": ["missing.bin"]')
         obs_metrics.registry().reset()
         server = ServeServer(socket_path=tmp_path / "d.sock", cache=cache,
-                             workers=1, ledger=False).start()
+                             workers=1).start()
         try:
             handle = ServeClient(socket_path=server.socket_path)
             assert handle.wait_ready()
@@ -649,8 +646,7 @@ class TestTailTruncation:
 class TestClientRetry:
     def test_connection_refused_is_retried_once(self, tmp_path):
         server = ServeServer(socket_path=tmp_path / "d.sock",
-                             cache=ArtifactCache(tmp_path / "cache"),
-                             ledger=False).start()
+                             cache=ArtifactCache(tmp_path / "cache")).start()
         try:
             client = ServeClient(socket_path=server.socket_path)
             real = client._connection
