@@ -62,8 +62,12 @@ INTRINSICS: dict[str, Intrinsic] = {
         _float2("pow", math.pow),
         _float2("fmod", math.fmod),
         Intrinsic("abs", 1, True, "abs", abs, "same"),
-        Intrinsic("min", 2, True, "min", min, "unify"),
-        Intrinsic("max", 2, True, "max", max, "unify"),
+        # As the C runtime defines them: of two equal operands (0.0 and
+        # -0.0), or with a NaN, the second is the result.
+        Intrinsic("min", 2, True, "min", lambda a, b: a if a < b else b,
+                  "unify"),
+        Intrinsic("max", 2, True, "max", lambda a, b: a if a > b else b,
+                  "unify"),
         Intrinsic("randf", 0, False, "repro_randf", None, "randf"),
         Intrinsic("randi", 1, False, "repro_randi", None, "randi"),
     ]

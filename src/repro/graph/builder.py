@@ -11,8 +11,9 @@ from __future__ import annotations
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import ElaborationError, SourceLocation
 from repro.frontend.intrinsics import INTRINSICS
-from repro.frontend.types import (ArrayType, BOOLEAN, FLOAT, INT, ScalarType,
-                                  Type, VOID)
+from repro.frontend.types import ArrayType, ScalarType, Type, VOID
+from repro.frontend.values import (coerce_runtime, fold_binary,
+                                   runtime_call, runtime_unary)
 from repro.graph.nodes import (FeedbackLoopNode, FilterNode, PipelineNode,
                                Rates, SplitJoinNode, StreamNode)
 
@@ -56,13 +57,7 @@ class ConstEvaluator:
             return env[expr.name]
         if isinstance(expr, ast.UnaryOp):
             assert expr.operand is not None
-            value = self._eval(expr.operand, env)
-            if expr.op == "-":
-                return -value  # type: ignore[operator]
-            if expr.op == "!":
-                return not value
-            if expr.op == "~":
-                return ~value  # type: ignore[operator]
+            return runtime_unary(expr.op, self._eval(expr.operand, env))
         if isinstance(expr, ast.BinaryOp):
             return self._eval_binary(expr, env)
         if isinstance(expr, ast.TernaryOp):
@@ -71,20 +66,17 @@ class ConstEvaluator:
             return self._eval(expr.then if cond else expr.otherwise, env)
         if isinstance(expr, ast.Cast):
             assert expr.target is not None and expr.operand is not None
-            value = self._eval(expr.operand, env)
-            if expr.target == INT:
-                return int(value)  # type: ignore[arg-type]
-            if expr.target == FLOAT:
-                return float(value)  # type: ignore[arg-type]
+            assert isinstance(expr.target, ScalarType)
+            return coerce_runtime(self._eval(expr.operand, env),
+                                  expr.target)
         if isinstance(expr, ast.Call):
             intrinsic = INTRINSICS.get(expr.name)
             if intrinsic is None or not intrinsic.pure:
                 raise ElaborationError(
                     f"{expr.name!r} cannot be evaluated at elaboration time",
                     expr.loc, self.source)
-            args = [self._eval(arg, env) for arg in expr.args]
-            assert intrinsic.impl is not None
-            return intrinsic.impl(*args)
+            return runtime_call(intrinsic,
+                                [self._eval(arg, env) for arg in expr.args])
         raise ElaborationError(
             f"{type(expr).__name__} is not a compile-time constant",
             expr.loc, self.source)
@@ -101,59 +93,7 @@ class ConstEvaluator:
                 or bool(self._eval(expr.right, env))
         left = self._eval(expr.left, env)
         right = self._eval(expr.right, env)
-        return apply_binary(op, left, right, expr.loc, self.source)
-
-
-def apply_binary(op: str, left: object, right: object,
-                 loc: SourceLocation, source: str) -> object:
-    """Evaluate one binary operator with StreamIt/C semantics.
-
-    Shared by elaboration, constant folding and the interpreters so all
-    stages agree on arithmetic (notably: int division truncates toward
-    zero, as in C, not Python floor division).
-    """
-    try:
-        if op == "+":
-            return left + right  # type: ignore[operator]
-        if op == "-":
-            return left - right  # type: ignore[operator]
-        if op == "*":
-            return left * right  # type: ignore[operator]
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int) \
-                    and not isinstance(left, bool) \
-                    and not isinstance(right, bool):
-                quotient = abs(left) // abs(right)
-                return quotient if (left >= 0) == (right >= 0) else -quotient
-            return left / right  # type: ignore[operator]
-        if op == "%":
-            remainder = abs(left) % abs(right)  # type: ignore[arg-type]
-            return remainder if left >= 0 else -remainder  # type: ignore
-        if op == "&":
-            return left & right  # type: ignore[operator]
-        if op == "|":
-            return left | right  # type: ignore[operator]
-        if op == "^":
-            return left ^ right  # type: ignore[operator]
-        if op == "<<":
-            return left << right  # type: ignore[operator]
-        if op == ">>":
-            return left >> right  # type: ignore[operator]
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right  # type: ignore[operator]
-        if op == "<=":
-            return left <= right  # type: ignore[operator]
-        if op == ">":
-            return left > right  # type: ignore[operator]
-        if op == ">=":
-            return left >= right  # type: ignore[operator]
-    except ZeroDivisionError:
-        raise ElaborationError("division by zero", loc, source) from None
-    raise AssertionError(f"unknown operator {op}")
+        return fold_binary(op, left, right, expr.loc, self.source)
 
 
 class Elaborator:
@@ -190,7 +130,7 @@ class Elaborator:
         env = dict(captured)
         for param, arg in zip(decl.params, args):
             assert param.ty is not None
-            env[param.name] = self._coerce(arg, param.ty, param.loc)
+            env[param.name] = _typed(arg, param.ty)
         name = self._instance_name(decl.name)
         if isinstance(decl, ast.FilterDecl):
             return self._elaborate_filter(decl, env, name)
@@ -201,16 +141,6 @@ class Elaborator:
         if isinstance(decl, ast.FeedbackLoopDecl):
             return self._elaborate_feedbackloop(decl, env, name)
         raise AssertionError(type(decl).__name__)
-
-    def _coerce(self, value: object, ty: Type,
-                loc: SourceLocation) -> object:
-        if ty == FLOAT and isinstance(value, int) \
-                and not isinstance(value, bool):
-            return float(value)
-        if ty == INT and isinstance(value, bool):
-            raise ElaborationError("cannot pass boolean as int", loc,
-                                   self.source)
-        return value
 
     # -- filter ---------------------------------------------------------------------
 
@@ -412,7 +342,8 @@ class Elaborator:
         elif isinstance(stmt, ast.VarDecl):
             value = (self.evaluator.eval(stmt.init, env)
                      if stmt.init is not None else 0)
-            env[stmt.name] = value
+            env[stmt.name] = value if stmt.dims \
+                else _typed(value, stmt.var_type)
         elif isinstance(stmt, ast.Assign):
             self._run_composite_assign(stmt, env)
         elif isinstance(stmt, ast.Block):
@@ -438,11 +369,10 @@ class Elaborator:
         assert isinstance(stmt.target, ast.Ident) and stmt.value is not None
         name = stmt.target.name
         value = self.evaluator.eval(stmt.value, env)
-        if stmt.op == "=":
-            env[name] = value
-        else:
-            env[name] = apply_binary(stmt.op[:-1], env[name], value,
-                                     stmt.loc, self.source)
+        if stmt.op != "=":
+            value = fold_binary(stmt.op[:-1], env[name], value, stmt.loc,
+                                self.source)
+        env[name] = _typed(value, stmt.target.ty)
 
     def _run_composite_for(self, stmt: ast.ForStmt, env: dict[str, object],
                            children: list[StreamNode]) -> None:
@@ -474,6 +404,13 @@ class Elaborator:
             if decl.name == name:
                 return decl
         raise ElaborationError(f"unknown stream {name!r}", loc, self.source)
+
+
+def _typed(value: object, ty: Type | None) -> object:
+    """``value`` as a variable or parameter of type ``ty`` holds it: an
+    int wraps and an int assigned to a float widens, as at run time."""
+    return coerce_runtime(value, ty) if isinstance(ty, ScalarType) \
+        else value
 
 
 def elaborate(program: ast.Program) -> StreamNode:

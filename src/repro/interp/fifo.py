@@ -23,11 +23,12 @@ from repro.frontend.errors import InterpError, RateError, SourceLocation
 from repro.frontend.intrinsics import INTRINSICS, XorShift32
 from repro.frontend.types import (ArrayType, BOOLEAN, FLOAT, INT, ScalarType,
                                   VOID)
+from repro.frontend.values import (coerce_runtime, default_value,
+                                   runtime_binary, runtime_call,
+                                   runtime_unary)
 from repro.graph.nodes import (FilterVertex, FlatGraph, JoinerVertex,
                                SplitterVertex, Vertex)
 from repro.interp.counters import Counters, RunResult
-from repro.interp.values import (coerce_runtime, default_value,
-                                 runtime_binary, runtime_unary)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.scheduling.schedule import Firing, Schedule
@@ -619,10 +620,7 @@ class FifoInterpreter:
             except ValueError as error:
                 raise InterpError(str(error), expr.loc, self.source) \
                     from None
-        assert intrinsic.impl is not None
-        if intrinsic.policy == "float":
-            args = [float(a) for a in args]  # type: ignore[arg-type]
-        return intrinsic.impl(*args)
+        return runtime_call(intrinsic, args)
 
     def _call_helper(self, helper: ast.HelperFunc, expr: ast.Call,
                      scope: _Scope, state: _FilterState,

@@ -17,9 +17,9 @@ import time
 
 from repro.frontend.errors import InterpError
 from repro.frontend.intrinsics import INTRINSICS, XorShift32
+from repro.frontend.values import coerce_runtime, default_value, \
+    runtime_binary, runtime_call, runtime_unary
 from repro.interp.counters import Counters, RunResult
-from repro.interp.values import coerce_runtime, default_value, \
-    runtime_binary, runtime_unary
 from repro.lir.attribution import attribute_program
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, PrintOp, SelectOp, StoreOp, Temp,
@@ -176,11 +176,7 @@ class LaminarInterpreter:
             except ValueError as error:
                 raise InterpError(str(error)) from None
             return
-        intrinsic = INTRINSICS[op.name]
-        assert intrinsic.impl is not None
-        if intrinsic.policy == "float":
-            args = [float(a) for a in args]  # type: ignore[arg-type]
-        self._set(op.result, intrinsic.impl(*args))
+        self._set(op.result, runtime_call(INTRINSICS[op.name], args))
 
     def _element(self, op: LoadOp | StoreOp) -> tuple[list, int]:
         array = self.state[op.slot.name]

@@ -34,26 +34,24 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 from typing import Iterator
 
 from repro.faults import limits as faults_limits
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError, SourceLocation
-from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
+from repro.frontend.types import ArrayType, ScalarType, Type
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
 from repro.lir import template as firing_template
 from repro.lir.ops import (Const, LoadOp, LoopRegion, MoveOp, Op, PrintOp,
                            Provenance, StateSlot, StoreOp, Temp, Value,
-                           const_bool, const_float, const_int,
-                           recycled_temp_ids, reserve_temp_ids,
+                           const_of, recycled_temp_ids, reserve_temp_ids,
                            reserved_temp_ids)
 from repro.lir.program import Program
 from repro.lir.regions import RegionAssembly, SlotAllocator, value_key
 from repro.lir.symexec import (BodyExecutor, Emitter, FieldCell, TokenHooks)
 from repro.lir.template import IN, PREV, FiringTemplate, Fold, LoopUnit
-from repro.frontend.types import ArrayType, Type
 from repro.obs import trace
 from repro.scheduling.schedule import Firing, Schedule
 
@@ -83,16 +81,6 @@ class LoweringOptions:
     def __post_init__(self) -> None:
         if self.steady_multiplier < 1:
             raise ValueError("steady_multiplier must be >= 1")
-
-
-def _const_token(value: object, ty: ScalarType) -> Const:
-    if ty == INT:
-        return const_int(int(value))  # type: ignore[arg-type]
-    if ty == FLOAT:
-        return const_float(float(value))  # type: ignore[arg-type]
-    if ty == BOOLEAN:
-        return const_bool(bool(value))
-    raise LoweringError(f"unsupported channel type {ty}")
 
 
 class _Record:
@@ -303,7 +291,7 @@ class Lowerer:
     def lower(self) -> Program:
         for channel in self.graph.channels:
             self.queues[channel.name] = deque(
-                _const_token(v, channel.ty) for v in channel.initial)
+                const_of(v, channel.ty) for v in channel.initial)
 
         self.emitter.set_block(self.program.setup)
         for vertex in self.graph.topological_order():
@@ -469,7 +457,7 @@ class Lowerer:
         when no region over it pays.  ``span`` adds the live firings
         between the run's, which emit no ops.  Tries, fewest first, each
         divisor of a firing's units per trip, then 2, 4, 8, ... whole
-        firings; builds the first whose trial pays."""
+        firings; keeps the first that pays."""
         template = run[0].template
         unit, min_repeat = template.unit, self.region_min_repeat
         if min_repeat is None or unit is None \
@@ -538,20 +526,18 @@ class Lowerer:
             sum(record.fold.cost for record in run), escaping, made,
             scatter_defs)
         # The region's temps take the ids of the run's temps it drops.  A
-        # trial mints negative ids, which no other temp has, counting
-        # them: a size that does not pay takes the ids its build would.
+        # size that does not pay keeps the ids its build took, and its
+        # ops count against no op cap.
         with recycled_temp_ids(sorted(defined - escaping)):
             for per_trip in sizes:
                 if units // per_trip < min_repeat:
                     break
-                ids = count(-1, -1)
-                with recycled_temp_ids(ids):
-                    pays = self._build_region(per_trip, *args, trial=True)
-                if pays is not None:
-                    built = self._build_region(per_trip, *args, trial=False)
-                    assert built is not None
+                emitted = self.emitter.emitted
+                built = self._build_region(per_trip, *args)
+                if built is not None:
+                    self.firings_replayed += per_trip
                     return built + tail
-                reserve_temp_ids(-next(ids) - 1)
+                self.emitter.emitted = emitted
         for record in fresh:
             record.outputs = None
         return None
@@ -560,15 +546,12 @@ class Lowerer:
                       inputs: list[list[Value]], unit: LoopUnit,
                       prov: tuple, length: int, escaping: set[int],
                       made: dict[int, tuple[int, int]],
-                      scatter_defs: dict[int, Op], trial: bool
-                      ) -> list[Op] | None:
+                      scatter_defs: dict[int, Op]) -> list[Op] | None:
         """A region doing ``per_trip`` units of ``run`` per trip, or
         ``None`` when a column does not fit a loop or the region does
         not pay.  A column's value in a trip is a value from before the
         run, or the unit before's result: within the trip that is an
-        operand of the body, across trips a carry.  A ``trial`` replays
-        nothing, costs the body from the unit's folds, mints what the
-        build mints, and returns ``[]`` when the region pays."""
+        operand of the body, across trips a carry."""
         copies = unit.copies
         trips = len(run) * copies // per_trip
         assembly = RegionAssembly(self._slots, trips, prov,
@@ -620,17 +603,10 @@ class Lowerer:
                 value.__class__ is Const for value in operands))
             assert fold is not None
             cost += fold.cost
-            if trial:
-                results.append([
-                    Const(ty) if offset is None else Temp(ty)
-                    for offset, ty in zip(fold.offsets,
-                                          unit.template.result_types)])
-                continue
             with self.emitter.redirected(body, run[0].actor, "filter",
                                          self._phase):
                 pushed, _ = unit.template.replay(self.emitter, operands,
                                                  self.source)
-            self.firings_replayed += 1
             results.append(pushed)
         carried = [(param, init, results[-1][r])
                    for param, init, r in carries.values()]
@@ -650,8 +626,7 @@ class Lowerer:
             return None
         for j, r in sorted(rebinds):
             assembly.scatter(results[j][r], rebinds[j, r])
-        return assembly.finish(None if trial else body, length, carried,
-                               cost)
+        return assembly.finish(body, length, carried, cost)
 
     # -- filters ------------------------------------------------------------------
 

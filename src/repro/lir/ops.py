@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
+from repro.frontend.values import coerce_runtime, wrap_i32
 
 # Temp ids come from the innermost fresh_temp_ids() scope of the current
 # context, else from one process-wide counter.
@@ -146,6 +147,12 @@ class Temp(Value):
         return f"%{self.hint}{self.id}"
 
 
+def const_of(value: object, ty: ScalarType) -> Const:
+    """The ``ty`` constant a run-time conversion of ``value`` to ``ty``
+    gives: every compile-time fold builds its result here."""
+    return Const(ty, coerce_runtime(value, ty))
+
+
 def const_int(value: int) -> Const:
     return Const(INT, wrap_i32(value))
 
@@ -156,12 +163,6 @@ def const_float(value: float) -> Const:
 
 def const_bool(value: bool) -> Const:
     return Const(BOOLEAN, bool(value))
-
-
-def wrap_i32(value: int) -> int:
-    """Wrap a Python int to 32-bit two's complement."""
-    value &= 0xFFFFFFFF
-    return value - 0x100000000 if value >= 0x80000000 else value
 
 
 @dataclass(frozen=True)

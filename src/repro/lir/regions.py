@@ -285,16 +285,14 @@ class RegionAssembly:
                                              slot=slot,
                                              index=const_int(trip)))
 
-    def finish(self, ops: list[Op] | None, length: int,
+    def finish(self, ops: list[Op], length: int,
                carries: list[tuple[Temp, Value, Value]],
                cost: int) -> list[Op] | None:
         """The region with ``ops`` as its per-trip work and ``carries``
         as its (param, init, next) triples, wrapped in its gather stores
         and scatter loads — or ``None``, releasing its arrays, when it
         does not pay for the ``length`` ops it replaces.  ``cost`` counts
-        the ops of ``ops`` that the optimizer will not remove anyway.
-        With ``ops`` ``None``, a trial: ``[]`` when the region pays, and
-        its arrays are released either way."""
+        the ops of ``ops`` that the optimizer will not remove anyway."""
         gather_stores: list[Op] = []
         for array in self._arrays:
             slot = self.slots.fresh("g", array.values[0].ty,
@@ -308,11 +306,10 @@ class RegionAssembly:
                     LoadOp(result=temp, prov=self.prov, slot=slot,
                            index=self.affine(offset, 1)))
         outside = len(gather_stores) + len(self.scatter_loads)
-        pays = profitable(length, self.trips, outside, len(self.prelude)
-                          + cost + len(self.scatter_stores), len(carries))
-        if ops is None or not pays:
+        if not profitable(length, self.trips, outside, len(self.prelude)
+                          + cost + len(self.scatter_stores), len(carries)):
             self.slots.rollback(self.mark)
-            return [] if pays else None
+            return None
         body = self.prelude + ops + self.scatter_stores
         effects = any(isinstance(op, (StoreOp, PrintOp))
                       or (isinstance(op, CallOp) and op.has_side_effect)

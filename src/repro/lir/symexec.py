@@ -28,14 +28,14 @@ from repro.frontend.errors import LoweringError, RateError, SourceLocation
 from repro.frontend.intrinsics import INTRINSICS, result_type
 from repro.frontend.types import (BOOLEAN, FLOAT, INT, ScalarType, Type,
                                   VOID)
-from repro.graph.builder import apply_binary
+from repro.frontend.values import (CMP_OPS, INT_ONLY_OPS, fold_binary,
+                                   runtime_call, runtime_unary)
 from repro.graph.nodes import FilterNode
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, Op, PrintOp,
                            Provenance, SelectOp, StateSlot, StoreOp, Temp,
-                           UnOp, Value, const_bool, const_float, const_int)
+                           UnOp, Value, const_bool, const_float, const_int,
+                           const_of)
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-_INT_ONLY_OPS = ("%", "&", "|", "^", "<<", ">>")
 _MAX_CALL_DEPTH = 64
 # Ops one lowering may emit when ``ResourceLimits.max_unrolled_ops`` is
 # unset, and statements one execution of a body may unroll.
@@ -76,13 +76,7 @@ class _HelperFrame:
         if self.done is None:
             self.done = const_bool(False)
         if self.value is None:
-            ty = self.return_ty
-            if ty == FLOAT:
-                self.value = const_float(0.0)
-            elif ty == BOOLEAN:
-                self.value = const_bool(False)
-            else:
-                self.value = const_int(0)
+            self.value = const_of(0, self.return_ty or INT)
 
 
 class TokenHooks:
@@ -187,26 +181,16 @@ class Emitter:
     def binop(self, op: str, lhs: Value, rhs: Value,
               loc: SourceLocation, source: str = "") -> Value:
         lhs, rhs = self._unify(op, lhs, rhs)
+        result_ty = BOOLEAN if op in CMP_OPS else lhs.ty
         if isinstance(lhs, Const) and isinstance(rhs, Const):
-            value = apply_binary(op, lhs.value, rhs.value, loc, source)
-            return self._make_const(op, lhs.ty, value)
-        result_ty = BOOLEAN if op in _CMP_OPS else lhs.ty
+            return const_of(fold_binary(op, lhs.value, rhs.value, loc,
+                                        source), result_ty)
         result = Temp(result_ty)
         self.emit(BinOp(result=result, op=op, lhs=lhs, rhs=rhs))
         return result
 
-    def _make_const(self, op: str, operand_ty: ScalarType,
-                    value: object) -> Const:
-        if op in _CMP_OPS:
-            return const_bool(bool(value))
-        if operand_ty == INT:
-            return const_int(int(value))  # also wraps
-        if operand_ty == FLOAT:
-            return const_float(float(value))
-        return const_bool(bool(value))
-
     def _unify(self, op: str, lhs: Value, rhs: Value) -> tuple[Value, Value]:
-        if op in _INT_ONLY_OPS or lhs.ty == rhs.ty:
+        if op in INT_ONLY_OPS or lhs.ty == rhs.ty:
             return lhs, rhs
         if FLOAT in (lhs.ty, rhs.ty):
             return self.coerce(lhs, FLOAT), self.coerce(rhs, FLOAT)
@@ -214,14 +198,7 @@ class Emitter:
 
     def unop(self, op: str, operand: Value) -> Value:
         if isinstance(operand, Const):
-            if op == "-":
-                value = -operand.value  # type: ignore[operator]
-                return (const_int(value) if operand.ty == INT
-                        else const_float(value))
-            if op == "!":
-                return const_bool(not operand.value)
-            if op == "~":
-                return const_int(~operand.value)  # type: ignore[operator]
+            return const_of(runtime_unary(op, operand.value), operand.ty)
         result = Temp(operand.ty)
         self.emit(UnOp(result=result, op=op, operand=operand))
         return result
@@ -230,12 +207,7 @@ class Emitter:
         if value.ty == ty:
             return value
         if isinstance(value, Const):
-            if ty == FLOAT:
-                return const_float(float(value.value))  # type: ignore
-            if ty == INT:
-                return const_int(int(value.value))  # type: ignore
-            if ty == BOOLEAN:
-                return const_bool(bool(value.value))
+            return const_of(value.value, ty)
         result = Temp(ty)
         self.emit(CastOp(result=result, operand=value))
         return result
@@ -245,11 +217,8 @@ class Emitter:
         cast to ``boolean`` is emitted, not folded."""
         if value.ty == target:
             return value
-        if isinstance(value, Const):
-            if target == INT:
-                return const_int(int(value.value))  # type: ignore[arg-type]
-            if target == FLOAT:
-                return const_float(float(value.value))  # type: ignore
+        if isinstance(value, Const) and target != BOOLEAN:
+            return const_of(value.value, target)
         result = Temp(target)
         self.emit(CastOp(result=result, operand=value))
         return result
@@ -276,13 +245,8 @@ class Emitter:
         if intrinsic.policy == "float":
             args = [self.coerce(a, FLOAT) for a in args]
         if intrinsic.pure and all(isinstance(a, Const) for a in args):
-            assert intrinsic.impl is not None
-            value = intrinsic.impl(*[a.value for a in args  # type: ignore
-                                     if True])
-            if res_ty == INT:
-                return const_int(int(value))
-            if res_ty == FLOAT:
-                return const_float(float(value))
+            return const_of(runtime_call(intrinsic, [a.value for a in args]),
+                            res_ty)
         result = Temp(res_ty)
         self.emit(CallOp(result=result, name=name, args=args,
                          pure=intrinsic.pure))
@@ -311,9 +275,6 @@ class ScalarCell:
     ty: ScalarType
     value: Value
 
-    def clone(self) -> "ScalarCell":
-        return ScalarCell(self.ty, self.value)
-
 
 @dataclass
 class ArrayCell:
@@ -322,9 +283,6 @@ class ArrayCell:
     element_ty: ScalarType
     dims: list[int]
     elems: list[Value]
-
-    def clone(self) -> "ArrayCell":
-        return ArrayCell(self.element_ty, list(self.dims), list(self.elems))
 
 
 @dataclass
@@ -344,9 +302,6 @@ class FieldCell:
     dims: list[int] = field(default_factory=list)  # empty for scalars
     cached: Value | None = None
     dirty: bool = False
-
-    def clone(self) -> "FieldCell":
-        return self  # slot-backed and merged via (cached, dirty) state
 
 
 Cell = ScalarCell | ArrayCell | FieldCell
@@ -421,8 +376,8 @@ class BodyExecutor:
     def base_env(self) -> Env:
         env = Env()
         for name, value in self.node.env.items():
-            env.define(name, ScalarCell(_scalar_of(value),
-                                        _const_of(value)))
+            ty = _scalar_of(value)
+            env.define(name, ScalarCell(ty, const_of(value, ty)))
         for name, cell in self.fields.items():
             env.define(name, cell)
         return env
@@ -607,10 +562,8 @@ class BodyExecutor:
                     raise LoweringError("array size must be positive",
                                         stmt.loc, self.source)
                 count *= d
-            zero = (const_int(0) if base == INT
-                    else const_float(0.0) if base == FLOAT
-                    else const_bool(False))
-            env.define(stmt.name, ArrayCell(base, dims, [zero] * count))
+            env.define(stmt.name,
+                       ArrayCell(base, dims, [const_of(0, base)] * count))
             if stmt.init is not None:
                 raise LoweringError(
                     "array initializers are not supported", stmt.loc,
@@ -619,9 +572,7 @@ class BodyExecutor:
         if stmt.init is not None:
             value = self.emitter.coerce(self._eval(stmt.init, env), base)
         else:
-            value = (const_int(0) if base == INT
-                     else const_float(0.0) if base == FLOAT
-                     else const_bool(False))
+            value = const_of(0, base)
         env.define(stmt.name, ScalarCell(base, value))
 
     def _exec_assign(self, stmt: ast.Assign, env: Env) -> None:
@@ -1154,12 +1105,3 @@ def _scalar_of(value: object) -> ScalarType:
     if isinstance(value, float):
         return FLOAT
     raise TypeError(f"unsupported parameter value {value!r}")
-
-
-def _const_of(value: object) -> Const:
-    ty = _scalar_of(value)
-    if ty == INT:
-        return const_int(value)  # type: ignore[arg-type]
-    if ty == FLOAT:
-        return const_float(value)  # type: ignore[arg-type]
-    return const_bool(value)  # type: ignore[arg-type]

@@ -23,15 +23,13 @@ import math
 from typing import Callable
 
 from repro.frontend.errors import UNKNOWN_LOCATION
-from repro.graph.builder import apply_binary
 from repro.frontend.intrinsics import INTRINSICS
 from repro.frontend.types import BOOLEAN, FLOAT, INT
+from repro.frontend.values import fold_binary, runtime_call, runtime_unary
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, SelectOp, StoreOp, Temp, UnOp, Value,
-                           const_bool, const_float, const_int)
+                           const_bool, const_int, const_of)
 from repro.lir.program import Program
-
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 # -- substitution -------------------------------------------------------------
@@ -125,33 +123,18 @@ def _fold_op(op: Op, no_neg_zero: set[int]) -> Value | None:
     ``-0.0`` (see :func:`_never_neg_zero`)."""
     if isinstance(op, BinOp) and isinstance(op.lhs, Const) \
             and isinstance(op.rhs, Const):
-        value = apply_binary(op.op, op.lhs.value, op.rhs.value,
-                             UNKNOWN_LOCATION, "")
-        if op.op in _CMP_OPS:
-            return const_bool(bool(value))
-        if op.lhs.ty == INT and op.rhs.ty == INT:
-            return const_int(int(value))  # type: ignore[arg-type]
-        if op.lhs.ty == BOOLEAN:
-            return const_bool(bool(value))
-        return const_float(float(value))  # type: ignore[arg-type]
+        assert op.result is not None
+        return const_of(fold_binary(op.op, op.lhs.value, op.rhs.value,
+                                    UNKNOWN_LOCATION, ""), op.result.ty)
     if isinstance(op, BinOp):
         return _fold_algebraic(op, no_neg_zero)
     if isinstance(op, UnOp) and isinstance(op.operand, Const):
-        if op.op == "-":
-            if op.operand.ty == INT:
-                return const_int(-op.operand.value)  # type: ignore
-            return const_float(-op.operand.value)  # type: ignore
-        if op.op == "!":
-            return const_bool(not op.operand.value)
-        if op.op == "~":
-            return const_int(~op.operand.value)  # type: ignore[operator]
+        assert op.result is not None
+        return const_of(runtime_unary(op.op, op.operand.value),
+                        op.result.ty)
     if isinstance(op, CastOp) and isinstance(op.operand, Const):
         assert op.result is not None
-        if op.result.ty == INT:
-            return const_int(int(op.operand.value))  # type: ignore
-        if op.result.ty == FLOAT:
-            return const_float(float(op.operand.value))  # type: ignore
-        return const_bool(bool(op.operand.value))
+        return const_of(op.operand.value, op.result.ty)
     if isinstance(op, SelectOp) and isinstance(op.cond, Const):
         return op.then if op.cond.value else op.otherwise
     if isinstance(op, SelectOp) and op.then is op.otherwise:
@@ -159,13 +142,10 @@ def _fold_op(op: Op, no_neg_zero: set[int]) -> Value | None:
     if isinstance(op, CallOp) and op.pure \
             and INTRINSICS[op.name].pure \
             and all(isinstance(a, Const) for a in op.args):
-        intrinsic = INTRINSICS[op.name]
-        assert intrinsic.impl is not None
-        value = intrinsic.impl(*[a.value for a in op.args])  # type: ignore
         assert op.result is not None
-        if op.result.ty == INT:
-            return const_int(int(value))
-        return const_float(float(value))
+        return const_of(runtime_call(INTRINSICS[op.name],
+                                     [a.value for a in op.args]),
+                        op.result.ty)
     return None
 
 

@@ -23,9 +23,8 @@ makes the effect measurable in interpreter op counts.
 
 from __future__ import annotations
 
-from repro.frontend.types import FLOAT, INT
-from repro.lir.ops import (Const, LoadOp, LoopRegion, Op, StateSlot, StoreOp,
-                           Temp, Value, const_bool, const_float, const_int)
+from repro.lir.ops import (Const, LoadOp, LoopRegion, Op, StoreOp, Temp,
+                           Value, const_of)
 from repro.lir.program import Program
 
 
@@ -34,14 +33,6 @@ MAX_ARRAY_ELEMENTS = 4096
 # Arrays written during steady become per-element loop carries; cap the
 # carry blow-up separately (hot delay lines are typically small).
 MAX_CARRIED_ELEMENTS = 256
-
-
-def _zero(slot: StateSlot) -> Const:
-    if slot.ty == INT:
-        return const_int(0)
-    if slot.ty == FLOAT:
-        return const_float(0.0)
-    return const_bool(False)
 
 
 def _classify(program: Program) -> tuple[set[str], set[str]]:
@@ -88,7 +79,7 @@ def promote_state(program: Program) -> int:
 
     slots = {s.name: s for s in program.state_slots if s.name in promotable}
     current: dict[str, list[Value]] = {
-        name: [_zero(slot)] * (slot.size or 1)
+        name: [const_of(0, slot.ty)] * (slot.size or 1)
         for name, slot in slots.items()}
     # Elements of steady-stored slots that actually get a carry param; maps
     # (slot, element) -> position in the carry lists, filled lazily below.

@@ -290,6 +290,8 @@ RAISING = {
             "  push(100 / pop()); } }", "division by zero"),
     "Pick": ("int->int filter Pick() { int[4] t; work push 1 pop 1 {\n"
              "  push(t[pop() + 9]); } }", "out of bounds"),
+    "Shift": ("int->int filter Shift() { work push 1 pop 1 {\n"
+              "  push(1 << (pop() - 1)); } }", "negative shift count"),
 }
 
 # A's eight firings form one region; F, lowered per firing, reads the

@@ -53,6 +53,15 @@ class TestElaboration:
         assert root.children[1].env["k"] == 3.0
         assert isinstance(root.children[1].env["k"], float)
 
+    def test_composite_locals_evaluate_as_at_run_time(self):
+        # A float local divides as a float, and int arithmetic wraps:
+        # 1 << 31 is INT_MIN, and INT_MIN * 4 + 9 is 9.
+        root = build("void->void pipeline P { float f = 1; f = f / 2; "
+                     "int s = 1 << 31; s *= 4; add Src(); add Scale(f); "
+                     "add Win(s + 9); add Snk(); }")
+        assert root.children[1].env["k"] == 0.5
+        assert root.children[2].work.peek == 9
+
     def test_rates_resolved(self):
         root = build("void->void pipeline P { add Src(); add Win(5); "
                      "add Snk(); }")

@@ -4,10 +4,10 @@ import pytest
 
 from repro import compile_source
 from repro.frontend.errors import InterpError, RateError
+from repro.frontend.values import runtime_binary, runtime_unary
 from repro.interp import FifoInterpreter, LaminarInterpreter
 from repro.interp.counters import Counters
 from repro.interp.fifo import RingBuffer
-from repro.interp.values import runtime_binary, runtime_unary
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -33,6 +33,18 @@ class TestRuntimeSemantics:
     def test_division_by_zero_raises(self):
         with pytest.raises(InterpError, match="division by zero"):
             runtime_binary("/", 1, 0)
+
+    def test_negative_shift_count_raises(self):
+        for op in ("<<", ">>"):
+            with pytest.raises(InterpError,
+                               match=f"negative shift count in '{op}'"):
+                runtime_binary(op, 1, -1)
+        stream = compile_source(
+            "void->int filter S(int p) { work push 1 { push(1 << p); } }\n"
+            "int->void filter P() { work pop 1 { println(pop()); } }\n"
+            "void->void pipeline Top { add S(-1); add P(); }\n")
+        with pytest.raises(InterpError, match="negative shift count"):
+            stream.run_fifo(1)
 
     def test_int_overflow_wraps(self):
         assert runtime_binary("+", 2**31 - 1, 1) == -(2**31)

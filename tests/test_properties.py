@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for core invariants:
 
 * 32-bit wrapping arithmetic laws,
-* compile-time vs run-time evaluator agreement,
+* compile-time folds agree with run-time evaluation,
 * the RNG contract shared with the C runtime,
 * random stream pipelines: scheduling invariants and FIFO/LaminarIR
   output equivalence,
@@ -20,12 +20,13 @@ from repro.backend.common import checksum_outputs
 from repro.frontend.errors import UNKNOWN_LOCATION
 from repro.frontend.intrinsics import XorShift32
 from repro.frontend.types import FLOAT, INT
-from repro.graph.builder import apply_binary
+from repro.frontend.values import CMP_OPS, runtime_binary
 from repro.interp import LaminarInterpreter
-from repro.interp.values import runtime_binary
-from repro.lir import (BinOp, CallOp, PrintOp, Program, SelectOp, StateSlot,
-                       StoreOp, Temp, const_int, wrap_i32)
+from repro.lir import (BinOp, CallOp, Const, PrintOp, Program, SelectOp,
+                       StateSlot, StoreOp, Temp, const_float, const_int,
+                       wrap_i32)
 from repro.lir.ops import LoadOp
+from repro.lir.symexec import Emitter
 from repro.opt import optimize
 from repro.scheduling.balance import steady_state_token_counts
 
@@ -35,7 +36,6 @@ small_floats = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
 
 _SAFE_INT_OPS = ("+", "-", "*", "&", "|", "^")
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class TestWrapI32:
@@ -58,31 +58,30 @@ class TestWrapI32:
 
 
 class TestEvaluatorAgreement:
-    @given(i32s, i32s, st.sampled_from(_SAFE_INT_OPS))
-    def test_int_ops_agree(self, left, right, op):
-        compile_time = wrap_i32(apply_binary(op, left, right,
-                                             UNKNOWN_LOCATION, ""))
-        run_time = runtime_binary(op, left, right)
-        assert compile_time == run_time
+    """A compile-time fold gives the value run-time evaluation computes:
+    the lowering's emitter folds constants through the same table."""
 
-    @given(i32s, i32s, st.sampled_from(_CMP_OPS))
-    def test_comparisons_agree(self, left, right, op):
-        assert apply_binary(op, left, right, UNKNOWN_LOCATION, "") == \
-            runtime_binary(op, left, right)
+    @staticmethod
+    def _folded(op, lhs, rhs):
+        value = Emitter().binop(op, lhs, rhs, UNKNOWN_LOCATION)
+        assert isinstance(value, Const)
+        return value.value
 
     @given(i32s, i32s.filter(lambda v: v != 0))
     def test_division_agrees_and_truncates(self, left, right):
-        compile_time = apply_binary("/", left, right, UNKNOWN_LOCATION, "")
         run_time = runtime_binary("/", left, right)
-        assert compile_time == run_time
-        # C semantics: (a/b)*b + a%b == a
+        assert self._folded("/", const_int(left), const_int(right)) == \
+            run_time
+        # C semantics, wrapping: (a/b)*b + a%b == a, truncating toward 0
         remainder = runtime_binary("%", left, right)
-        assert run_time * right + remainder == left
+        assert wrap_i32(run_time * right + remainder) == left
+        assert abs(remainder) < abs(right)
+        assert remainder == 0 or (remainder < 0) == (left < 0)
 
     @given(small_floats, small_floats,
            st.sampled_from(("+", "-", "*")))
     def test_float_ops_agree(self, left, right, op):
-        assert apply_binary(op, left, right, UNKNOWN_LOCATION, "") == \
+        assert self._folded(op, const_float(left), const_float(right)) == \
             runtime_binary(op, left, right)
 
 
@@ -224,7 +223,7 @@ def _lir_programs(draw):
                 fresh(section, BinOp(result=Temp(INT), op=op, lhs=lhs,
                                      rhs=rhs))
             elif choice == 3:  # select on a comparison
-                cmp_op = draw(st.sampled_from(_CMP_OPS))
+                cmp_op = draw(st.sampled_from(CMP_OPS))
                 from repro.frontend.types import BOOLEAN
                 cond = Temp(BOOLEAN)
                 section.append(BinOp(result=cond, op=cmp_op,
