@@ -40,7 +40,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from benchmarks.common import RESULTS_DIR, emit
 from repro.backend.laminar_c import generate_laminar_c
 from repro.evaluation import evaluate_stream, format_table
-from repro.lir import lower
+from repro.lir import collector_paused, lower
 from repro.lir.ops import fresh_temp_ids
 from repro.machine import I7_2600K
 from repro.opt import OptOptions, optimize
@@ -114,7 +114,8 @@ def measure(name: str, scale: int, full: bool = True) -> dict:
     frontend_seconds = time.perf_counter() - start
 
     opt = OptOptions()
-    with fresh_temp_ids():
+    # One collector pause over lower plus optimize, as in a compile.
+    with fresh_temp_ids(), collector_paused():
         start = time.perf_counter()
         program = lower(stream.schedule, stream.source,
                         **opt.lowering_flags())
@@ -156,7 +157,7 @@ def traced_peak_mib(name: str, scale: int) -> float:
     opt = OptOptions()
     tracemalloc.start()
     try:
-        with fresh_temp_ids():
+        with fresh_temp_ids(), collector_paused():
             program = lower(stream.schedule, stream.source,
                             **opt.lowering_flags())
             optimize(program, opt)

@@ -31,7 +31,8 @@ from repro.frontend.intrinsics import XorShift32
 from repro.graph import FlatGraph, StreamNode, elaborate, flatten, \
     graph_stats
 from repro.interp import FifoInterpreter, LaminarInterpreter, RunResult
-from repro.lir import LoweringOptions, Program, lower, verify
+from repro.lir import (LoweringOptions, Program, collector_paused, lower,
+                       verify)
 from repro.lir.ops import fresh_temp_ids
 from repro.machine.metrics import CommunicationReport, communication_report
 from repro.obs import metrics as obs_metrics
@@ -124,7 +125,7 @@ class CompiledStream:
         # Temps are numbered per lowering, so the emitted code does not
         # depend on what this process (or thread) compiled before.
         with faults_limits.compile_budget(), fresh_temp_ids(), \
-                trace.span("lower", stream=self.name):
+                collector_paused(), trace.span("lower", stream=self.name):
             with trace.span("lower.lir"):
                 # Firings no emitted code reads are left out only when
                 # the optimizer's dead-code pre-prune would delete them,
@@ -185,9 +186,10 @@ class CompiledStream:
     def laminar_c(self, lowering: LoweringOptions | None = None,
                   opt: OptOptions | None = None) -> str:
         """The LaminarIR C program (compile-time queues)."""
-        lowered = self.lower(lowering, opt)
-        with trace.span("codegen.laminar_c", stream=self.name):
-            return generate_laminar_c(lowered.program)
+        with collector_paused():
+            lowered = self.lower(lowering, opt)
+            with trace.span("codegen.laminar_c", stream=self.name):
+                return generate_laminar_c(lowered.program)
 
 
 def compile_source(source: str,

@@ -15,7 +15,7 @@ from repro.frontend.errors import LoweringError
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.graph.nodes import FilterNode
 from repro.backend.common import (INTRINSIC_C_NAMES, c_float_literal,
-                                  c_int_literal, c_type)
+                                  c_int_literal, c_shift, c_type)
 
 
 class CAstPrinter:
@@ -31,6 +31,8 @@ class CAstPrinter:
         self.peek_fn = peek_fn
         self.source = source
         self.helpers = {h.name for h in node.decl.helpers}
+        # Whether a shift needs C_SHIFT_RUNTIME.
+        self.checked_shifts = False
         self.fields = set(node.field_types)
         self._scopes: list[set[str]] = []
 
@@ -87,6 +89,9 @@ class CAstPrinter:
             assert stmt.target is not None and stmt.value is not None
             target = self.expr(stmt.target)
             value = self.expr(stmt.value)
+            checked = self._shift(stmt.op[:-1], target, value, stmt.value)
+            if checked is not None:
+                return [pad + f"{target} = {checked};"]
             return [pad + f"{target} {stmt.op} {value};"]
         if isinstance(stmt, ast.ExprStmt):
             assert stmt.expr is not None
@@ -212,8 +217,11 @@ class CAstPrinter:
                 fn = "repro_div_i32" if expr.op == "/" else "repro_mod_i32"
                 return (f"{fn}({self.expr(expr.left)}, "
                         f"{self.expr(expr.right)})")
-            return (f"({self.expr(expr.left)} {expr.op} "
-                    f"{self.expr(expr.right)})")
+            left, right = self.expr(expr.left), self.expr(expr.right)
+            checked = self._shift(expr.op, left, right, expr.right)
+            if checked is not None:
+                return checked
+            return f"({left} {expr.op} {right})"
         if isinstance(expr, ast.TernaryOp):
             assert expr.cond and expr.then and expr.otherwise
             return (f"({self.expr(expr.cond)} ? {self.expr(expr.then)} : "
@@ -235,6 +243,20 @@ class CAstPrinter:
             return f"{self.pop_fn}()"
         raise LoweringError(f"cannot translate {type(expr).__name__} to C",
                             expr.loc, self.source)
+
+    def _shift(self, op: str, left: str, right: str,
+               count: ast.Expr) -> str | None:
+        """The checked call for a shift whose count is not a literal or
+        parameter in [0, 31] (see ``c_shift``)."""
+        value = None
+        if isinstance(count, ast.IntLit):
+            value = count.value
+        elif isinstance(count, ast.Ident) and not self._is_local(count.name) \
+                and count.name not in self.fields:
+            value = self.node.env.get(count.name)
+        checked = c_shift(op, left, right, value)
+        self.checked_shifts = self.checked_shifts or checked is not None
+        return checked
 
     def _call(self, expr: ast.Call) -> str:
         args = ", ".join(self.expr(a) for a in expr.args)

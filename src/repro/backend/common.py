@@ -30,7 +30,8 @@ def runtime_digest() -> str:
     or the profile runtime changes the digest and therefore invalidates
     every cached artifact built from the old runtime.
     """
-    payload = "\n".join((C_PRELUDE, C_MAIN, c_profile_runtime([])))
+    payload = "\n".join((C_PRELUDE, C_SHIFT_RUNTIME, C_MAIN,
+                         c_profile_runtime([])))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 C_PRELUDE = r"""
@@ -225,6 +226,35 @@ static void repro_prof_dump(void) {{
     fprintf(stderr, "]}}\\n");
 }}
 """
+
+
+# Shifts with the interpreters' semantics, emitted after the prelude
+# only by a program that shifts by a count not known to be in [0, 31]:
+# such a count is undefined in C (x86 masks it to five bits) and a
+# runtime error here, as in the interpreters; a left shift wraps like
+# the other i32 arithmetic.
+C_SHIFT_RUNTIME = r"""
+static inline i32 repro_shl_i32(i32 a, i32 b) {
+    if ((uint32_t)b > 31u) repro_runtime_error("shift count out of range in '<<'");
+    return (i32)((uint32_t)a << b);
+}
+
+static inline i32 repro_shr_i32(i32 a, i32 b) {
+    if ((uint32_t)b > 31u) repro_runtime_error("shift count out of range in '>>'");
+    return a >> b;
+}
+"""
+
+
+def c_shift(op: str, lhs: str, rhs: str, count: object) -> str | None:
+    """The checked C call for ``lhs op rhs``, or None when ``op`` is not
+    a shift or ``count`` (the count's value, when known at compile
+    time) is in [0, 31], so that a plain operator is exact."""
+    if op not in ("<<", ">>") or (count.__class__ is int
+                                  and 0 <= count <= 31):  # type: ignore
+        return None
+    fn = "repro_shl_i32" if op == "<<" else "repro_shr_i32"
+    return f"{fn}({lhs}, {rhs})"
 
 
 def c_type(ty: ScalarType) -> str:

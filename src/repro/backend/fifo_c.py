@@ -12,8 +12,9 @@ loops).  This is the baseline side of the native speedup experiment (E3).
 from __future__ import annotations
 
 from repro.backend.c_ast import CAstPrinter, helper_function
-from repro.backend.common import (C_MAIN, C_PRELUDE, c_float_literal,
-                                  c_int_literal, c_type, sanitize_ident)
+from repro.backend.common import (C_MAIN, C_PRELUDE, C_SHIFT_RUNTIME,
+                                  c_float_literal, c_int_literal, c_type,
+                                  sanitize_ident)
 from repro.frontend.types import ArrayType, ScalarType
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
@@ -27,6 +28,8 @@ class FifoCBackend:
         self.source = source
         self.chunks: list[str] = []
         self._vertex_prefix: dict[Vertex, str] = {}
+        # Whether a shift needs C_SHIFT_RUNTIME.
+        self.checked_shifts = False
 
     def generate(self) -> str:
         self.chunks = [C_PRELUDE]
@@ -44,6 +47,8 @@ class FifoCBackend:
         self._emit_setup()
         self._emit_sequence("repro_init_schedule", self.schedule.init)
         self._emit_sequence("repro_steady", self.schedule.steady)
+        if self.checked_shifts:
+            self.chunks.insert(1, C_SHIFT_RUNTIME)
         self.chunks.append(C_MAIN)
         return "\n".join(self.chunks)
 
@@ -139,6 +144,7 @@ static inline {ty} {name}_peek(int i) {{
             pre_lines = [f"static void {prefix}_prework(void)"]
             pre_lines.extend(printer.block(node.decl.prework.body, 0))
             self.chunks.append("\n".join(pre_lines))
+        self.checked_shifts = self.checked_shifts or printer.checked_shifts
 
     # -- splitters / joiners -----------------------------------------------------------
 

@@ -21,9 +21,10 @@ its loop regions are plain counted loops.
 
 from __future__ import annotations
 
-from repro.backend.common import (C_MAIN, C_PRELUDE, INTRINSIC_C_NAMES,
-                                  c_float_literal, c_int_literal,
-                                  c_profile_runtime, c_type)
+from repro.backend.common import (C_MAIN, C_PRELUDE, C_SHIFT_RUNTIME,
+                                  INTRINSIC_C_NAMES, c_float_literal,
+                                  c_int_literal, c_profile_runtime, c_shift,
+                                  c_type)
 from repro.frontend.types import FLOAT, INT
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, PrintOp, SelectOp, StoreOp, Temp,
@@ -117,6 +118,8 @@ class LaminarCBackend:
         self._inline: dict[int, str] = {}
         # carry param id -> its element of a carried-window array.
         self._window_element: dict[int, str] = {}
+        # Whether a shift needs C_SHIFT_RUNTIME.
+        self.checked_shifts = False
 
     # -- value naming ---------------------------------------------------------
 
@@ -273,6 +276,8 @@ class LaminarCBackend:
             lines.append("}")
             chunks.append("\n".join(lines))
 
+        if self.checked_shifts:
+            chunks.insert(1, C_SHIFT_RUNTIME)
         chunks.append(C_MAIN)
         return "\n".join(chunks)
 
@@ -386,7 +391,15 @@ class LaminarCBackend:
             if op.op in ("/", "%") and op.result.ty == INT:
                 fn = "repro_div_i32" if op.op == "/" else "repro_mod_i32"
                 return f"{fn}({self._value(op.lhs)}, {self._value(op.rhs)})"
-            return f"{self._value(op.lhs)} {op.op} {self._value(op.rhs)}"
+            lhs, rhs = self._value(op.lhs), self._value(op.rhs)
+            if op.op in ("<<", ">>"):
+                checked = c_shift(op.op, lhs, rhs,
+                                  op.rhs.value if isinstance(op.rhs, Const)
+                                  else None)
+                if checked is not None:
+                    self.checked_shifts = True
+                    return checked
+            return f"{lhs} {op.op} {rhs}"
         if isinstance(op, UnOp):
             return f"{op.op}{self._value(op.operand)}"
         if isinstance(op, CastOp):

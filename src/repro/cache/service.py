@@ -26,6 +26,7 @@ from repro.backend import fifo_c as fifo_backend
 from repro.backend import laminar_c as laminar_backend
 from repro.backend import runner
 from repro.cache.store import ArtifactCache, CacheEntry, artifact_key
+from repro.lir import collector_paused
 from repro.obs import trace
 
 BACKENDS = ("laminar-c", "fifo-c")
@@ -81,9 +82,10 @@ def build_native(stream, key: str, components: dict, *,
         started = time.monotonic()
         lir_dump = None
         if backend == "laminar-c":
-            lowered = stream.lower(lowering, opt)
-            code = laminar_backend.generate_laminar_c(lowered.program)
-            lir_dump = lowered.program.dump()
+            with collector_paused():
+                lowered = stream.lower(lowering, opt)
+                code = laminar_backend.generate_laminar_c(lowered.program)
+                lir_dump = lowered.program.dump()
         else:
             code = stream.fifo_c()
         workdir = Path(tempfile.mkdtemp(prefix="repro_cache_build_"))

@@ -40,6 +40,14 @@ def _float2(name: str, fn: Callable[[float, float], float]) -> Intrinsic:
     return Intrinsic(name, 2, True, name, fn, "float")
 
 
+def _integral(fn: Callable[[float], int], x: float) -> float:
+    """``floor`` or ``ceil`` as C computes it: an infinity or a NaN is
+    its own result, and a zero result keeps the argument's sign."""
+    if not math.isfinite(x):
+        return x
+    return math.copysign(float(fn(x)), x)
+
+
 INTRINSICS: dict[str, Intrinsic] = {
     i.name: i for i in [
         _float1("sin", math.sin),
@@ -55,9 +63,9 @@ INTRINSICS: dict[str, Intrinsic] = {
         _float1("log", math.log),
         _float1("log10", math.log10),
         _float1("sqrt", math.sqrt),
-        _float1("floor", math.floor),
-        _float1("ceil", math.ceil),
-        _float1("round", lambda x: float(math.floor(x + 0.5))),
+        _float1("floor", lambda x: _integral(math.floor, x)),
+        _float1("ceil", lambda x: _integral(math.ceil, x)),
+        _float1("round", lambda x: _integral(math.floor, x + 0.5)),
         _float2("atan2", math.atan2),
         _float2("pow", math.pow),
         _float2("fmod", math.fmod),

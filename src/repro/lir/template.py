@@ -8,7 +8,8 @@ inputs, the statements executed, the loops unrolled and the ops emitted
 are the same.
 
 :func:`record` runs the body once through the ordinary
-:class:`~repro.lir.symexec.BodyExecutor`, with an opaque placeholder
+:class:`~repro.lir.symexec.BodyExecutor` and the filter's compiled
+closures, with an opaque placeholder
 temp for every token position it reads and for every scalar field (the
 lowering loads them before a filter's first firing in a section), and
 keeps what it emitted.
@@ -493,7 +494,8 @@ def record(executor: BodyExecutor, block: ast.Block,
                 copy.cached = Temp(cell.slot.ty)
                 cached.append((name, copy.cached))
             fields[name] = copy
-        body = BodyExecutor(recorder, executor.node, fields, executor.source)
+        body = BodyExecutor(recorder, executor.node, fields, executor.source,
+                            executor.code)
         hooks = make_hooks(recorder)
         try:
             body.run_body(block, hooks)

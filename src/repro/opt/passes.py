@@ -28,7 +28,7 @@ from repro.frontend.types import BOOLEAN, FLOAT, INT
 from repro.frontend.values import fold_binary, runtime_call, runtime_unary
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, SelectOp, StoreOp, Temp, UnOp, Value,
-                           const_bool, const_int, const_of)
+                           const_bool, const_int, const_of, may_fault)
 from repro.lir.program import Program
 
 
@@ -294,6 +294,10 @@ def constant_folding(program: Program) -> int:
 
     for _title, ops in program.sections():
         ops[:] = sweep(ops)
+    # The recursive sweep refers to itself: unbound, it and the tables
+    # it holds go now, not at the next collection (a compile pauses
+    # the collector).
+    del sweep
     if subst:
         _resolve_carries(program, resolve)
     return folded
@@ -478,7 +482,8 @@ def dead_code_elimination(program: Program) -> int:
                     removed += 1
                     continue
                 if not (op.has_side_effect or (
-                        op.result is not None and live[op.result.id - lo])):
+                        op.result is not None and live[op.result.id - lo])
+                        or op.__class__ is BinOp and may_fault(op)):
                     removed += 1
                     continue
                 for operand in op.operands():  # mark(), inlined: hot
@@ -501,6 +506,7 @@ def dead_code_elimination(program: Program) -> int:
         if not (loaded_slots - still_loaded) & touched:
             break  # no surviving store lost the last load of its slot
         loaded_slots = still_loaded
+    del sweep  # it refers to itself (see constant_folding)
     # Drop state slots that no remaining op touches.
     program.state_slots = [s for s in program.state_slots
                            if s.name in touched]

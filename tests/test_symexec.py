@@ -1,9 +1,19 @@
 """Focused tests for the symbolic executor: constant folding during
 unrolling, control-flow resolution, helpers, arrays, and limits."""
 
+import gc
+import hashlib
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import compile_source
+from repro.faults.limits import ResourceExhausted
 from repro.frontend.errors import LoweringError
 from repro.lir import (BinOp, CallOp, LoweringOptions, PrintOp, SelectOp,
                        lower)
@@ -435,3 +445,109 @@ class TestFieldCaching:
             "void->void pipeline P { add Src(); add F(); add Snk(); }")
         assert stream.run_fifo(10).outputs == \
             stream.run_laminar(10).outputs
+
+
+def _c_digest(name: str, scale: int) -> str:
+    from repro.suite.registry import load_benchmark
+    code = load_benchmark(name, scale=scale).laminar_c()
+    return hashlib.sha256(code.encode()).hexdigest()
+
+
+# Each program of ERRORS fails to lower with exactly this diagnostic
+# (the unroll limit set to 1000): the message, where and location the
+# tree-walking executor reported, which the compiled closures keep.
+ERROR_PREAMBLE = (
+    "void->int filter ISrc() { work push 1 { push(randi(100)); } }\n"
+    "int->void filter ISnk() { work pop 1 { println(pop()); } }\n")
+ERRORS = {
+    "loop-bound": (
+        "int->int filter F() { work push 1 pop 1 {\n"
+        "  int n = pop(); int s = 0;\n"
+        "  for (int i = 0; i < n; i++) s += i;\n"
+        "  push(s); } }\n",
+        "probe.str:5:3: lowering error: loop condition is not "
+        "compile-time constant; LaminarIR requires statically bounded "
+        "loops\n  for (int i = 0; i < n; i++) s += i;\n  ^"),
+    "local-index": (
+        "int->int filter F() { work push 1 pop 1 {\n"
+        "  int[4] t; t[0] = 1;\n"
+        "  push(t[pop() & 3]); } }\n",
+        "probe.str:5:9: lowering error: dynamic index into a local array "
+        "is not supported; use a filter field\n"
+        "  push(t[pop() & 3]); } }\n        ^"),
+    "break": (
+        "int->int filter F() { work push 1 pop 1 {\n"
+        "  int v = pop(); int s = 0;\n"
+        "  for (int i = 0; i < 4; i++) {\n"
+        "    if (v > 50) break;\n"
+        "    s = s + i; }\n"
+        "  push(s); } }\n",
+        "probe.str:6:17: lowering error: break under a data-dependent "
+        "condition cannot be lowered\n    if (v > 50) break;\n"
+        "                ^"),
+    "unroll-limit": (
+        "int->int filter F() { work push 1 pop 1 {\n"
+        "  int i = 0;\n"
+        "  while (i >= 0) { i = i + 1; }\n"
+        "  push(pop()); } }\n",
+        "probe.str:5:20: resource exhausted: unroll_limit limit exceeded "
+        "(1001 > 1000) in filter 'F' work body; the limit counts the "
+        "statements one execution of the body unrolls: a non-terminating "
+        "loop, or a very long static one\n"
+        "  while (i >= 0) { i = i + 1; }\n                   ^"),
+}
+
+
+class TestCompiledBodies:
+    """Each declaration's bodies compile once per lowering into
+    closures; they must behave exactly as a fresh execution."""
+
+    def test_lowerings_in_one_process_match_fresh_processes(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_symexec import _c_digest; "
+             "print(_c_digest('filterbank', 1)); "
+             "print(_c_digest('filterbank', 4))"],
+            capture_output=True, text=True, check=True,
+            cwd=src.parent, env={**os.environ, "PYTHONPATH": str(src)})
+        assert [_c_digest("filterbank", scale) for scale in (1, 4, 1)] \
+            == fresh.stdout.split() + fresh.stdout.split()[:1]
+
+    def test_compiled_bodies_do_not_outlive_the_lowering(self,
+                                                         monkeypatch):
+        made = []
+        compile_decl = symexec.DeclCode.__init__
+
+        def note(code, decl):
+            compile_decl(code, decl)
+            made.append((decl.name, weakref.ref(code)))
+
+        monkeypatch.setattr(symexec.DeclCode, "__init__", note)
+        stream = compile_source(
+            PREAMBLE +
+            "float->float filter F(float k) { float s; "
+            "float g(float x) { return x * k; } "
+            "work push 1 pop 1 { s = s + g(pop()); push(s); } }"
+            "void->void pipeline P { add Src(); add F(2.0); add F(3.0); "
+            "add Snk(); }")
+        stream.laminar_c()
+        # One per declaration, shared by both instances of F, and none
+        # alive once the lowering is done, though the stream still is.
+        assert sorted(name for name, _ in made) == ["F", "Snk", "Src"]
+        gc.collect()
+        assert [ref() for _, ref in made] == [None] * 3
+        assert stream.laminar_c()
+
+    @pytest.mark.parametrize("name", ERRORS)
+    def test_error_keeps_its_message_and_place(self, name, monkeypatch):
+        monkeypatch.setattr(symexec, "UNROLL_LIMIT", 1000)
+        body, expected = ERRORS[name]
+        stream = compile_source(
+            ERROR_PREAMBLE + body + "void->void pipeline P { add ISrc(); "
+            "add F(); add ISnk(); }\n", "probe.str")
+        with pytest.raises((LoweringError, ResourceExhausted)) as info:
+            lower(stream.schedule, stream.source)
+        assert str(info.value) == expected
+        if name == "unroll-limit":
+            assert info.value.where == "filter 'F' work body"
