@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import repro.fuzz.driver
-from repro.api import check_equivalence, compile_source
+import repro.fuzz.oracle
+from repro.api import CompiledStream, check_equivalence, compile_source
 from repro.frontend.intrinsics import XorShift32
 from repro.fuzz import (GeneratorOptions, fuzz_campaign, generate_program,
                         random_spec, render, run_source, shrink_spec)
@@ -79,6 +80,21 @@ class TestOracle:
         report = run_source(generate_program("ok:0"), iterations=3)
         assert report.ok
         assert report.output_count > 0
+
+    def test_laminar_c_build_error_is_a_divergence(self, monkeypatch):
+        """Building the LaminarIR C may fail only with the reference's
+        own fault; here the reference runs cleanly."""
+        def broken(self, *args, **kwargs):
+            raise ValueError("no C mapping")
+        monkeypatch.setattr(repro.fuzz.oracle, "find_compiler",
+                            lambda: "cc")
+        monkeypatch.setattr(CompiledStream, "laminar_c", broken)
+        report = run_source(generate_program("ok:0"), iterations=3,
+                            native=True)
+        assert report.divergence == Divergence(
+            kind="route-error", route="laminar-c",
+            detail="ValueError: no C mapping; reference fifo-interp: "
+                   "ran cleanly")
 
 
 # ---------------------------------------------------------------------------

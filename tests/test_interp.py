@@ -4,7 +4,9 @@ import pytest
 
 from repro import compile_source
 from repro.frontend.errors import InterpError, RateError
-from repro.frontend.values import runtime_binary, runtime_unary
+from repro.frontend.types import INT
+from repro.frontend.values import coerce_runtime, runtime_binary, \
+    runtime_unary
 from repro.interp import FifoInterpreter, LaminarInterpreter
 from repro.interp.counters import Counters
 from repro.interp.fifo import RingBuffer
@@ -52,6 +54,15 @@ class TestRuntimeSemantics:
 
     def test_float_division(self):
         assert runtime_binary("/", 1.0, 4.0) == 0.25
+
+    def test_float_to_int_outside_i32_is_int_min(self):
+        # C leaves these undefined; x86's cvttsd2si gives INT_MIN.
+        for value in (float("inf"), float("-inf"), float("nan"), 2.0**31,
+                      -2.0**31 - 1.0, 1e300):
+            assert coerce_runtime(value, INT) == -(2**31)
+        assert coerce_runtime(2.0**31 - 0.5, INT) == 2**31 - 1
+        assert coerce_runtime(-2.0**31 - 0.5, INT) == -(2**31)
+        assert coerce_runtime(-2.5, INT) == -2
 
     def test_shift_ops(self):
         assert runtime_binary("<<", 1, 10) == 1024
