@@ -8,10 +8,9 @@ and reports, per stage, lowering (symbolic execution) wall time and
 LaminarIR steady-section size, generated C size for both backends, and
 the modeled speedup — showing that the win persists while the
 compile-side costs grow roughly linearly with the steady state.  It
-lowers the way ``CompiledStream.lower`` does, with
-``OptOptions.lowering_flags()``: demand-driven, since the default
-pipeline prunes dead code, and with loop regions from the schedule's
-firing runs, since it re-rolls.
+lowers the way ``CompiledStream.lower`` does: demand-driven, since the
+default pipeline prunes dead code, and with loop regions from the
+schedule's firing runs, as the default lowering forms them.
 
 Both stages are compared against the committed per-stage baseline
 ``results/compile_cost_baseline.json`` in CI's regression gates:
@@ -40,11 +39,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from benchmarks.common import RESULTS_DIR, emit
 from repro.backend.laminar_c import generate_laminar_c
 from repro.evaluation import evaluate_stream, format_table
-from repro.lir import collector_paused, lower
+from repro.lir import LoweringOptions, collector_paused, lower
 from repro.lir.ops import fresh_temp_ids
 from repro.machine import I7_2600K
 from repro.opt import OptOptions, optimize
-from repro.opt.pipeline import DEFAULT_PIPELINE
 from repro.suite import load_benchmark
 
 SWEEP_NAMES = ("fft", "bitonic_sort", "matrixmult", "autocor", "filterbank")
@@ -118,7 +116,7 @@ def measure(name: str, scale: int, full: bool = True) -> dict:
     with fresh_temp_ids(), collector_paused():
         start = time.perf_counter()
         program = lower(stream.schedule, stream.source,
-                        **opt.lowering_flags())
+                        demand=opt.prunes_dead_code())
         lower_seconds = time.perf_counter() - start
         ops_lowered = sum(len(ops) for _, ops in program.sections())
         opt_stats = optimize(program, opt)
@@ -159,7 +157,7 @@ def traced_peak_mib(name: str, scale: int) -> float:
     try:
         with fresh_temp_ids(), collector_paused():
             program = lower(stream.schedule, stream.source,
-                            **opt.lowering_flags())
+                            demand=opt.prunes_dead_code())
             optimize(program, opt)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
@@ -167,12 +165,11 @@ def traced_peak_mib(name: str, scale: int) -> float:
 
 
 def codegen_size_ratio(name: str, scale: int) -> float:
-    """Emitted laminar C bytes, fully unrolled (the default pass list
-    without its reroll entry) over re-rolled."""
+    """Emitted laminar C bytes, fully unrolled (the lowering without
+    loop regions) over re-rolled."""
     stream = load_benchmark(name, scale=scale)
     rerolled = len(stream.laminar_c())
-    unrolled = len(stream.laminar_c(opt=OptOptions(pipeline=tuple(
-        step for step in DEFAULT_PIPELINE if step != "reroll_steady"))))
+    unrolled = len(stream.laminar_c(LoweringOptions(regions=False)))
     return unrolled / rerolled
 
 

@@ -128,11 +128,9 @@ class CompiledStream:
                 collector_paused(), trace.span("lower", stream=self.name):
             with trace.span("lower.lir"):
                 # Firings no emitted code reads are left out only when
-                # the optimizer's dead-code pre-prune would delete them,
-                # and firing runs become loop regions only when its
-                # pipeline has the reroll entry.
+                # the optimizer's dead-code pre-prune would delete them.
                 program = lower(self.schedule, self.source, lowering,
-                                **opt.lowering_flags())
+                                demand=opt.prunes_dead_code())
             stats = optimize(program, opt)
             with trace.span("verify"):
                 verify(program)  # cheap invariant check after each pipeline

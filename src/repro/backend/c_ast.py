@@ -10,9 +10,12 @@ graph-level generator.
 
 from __future__ import annotations
 
+import math
+
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import LoweringError
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
+from repro.frontend.values import coerce_runtime, runtime_unary
 from repro.graph.nodes import FilterNode
 from repro.backend.common import (INTRINSIC_C_NAMES, c_float_literal,
                                   c_int_literal, c_shift, c_type)
@@ -31,8 +34,10 @@ class CAstPrinter:
         self.peek_fn = peek_fn
         self.source = source
         self.helpers = {h.name for h in node.decl.helpers}
-        # Whether a shift needs C_SHIFT_RUNTIME.
+        # Whether a shift needs C_SHIFT_RUNTIME, and whether a
+        # subtraction needs C_ZERO_SUB_RUNTIME.
         self.checked_shifts = False
+        self.zero_subs = False
         self.fields = set(node.field_types)
         self._scopes: list[set[str]] = []
 
@@ -218,6 +223,11 @@ class CAstPrinter:
                 return (f"{fn}({self.expr(expr.left)}, "
                         f"{self.expr(expr.right)})")
             left, right = self.expr(expr.left), self.expr(expr.right)
+            if expr.op == "-" and expr.ty == FLOAT \
+                    and _is_positive_zero(self._constant(expr.left)) \
+                    and self._constant(expr.right) is None:
+                self.zero_subs = True
+                return f"repro_zero_sub_f64({right})"
             checked = self._shift(expr.op, left, right, expr.right)
             if checked is not None:
                 return checked
@@ -229,6 +239,12 @@ class CAstPrinter:
         if isinstance(expr, ast.Cast):
             assert expr.target is not None and expr.operand is not None
             assert isinstance(expr.target, ScalarType)
+            value = self._constant(expr.operand)
+            if expr.target == INT and value.__class__ is float:
+                # C leaves converting a float past the i32 range
+                # undefined, and gcc folds a constant one by saturating:
+                # fold it here as every other route converts.
+                return c_int_literal(coerce_runtime(value, INT))
             return f"(({c_type(expr.target)}){self.expr(expr.operand)})"
         if isinstance(expr, ast.Call):
             return self._call(expr)
@@ -246,17 +262,25 @@ class CAstPrinter:
 
     def _shift(self, op: str, left: str, right: str,
                count: ast.Expr) -> str | None:
-        """The checked call for a shift whose count is not a literal or
-        parameter in [0, 31] (see ``c_shift``)."""
-        value = None
-        if isinstance(count, ast.IntLit):
-            value = count.value
-        elif isinstance(count, ast.Ident) and not self._is_local(count.name) \
-                and count.name not in self.fields:
-            value = self.node.env.get(count.name)
-        checked = c_shift(op, left, right, value)
+        """The checked call for a shift whose count is not a constant
+        in [0, 31] (see ``c_shift``)."""
+        checked = c_shift(op, left, right, self._constant(count))
         self.checked_shifts = self.checked_shifts or checked is not None
         return checked
+
+    def _constant(self, expr: ast.Expr) -> object:
+        """The value of a literal, of a parameter (printed as a literal)
+        or of either negated; ``None`` for any other expression."""
+        if isinstance(expr, (ast.IntLit, ast.FloatLit)):
+            return expr.value
+        if isinstance(expr, ast.Ident) and not self._is_local(expr.name) \
+                and expr.name not in self.fields:
+            return self.node.env.get(expr.name)
+        if isinstance(expr, ast.UnaryOp) and expr.op == "-":
+            assert expr.operand is not None
+            value = self._constant(expr.operand)
+            return None if value is None else runtime_unary("-", value)
+        return None
 
     def _call(self, expr: ast.Call) -> str:
         args = ", ".join(self.expr(a) for a in expr.args)
@@ -280,6 +304,11 @@ class CAstPrinter:
         if expr.name not in ("randf", "randi"):
             args = ", ".join(f"(f64)({self.expr(a)})" for a in expr.args)
         return f"{c_name}({args})"
+
+
+def _is_positive_zero(value: object) -> bool:
+    return value.__class__ in (int, float) and value == 0 \
+        and math.copysign(1.0, value) > 0  # type: ignore[arg-type]
 
 
 def _value_literal(value: object) -> str:

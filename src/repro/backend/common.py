@@ -30,8 +30,8 @@ def runtime_digest() -> str:
     or the profile runtime changes the digest and therefore invalidates
     every cached artifact built from the old runtime.
     """
-    payload = "\n".join((C_PRELUDE, C_SHIFT_RUNTIME, C_MAIN,
-                         c_profile_runtime([])))
+    payload = "\n".join((C_PRELUDE, C_SHIFT_RUNTIME, C_ZERO_SUB_RUNTIME,
+                         C_MAIN, c_profile_runtime([])))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 C_PRELUDE = r"""
@@ -243,6 +243,15 @@ static inline i32 repro_shr_i32(i32 a, i32 b) {
     if ((uint32_t)b > 31u) repro_runtime_error("shift count out of range in '>>'");
     return a >> b;
 }
+"""
+
+
+# ``0.0 - x`` as the FIFO C backend prints it, emitted after the prelude
+# only by a program that subtracts from a literal zero: gcc 12 folds the
+# literal form to ``-x`` wherever it proves x is never -0.0 (as for
+# ``(f64)i`` or ``fabs(x)``), even at -O0, which gives -0.0 for x == 0.
+C_ZERO_SUB_RUNTIME = r"""
+static inline f64 repro_zero_sub_f64(f64 x) { return 0.0 - x; }
 """
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from repro.backend.c_ast import CAstPrinter, helper_function
 from repro.backend.common import (C_MAIN, C_PRELUDE, C_SHIFT_RUNTIME,
-                                  c_float_literal, c_int_literal, c_type,
-                                  sanitize_ident)
+                                  C_ZERO_SUB_RUNTIME, c_float_literal,
+                                  c_int_literal, c_type, sanitize_ident)
 from repro.frontend.types import ArrayType, ScalarType
 from repro.graph.nodes import (Channel, FilterVertex, FlatGraph,
                                JoinerVertex, SplitterVertex, Vertex)
@@ -28,8 +28,10 @@ class FifoCBackend:
         self.source = source
         self.chunks: list[str] = []
         self._vertex_prefix: dict[Vertex, str] = {}
-        # Whether a shift needs C_SHIFT_RUNTIME.
+        # Whether a shift needs C_SHIFT_RUNTIME, and whether a
+        # subtraction needs C_ZERO_SUB_RUNTIME.
         self.checked_shifts = False
+        self.zero_subs = False
 
     def generate(self) -> str:
         self.chunks = [C_PRELUDE]
@@ -47,6 +49,8 @@ class FifoCBackend:
         self._emit_setup()
         self._emit_sequence("repro_init_schedule", self.schedule.init)
         self._emit_sequence("repro_steady", self.schedule.steady)
+        if self.zero_subs:
+            self.chunks.insert(1, C_ZERO_SUB_RUNTIME)
         if self.checked_shifts:
             self.chunks.insert(1, C_SHIFT_RUNTIME)
         self.chunks.append(C_MAIN)
@@ -145,6 +149,7 @@ static inline {ty} {name}_peek(int i) {{
             pre_lines.extend(printer.block(node.decl.prework.body, 0))
             self.chunks.append("\n".join(pre_lines))
         self.checked_shifts = self.checked_shifts or printer.checked_shifts
+        self.zero_subs = self.zero_subs or printer.zero_subs
 
     # -- splitters / joiners -----------------------------------------------------------
 
@@ -219,7 +224,7 @@ static inline {ty} {name}_peek(int i) {{
 
 # Bump whenever this module changes the C it emits for the *same*
 # program: the persistent artifact cache keys on codegen_fingerprint().
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 
 def codegen_fingerprint() -> str:

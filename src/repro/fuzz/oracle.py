@@ -3,7 +3,8 @@
 Routes (in order):
 
 1. **fifo-interp** — the FIFO baseline interpreter (the reference).
-2. **laminar-interp** — LaminarIR lowering, optimizer off.
+2. **laminar-interp** — LaminarIR lowering fully unrolled (no loop
+   regions), optimizer off.
 3. **laminar-opt** — LaminarIR lowering, full optimizer.
 4. **fifo-c** / **laminar-c** — both native backends, compiled and run
    when a C compiler is on PATH (``native=True``), each built three
@@ -185,7 +186,8 @@ def _run_routes(stream, iterations: int, native: bool, span,
         fifo, fifo_error = _attempt(lambda: stream.run_fifo(iterations))
         routes = (
             ("laminar-interp",
-             lambda: stream.run_laminar(iterations, LoweringOptions(),
+             lambda: stream.run_laminar(iterations,
+                                        LoweringOptions(regions=False),
                                         OptOptions(pipeline=()))),
             ("laminar-opt",
              lambda: stream.run_laminar(iterations, LoweringOptions(),

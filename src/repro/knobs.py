@@ -57,7 +57,7 @@ KNOBS = (
          _switch("no_elim")),
     Knob("pipeline", "--opt-pipeline",
          "comma-separated pass list, e.g. 'cp,promote,fold,cse,dce' "
-         "(default: cp,promote,reroll,carry,fold,cse,dce,schedule)",
+         "(default: cp,promote,carry,fold,cse,dce,schedule)",
          _pipeline, text=str, metavar="PASSES"),
 )
 

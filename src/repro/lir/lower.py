@@ -18,12 +18,12 @@ firings are built when it ends, in schedule order (docs/LOWERING.md
 §2c).  Lowered *demand-driven* (``lower(..., demand=True)``), a firing
 of a pure template is live only if a live firing, per-firing code or a
 carry reads it, so the firings that compute only tokens nobody reads
-emit nothing.  With loop regions (``lower(..., region_min_repeat=K)``),
-each run of adjacent live firings of one template becomes one counted
-:class:`~repro.lir.ops.LoopRegion` of ``K`` trips or more when that
-pays: the template's loop unit replayed once per unit of a trip over
-trip-indexed inputs (docs/LOWERING.md §4b).  Any other firing is
-replayed.
+emit nothing.  With loop regions (``LoweringOptions.regions``, on by
+default), each run of adjacent live firings of one template becomes one
+counted :class:`~repro.lir.ops.LoopRegion` of :data:`REGION_MIN_REPEAT`
+trips or more when that pays: the template's loop unit replayed once
+per unit of a trip over trip-indexed inputs (docs/LOWERING.md §4b).
+Any other firing is replayed.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ REGION_MIN_REPEAT = 4
 @dataclass
 class LoweringOptions:
     """What the lowering builds: ``eliminate_splitjoin`` (off for the
-    E7 ablation: each routed token costs a ``move``) and
-    ``steady_multiplier``.
+    E7 ablation: each routed token costs a ``move``),
+    ``steady_multiplier`` and ``regions`` (off for the fully unrolled
+    build: no run of firings becomes a loop region).
 
     ``steady_multiplier`` unrolls that many steady-state iterations into
     one LaminarIR body (execution scaling): the schedule returns channel
@@ -78,6 +79,7 @@ class LoweringOptions:
 
     eliminate_splitjoin: bool = True
     steady_multiplier: int = 1
+    regions: bool = True
 
     def __post_init__(self) -> None:
         if self.steady_multiplier < 1:
@@ -227,8 +229,7 @@ class _RecordingHooks(_FilterHooks):
 class Lowerer:
     def __init__(self, schedule: Schedule, source: str = "",
                  options: LoweringOptions | None = None, *,
-                 demand: bool = False,
-                 region_min_repeat: int | None = None):
+                 demand: bool = False):
         self.schedule = schedule
         self.graph: FlatGraph = schedule.graph
         self.source = source
@@ -266,8 +267,10 @@ class Lowerer:
         self._fired: list[_Record] = []  # the section's, in firing order
         self.firings_deferred = 0
         self.firings_dropped = 0
-        # Loop regions from runs of one template's firings.
-        self.region_min_repeat = region_min_repeat
+        # Loop regions from runs of one template's firings, of at least
+        # this many trips; None forms none.
+        self.region_min_repeat = REGION_MIN_REPEAT \
+            if self.options.regions else None
         self._slots = SlotAllocator(self.program)
         self.regions_formed = 0
 
@@ -697,6 +700,9 @@ class Lowerer:
             self.firings_fallback += 1
             for cell in executor.fields.values():
                 cell.cached = self.resolve(cell.cached)
+            # Only this firing's ops prove a divisor never zero, as
+            # when the body is recorded as a template.
+            self.emitter.nonzero.clear()
             executor.run_body(body.body, _FilterHooks(
                 self, vertex, rates.peek, self.emitter))
         executor.check_rates(rates.pop, rates.push,
@@ -870,20 +876,18 @@ def collector_paused() -> Iterator[None]:
 
 def lower(schedule: Schedule, source: str = "",
           options: LoweringOptions | None = None, *,
-          demand: bool = False,
-          region_min_repeat: int | None = None) -> Program:
+          demand: bool = False) -> Program:
     """Lower a scheduled flat graph to a LaminarIR program.
 
     Each templated firing is recorded and built once, when its section
     ends.  ``demand=True`` leaves out the pure firings whose outputs no
     emitted code reads: the program is the eager one minus ops that
     dead-code elimination deletes, so use it only when that pass runs
-    after.  ``region_min_repeat=K`` builds each run of firings of one
-    template as a loop region of ``K`` trips or more when that pays,
-    whose coefficient-table loads only state promotion turns back into
-    constants.  :meth:`repro.opt.OptOptions.lowering_flags` gives both
-    for a pipeline.
+    after (:meth:`repro.opt.OptOptions.prunes_dead_code`).  With
+    ``options.regions`` each run of firings of one template becomes a
+    loop region of :data:`REGION_MIN_REPEAT` trips or more when that
+    pays, whose coefficient-table loads only state promotion turns back
+    into constants.
     """
     with collector_paused():
-        return Lowerer(schedule, source, options, demand=demand,
-                       region_min_repeat=region_min_repeat).lower()
+        return Lowerer(schedule, source, options, demand=demand).lower()

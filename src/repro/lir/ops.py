@@ -19,7 +19,7 @@ import itertools
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 from repro.frontend.values import coerce_runtime, wrap_i32
@@ -292,14 +292,39 @@ class BinOp(Op):
         return f"{self.result} = {self.lhs} {self.op} {self.rhs}"
 
 
-def may_fault(op: BinOp) -> bool:
-    """Whether ``op`` is a shift that may stop the program at run time:
-    its count is not a constant in [0, 31].  Dead-code elimination
-    keeps such an op even when nothing reads its result."""
-    rhs = op.rhs
-    return op.op in ("<<", ">>") and not (
-        rhs.__class__ is Const
-        and 0 <= rhs.value <= 31)  # type: ignore[attr-defined]
+def never_zero(op: Op) -> bool:
+    """Whether ``op`` is an ``|`` with a nonzero constant operand, so
+    that its result is never 0."""
+    return op.__class__ is BinOp and op.op == "|" and any(
+        value.__class__ is Const and value.value  # type: ignore
+        for value in (op.lhs, op.rhs))  # type: ignore[attr-defined]
+
+
+def safe_operand(op: str, lhs: Value, rhs: Value,
+                 nonzero: Container[int]) -> int | None:
+    """The right operand with which ``lhs op rhs`` cannot fault, or
+    ``None`` when it cannot fault as it is.  A shift may fault unless
+    its count is a constant in [0, 31] (safe count: 0); an int ``/`` or
+    ``%`` may fault unless its divisor is a nonzero constant or a temp
+    whose id is in ``nonzero`` (safe divisor: 1)."""
+    if op == "<<" or op == ">>":
+        if rhs.__class__ is Const \
+                and 0 <= rhs.value <= 31:  # type: ignore[attr-defined]
+            return None
+        return 0
+    if (op == "/" or op == "%") and lhs.ty == INT and rhs.ty == INT:
+        if rhs.value if rhs.__class__ is Const \
+                else rhs.id in nonzero:  # type: ignore[attr-defined]
+            return None
+        return 1
+    return None
+
+
+def may_fault(op: BinOp, nonzero: Container[int]) -> bool:
+    """Whether ``op`` may stop the program at run time
+    (:func:`safe_operand`).  Dead-code elimination keeps such an op even
+    when nothing reads its result."""
+    return safe_operand(op.op, op.lhs, op.rhs, nonzero) is not None
 
 
 @dataclass(eq=False, slots=True)

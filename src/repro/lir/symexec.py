@@ -34,7 +34,8 @@ from repro.frontend.values import (CMP_OPS, INT_ONLY_OPS, coerce_runtime,
 from repro.graph.nodes import FilterNode
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, Op, PrintOp,
                            Provenance, SelectOp, StateSlot, StoreOp, Temp,
-                           UnOp, Value, const_bool, const_int, const_of)
+                           UnOp, Value, const_bool, const_int, const_of,
+                           never_zero, safe_operand)
 
 _MAX_CALL_DEPTH = 64
 # Ops one lowering may emit when ``ResourceLimits.max_unrolled_ops`` is
@@ -115,6 +116,10 @@ class Emitter:
         self._prov: tuple[Provenance, ...] = ()
         self._prov_cache: dict[tuple[str, str, int, str],
                                tuple[Provenance, ...]] = {}
+        # Ids of the temps an emitted op computes never zero
+        # (:func:`~repro.lir.ops.never_zero`): a division by one of them
+        # cannot fault.
+        self.nonzero: set[int] = set()
 
     def set_block(self, block: list[Op]) -> None:
         self.block = block
@@ -186,7 +191,10 @@ class Emitter:
             return const_of(fold_binary(op, lhs.value, rhs.value, loc,
                                         source), result_ty)
         result = Temp(result_ty)
-        self.emit(BinOp(result=result, op=op, lhs=lhs, rhs=rhs))
+        binop = BinOp(result=result, op=op, lhs=lhs, rhs=rhs)
+        self.emit(binop)
+        if op == "|" and never_zero(binop):
+            self.nonzero.add(result.id)
         return result
 
     def _unify(self, op: str, lhs: Value, rhs: Value) -> tuple[Value, Value]:
@@ -813,31 +821,34 @@ def _fold_consts(op: str, lhs: Const, rhs: Const, loc: SourceLocation,
 _PYTHON_CLASS = {"int": int, "float": float, "boolean": bool}
 
 
+# The operators that may fault (:func:`~repro.lir.ops.safe_operand`).
+_MAY_FAULT = frozenset(("<<", ">>", "/", "%"))
+
+
 def _binop(ex: BodyExecutor, op: str, lhs: Value, rhs: Value,
            loc: SourceLocation) -> Value:
     """``lhs op rhs``: two constants fold here, anything else goes to
     the emitter."""
-    if (op == "<<" or op == ">>") \
-            and (ex.path_conditions or ex.helper_frames):
-        rhs = _masked_count(ex, rhs, loc)
+    if op in _MAY_FAULT and (ex.path_conditions or ex.helper_frames):
+        safe = safe_operand(op, lhs, rhs, ex.emitter.nonzero)
+        if safe is not None:
+            rhs = _masked(ex, rhs, safe, loc)
     if lhs.__class__ is Const and rhs.__class__ is Const:
         return _fold_consts(op, lhs, rhs, loc, ex.source)  # type: ignore
     return ex.emitter.binop(op, lhs, rhs, loc, ex.source)
 
 
-def _masked_count(ex: BodyExecutor, count: Value,
-                  loc: SourceLocation) -> Value:
-    """The count a shift runs with where it may run although the
-    program does not reach it: both arms of a data-dependent ``if`` or
-    ``?:`` run, the right side of a data-dependent ``&&`` or ``||`` does,
-    and so does the rest of a helper after a data-dependent ``return``.
-    A count not known to be in [0, 31] becomes 0 wherever the program
-    does not reach the shift, so it faults only where the FIFO
+def _masked(ex: BodyExecutor, operand: Value, safe: int,
+            loc: SourceLocation) -> Value:
+    """The right operand an operator that may fault runs with where it
+    may run although the program does not reach it: both arms of a
+    data-dependent ``if`` or ``?:`` run, the right side of a
+    data-dependent ``&&`` or ``||`` does, and so does the rest of a
+    helper after a data-dependent ``return``.  The operand becomes
+    ``safe`` (:func:`~repro.lir.ops.safe_operand`) wherever the program
+    does not reach the operator, so it faults only where the FIFO
     interpreter does; the select that merges the arms throws that
     result away."""
-    if count.__class__ is Const \
-            and 0 <= count.value <= 31:  # type: ignore[attr-defined]
-        return count
     guard = ex._pending_return_guard(loc)
     for cond in ex.path_conditions:
         if cond.__class__ is _Unless:
@@ -845,14 +856,14 @@ def _masked_count(ex: BodyExecutor, count: Value,
         guard = cond if guard is None else ex.emitter.binop(
             "&", guard, cond, loc, ex.source)
     if guard is None:
-        return count
-    return ex.emitter.select(guard, count, const_of(0, count.ty))
+        return operand
+    return ex.emitter.select(guard, operand, const_of(safe, operand.ty))
 
 
 class _Unless(NamedTuple):
     """The path condition "``cond`` is false" of an expression that
     runs only then (the second arm of ``?:``, the right side of ``||``);
-    :func:`_masked_count` emits the negation only if it needs it."""
+    :func:`_masked` emits the negation only if it needs it."""
     cond: Value
 
 

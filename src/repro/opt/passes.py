@@ -28,7 +28,8 @@ from repro.frontend.types import BOOLEAN, FLOAT, INT
 from repro.frontend.values import fold_binary, runtime_call, runtime_unary
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
                            MoveOp, Op, SelectOp, StoreOp, Temp, UnOp, Value,
-                           const_bool, const_int, const_of, may_fault)
+                           const_bool, const_int, const_of, may_fault,
+                           never_zero)
 from repro.lir.program import Program
 
 
@@ -437,9 +438,11 @@ def dead_code_elimination(program: Program) -> int:
 
     A backward liveness sweep over the three sections: carry values are
     live by definition (they feed the next iteration or the steady
-    block parameters), effects are roots, and an op's uses always follow
-    its def, so by the time the sweep reaches a def every surviving user
-    has marked it — one sweep removes whole transitively dead chains.
+    block parameters), effects and ops that may fault
+    (:func:`~repro.lir.ops.may_fault`) are roots, and an op's uses
+    always follow its def, so by the time the sweep reaches a def every
+    surviving user has marked it — one sweep removes whole transitively
+    dead chains.
     The sweep enters loop-region bodies: a region's carry nexts are
     marked first, then its body is swept backwards.  When dead loads
     were the last reads of a slot, the slot's stores die too, and the
@@ -452,8 +455,14 @@ def dead_code_elimination(program: Program) -> int:
     so uses of ids outside that span go unmarked.
     """
     lo, hi = _result_id_span(program)
-    loaded_slots = {op.slot.name for op in ops_with_bodies(program)
-                    if isinstance(op, LoadOp)}
+    loaded_slots: set[str] = set()
+    nonzero: set[int] = set()  # temps a division by cannot fault
+    for op in ops_with_bodies(program):
+        if op.__class__ is LoadOp:
+            loaded_slots.add(op.slot.name)  # type: ignore[attr-defined]
+        elif op.__class__ is BinOp and op.op == "|" \
+                and never_zero(op):  # type: ignore[attr-defined]
+            nonzero.add(op.result.id)  # type: ignore[union-attr]
     removed = 0
     while True:
         live = bytearray(hi - lo + 1)
@@ -483,7 +492,8 @@ def dead_code_elimination(program: Program) -> int:
                     continue
                 if not (op.has_side_effect or (
                         op.result is not None and live[op.result.id - lo])
-                        or op.__class__ is BinOp and may_fault(op)):
+                        or op.__class__ is BinOp
+                        and may_fault(op, nonzero)):
                     removed += 1
                     continue
                 for operand in op.operands():  # mark(), inlined: hot

@@ -6,9 +6,8 @@ pipeline.  The default order matches the classic sequence::
     copy-prop → promote (mem2reg/SROA)
     → {carries, const-fold, CSE, DCE}* → pressure scheduling
 
-Counted loop regions are formed before any of it, by the lowering: the
-pipeline's ``reroll`` entry runs no pass, it tells the lowering to form
-them (:meth:`OptOptions.lowering_flags`).
+Counted loop regions are formed before any of it, by the lowering
+(``LoweringOptions.regions``); the pipeline lists only passes.
 
 The bracketed group repeats until a round changes nothing.  Each pass in
 it is one linear sweep over the program (see ``repro.opt.passes``) that
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.faults import limits as faults_limits
 from repro.faults import plan as fault_plan
-from repro.lir.lower import REGION_MIN_REPEAT
 from repro.lir.ops import LoopRegion
 from repro.lir.program import Program
 from repro.obs import metrics as obs_metrics
@@ -48,8 +46,6 @@ _PASS_ALIASES = {
     "copy_propagation": "copy_propagation",
     "promote": "promote_state",
     "promote_state": "promote_state",
-    "reroll": "reroll_steady",
-    "reroll_steady": "reroll_steady",
     "fold": "constant_folding",
     "constant_folding": "constant_folding",
     "carry": "carries",
@@ -109,12 +105,11 @@ def as_pipeline(value: object) -> tuple[str, ...]:
     return parse_pipeline(spec)
 
 
-# The classic order; the ``reroll_steady`` entry runs no pass, it tells
-# the lowering to form loop regions (:meth:`OptOptions.lowering_flags`).
+# The classic order.
 DEFAULT_PIPELINE = (
-    "copy_propagation", "promote_state", "reroll_steady",
-    "carries", "constant_folding", "common_subexpression_elimination",
-    "dead_code_elimination", "schedule_for_pressure")
+    "copy_propagation", "promote_state", "carries", "constant_folding",
+    "common_subexpression_elimination", "dead_code_elimination",
+    "schedule_for_pressure")
 
 
 @dataclass
@@ -147,23 +142,10 @@ class OptOptions:
         """Whether the pipeline begins with the dense dead-code pre-prune.
 
         Demand-driven lowering omits exactly code that pass deletes, so
-        :meth:`lowering_flags` asks this before lowering that way.
+        the lowering is demand-driven only when this holds.
         """
         return "dead_code_elimination" in self.pipeline \
             and self.round_cap() > 0
-
-    def lowering_flags(self) -> dict[str, object]:
-        """The lowering's keyword flags for this pipeline.
-
-        ``demand``: lower demand-driven when the dead-code pre-prune
-        would delete what that leaves out.  ``region_min_repeat``: form
-        loop regions of :data:`~repro.lir.lower.REGION_MIN_REPEAT` trips
-        or more when the pipeline has its ``reroll`` entry (else
-        ``None``).
-        """
-        return {"demand": self.prunes_dead_code(),
-                "region_min_repeat": REGION_MIN_REPEAT
-                if "reroll_steady" in self.pipeline else None}
 
 
 @dataclass
@@ -329,8 +311,7 @@ class PassManager:
                 self._run_fixpoint(group)
                 saw_fixpoint_group = True
             else:
-                if step != "reroll_steady":  # the lowering's to act on
-                    self._STEPS[step](self)
+                self._STEPS[step](self)
                 position += 1
         if not saw_fixpoint_group:
             # Preserve the seed pipeline's accounting: the round loop

@@ -65,11 +65,10 @@ class TestCompiledStream:
         assert listed is tupled
 
     @pytest.mark.parametrize("spelling", [
-        "cp,promote,reroll,carry,fold,cse,dce,schedule",
-        ["cp", "promote", "reroll", "carry", "fold", "cse", "dce",
-         "schedule"],
-        ("copy_propagation", "promote_state", "reroll_steady",
-         "carries", "constant_folding", "common_subexpression_elimination",
+        "cp,promote,carry,fold,cse,dce,schedule",
+        ["cp", "promote", "carry", "fold", "cse", "dce", "schedule"],
+        ("copy_propagation", "promote_state", "carries",
+         "constant_folding", "common_subexpression_elimination",
          "dead_code_elimination", "schedule_for_pressure"),
     ], ids=["aliases-string", "aliases-list", "canonical-tuple"])
     def test_one_key_per_pass_list(self, demo_stream, spelling):

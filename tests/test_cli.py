@@ -321,7 +321,9 @@ class TestKnobs:
     @pytest.mark.parametrize("flags,message", [
         (["--no-opt", "--opt-pipeline", "fold"],
          "'no_opt' cannot be combined with 'pipeline'"),
-    ], ids=["no-opt-with-pipeline"])
+        (["--opt-pipeline", "cp,reroll"],
+         "unknown optimizer pass 'reroll'"),
+    ], ids=["no-opt-with-pipeline", "reroll-is-not-a-pass"])
     def test_contradictory_knobs_are_usage_errors(self, tiny_file, flags,
                                                   message, capsys):
         # The daemon answers 400 with the same messages
@@ -335,10 +337,12 @@ class TestKnobs:
         from repro.obs import ledger
 
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        unrolled = "cp,promote,fold,carry,cse,dce,schedule"
+        # The label is the pass list, which lists only passes: loop
+        # regions are the lowering's, not a pass-list entry.
+        passes = "cp,promote,fold,carry,cse,dce,schedule"
         assert main(["report", "lattice", "-n", "2"]) == 0
         assert main(["report", "lattice", "-n", "2", "--opt-pipeline",
-                     unrolled, "--opt-max-rounds", "8"]) == 0
+                     passes, "--opt-max-rounds", "8"]) == 0
         default, explicit = [record["body"] for record
                              in ledger.load_records(target="lattice")]
         assert (default["pipeline"], default["flags"]) == ("default", {})

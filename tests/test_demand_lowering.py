@@ -40,6 +40,11 @@ def _ops(program) -> int:
     return sum(len(ops) for _, ops in program.sections())
 
 
+# The lowering the oracle compares: fully unrolled, so that eager and
+# demand-driven lowering build the same firings.
+UNROLLED = LoweringOptions(regions=False)
+
+
 def _lower(stream, options, demand, opt):
     """What the oracle compares, from one lowering in a fresh temp
     scope: the IR (dump, provenance, the next temp id), the ops lowered,
@@ -58,7 +63,7 @@ def _lower(stream, options, demand, opt):
         return (program.dump(), generate_laminar_c(program)), lowered
 
 
-def _compare(stream, options=None):
+def _compare(stream, options=UNROLLED):
     """Assert that eager and demand-driven lowering, each followed by
     the default optimizer, agree byte for byte; returns the ops each
     lowered.  When both lowerings build the same program, the optimizer
@@ -77,7 +82,7 @@ def _compare(stream, options=None):
 @lru_cache(maxsize=None)
 def _suite(name, scale, multiplier, eliminate):
     options = LoweringOptions(steady_multiplier=multiplier,
-                              eliminate_splitjoin=eliminate)
+                              eliminate_splitjoin=eliminate, regions=False)
     return _compare(load_benchmark(name, scale=scale), options)
 
 
@@ -107,7 +112,7 @@ class TestOracle:
         assert OptOptions(pipeline="cp,fold,dce").prunes_dead_code()
         assert not OptOptions(pipeline=()).prunes_dead_code()
         assert not OptOptions(
-            pipeline="cp,promote,reroll,fold,carry,cse,schedule"
+            pipeline="cp,promote,fold,carry,cse,schedule"
         ).prunes_dead_code()
         assert not OptOptions(pipeline="fold,cse").prunes_dead_code()
         assert not OptOptions(max_rounds=0).prunes_dead_code()
@@ -123,11 +128,12 @@ class TestOpCounts:
         assert demand < eager
 
     def test_compiled_stream_lowers_on_demand(self):
-        # Without re-roll on both sides: runs of firings collapse into
-        # loop regions at lowering when it is on, and eager lowering
-        # has longer runs to collapse.
+        # Without loop regions on both sides: runs of firings collapse
+        # into loop regions at lowering when they are on, and eager
+        # lowering has longer runs to collapse.
         stream = load_benchmark("rate_convert")
-        lowered = [sum(stream.lower(opt=opt).opt_stats.ops_before.values())
+        lowered = [sum(stream.lower(UNROLLED, opt)
+                       .opt_stats.ops_before.values())
                    for opt in (
                        OptOptions(pipeline="cp,promote,fold,carry,cse,dce,"
                                            "schedule"),
@@ -155,7 +161,8 @@ def _raised(stream):
     for demand in (False, True):
         with pytest.raises(CompileError) as info:
             with fresh_temp_ids():
-                lower(stream.schedule, stream.source, demand=demand)
+                lower(stream.schedule, stream.source, UNROLLED,
+                      demand=demand)
         errors.append(info.value)
     assert str(errors[1]) == str(errors[0])
     return errors[1]
@@ -184,7 +191,8 @@ class TestEffectsAndErrors:
             "int->int filter Show() { work push 1 pop 1 {\n"
             "  int v = pop() * 2; println(v); push(v); } }", "Show")
         with fresh_temp_ids():
-            program = lower(stream.schedule, stream.source, demand=True)
+            program = lower(stream.schedule, stream.source, UNROLLED,
+                            demand=True)
         assert any(isinstance(op, PrintOp) for op in program.steady)
         assert stream.run_laminar(4).outputs == stream.run_fifo(4).outputs
 
@@ -195,7 +203,7 @@ class TestEffectsAndErrors:
         counts = []
         for demand in (False, True):
             with fresh_temp_ids():
-                program = lower(stream.schedule, stream.source,
+                program = lower(stream.schedule, stream.source, UNROLLED,
                                 demand=demand)
             counts.append(sum(isinstance(op, StoreOp)
                               for op in program.steady))
@@ -242,7 +250,7 @@ class TestForcing:
         sys.setrecursionlimit(depth + 100)
         try:
             with fresh_temp_ids():
-                program = lower(stream.schedule, stream.source,
+                program = lower(stream.schedule, stream.source, UNROLLED,
                                 demand=True)
         finally:
             sys.setrecursionlimit(limit)
@@ -326,8 +334,7 @@ void->void pipeline P { add Count(); }
 
 def _lowerer(stream, demand=True):
     with fresh_temp_ids():
-        lowerer = Lowerer(stream.schedule, stream.source, demand=demand,
-                          region_min_repeat=REGION_MIN_REPEAT)
+        lowerer = Lowerer(stream.schedule, stream.source, demand=demand)
         lowerer.lower()
     return lowerer
 
@@ -349,8 +356,9 @@ class TestRecords:
                                                name=name))
         with pytest.raises(CompileError) as info:
             with fresh_temp_ids():
-                lower(stream.schedule, stream.source, demand=demand,
-                      region_min_repeat=regions)
+                lower(stream.schedule, stream.source,
+                      LoweringOptions(regions=regions is not None),
+                      demand=demand)
         assert message in str(info.value)
         assert info.value.loc.line == 4
 

@@ -146,9 +146,9 @@ class TestConstructs:
 class TestOptionMatrix:
     @pytest.mark.parametrize("opt", [
         OptOptions(pipeline=()),
-        OptOptions(pipeline="cp,reroll,fold,carry,cse,dce,schedule"),
-        OptOptions(pipeline="cp,promote,reroll,fold,carry,dce,schedule"),
-        OptOptions(pipeline="cp,promote,reroll,carry,cse,dce,schedule"),
+        OptOptions(pipeline="cp,fold,carry,cse,dce,schedule"),
+        OptOptions(pipeline="cp,promote,fold,carry,dce,schedule"),
+        OptOptions(pipeline="cp,promote,carry,cse,dce,schedule"),
         OptOptions(),
     ], ids=["none", "no-promote", "no-cse", "no-fold", "all"])
     def test_demo_under_opt_options(self, demo_stream, opt):

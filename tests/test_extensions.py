@@ -148,7 +148,7 @@ class TestCarrySpecialization:
         with_spec = stream.run_laminar(8, opt=OptOptions())
         without = stream.run_laminar(
             8,
-            opt=OptOptions(pipeline="cp,promote,reroll,fold,cse,dce,schedule"))
+            opt=OptOptions(pipeline="cp,promote,fold,cse,dce,schedule"))
         assert with_spec.outputs == without.outputs
 
     def test_zero_safe(self):

@@ -14,6 +14,9 @@ from repro.fuzz import (GeneratorOptions, fuzz_campaign, generate_program,
 from repro.fuzz.driver import FuzzFinding, write_reproducer
 from repro.fuzz.generator import SplitJoinSpec
 from repro.fuzz.oracle import Divergence, OracleReport, _token
+from repro.lir.ops import LoopRegion
+from repro.opt import OptOptions
+from repro.suite import benchmark_source
 
 CORPUS_DIR = Path(__file__).parent / "fuzz_corpus"
 
@@ -80,6 +83,26 @@ class TestOracle:
         report = run_source(generate_program("ok:0"), iterations=3)
         assert report.ok
         assert report.output_count > 0
+
+    def test_unoptimized_route_is_unrolled(self, monkeypatch):
+        """laminar-interp runs the lowering without loop regions and no
+        pass; laminar-opt runs the default lowering, regions and all."""
+        programs = {}
+        lower = CompiledStream.lower
+
+        def spy(self, lowering=None, opt=None):
+            lowered = lower(self, lowering, opt)
+            programs[opt.pipeline] = lowered.program
+            return lowered
+        monkeypatch.setattr(CompiledStream, "lower", spy)
+        report = run_source(benchmark_source("matrixmult"), iterations=2)
+        assert report.ok
+        regions = {pipeline: sum(isinstance(op, LoopRegion)
+                                 for _title, ops in program.sections()
+                                 for op in ops)
+                   for pipeline, program in programs.items()}
+        assert regions[()] == 0
+        assert regions[OptOptions().pipeline] > 0
 
     def test_laminar_c_build_error_is_a_divergence(self, monkeypatch):
         """Building the LaminarIR C may fail only with the reference's

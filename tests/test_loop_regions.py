@@ -1,20 +1,24 @@
 """Loop regions formed at lowering from the schedule's firing runs.
 
-With ``region_min_repeat`` set, the lowering collapses each run of
-firings that replayed one firing template into a :class:`LoopRegion`
-when the template's loop unit repeats that many times or more.  Covers
-when a region forms, how the pipeline turns it on, which filters of the
-suite it rolls, the promotion of coefficient tables a body reads, and
-that every route stays bit-exact.
+With ``LoweringOptions.regions`` on (the default), the lowering
+collapses each run of firings that replayed one firing template into a
+:class:`LoopRegion` when the template's loop unit repeats
+``REGION_MIN_REPEAT`` times or more.  Covers when a region forms, that
+the lowering alone turns it on, which filters of the suite it rolls,
+the promotion of coefficient tables a body reads, and that every route
+stays bit-exact.
 """
+
+import importlib
+from unittest import mock
 
 import pytest
 
 from repro import LoweringOptions, compile_source
 from repro.backend import checksum_outputs
 from repro.interp import LaminarInterpreter
-from repro.lir import lower, verify
-from repro.lir.lower import REGION_MIN_REPEAT
+from repro.lir import verify
+from repro.lir.lower import REGION_MIN_REPEAT, Lowerer
 from repro.lir.ops import BinOp, Const, LoadOp, LoopRegion, fresh_temp_ids
 from repro.opt import OptOptions, optimize, promote_state
 from repro.suite import benchmark_names, load_benchmark
@@ -53,9 +57,21 @@ void->void pipeline P { add Src(); add Fir(8); add Down(8); add Snk(1); }
 """)
 
 
-def _lowered(stream, **flags):
-    with fresh_temp_ids():
-        return lower(stream.schedule, stream.source, **flags)
+# The module, which ``repro.lir.lower`` (the function) hides.
+lowering = importlib.import_module("repro.lir.lower")
+
+# The lowering without loop regions: the unrolled build.
+UNROLLED = LoweringOptions(regions=False)
+
+
+def _lowered(stream, options=None, demand=True,
+             min_repeat=REGION_MIN_REPEAT):
+    """``stream`` lowered as a default compile lowers it, unless told
+    otherwise; ``min_repeat`` stands in for the region floor."""
+    with fresh_temp_ids(), \
+            mock.patch.object(lowering, "REGION_MIN_REPEAT", min_repeat):
+        return Lowerer(stream.schedule, stream.source, options,
+                       demand=demand).lower()
 
 
 def _regions(program, section=None):
@@ -69,8 +85,7 @@ def _filters(regions):
 
 class TestFormation:
     def test_run_becomes_one_region(self):
-        program = _lowered(compile_source(FIR_SOURCE % 8), demand=True,
-                           region_min_repeat=4)
+        program = _lowered(compile_source(FIR_SOURCE % 8))
         fir = [region for region in _regions(program, "steady")
                if region.prov[0].filter == "Fir"]
         assert [region.trips for region in fir] == [8]
@@ -82,41 +97,38 @@ class TestFormation:
 
     def test_short_run_stays_straight_line(self):
         stream = compile_source(FIR_SOURCE % 3)
-        program = _lowered(stream, demand=True, region_min_repeat=4)
+        program = _lowered(stream)
         assert "Fir" not in _filters(_regions(program, "steady"))
-        program = _lowered(compile_source(FIR_SOURCE % 8), demand=True,
-                           region_min_repeat=9)
+        program = _lowered(compile_source(FIR_SOURCE % 8), min_repeat=9)
         assert not _regions(program, "steady")
 
-    def test_default_lowering_forms_none(self):
+    def test_unrolled_lowering_forms_none(self):
         stream = load_benchmark("filterbank")
-        assert not _regions(_lowered(stream))
-        assert not _regions(_lowered(stream, demand=True))
+        assert not _regions(_lowered(stream, UNROLLED, demand=False))
+        assert not _regions(_lowered(stream, UNROLLED))
 
     def test_dropped_firings_form_no_region(self):
         # Down reads one token in 8, so in the steady state only one of
         # Fir's 8 firings is emitted: lowered eagerly, all 8 roll.
         stream = compile_source(DOWN_SOURCE)
-        flags = OptOptions().lowering_flags()
-        assert "Fir" not in _filters(_regions(_lowered(stream, **flags),
-                                              "steady"))
-        flags["demand"] = False
-        assert "Fir" in _filters(_regions(_lowered(stream, **flags),
+        assert "Fir" not in _filters(_regions(_lowered(stream), "steady"))
+        assert "Fir" in _filters(_regions(_lowered(stream, demand=False),
                                           "steady"))
 
     def test_prints_counted_inside_regions(self):
         # FloatPrinter's 4 firings per iteration become one region.
         stream = load_benchmark("matrixmult")
-        with_regions = _lowered(stream, **OptOptions().lowering_flags())
+        with_regions = _lowered(stream)
         assert "FloatPrinter" in _filters(_regions(with_regions, "steady"))
         assert with_regions.prints_per_iteration == \
-            _lowered(stream).prints_per_iteration == 16
+            _lowered(stream, UNROLLED, demand=False) \
+            .prints_per_iteration == 16
 
     def test_outputs_match_without_regions(self):
         stream = compile_source(FIR_SOURCE % 8)
-        with_regions = _lowered(stream, demand=True, region_min_repeat=4)
+        with_regions = _lowered(stream)
         assert _regions(with_regions, "steady")
-        without = _lowered(stream, demand=True)
+        without = _lowered(stream, UNROLLED)
         outputs = []
         for program in (with_regions, without):
             optimize(program)
@@ -126,19 +138,29 @@ class TestFormation:
 
 class TestWiring:
     def test_default_pipeline_flags(self):
-        assert OptOptions().lowering_flags() == {
-            "demand": True, "region_min_repeat": REGION_MIN_REPEAT}
+        # A default compile lowers demand-driven, forming loop regions
+        # of REGION_MIN_REPEAT trips or more.
+        assert OptOptions().prunes_dead_code()
+        assert LoweringOptions().regions
         assert REGION_MIN_REPEAT == 4
 
     @pytest.mark.parametrize("flags", [
-        OptOptions(pipeline="cp,promote,fold,carry,cse,dce,schedule")
-        .lowering_flags(),
-        {"demand": True, "region_min_repeat": 100},
-        OptOptions(pipeline="cp,promote,fold,cse,dce").lowering_flags(),
-    ], ids=["no-reroll", "min-repeat-100", "pipeline-without-reroll"])
+        {"options": UNROLLED}, {"min_repeat": 100},
+    ], ids=["no-reroll", "min-repeat-100"])
     def test_no_regions_at_lowering(self, flags):
         stream = load_benchmark("filterbank")
         assert not _regions(_lowered(stream, **flags))
+
+    @pytest.mark.parametrize("pipeline", ["", "cp,promote,fold,cse,dce"],
+                             ids=["empty", "no-carry-no-schedule"])
+    def test_pass_list_leaves_regions_on(self, pipeline):
+        # The pass list lists only passes: the empty one ("no
+        # optimizer") runs over the default lowering, regions and all.
+        lowered = load_benchmark("filterbank").lower(
+            opt=OptOptions(pipeline=pipeline))
+        assert _regions(lowered.program, "steady")
+        assert lowered.opt_stats.regions_rerolled == \
+            len(_regions(lowered.program))
 
 
 class TestRolledAtLowering:
@@ -155,7 +177,7 @@ class TestRolledAtLowering:
         # FloatPrinter chains onto the array MultiplyTransposed's region
         # scatters to, Rectifier's body is if-converted, and
         # AudioSource's phase is carried from trip to trip.
-        program = _lowered(load_benchmark(name), region_min_repeat=4)
+        program = _lowered(load_benchmark(name), demand=False)
         assert filter_name in _filters(_regions(program))
 
     @pytest.mark.parametrize("name,regions", [
@@ -198,10 +220,6 @@ float->void filter Snk(int n) {
 void->void pipeline P { add Src(); add Up(4); add Mix(); add Snk(64); }
 """
 
-UNROLLED = OptOptions(pipeline=tuple(
-    step for step in OptOptions().pipeline if step != "reroll_steady"))
-
-
 def _fir_ops(program):
     """Steady ops of the FirFilter instances, as executed."""
     return sum(op.trips * sum(inner.prov[0].filter.startswith("FirFilter")
@@ -217,7 +235,7 @@ class TestConstantColumns:
 
     def test_period_of_constants_sets_the_units_per_trip(self):
         stream = compile_source(PERIOD_SOURCE)
-        program = _lowered(stream, **OptOptions().lowering_flags())
+        program = _lowered(stream)
         mix = [region for region in _regions(program, "steady")
                if region.prov[0].filter == "Mix"]
         # 64 firings, 4 per trip: each unit position sees one constant.
@@ -234,8 +252,7 @@ class TestConstantColumns:
     def test_init_still_gathers_constants(self):
         # The init section runs once: at scale 4, filterbank's init FIR
         # runs roll, gathering the upsampler's zeros.
-        program = _lowered(load_benchmark("filterbank", scale=4),
-                           **OptOptions().lowering_flags())
+        program = _lowered(load_benchmark("filterbank", scale=4))
         firs = [region for region in _regions(program, "init")
                 if region.prov[0].filter.startswith("FirFilter")]
         assert len(firs) == 8
@@ -253,7 +270,7 @@ class TestConstantColumns:
         program = stream.lower().program
         assert not any(name.startswith("FirFilter")
                        for name in _filters(_regions(program, "steady")))
-        unrolled = stream.lower(opt=UNROLLED).program
+        unrolled = stream.lower(UNROLLED).program
         assert _fir_ops(program) <= _fir_ops(unrolled)
         assert program.steady_op_count_expanded - \
             unrolled.steady_op_count_expanded == 16
@@ -269,8 +286,7 @@ class TestConstantColumns:
          + [("steady", "ChannelSource", 16)])])
     def test_regions_without_constant_columns_are_unchanged(self, name,
                                                             regions):
-        program = _lowered(load_benchmark(name),
-                           **OptOptions().lowering_flags())
+        program = _lowered(load_benchmark(name))
         assert [(title, region.prov[0].filter, region.trips)
                 for title, ops in program.sections() for region in ops
                 if isinstance(region, LoopRegion)] == regions
@@ -278,8 +294,7 @@ class TestConstantColumns:
 
 class TestPromotion:
     def test_body_loads_of_a_table_become_its_values(self):
-        program = _lowered(compile_source(FIR_SOURCE % 8), demand=True,
-                           region_min_repeat=4)
+        program = _lowered(compile_source(FIR_SOURCE % 8))
         assert promote_state(program)
         assert "Fir_coeff" not in {slot.name for slot in
                                    program.state_slots}

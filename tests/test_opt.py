@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from repro import compile_source
+from repro import LoweringOptions, compile_source
 from repro.frontend.types import FLOAT, INT
 from repro.interp import LaminarInterpreter
 from repro.lir import (BinOp, CallOp, LoadOp, MoveOp, PrintOp, Program,
@@ -21,10 +21,10 @@ void->float filter Src() { work push 1 { push(randf()); } }
 float->void filter Snk() { work pop 1 { println(pop()); } }
 """
 
-# Pass lists: the default without its entry for pressure scheduling,
-# and without its reroll entry (the unrolled build).
-NO_SCHEDULE = OptOptions(pipeline="cp,promote,reroll,fold,carry,cse,dce")
-UNROLLED = "cp,promote,fold,carry,cse,dce,schedule"
+# The default pass list without its entry for pressure scheduling, and
+# the lowering without loop regions (the unrolled build).
+NO_SCHEDULE = OptOptions(pipeline="cp,promote,fold,carry,cse,dce")
+UNROLLED = LoweringOptions(regions=False)
 
 
 def make_program():
@@ -429,7 +429,7 @@ class TestPromotion:
         with_promo = stream.run_laminar(12, opt=OptOptions())
         without = stream.run_laminar(
             12,
-            opt=OptOptions(pipeline="cp,reroll,fold,carry,cse,dce,schedule"))
+            opt=OptOptions(pipeline="cp,fold,carry,cse,dce,schedule"))
         assert with_promo.outputs == without.outputs
 
     def test_promotion_moves_memory_to_zero(self):
@@ -489,11 +489,12 @@ class TestPipelineIntegration:
         # do after round 1 exercises the give-up path.
         monkeypatch.setattr(pipeline_mod, "_FIXPOINT_ROUNDS", 1)
         from repro.lir import lower
-        program = lower(demo_stream.schedule, demo_stream.source)
-        # Re-rolling collapses the cross-instance redundancy that keeps
-        # CSE busy past round 1, so leave it out to reach the give-up path.
+        # Loop regions collapse the cross-instance redundancy that keeps
+        # CSE busy past round 1, so leave them out to reach the give-up
+        # path.
+        program = lower(demo_stream.schedule, demo_stream.source, UNROLLED)
         with pytest.warns(RuntimeWarning, match="did not reach a fixpoint"):
-            stats = optimize(program, OptOptions(pipeline=UNROLLED))
+            stats = optimize(program)
         assert not stats.converged
         assert stats.fixpoint_rounds == 1
 
@@ -839,11 +840,10 @@ class TestPassManagerConfig:
 
     def test_max_rounds_caps_fixpoint(self, demo_stream):
         from repro.lir import lower
-        program = lower(demo_stream.schedule, demo_stream.source)
         # Unrolled: the re-rolled demo converges within one round.
+        program = lower(demo_stream.schedule, demo_stream.source, UNROLLED)
         with pytest.warns(RuntimeWarning, match="did not reach a fixpoint"):
-            stats = optimize(program,
-                             OptOptions(pipeline=UNROLLED, max_rounds=1))
+            stats = optimize(program, OptOptions(max_rounds=1))
         assert stats.fixpoint_rounds == 1
         assert not stats.converged
 

@@ -9,9 +9,11 @@ emission.  The property the whole file leans on: a program with
 regions is bit-exact with its fully-unrolled twin on every route.
 """
 
+import importlib
+
 import pytest
 
-from repro import compile_source
+from repro import LoweringOptions, compile_source
 from repro.backend.laminar_c import generate_laminar_c
 from repro.lir import lower
 from repro.lir.lower import Lowerer
@@ -21,8 +23,11 @@ from repro.suite import load_benchmark
 
 from .conftest import requires_cc
 
-# The default pass list without its reroll entry: the unrolled build.
-UNROLLED = OptOptions(pipeline="cp,promote,fold,carry,cse,dce,schedule")
+# The lowering without loop regions: the unrolled build.
+UNROLLED = LoweringOptions(regions=False)
+
+# The module, which ``repro.lir.lower`` (the function) hides.
+lowering = importlib.import_module("repro.lir.lower")
 
 # A peek-window filter fired 8x per steady iteration (Src pushes 8,
 # Snk pops 8): the runs are long, the bodies are meaty, and the gather
@@ -116,10 +121,10 @@ def _regions(program) -> list[LoopRegion]:
             if isinstance(op, LoopRegion)]
 
 
-def _lower(stream, opt: OptOptions | None = None):
-    """``stream`` lowered as ``opt``'s pipeline lowers it."""
-    return lower(stream.schedule, stream.source,
-                 **(opt or OptOptions()).lowering_flags())
+def _lower(stream, options: LoweringOptions | None = None):
+    """``stream`` lowered as the default pipeline lowers it."""
+    return lower(stream.schedule, stream.source, options,
+                 demand=OptOptions().prunes_dead_code())
 
 
 class TestRegionFormation:
@@ -135,21 +140,21 @@ class TestRegionFormation:
     def test_reroll_off_leaves_unrolled(self):
         stream = compile_source(REPEAT_SOURCE)
         program = _lower(stream, UNROLLED)
-        stats = optimize(program, UNROLLED)
+        stats = optimize(program)
         assert stats.regions_rerolled == 0
         assert not _regions(program)
 
-    def test_min_repeat_threshold_respected(self):
+    def test_min_repeat_threshold_respected(self, monkeypatch):
         stream = compile_source(REPEAT_SOURCE)
         # No run repeats 100 times; nothing may roll.
-        program = lower(stream.schedule, stream.source, demand=True,
-                        region_min_repeat=100)
+        monkeypatch.setattr(lowering, "REGION_MIN_REPEAT", 100)
+        program = _lower(stream)
         assert optimize(program).regions_rerolled == 0
 
     def test_trips_times_body_matches_expanded_count(self):
         stream = compile_source(REPEAT_SOURCE)
         unrolled = _lower(stream, UNROLLED)
-        optimize(unrolled, UNROLLED)
+        optimize(unrolled)
         rerolled = _lower(stream)
         optimize(rerolled)
         # The structural count shrinks; the expanded count is what the
@@ -162,13 +167,13 @@ class TestRegionFormation:
     def test_regions_execute_directly_bit_exact(self):
         stream = compile_source(REPEAT_SOURCE)
         on = stream.run_laminar(5)
-        off = stream.run_laminar(5, opt=UNROLLED)
+        off = stream.run_laminar(5, UNROLLED)
         assert on.outputs == off.outputs
 
     def test_carried_accumulator_bit_exact(self):
         stream = compile_source(CARRY_SOURCE)
         on = stream.run_laminar(5)
-        off = stream.run_laminar(5, opt=UNROLLED)
+        off = stream.run_laminar(5, UNROLLED)
         assert on.outputs == off.outputs
 
     def test_fifo_route_agrees(self):
@@ -179,8 +184,7 @@ class TestRegionFormation:
 
     def test_lowering_returns_region_count(self):
         stream = compile_source(REPEAT_SOURCE)
-        lowerer = Lowerer(stream.schedule, stream.source,
-                          **OptOptions().lowering_flags())
+        lowerer = Lowerer(stream.schedule, stream.source, demand=True)
         program = lowerer.lower()
         assert lowerer.regions_formed == len(_regions(program))
         assert lowerer.regions_formed >= 1
@@ -197,7 +201,7 @@ class TestRegionFormation:
         assert carried
         optimize(program)
         assert stream.run_laminar(16).outputs == \
-            stream.run_laminar(16, opt=UNROLLED).outputs \
+            stream.run_laminar(16, UNROLLED).outputs \
             == stream.run_fifo(16).outputs
 
 
@@ -275,7 +279,7 @@ class TestCodegen:
         stream = load_benchmark("filterbank")
         rerolled = generate_laminar_c(stream.lower().program)
         unrolled = generate_laminar_c(
-            stream.lower(opt=UNROLLED).program)
+            stream.lower(UNROLLED).program)
         assert len(rerolled) < len(unrolled)
 
     def test_lir_dump_prints_regions(self):
@@ -293,7 +297,7 @@ class TestCodegen:
             generate_laminar_c(stream.lower().program), iterations=4)
         off = compile_and_run(
             generate_laminar_c(
-                stream.lower(opt=UNROLLED).program),
+                stream.lower(UNROLLED).program),
             iterations=4)
         assert on.checksum == off.checksum
         assert on.output_count == off.output_count

@@ -298,7 +298,9 @@ def test_spec_options_bit_exact_on_both_routes(client, demo_stream,
      "'no_opt' cannot be combined with 'pipeline'"),
     ({"no_opt": "false"}, "'no_opt' must be true or false, got 'false'"),
     ({"no_elim": "no"}, "'no_elim' must be true or false, got 'no'"),
-], ids=["no-opt-with-pipeline", "no-opt-string", "no-elim-string"])
+    ({"pipeline": "cp,reroll"}, "unknown optimizer pass 'reroll'"),
+], ids=["no-opt-with-pipeline", "no-opt-string", "no-elim-string",
+        "reroll-is-not-a-pass"])
 def test_contradictory_spec_options_are_400(client, options, message):
     """The same contradictions the CLI exits 2 on, with its message; an
     on/off knob takes a JSON boolean, so a truthy string is refused

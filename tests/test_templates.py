@@ -9,6 +9,7 @@ firing counts, and the generated LaminarIR C.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -40,7 +41,10 @@ WITH_C = {(1, 1)}
 
 
 def _lower(stream, options, templated, monkeypatch, with_c=False):
-    """Everything the oracle compares, from one lowering."""
+    """Everything the oracle compares, from one lowering, without loop
+    regions: only a template forms one."""
+    options = dataclasses.replace(options or LoweringOptions(),
+                                  regions=False)
     with monkeypatch.context() as patch:
         if not templated:
             patch.setattr(firing_template, "record",
@@ -126,6 +130,14 @@ SELECTS = {
     "dynamic ||":
         "float->float filter F() { work push 1 pop 1 { float v = pop(); "
         "boolean b = v < 0.25 || v > 0.75; push(b ? v : 0.0); } }"
+        "void->void pipeline P { add Src(); add F(); add Snk(); }",
+    # m is never zero, but only the firing before knows it: a recorded
+    # body sees m as an input, so the division by it is masked either
+    # way, like the division by d.
+    "masked division":
+        "float->float filter F() { int m; init { m = 1; } "
+        "work push 1 pop 1 { int d = (int) (pop() * 4.0); "
+        "push(d != 0 ? 1.0 * (100 / d + 100 % m) : 0.0); m = d | 1; } }"
         "void->void pipeline P { add Src(); add F(); add Snk(); }",
 }
 
